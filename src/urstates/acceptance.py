@@ -334,7 +334,7 @@ def criterion_8():
 # -- 9 ----------------------------------------------------------------------
 
 def criterion_9():
-    """Exponential construction vs targeted dense solve of u a + v a^dag."""
+    """Recurrence construction vs targeted dense solve of u a + v a^dag."""
     rng = np.random.default_rng(42)
     obs = observable_set("canonical", N=128)
     worst = 1.0
@@ -499,7 +499,7 @@ CRITERIA = {
     6: ("PSD certificates for sigma and sigma + iC", criterion_6),
     7: ("state-extended uncertainty relations", criterion_7),
     8: ("frequency-step oscillator dynamics", criterion_8),
-    9: ("exponential construction vs dense eigensolve", criterion_9),
+    9: ("recurrence construction vs dense eigensolve", criterion_9),
     10: ("observable-induced distance identities", criterion_10),
     11: ("complementary predictability/visibility pairs", criterion_11),
     12: ("even/odd coherent states", criterion_12),

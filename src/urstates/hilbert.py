@@ -213,6 +213,8 @@ class StateVector:
                 f"amplitude vector length {amp.size} does not match basis dim {self.basis.dim}"
             )
         norm2 = float(np.sum(np.abs(amp) ** 2))
+        if not np.isfinite(norm2):
+            raise InvalidInputError("state amplitudes must be finite")
         if abs(norm2 - 1.0) > 1e-12:
             raise InvalidInputError(f"state not normalized: sum |a_n|^2 = {norm2!r}")
         self.amplitudes = amp

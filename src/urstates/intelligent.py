@@ -186,35 +186,57 @@ def _gauge_fix(vec):
     return vec * phase
 
 
+def _edge_mass(state):
+    """Probability on the top two basis levels, where truncation bites.
+
+    An su(2) basis is the whole irrep, so nothing sits at a cutoff there.
+    """
+    if state.basis.kind == "su2":
+        return 0.0
+    return float(np.sum(np.abs(state.amplitudes[-2:]) ** 2))
+
+
 def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL):
     """Per-pair best (beta, z) and residual, plus the full Robertson gap.
 
     For each observable pair the bottom eigenvector of the 2x2 restriction
     of R = sigma + iC gives the optimal normalized beta (gauge: first
-    significant component real positive), z = beta . means, and the
-    residual sqrt(lambda_min).  Verdict is "minimizer" when every pairwise
-    residual clears ``residual_tol``.
+    significant component real positive) and z = beta . means.  For a pure
+    state the residual is || beta_0 dX_i psi + beta_1 dX_j psi ||, taken from
+    the centered vectors of the moment report: it grows linearly with
+    rounding, where sqrt(lambda_min) would turn 1e-16 into 1e-8.  A mixed
+    state gets sqrt(lambda_min).  Verdict is "minimizer" when every pairwise
+    residual clears ``residual_tol``, widened for a pure state to the
+    truncation-aware floor 50 sqrt(max(1, tr R_pair)) sqrt(N * edge mass)
+    that the state constructors use.
     """
     rep = moment_report(obs, state, max_tail=max_tail)
     R = rep.robertson
     n = obs.n
+    pure = rep.centered is not None
+    trunc = state.dim * _edge_mass(state) if pure else 0.0
     pairs = {}
-    worst = 0.0
+    minimizer = True
     for i in range(n):
         for j in range(i + 1, n):
             sub = R[np.ix_([i, j], [i, j])]
             vals, vecs = np.linalg.eigh(sub)
             beta = _gauge_fix(vecs[:, 0])
-            lam = max(float(vals[0]), 0.0)
-            residual = float(np.sqrt(lam))
+            if pure:
+                residual = float(np.linalg.norm(
+                    beta[0] * rep.centered[i] + beta[1] * rep.centered[j]))
+            else:
+                residual = float(np.sqrt(max(float(vals[0]), 0.0)))
+            spread = max(1.0, float(np.trace(sub).real))
+            bound = max(residual_tol, 50.0 * np.sqrt(spread * trunc))
             z = complex(beta[0] * rep.means[i] + beta[1] * rep.means[j])
             s2, c2 = rep.submatrices(i, j)
             schr = float(s2[0, 0] * s2[1, 1] - s2[0, 1] ** 2 - c2[0, 1] ** 2)
             pairs[(i, j)] = PairCertificate(
                 (obs.labels[i], obs.labels[j]), beta, z, residual, schr)
-            worst = max(worst, residual)
+            minimizer = minimizer and residual <= bound
     cs = char_coeffs(rep.sigma.astype(complex))
     cc = char_coeffs(rep.commut.astype(complex))
     robertson_gap = float((cs[n] - cc[n]).real)
-    verdict = "minimizer" if worst <= residual_tol else "not-minimizer"
+    verdict = "minimizer" if minimizer else "not-minimizer"
     return MinimizerCertificate(pairs, robertson_gap, verdict)

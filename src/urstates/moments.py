@@ -146,12 +146,17 @@ def observable_set(name, N=None):
 
 @dataclass
 class MomentReport:
-    """Means, covariance sigma, commutator matrix C and PSD certificates."""
+    """Means, covariance sigma, commutator matrix C and PSD certificates.
+
+    For a pure state, ``centered`` keeps the vectors (X_i - <X_i>) psi whose
+    Gram matrix is R, so certificates can reuse them without new products.
+    """
 
     labels: list
     means: np.ndarray
     sigma: np.ndarray
     commut: np.ndarray
+    centered: list | None = field(default=None, repr=False)
     sigma_min_eig: float = field(init=False)
     robertson_min_eig: float = field(init=False)
 
@@ -228,7 +233,7 @@ def _moment_report_pure(obs, state, max_tail):
             gram[j, i] = np.conj(gram[i, j])
     sigma = (gram.real + gram.real.T) / 2.0
     comm = (gram.imag - gram.imag.T) / 2.0
-    return MomentReport(obs.labels, means, sigma, comm)
+    return MomentReport(obs.labels, means, sigma, comm, centered)
 
 
 def _moment_report_mixed(obs, state, max_tail):

@@ -3,7 +3,7 @@
 Only the small corner actually needed is implemented: Pochhammer symbols,
 the confluent limit 0F1(;c;x) for real c>0, x>=0, and the terminating
 Gauss series 2F1(a, -n; c; x) evaluated exactly as an (n+1)-term
-polynomial.  Gamma ratios are done in log space via math.lgamma.
+polynomial.
 """
 
 import math
@@ -13,7 +13,6 @@ from .errors import InvalidInputError, NumericError
 
 __all__ = [
     "pochhammer",
-    "log_gamma",
     "hyp0f1",
     "hyp0f1_series",
     "gauss2f1_terminating",
@@ -48,13 +47,6 @@ def pochhammer(a, n):
     for i in range(n):
         out = out * (a + i)
     return out
-
-
-def log_gamma(x):
-    """log Gamma(x) for real x > 0 (thin wrapper, kept for a single call site)."""
-    if not (x > 0):
-        raise InvalidInputError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def hyp0f1_series(c, x):

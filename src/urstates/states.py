@@ -16,10 +16,10 @@ import cmath
 import math
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from .errors import (
     DegenerateParameterError,
@@ -39,7 +39,7 @@ from .hilbert import (
     su2_basis,
 )
 from .matrixkit import targeted_eigenvector
-from .specfun import gauss2f1_terminating, log_gamma
+from .specfun import gauss2f1_terminating
 
 __all__ = [
     "SqueezeParams",
@@ -92,22 +92,8 @@ def _coerce_squeeze(u, v):
 
 
 # ---------------------------------------------------------------------------
-# cached ladder matrices (read-only)
+# ladder actions on amplitude vectors
 # ---------------------------------------------------------------------------
-
-_LADDER_CACHE = {}
-
-
-def _ladder(N):
-    a = _LADDER_CACHE.get(N)
-    if a is None:
-        a = np.zeros((N, N))
-        for n in range(1, N):
-            a[n - 1, n] = math.sqrt(n)
-        a.setflags(write=False)
-        _LADDER_CACHE[N] = a
-    return a
-
 
 def _shift_down(amp):
     """(a psi)_n = sqrt(n+1) psi_{n+1}, truncated."""
@@ -199,75 +185,64 @@ def glauber(alpha, N=None):
     return state
 
 
-def _stoler_phase(u, v):
-    """Squeeze angle zeta for the exponential route.
+#: the squeeze recurrence rescales its prefix whenever an amplitude passes
+#: this size, so large displacements cannot overflow before normalization
+_RESCALE_AT = 1e150
 
-    The generator exp(zeta K+ - conj(zeta) K-) with |zeta| = arccosh|u| and
-    arg zeta = arg v - arg u + pi turns u a + v a^dag into e^{i arg u} a
-    under conjugation, which is what makes the construction an exact
-    eigenstate of the pair.
+
+def _squeezed_amplitudes(alpha, u, v, N):
+    """Normalized eigenvector of u a + v a^dag at eigenvalue alpha, on shell.
+
+    The Fock components follow from the eigen-equation itself,
+    u sqrt(n+1) c_{n+1} = alpha c_n - v sqrt(n) c_{n-1} with c_{-1} = 0 and
+    c_0 = 1, in O(N).  The ray is then phased like the squeezed displaced
+    vacuum e^{i arg u} S(zeta) D(beta)|0> it equals, with
+    beta = alpha e^{-i arg u}, S(zeta) = exp((zeta a^dag^2 - conj(zeta) a^2)/2)
+    and zeta = arccosh|u| e^{i(arg v - arg u + pi)}: the vacuum component
+    then carries the phase of e^{i arg u} exp(i Im(conj(v/u) beta^2) / 2).
     """
-    r = math.acosh(max(1.0, abs(u)))
-    if abs(v) == 0.0 or r == 0.0:
-        return 0.0 + 0.0j
-    phi = cmath.phase(v) - cmath.phase(u) + math.pi
-    return r * cmath.exp(1j * phi)
-
-
-@lru_cache(maxsize=32)
-def _real_squeeze_matrix(r, N):
-    """exp(r (a^dag^2 - a^2)/2) on N levels; the complex-angle squeeze is
-    a number-phase conjugation of this: S(r e^{i phi}) = R(-phi/2) S(r) R(phi/2)
-    with R(chi) = e^{-i chi n}, so grids sharing |zeta| reuse one expm."""
-    a = _ladder(N)
-    return expm(0.5 * r * (a.T @ a.T - a @ a))
-
-
-def _apply_squeeze(zeta, vec):
-    """S(zeta) vec through the cached real-squeeze matrix."""
-    r = abs(zeta)
-    phi = cmath.phase(zeta)
-    n_idx = np.arange(vec.size)
-    pre = np.exp(-0.5j * phi * n_idx)
-    post = np.exp(0.5j * phi * n_idx)
-    return post * (_real_squeeze_matrix(r, vec.size) @ (pre * vec))
+    roots = np.sqrt(np.arange(N, dtype=float)).tolist()
+    a_u, v_u = alpha / u, v / u
+    c = [0j] * N
+    c_prev, c_cur = 0j, 1.0 + 0.0j
+    c[0] = c_cur
+    for n in range(N - 1):
+        c_next = (a_u * c_cur - v_u * roots[n] * c_prev) / roots[n + 1]
+        if abs(c_next) > _RESCALE_AT:
+            c[:n + 1] = [x / _RESCALE_AT for x in c[:n + 1]]
+            c_cur /= _RESCALE_AT
+            c_next /= _RESCALE_AT
+        c[n + 1] = c_next
+        c_prev, c_cur = c_cur, c_next
+    amp = np.array(c, dtype=np.complex128)
+    amp /= np.linalg.norm(amp)
+    phase_u = u / abs(u)
+    beta = alpha / phase_u
+    return amp * (phase_u * cmath.exp(0.5j * (v_u.conjugate() * beta * beta).imag))
 
 
 def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
     """Squeezed coherent state: the normalizable eigenstate of u a + v a^dag.
 
-    Built as e^{i arg u} S(zeta) D(alpha e^{-i arg u}) |0> with the squeeze
-    angle from `_stoler_phase`; (u, v) are rescaled to the shell
-    |u|^2 - |v|^2 = 1 first.  Raises a truncation error when the certified
-    tail mass exceeds ``max_tail``.
+    (u, v) are rescaled to the shell |u|^2 - |v|^2 = 1 first; the amplitudes
+    come from the eigen-equation recurrence of `_squeezed_amplitudes`, in the
+    phase of e^{i arg u} S(zeta) D(alpha e^{-i arg u}) |0>.  Raises a
+    truncation error when the certified tail mass exceeds ``max_tail``.
     """
     sq = _coerce_squeeze(u, v)
     u, v = sq.u, sq.v
     alpha = complex(alpha)
     if N is None:
         N = DEFAULT_FOCK_CUTOFF
-    phase_u = u / abs(u)
-    beta = alpha / phase_u
 
-    aa = abs(beta)
+    aa = abs(alpha)
     if N < aa * aa + 10.0 * aa + 20.0:
         raise TruncationError(
             f"canonical_ss: cutoff N={N} too small for displacement "
             f"|alpha|={aa:.3g}"
         )
 
-    zeta = _stoler_phase(u, v)
-    if beta != 0.0:
-        seed = glauber(beta, N).amplitudes
-    else:
-        seed = np.zeros(N, dtype=np.complex128)
-        seed[0] = 1.0
-    if zeta == 0.0:
-        amp = phase_u * seed
-    else:
-        amp = phase_u * _apply_squeeze(zeta, seed)
-    amp /= np.linalg.norm(amp)
-
+    amp = _squeezed_amplitudes(alpha, u, v, N)
     state = StateVector(
         amp, fock_basis(N), family="canonical_ss",
         params={"alpha": alpha, "u": u, "v": v},
@@ -280,9 +255,12 @@ def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
 
 
 def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
-    """Squeeze applied to the Fock level |n>: eigenstate of A^dag A, A = u a + v a^dag.
+    """Squeezed Fock level S(zeta)|n>: eigenstate of A^dag A, A = u a + v a^dag.
 
-    These carry the same second moments in (q, p) direction structure as the
+    Built as (e^{i arg u})^(n-1) (A^dag)^n canonical_ss(0, u, v), normalized,
+    with A^dag = conj(u) a^dag + conj(v) a applied n times in O(nN); that is
+    S(zeta)|n> in the phase convention of `_squeezed_amplitudes`.  These
+    carry the same second moments in (q, p) direction structure as the
     eigenstates of A itself but saturate nothing beyond the Robertson floor
     for n > 0.
     """
@@ -295,11 +273,11 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
         N = DEFAULT_FOCK_CUTOFF
     if n >= N // 2:
         raise TruncationError(f"squeezed_fock: level n={n} too close to cutoff N={N}")
-    zeta = _stoler_phase(u, v)
-    seed = np.zeros(N, dtype=np.complex128)
-    seed[n] = 1.0
-    amp = seed if zeta == 0.0 else _apply_squeeze(zeta, seed)
-    amp /= np.linalg.norm(amp)
+    amp = _squeezed_amplitudes(0j, u, v, N)
+    for _ in range(n):
+        amp = np.conj(u) * _shift_up(amp) + np.conj(v) * _shift_down(amp)
+        amp /= np.linalg.norm(amp)
+    amp *= (u / abs(u)) ** (n - 1)
     state = StateVector(
         amp, fock_basis(N), family="squeezed_fock",
         params={"n": n, "u": u, "v": v},
@@ -336,9 +314,7 @@ def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
         amp[0] = 1.0
     else:
         idx = np.arange(start, N, 2)
-        logs = idx * math.log(aa) - 0.5 * np.array(
-            [log_gamma(m + 1.0) for m in idx]
-        )
+        logs = idx * math.log(aa) - 0.5 * gammaln(idx + 1.0)
         logs -= logs.max()
         phases = np.exp(1j * cmath.phase(alpha) * idx)
         amp[idx] = np.exp(logs) * phases
@@ -375,10 +351,7 @@ def bg_cs(z, k, N=None):
         amp[0] = 1.0
     else:
         n = np.arange(N, dtype=float)
-        logs = n * math.log(az) - 0.5 * (
-            np.array([log_gamma(m + 1.0) for m in n])
-            + np.array([log_gamma(2.0 * k + m) for m in n])
-        )
+        logs = n * math.log(az) - 0.5 * (gammaln(n + 1.0) + gammaln(2.0 * k + n))
         logs -= logs.max()
         amp = np.exp(logs) * np.exp(1j * cmath.phase(z) * n)
         amp /= np.linalg.norm(amp)
@@ -445,11 +418,8 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
         amp[0] = 1.0
     else:
         n = np.arange(N, dtype=float)
-        lg2k = log_gamma(2.0 * k)
         logs = n * math.log(ax) + 0.5 * (
-            np.array([log_gamma(2.0 * k + m) for m in n])
-            - lg2k
-            - np.array([log_gamma(m + 1.0) for m in n])
+            gammaln(2.0 * k + n) - gammaln(2.0 * k) - gammaln(n + 1.0)
         )
         logs -= logs.max()
         amp = np.exp(logs) * np.exp(1j * cmath.phase(xi) * n)
@@ -502,9 +472,7 @@ def su2_cs(tau, j):
     n = np.arange(dim, dtype=float)
     twoj = 2.0 * j
     logs = n * math.log(abs(tau)) + 0.5 * (
-        log_gamma(twoj + 1.0)
-        - np.array([log_gamma(m + 1.0) for m in n])
-        - np.array([log_gamma(twoj - m + 1.0) for m in n])
+        gammaln(twoj + 1.0) - gammaln(n + 1.0) - gammaln(twoj - n + 1.0)
     )
     logs -= logs.max()
     amp = np.exp(logs) * np.exp(1j * cmath.phase(tau) * n)
@@ -556,11 +524,7 @@ def _intelligent_amplitudes(u, v, w, z, k, l, N):
         base, a_par, x_arg, _n0 = min(branches, key=lambda b: abs(b[0]))
 
     n = np.arange(N, dtype=float)
-    lg2k = log_gamma(2.0 * k)
-    half_log_poch = 0.5 * (
-        np.array([log_gamma(2.0 * k + m) for m in n]) - lg2k
-        - np.array([log_gamma(m + 1.0) for m in n])
-    )
+    half_log_poch = 0.5 * (gammaln(2.0 * k + n) - gammaln(2.0 * k) - gammaln(n + 1.0))
     b = np.empty(N, dtype=np.complex128)
     for m in range(N):
         f = gauss2f1_terminating(a_par, m, 2.0 * k, x_arg)

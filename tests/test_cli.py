@@ -125,6 +125,19 @@ def test_state_truncation_gate(capsys):
     assert json.loads(err)["error"] == "TruncationError"
 
 
+@pytest.mark.parametrize("family", [
+    ["glauber"],
+    ["canonical-ss", "--u", "1.25", "--v", "0.75"],
+])
+def test_state_rejects_nan_alpha(capsys, family):
+    # NaN amplitudes once passed the norm check and reached the document
+    code, out, err = run_cli(capsys, "state", "--family", *family,
+                             "--alpha", "nan", "--cutoff", "32")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
 @pytest.mark.parametrize("argv", [
     ["frobnicate"],
     ["state", "--family", "mystery", "--alpha", "1"],
@@ -180,6 +193,18 @@ def test_report_certificate_block(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["certificate"]["verdict"] == "minimizer"
     assert doc["certificate"]["pairs"]["0,1"]["residual"] < 1e-8
+
+
+def test_report_certificate_su11_cs_is_minimizer(tmp_path, capsys):
+    # an exact minimizer whose residuals once read 1e-8 through sqrt(lambda_min)
+    st = _write_state(tmp_path, capsys, "cs.json", "--family", "su11-cs",
+                      "--xi", "0.5", "--k", "1")
+    code, out, _ = run_cli(capsys, "report", "--state", st,
+                           "--observables", "su11", "--certificate")
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["verdict"] == "minimizer"
+    assert max(rec["residual"] for rec in cert["pairs"].values()) < 1e-14
 
 
 def test_report_basis_mismatch(tmp_path, capsys):

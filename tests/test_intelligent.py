@@ -1,12 +1,13 @@
 """Combination eigensolvers and minimizer certificates."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from urstates.errors import InvalidInputError, UnsupportedScaleError
-from urstates.hilbert import basis_state, fock_basis
+from urstates.hilbert import basis_state, fock_basis, su2_basis
 from urstates.intelligent import (
     CombinationSpec,
     minimizer_certificate,
@@ -14,7 +15,13 @@ from urstates.intelligent import (
     solve_combination_eigenstates,
 )
 from urstates.moments import observable_set
-from urstates.states import canonical_ss, glauber, su11_cs, su11_intelligent
+from urstates.states import (
+    canonical_ss,
+    glauber,
+    squeezed_fock,
+    su11_cs,
+    su11_intelligent,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -86,6 +93,50 @@ def test_certificate_squeezed_state_is_minimizer():
     assert cert.verdict == "minimizer"
     assert cert.pairs[(0, 1)].residual < 1e-8
     assert abs(cert.robertson_gap) < 1e-9
+
+
+def test_certificate_verdict_on_exact_minimizer_grids():
+    # every canonical squeezed state and every su(1,1) coherent state is an
+    # exact minimizer; sqrt(lambda_min) once turned their rounding into
+    # residuals near RESIDUAL_TOL and failed about 40% of them
+    obs = observable_set("canonical", N=128)
+    for r in np.linspace(0.05, 1.0, 12):
+        for m in range(12):
+            v = math.sinh(r) * cmath.exp(2j * math.pi * m / 12)
+            for alpha in (0.0, 0.3, 0.7 + 0.2j):
+                st = canonical_ss(alpha, math.cosh(r), v, N=128)
+                assert minimizer_certificate(st, obs).verdict == "minimizer"
+    for k in (0.5, 1.0, 2.0):
+        for rad in np.linspace(0.1, 0.97, 8):
+            obs = None
+            for phase in (0.0, 2.1, 4.2):
+                st = su11_cs(rad * cmath.exp(1j * phase), k)
+                if obs is None:
+                    obs = observable_set(f"su11:{k:g}", N=st.basis.N)
+                cert = minimizer_certificate(st, obs)
+                assert cert.verdict == "minimizer"
+                assert max(rec.residual for rec in cert.pairs.values()) < 1e-8
+
+
+def test_certificate_squeezed_fock_level_fails():
+    # S|1> at r = 1 carries R = [[1.5 e^-2, i/2], [-i/2, 1.5 e^2]], whose
+    # bottom eigenvalue is far above the truncation floor of the verdict
+    obs = observable_set("canonical", N=128)
+    st = squeezed_fock(1, math.cosh(1.0), math.sinh(1.0), N=128)
+    cert = minimizer_certificate(st, obs)
+    lam = np.linalg.eigvalsh(np.array([[1.5 * math.exp(-2.0), 0.5j],
+                                       [-0.5j, 1.5 * math.exp(2.0)]]))[0]
+    assert cert.verdict == "not-minimizer"
+    assert cert.pairs[(0, 1)].residual == pytest.approx(math.sqrt(lam), rel=1e-6)
+
+
+def test_certificate_su2_top_levels_are_not_truncation():
+    # |1,0> holds all its mass in the top two levels of the complete spin-1
+    # irrep; the truncation floor must not wave its (J1, J2) residual through
+    st = basis_state(su2_basis(1.0), 1)
+    cert = minimizer_certificate(st, observable_set("su2:1"))
+    assert cert.verdict == "not-minimizer"
+    assert cert.pairs[(0, 1)].residual == pytest.approx(1.0, rel=1e-12)
 
 
 def test_certificate_coherent_state_recovers_alpha():

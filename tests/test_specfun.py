@@ -13,7 +13,6 @@ from urstates.specfun import (
     gauss2f1_terminating,
     hyp0f1,
     hyp0f1_series,
-    log_gamma,
     pochhammer,
 )
 
@@ -46,14 +45,6 @@ def test_pochhammer_rejects_bad_order():
         pochhammer(1.0, 2.0)
     with pytest.raises(InvalidInputError):
         pochhammer(1.0, True)
-
-
-def test_log_gamma():
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0))
-    with pytest.raises(InvalidInputError):
-        log_gamma(0.0)
-    with pytest.raises(InvalidInputError):
-        log_gamma(-1.5)
 
 
 def test_hyp0f1_closed_forms():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import special
+from scipy.linalg import expm
 
 from urstates.errors import (
     InvalidInputError,
@@ -15,6 +16,7 @@ from urstates.errors import (
 from urstates.hilbert import basis_state, boson_rep, fock_basis, su11_rep
 from urstates.moments import moment_report, observable_set
 from urstates.states import (
+    MAX_ADAPTIVE_CUTOFF,
     SqueezeParams,
     bg_cs,
     canonical_ss,
@@ -32,6 +34,31 @@ from urstates.urcheck import pair_ur_gaps
 
 def overlap(s1, s2):
     return abs(np.vdot(s1.amplitudes, s2.amplitudes))
+
+
+def squeeze_oracle(u, v, seed, N):
+    """S(zeta) seed on len(seed) levels through dense expm, cropped to N levels
+    and renormalized; zeta = arccosh|u| e^{i(arg v - arg u + pi)} turns
+    u a + v a^dag into e^{i arg u} a, S(zeta) = exp((zeta a^dag^2 - conj(zeta) a^2)/2)."""
+    sq = SqueezeParams(u, v).normalized()
+    M = seed.size
+    a = np.diag(np.sqrt(np.arange(1.0, M)), 1)
+    zeta = 0.0j
+    if sq.v != 0.0:
+        zeta = math.acosh(abs(sq.u)) * cmath.exp(
+            1j * (cmath.phase(sq.v) - cmath.phase(sq.u) + math.pi))
+    out = expm(0.5 * (zeta * a.T @ a.T - np.conj(zeta) * a @ a)) @ seed
+    return out[:N] / np.linalg.norm(out[:N])
+
+
+def ss_oracle(alpha, u, v, N, M=256):
+    """e^{i arg u} S(zeta) D(beta) |0>, beta = alpha e^{-i arg u}, on M levels."""
+    sq = SqueezeParams(u, v).normalized()
+    phase_u = sq.u / abs(sq.u)
+    beta = alpha / phase_u
+    a = np.diag(np.sqrt(np.arange(1.0, M)), 1)
+    seed = expm(beta * a.T - np.conj(beta) * a)[:, 0]
+    return phase_u * squeeze_oracle(u, v, seed, N)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +182,76 @@ def test_canonical_ss_large_displacement_needs_wide_basis():
     assert abs(rec.schr_gap) < 1e-9
 
 
+@pytest.mark.parametrize("alpha, u, v", [
+    (0.0, math.cosh(0.9), math.sinh(0.9) * cmath.exp(0.7j)),
+    (1.1 - 0.4j, math.cosh(0.6) * cmath.exp(-0.8j), math.sinh(0.6) * cmath.exp(2.3j)),
+    (-0.5 + 1.3j, math.cosh(1.0) * cmath.exp(2.0j), math.sinh(1.0)),
+    (0.7j, 1.0, 0.0),
+])
+def test_canonical_ss_recurrence_matches_exponential_route(alpha, u, v):
+    # the recurrence gives every component below the cutoff exactly, up to
+    # the overall scale, and the oracle has converged on 256 levels, so after
+    # both are normalized on 128 levels amplitudes and phase agree to rounding
+    st = canonical_ss(alpha, u, v, N=128)
+    np.testing.assert_allclose(st.amplitudes, ss_oracle(alpha, u, v, 128),
+                               rtol=0, atol=1e-13)
+
+
+def test_canonical_ss_matches_hermite_closed_form():
+    # Yuen's closed form: <n|psi> is proportional to
+    # sqrt(n!) sum_m (-v/2u)^m (alpha/u)^(n-2m) / (m! (n-2m)!), the Taylor
+    # coefficients of exp(alpha z/u - v z^2/(2u)) in the Bargmann picture
+    u = math.cosh(0.5) * cmath.exp(0.4j)
+    v = math.sinh(0.5) * cmath.exp(-1.7j)
+    alpha, N = 0.8 - 0.6j, 64
+    ref = np.array([
+        math.sqrt(math.factorial(n)) * sum(
+            (-v / (2.0 * u)) ** m * (alpha / u) ** (n - 2 * m)
+            / (math.factorial(m) * math.factorial(n - 2 * m))
+            for m in range(n // 2 + 1))
+        for n in range(N)
+    ])
+    ref /= np.linalg.norm(ref)
+    amp = canonical_ss(alpha, u, v, N=N).amplitudes
+    amp = amp * (abs(amp[0]) / amp[0])
+    np.testing.assert_allclose(amp, ref, rtol=0, atol=1e-14)
+
+
+def test_canonical_ss_recurrence_stable_up_to_max_cutoff():
+    # anti-aligned eigenvalue at r = 1.2 (physical displacement |alpha| e^r
+    # ~ 6.6): the recurrence must not pick up a growing parasitic solution on
+    # the way to the largest adaptive cutoff
+    u, v, alpha = math.cosh(1.2), math.sinh(1.2), 2j
+    built = {N: canonical_ss(alpha, u, v, N=N).amplitudes
+             for N in (384, 1024, MAX_ADAPTIVE_CUTOFF)}
+    top = built[MAX_ADAPTIVE_CUTOFF]
+    np.testing.assert_allclose(top[:1024], built[1024], rtol=0, atol=1e-14)
+    # a smaller cutoff only rescales the components: 3e-15 of the mass lies
+    # above level 384
+    np.testing.assert_allclose(built[384], built[1024][:384], rtol=0, atol=1e-14)
+    # past the bulk |c_{n+2} / c_n| falls towards tanh r from above; a
+    # growing parasitic solution would push the ratio up
+    ratio = np.abs(top[1026:]) / np.abs(top[1024:-2])
+    assert np.all(ratio > math.tanh(1.2)) and np.all(ratio < 0.9)
+    # rows 0..N-2 of (u a + v a^dag - alpha) psi: the last row needs level N
+    n = np.arange(top.size - 1)
+    lowered = np.sqrt(n + 1.0) * top[1:]
+    raised = np.sqrt(n) * np.concatenate(([0.0], top[:-2]))
+    assert np.linalg.norm(u * lowered + v * raised - alpha * top[:-1]) < 1e-13
+
+
+def test_canonical_ss_large_displacement_does_not_overflow():
+    # c_n / c_0 = alpha^n / sqrt(n!) peaks near e^{|alpha|^2 / 2} = e^800,
+    # past the float range: the recurrence must rescale on the way up
+    alpha, N = 40.0, 2048
+    st = canonical_ss(alpha, 1.0, 0.0, N=N)
+    n = np.arange(N)
+    ref = np.exp(-0.5 * alpha ** 2 + n * math.log(alpha)
+                 - 0.5 * special.gammaln(n + 1.0))
+    np.testing.assert_allclose(st.amplitudes, ref / np.linalg.norm(ref),
+                               rtol=0, atol=1e-12)
+
+
 def test_canonical_ss_rejects_antinormalizable_pair():
     with pytest.raises(InvalidInputError):
         canonical_ss(0.0, 1.0, 1.2, N=64)
@@ -188,6 +285,21 @@ def test_squeezed_fock_moments():
     np.testing.assert_allclose(rep.sigma[1, 1], (n + 0.5) * math.exp(2 * r),
                                rtol=1e-9)
     assert abs(rep.sigma[0, 1]) < 1e-10
+
+
+@pytest.mark.parametrize("n, N", [(n, 96) for n in range(8)] + [(20, 128), (40, 128)])
+def test_squeezed_fock_matches_exponential_route(n, N):
+    # S(zeta)|n>, phase included, through a dense expm on 256 levels; the
+    # radius keeps the mass above the cutoff below 1e-29, where the n raising
+    # steps on truncated vectors cannot reach the tolerance
+    r = 0.4 if N == 96 else 0.2
+    u = math.cosh(r) * cmath.exp(0.9j)
+    v = math.sinh(r) * cmath.exp(-2.2j)
+    seed = np.zeros(256, dtype=complex)
+    seed[n] = 1.0
+    st = squeezed_fock(n, u, v, N=N)
+    np.testing.assert_allclose(st.amplitudes, squeeze_oracle(u, v, seed, N),
+                               rtol=0, atol=1e-12)
 
 
 def test_squeezed_fock_validation():
