@@ -104,10 +104,10 @@ def criterion_2():
     for k in (0.25, 0.5, 1.0, 2.0):
         rep = su11_rep(k, 96)
         obs = ObservableSet([rep["k1"], rep["k2"], rep["k3"]], name=f"su11:{k}")
-        km = rep["kminus"].matrix
+        km = rep["kminus"]
         for z in zs:
             st = bg_cs(z, k, N=96)
-            res = float(np.linalg.norm(km @ st.amplitudes - z * st.amplitudes))
+            res = float(np.linalg.norm(km.apply(st.amplitudes) - z * st.amplitudes))
             mrep = moment_report(obs, st)
             aniso = abs(mrep.sigma[0, 0] - mrep.sigma[1, 1])
             rec = pair_ur_gaps(rep["k1"], rep["k2"], st)
@@ -169,8 +169,10 @@ def criterion_4():
         z = su11_intelligent_spectrum(u, v, w, k, count=n0 + 1)[n0]
         st = su11_intelligent(u, v, w, z, k)
         rep = su11_rep(k, st.basis.N)
-        M = u * rep["kminus"].matrix + v * rep["kplus"].matrix + w * rep["k3"].matrix
-        res = float(np.linalg.norm(M @ st.amplitudes - z * st.amplitudes))
+        psi = st.amplitudes
+        Mpsi = (u * rep["kminus"].apply(psi) + v * rep["kplus"].apply(psi)
+                + w * rep["k3"].apply(psi))
+        res = float(np.linalg.norm(Mpsi - z * psi))
         obs = ObservableSet([rep["k1"], rep["k2"], rep["k3"]], name=f"su11:{k}")
         ur = char_ur_report(obs, st)
         worst_res = max(worst_res, res)
@@ -470,21 +472,24 @@ def criterion_11():
 def criterion_12():
     """Even/odd coherent states: a^2 eigen-residual and exact saturation."""
     obs = observable_set("a2-quadratures", N=128)
-    a2 = obs.ops[0].matrix + 1j * obs.ops[1].matrix
+
+    def a2(psi):
+        re_a2, im_a2 = obs.images(psi)
+        return re_a2 + 1j * im_a2
+
     worst_res = worst_cov = worst_schr = 0.0
     alphas = [rad * ph for rad in (0.5, 1.0, 1.5, 2.0) for ph in _phases(4)]
     for parity in ("even", "odd"):
         for alpha in alphas:
             st = even_odd_cs(alpha, parity, N=128)
-            res = float(np.linalg.norm(a2 @ st.amplitudes
-                                       - alpha * alpha * st.amplitudes))
+            res = float(np.linalg.norm(a2(st.amplitudes) - alpha * alpha * st.amplitudes))
             rep = moment_report(obs, st)
             rec = pair_ur_gaps(obs.ops[0], obs.ops[1], st)
             worst_res = max(worst_res, res)
             worst_cov = max(worst_cov, abs(rep.sigma[0, 1]))
             worst_schr = max(worst_schr, abs(rec.schr_gap))
     st0 = even_odd_cs(0.0, "even", N=128)
-    worst_res = max(worst_res, float(np.linalg.norm(a2 @ st0.amplitudes)))
+    worst_res = max(worst_res, float(np.linalg.norm(a2(st0.amplitudes))))
     ok = worst_res <= 1e-10 and worst_cov <= 1e-9 and worst_schr <= 1e-9
     return ok, (f"a^2 residual {worst_res:.3e} (1e-10), covariance "
                 f"{worst_cov:.3e} (1e-09), schr gap {worst_schr:.3e} (1e-09)")

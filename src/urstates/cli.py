@@ -342,8 +342,8 @@ def _row_bg_cs(seed, index, point):
     z = rad * cmath.exp(1j * phase)
     st = bg_cs(z, k, N=96)
     obs = _obs_cached(f"su11:{k:g}", 96)
-    km = su11_rep(k, 96)["kminus"].matrix
-    residual = float(np.linalg.norm(km @ st.amplitudes - z * st.amplitudes))
+    km = su11_rep(k, 96)["kminus"]
+    residual = float(np.linalg.norm(km.apply(st.amplitudes) - z * st.amplitudes))
     rep = moment_report(obs, st)
     ur = char_ur_report(obs, st)
     return [index, k, z.real, z.imag, residual,
@@ -365,9 +365,8 @@ def _row_even_odd(seed, index, point):
     alpha = rad * cmath.exp(1j * phase)
     st = even_odd_cs(alpha, parity, N=128)
     obs = _obs_cached("a2-quadratures", 128)
-    a2 = obs.ops[0].matrix + 1j * obs.ops[1].matrix
-    residual = float(np.linalg.norm(a2 @ st.amplitudes
-                                    - alpha * alpha * st.amplitudes))
+    re_a2, im_a2 = obs.images(st.amplitudes)
+    residual = float(np.linalg.norm(re_a2 + 1j * im_a2 - alpha * alpha * st.amplitudes))
     rep = moment_report(obs, st)
     ur = char_ur_report(obs, st)
     return [index, parity, alpha.real, alpha.imag, residual,

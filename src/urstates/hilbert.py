@@ -30,6 +30,9 @@ __all__ = [
     "Operator",
     "StateVector",
     "DensityMatrix",
+    "boson_ladder",
+    "su11_ladder",
+    "hermitian_parts",
     "boson_rep",
     "su11_rep",
     "su11_boson_rep",
@@ -167,25 +170,110 @@ def multimode_basis(s, N=DEFAULT_MODE_CUTOFF):
     return BasisSpec(kind="multimode", s=s, N=N)
 
 
-@dataclass
+def pad_bands(band_dicts, dim):
+    """Lay out the bands of one or more operators for a vectorized product.
+
+    Returns (offsets, rows, src).  rows[k, r, i] holds M_r[i, i + d_k], zero
+    where i + d_k falls off the basis, and src[k, i] is i + d_k clipped into
+    range, so M_r psi = sum_k rows[k, r] * psi[src[k]]: one multiply and one
+    sum for any number of operators sharing the layout.
+    """
+    offsets = sorted({d for bands in band_dicts for d in bands})
+    dtype = np.result_type(np.float64, *(b for bands in band_dicts for b in bands.values()))
+    rows = np.zeros((len(offsets), len(band_dicts), dim), dtype)
+    for k, d in enumerate(offsets):
+        lo = max(0, -d)
+        for r, bands in enumerate(band_dicts):
+            if d in bands:
+                rows[k, r, lo:lo + dim - abs(d)] = bands[d]
+    src = np.clip(np.arange(dim) + np.array(offsets, dtype=int)[:, None], 0, dim - 1)
+    return offsets, rows, src
+
+
 class Operator:
-    """A labeled dense matrix tied to a basis."""
+    """A labeled observable on a basis, stored as its nonzero diagonals.
 
-    label: str
-    matrix: np.ndarray
-    basis: BasisSpec
+    ``bands`` maps an offset d to the entries M[i, i+d] in order along that
+    diagonal (the layout of ``np.diagonal(M, d)``).  Every observable here is
+    a low-order polynomial in ladder operators, so it has a handful of bands
+    and `apply` costs O(N).  ``Operator(label, matrix, basis)`` splits a
+    hand-written dense matrix into its bands; builders that know their bands
+    use `Operator.from_bands`.  The dense ``matrix`` is built on first access
+    and cached, for the eigensolvers and mixed-state traces that need it.
+    """
 
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix)
-        if self.matrix.shape != (self.basis.dim, self.basis.dim):
+    def __init__(self, label, matrix, basis):
+        mat = np.asarray(matrix)
+        if mat.shape != (basis.dim, basis.dim):
             raise BasisMismatchError(
-                f"operator {self.label!r}: matrix shape {self.matrix.shape} does not "
+                f"operator {label!r}: matrix shape {mat.shape} does not "
+                f"match basis dim {basis.dim}"
+            )
+        rows, cols = np.nonzero(mat)
+        bands = {int(d): np.diagonal(mat, d) for d in np.unique(cols - rows)}
+        self._init(label, bands, basis)
+
+    @classmethod
+    def from_bands(cls, label, bands, basis):
+        """An operator from its diagonals, ``{d: entries M[i, i+d]}``."""
+        op = cls.__new__(cls)
+        op._init(label, bands, basis)
+        return op
+
+    def _init(self, label, bands, basis):
+        dim = basis.dim
+        for d, band in bands.items():
+            if abs(d) >= dim or np.shape(band) != (dim - abs(d),):
+                raise BasisMismatchError(
+                    f"operator {label!r}: band {d} has shape {np.shape(band)}, "
+                    f"basis dim {dim}"
+                )
+            if not np.all(np.isfinite(band)):
+                raise InvalidInputError(f"operator {label!r} has non-finite entries")
+        self.label = label
+        self.basis = basis
+        self.offsets, rows, self._src = pad_bands([bands], dim)
+        self._rows = rows[:, 0]
+        self._matrix = None
+
+    @property
+    def bands(self):
+        """``{d: entries M[i, i+d]}``, as views into the stored layout."""
+        dim = self.basis.dim
+        return {d: row[max(0, -d):max(0, -d) + dim - abs(d)]
+                for d, row in zip(self.offsets, self._rows)}
+
+    @property
+    def matrix(self):
+        """The dense dim x dim matrix, built once from the bands."""
+        if self._matrix is None:
+            dim = self.basis.dim
+            mat = np.zeros((dim, dim), dtype=self._rows.dtype)
+            for d, band in self.bands.items():
+                i = np.arange(dim - abs(d))
+                if d >= 0:
+                    mat[i, i + d] = band
+                else:
+                    mat[i - d, i] = band
+            self._matrix = mat
+        return self._matrix
+
+    def apply(self, psi):
+        """The product M psi, in O(dim x number of bands)."""
+        psi = np.asarray(psi)
+        if psi.shape != (self.basis.dim,):
+            raise BasisMismatchError(
+                f"operator {self.label!r}: vector shape {psi.shape} does not "
                 f"match basis dim {self.basis.dim}"
             )
+        return (self._rows * psi[self._src]).sum(axis=0)
 
     def is_hermitian(self, tol=1e-12):
-        scale = max(1.0, np.abs(self.matrix).max())
-        return np.abs(self.matrix - self.matrix.conj().T).max() <= tol * scale
+        """Band -d equals the conjugate of band +d, relative to the largest entry."""
+        bands = self.bands
+        scale = max(1.0, float(np.abs(self._rows).max(initial=0.0)))
+        return all(np.abs(band - np.conj(bands.get(-d, 0.0))).max() <= tol * scale
+                   for d, band in bands.items())
 
 
 def tail_mass(amplitudes, m):
@@ -270,47 +358,53 @@ def basis_state(basis, n):
 # representations
 # ---------------------------------------------------------------------------
 
-def _annihilation(N):
-    a = np.zeros((N, N))
-    for n in range(1, N):
-        a[n - 1, n] = np.sqrt(n)
-    return a
+def boson_ladder(N):
+    """Coefficients sqrt(n), n = 1..N-1, of a|n> = sqrt(n)|n-1>.
+
+    They are the +1 band of a (and the -1 band of a^dag) on N Fock levels.
+    """
+    return np.sqrt(np.arange(1, N, dtype=float))
+
+
+def su11_ladder(k, N):
+    """Coefficients sqrt((n+1)(2k+n)), n = 0..N-2, of K-|k,k+n+1>.
+
+    They are the +1 band of K- (and the -1 band of K+) on the lowest N
+    weight levels of D+(k).
+    """
+    n = np.arange(N - 1, dtype=float)
+    return np.sqrt((n + 1.0) * (2.0 * k + n))
+
+
+def hermitian_parts(c, d, re_div, im_div):
+    """Bands of (L + L^dag)/re_div and (L - L^dag)/im_div, where the real
+    operator L carries c on band +d."""
+    return {-d: c / re_div, d: c / re_div}, {-d: -c / im_div, d: c / im_div}
+
+
+def _ladder_set(basis, names, c, d, re_div, im_div, diag):
+    """The five operators L, L^dag, their two Hermitian parts and a diagonal
+    one, labeled by ``names`` in that order."""
+    re_part, im_part = hermitian_parts(c, d, re_div, im_div)
+    bands = ({d: c}, {-d: c}, re_part, im_part, {0: diag})
+    return [Operator.from_bands(name, b, basis) for name, b in zip(names, bands)]
 
 
 def boson_rep(N=DEFAULT_FOCK_CUTOFF):
     """Single-mode boson operators a, a^dag, q, p, n on an N-level Fock basis."""
-    basis = fock_basis(N)
-    a = _annihilation(N)
-    ad = a.T.copy()
-    q = (a + ad) / np.sqrt(2.0)
-    p = (a - ad) / (1j * np.sqrt(2.0))
-    num = ad @ a
-    return {
-        "a": Operator("a", a, basis),
-        "adag": Operator("adag", ad, basis),
-        "q": Operator("q", q, basis),
-        "p": Operator("p", p, basis),
-        "n": Operator("n", num, basis),
-    }
+    ops = _ladder_set(fock_basis(N), ("a", "adag", "q", "p", "n"),
+                      boson_ladder(N), 1, np.sqrt(2.0), 1j * np.sqrt(2.0),
+                      np.arange(N, dtype=float))
+    return {op.label: op for op in ops}
 
 
 def su11_rep(k, N=DEFAULT_SU11_CUTOFF):
     """Discrete-series D+(k) generators on the lowest N weight levels."""
-    basis = su11_basis(k, N)
-    kp = np.zeros((N, N))
-    for n in range(N - 1):
-        kp[n + 1, n] = np.sqrt((n + 1) * (2 * k + n))
-    km = kp.T.copy()
-    k3 = np.diag(k + np.arange(N, dtype=float))
-    k1 = (kp + km) / 2.0
-    k2 = (kp - km) / 2j
-    return {
-        "kplus": Operator("K+", kp, basis),
-        "kminus": Operator("K-", km, basis),
-        "k1": Operator("K1", k1, basis),
-        "k2": Operator("K2", k2, basis),
-        "k3": Operator("K3", k3, basis),
-    }
+    # K2 = (K+ - K-)/(2i) is the anti-Hermitian part of K- over -2i
+    km, kp, k1, k2, k3 = _ladder_set(su11_basis(k, N), ("K-", "K+", "K1", "K2", "K3"),
+                                     su11_ladder(k, N), 1, 2.0, -2j,
+                                     k + np.arange(N, dtype=float))
+    return {"kplus": kp, "kminus": km, "k1": k1, "k2": k2, "k3": k3}
 
 
 def su11_sector_indices(k, N_fock):
@@ -325,69 +419,52 @@ def su11_sector_indices(k, N_fock):
 def su11_boson_rep(k, N_fock=DEFAULT_FOCK_CUTOFF):
     """One-mode bosonic realization K- = a^2/2, K+ = a^dag^2/2, K3 = n/2 + 1/4.
 
-    Returned matrices live on the full Fock basis; restricted to the even
+    Returned operators live on the full Fock basis; restricted to the even
     (k=1/4) or odd (k=3/4) sector they reproduce su11_rep entrywise.
     """
     su11_sector_indices(k, N_fock)  # validates k
-    ops = boson_rep(N_fock)
-    a = ops["a"].matrix
-    ad = ops["adag"].matrix
-    basis = ops["a"].basis
-    kp = ad @ ad / 2.0
-    km = a @ a / 2.0
-    k3 = (ad @ a) / 2.0 + 0.25 * np.eye(N_fock)
-    k1 = (kp + km) / 2.0
-    k2 = (kp - km) / 2j
-    return {
-        "kplus": Operator("K+", kp, basis),
-        "kminus": Operator("K-", km, basis),
-        "k1": Operator("K1", k1, basis),
-        "k2": Operator("K2", k2, basis),
-        "k3": Operator("K3", k3, basis),
-    }
+    c = boson_ladder(N_fock)
+    km, kp, k1, k2, k3 = _ladder_set(fock_basis(N_fock), ("K-", "K+", "K1", "K2", "K3"),
+                                     c[:-1] * c[1:] / 2.0, 2, 2.0, -2j,
+                                     np.arange(N_fock, dtype=float) / 2.0 + 0.25)
+    return {"kplus": kp, "kminus": km, "k1": k1, "k2": k2, "k3": k3}
 
 
 def su2_rep(j):
     """Spin-j generators; the (2j+1)-dim rep is exact (no truncation)."""
     basis = su2_basis(j)
-    dim = basis.dim
-    m = -j + np.arange(dim, dtype=float)
-    jp = np.zeros((dim, dim))
-    for i in range(dim - 1):
-        jp[i + 1, i] = np.sqrt((j - m[i]) * (j + m[i] + 1))
-    jm = jp.T.copy()
-    j3 = np.diag(m)
-    j1 = (jp + jm) / 2.0
-    j2 = (jp - jm) / 2j
-    return {
-        "jplus": Operator("J+", jp, basis),
-        "jminus": Operator("J-", jm, basis),
-        "j1": Operator("J1", j1, basis),
-        "j2": Operator("J2", j2, basis),
-        "j3": Operator("J3", j3, basis),
-    }
+    m = -j + np.arange(basis.dim, dtype=float)
+    # J-|j,m+1> = sqrt((j-m)(j+m+1)) |j,m>, m = -j..j-1
+    c = np.sqrt((j - m[:-1]) * (j + m[:-1] + 1))
+    jm, jp, j1, j2, j3 = _ladder_set(basis, ("J-", "J+", "J1", "J2", "J3"),
+                                     c, 1, 2.0, -2j, m)
+    return {"jplus": jp, "jminus": jm, "j1": j1, "j2": j2, "j3": j3}
 
 
 def tensor_rep(s, N=DEFAULT_MODE_CUTOFF):
     """Mode-wise boson operators for s modes (s = 1 or 2).
 
     For s = 2 each entry is a list [op_mode1, op_mode2] on the N^2-dim
-    product basis, ordered with mode 1 as the slow (left) kron factor.
+    product basis, ordered with mode 1 as the slow (left) kron factor: a1
+    sits on band +N and a2 on band +1, so storage stays O(N^2).
     """
     if s == 1:
         return boson_rep(N)
     if s != 2:
         raise UnsupportedScaleError(f"tensor_rep supports s in {{1,2}}, got s={s}")
     basis = multimode_basis(2, N)
-    a = _annihilation(N)
-    eye = np.eye(N)
-    mats_a = [np.kron(a, eye), np.kron(eye, a)]
+    c = boson_ladder(N)
+    levels = np.arange(N, dtype=float)
+    modes = (
+        # a1 = a (x) 1 lowers the slow index: each coefficient repeats N times
+        (N, np.repeat(c, N), np.repeat(levels, N)),
+        # a2 = 1 (x) a lowers the fast index, and nothing crosses a block edge
+        (1, np.tile(np.append(c, 0.0), N)[:-1], np.tile(levels, N)),
+    )
     out = {"a": [], "adag": [], "q": [], "p": [], "n": []}
-    for mu, am in enumerate(mats_a, start=1):
-        ad = am.T.conj()
-        out["a"].append(Operator(f"a{mu}", am, basis))
-        out["adag"].append(Operator(f"adag{mu}", ad, basis))
-        out["q"].append(Operator(f"q{mu}", (am + ad) / np.sqrt(2.0), basis))
-        out["p"].append(Operator(f"p{mu}", (am - ad) / (1j * np.sqrt(2.0)), basis))
-        out["n"].append(Operator(f"n{mu}", ad @ am, basis))
+    for mu, (d, band, diag) in enumerate(modes, start=1):
+        names = [f"{name}{mu}" for name in out]
+        ops = _ladder_set(basis, names, band, d, np.sqrt(2.0), 1j * np.sqrt(2.0), diag)
+        for name, op in zip(out, ops):
+            out[name].append(op)
     return out

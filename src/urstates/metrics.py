@@ -64,8 +64,8 @@ def g_overlap(state1, state2, X=None, max_tail=1e-8):
                 f"observable {X.label!r} is not strictly positive "
                 f"(min eigenvalue {lam:.3e})"
             )
-        y1 = X.matrix @ state1.amplitudes
-        y2 = X.matrix @ state2.amplitudes
+        y1 = X.apply(state1.amplitudes)
+        y2 = X.apply(state2.amplitudes)
         label = X.label
 
     n1 = float(np.vdot(y1, y1).real)

@@ -25,7 +25,11 @@ from .hilbert import (
     DensityMatrix,
     Operator,
     StateVector,
+    boson_ladder,
     boson_rep,
+    fock_basis,
+    hermitian_parts,
+    pad_bands,
     su11_rep,
     su2_rep,
     tensor_rep,
@@ -64,6 +68,7 @@ class ObservableSet:
 
     ops: list
     name: str = ""
+    _padded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ops:
@@ -91,7 +96,20 @@ class ObservableSet:
         return [op.label for op in self.ops]
 
     def matrices(self):
+        """Dense matrices, for the mixed-state traces and the eigensolvers."""
         return [op.matrix for op in self.ops]
+
+    def images(self, psi):
+        """The vectors X_i psi as the rows of an (n, dim) array.
+
+        The bands of all observables share one padded layout, built on first
+        use, so a state costs one multiply and one sum for the whole set.
+        """
+        if self._padded is None:
+            _offsets, rows, src = pad_bands([op.bands for op in self.ops], self.basis.dim)
+            self._padded = rows, src
+        rows, src = self._padded
+        return (rows * psi[src][:, None, :]).sum(axis=0)
 
 
 def observable_set(name, N=None):
@@ -134,11 +152,13 @@ def observable_set(name, N=None):
     if head == "a2-quadratures":
         if arg is not None:
             raise InvalidInputError("a2-quadratures takes no scale parameter")
-        rep = boson_rep(N if N else _default_cutoff(DEFAULT_FOCK_CUTOFF))
-        a2 = rep["a"].matrix @ rep["a"].matrix
-        basis = rep["a"].basis
-        X = Operator("Re a^2", (a2 + a2.conj().T) / 2.0, basis)
-        Y = Operator("Im a^2", (a2 - a2.conj().T) / 2j, basis)
+        n_levels = N if N else _default_cutoff(DEFAULT_FOCK_CUTOFF)
+        c = boson_ladder(n_levels)
+        basis = fock_basis(n_levels)
+        # a^2 carries sqrt(n+1) sqrt(n+2) on band +2
+        x_bands, y_bands = hermitian_parts(c[:-1] * c[1:], 2, 2.0, 2j)
+        X = Operator.from_bands("Re a^2", x_bands, basis)
+        Y = Operator.from_bands("Im a^2", y_bands, basis)
         return ObservableSet([X, Y], name="a2-quadratures")
 
     raise InvalidInputError(f"unknown observable set {name!r}")
@@ -148,15 +168,16 @@ def observable_set(name, N=None):
 class MomentReport:
     """Means, covariance sigma, commutator matrix C and PSD certificates.
 
-    For a pure state, ``centered`` keeps the vectors (X_i - <X_i>) psi whose
-    Gram matrix is R, so certificates can reuse them without new products.
+    For a pure state, ``centered`` keeps the vectors (X_i - <X_i>) psi as the
+    rows of an (n, dim) array whose Gram matrix is R, so certificates can
+    reuse them without new products.
     """
 
     labels: list
     means: np.ndarray
     sigma: np.ndarray
     commut: np.ndarray
-    centered: list | None = field(default=None, repr=False)
+    centered: np.ndarray | None = field(default=None, repr=False)
     sigma_min_eig: float = field(init=False)
     robertson_min_eig: float = field(init=False)
 
@@ -193,7 +214,8 @@ def moment_report(obs, state, max_tail=1e-8):
     """Means and second moments of an observable set in a given state.
 
     Pure states go through the Gram matrix of the vectors X_i psi (one
-    matrix-vector product per observable); density matrices through traces.
+    banded product per observable); density matrices through traces of the
+    dense matrices.
     A recorded tail mass above ``max_tail`` aborts with a truncation error,
     since moments of a leaking state are not trustworthy.
     """
@@ -219,18 +241,13 @@ def _check_compat(obs, state, max_tail):
 def _moment_report_pure(obs, state, max_tail):
     _check_compat(obs, state, max_tail)
     psi = state.amplitudes
-    images = [mat @ psi for mat in obs.matrices()]
-    means = np.array([np.vdot(psi, y).real for y in images])
+    images = obs.images(psi)
+    means = (images @ psi.conj()).real
     # Centering the image vectors makes the Gram matrix the central-moment
     # matrix directly, avoiding the <X_i><X_j> cancellation that otherwise
     # dominates the error budget for strongly displaced states.
-    centered = [y - m * psi for y, m in zip(images, means)]
-    n = obs.n
-    gram = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = np.vdot(centered[i], centered[j])
-            gram[j, i] = np.conj(gram[i, j])
+    centered = images - means[:, None] * psi
+    gram = centered.conj() @ centered.T
     sigma = (gram.real + gram.real.T) / 2.0
     comm = (gram.imag - gram.imag.T) / 2.0
     return MomentReport(obs.labels, means, sigma, comm, centered)

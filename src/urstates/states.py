@@ -33,8 +33,10 @@ from .hilbert import (
     DEFAULT_SU11_CUTOFF,
     StateVector,
     basis_state,
+    boson_ladder,
     fock_basis,
     su11_basis,
+    su11_ladder,
     su11_rep,
     su2_basis,
 )
@@ -73,8 +75,9 @@ class SqueezeParams:
     def normalized(self):
         u = complex(self.u)
         v = complex(self.v)
+        _require_finite("squeeze pair", u=u, v=v)
         s = abs(u) ** 2 - abs(v) ** 2
-        if s <= 0.0:
+        if not s > 0.0:
             raise InvalidInputError(
                 f"squeeze pair needs |u| > |v| for a normalizable eigenstate, "
                 f"got |u|={abs(u):.6g}, |v|={abs(v):.6g}"
@@ -95,36 +98,25 @@ def _coerce_squeeze(u, v):
 # ladder actions on amplitude vectors
 # ---------------------------------------------------------------------------
 
-def _shift_down(amp):
-    """(a psi)_n = sqrt(n+1) psi_{n+1}, truncated."""
+def _lower(amp, c):
+    """(L psi)_n = c_n psi_{n+1} for a lowering operator L with +1 band c."""
     out = np.zeros_like(amp)
-    n = np.arange(1, amp.size)
-    out[:-1] = np.sqrt(n) * amp[1:]
+    out[:-1] = c * amp[1:]
     return out
 
 
-def _shift_up(amp):
-    """(a^dag psi)_n = sqrt(n) psi_{n-1}."""
+def _raise(amp, c):
+    """(L^dag psi)_n = c_{n-1} psi_{n-1}, the adjoint of `_lower`."""
     out = np.zeros_like(amp)
-    n = np.arange(1, amp.size)
-    out[1:] = np.sqrt(n) * amp[:-1]
+    out[1:] = c * amp[:-1]
     return out
 
 
-def _su11_down(amp, k):
-    """(K- psi)_n = sqrt((n+1)(2k+n)) psi_{n+1}, truncated."""
-    out = np.zeros_like(amp)
-    n = np.arange(amp.size - 1, dtype=float)
-    out[:-1] = np.sqrt((n + 1.0) * (2.0 * k + n)) * amp[1:]
-    return out
-
-
-def _su11_up(amp, k):
-    """(K+ psi)_n = sqrt(n(2k+n-1)) psi_{n-1}."""
-    out = np.zeros_like(amp)
-    n = np.arange(1, amp.size, dtype=float)
-    out[1:] = np.sqrt(n * (2.0 * k + n - 1.0)) * amp[:-1]
-    return out
+def _require_finite(family, **params):
+    """Refuse NaN or infinite parameters before any arithmetic sees them."""
+    bad = [name for name, val in params.items() if not cmath.isfinite(val)]
+    if bad:
+        raise InvalidInputError(f"{family}: parameter {', '.join(bad)} must be finite")
 
 
 def _top_mass(amp, levels=2):
@@ -159,11 +151,12 @@ def _gate_residual(res, amp, op_scale, family, floor_factor=50.0):
 def glauber(alpha, N=None):
     """Coherent state |alpha>: eigenstate of a, minimal and isotropic spread.
 
-    Amplitudes follow c_{n+1} = c_n alpha/sqrt(n+1) with the exact
-    exp(-|alpha|^2/2) prefactor, then a numerical renormalization mops up
-    the truncated tail.
+    Amplitudes follow c_{n+1} = c_n alpha/sqrt(n+1), the v = 0 case of the
+    squeeze recurrence, which rescales as it goes so large |alpha| cannot
+    overflow before normalization.
     """
     alpha = complex(alpha)
+    _require_finite("glauber", alpha=alpha)
     if N is None:
         N = DEFAULT_FOCK_CUTOFF
     aa = abs(alpha)
@@ -172,15 +165,10 @@ def glauber(alpha, N=None):
             f"glauber: cutoff N={N} too small for |alpha|={aa:.3g} "
             f"(need at least |alpha|^2 + 10|alpha| + 20)"
         )
-    amp = np.empty(N, dtype=np.complex128)
-    amp[0] = 1.0
-    for n in range(1, N):
-        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
-    amp *= math.exp(-0.5 * aa * aa)
-    amp /= np.linalg.norm(amp)
+    amp = _squeezed_amplitudes(alpha, 1.0, 0.0, N)
     state = StateVector(amp, fock_basis(N), family="glauber",
                         params={"alpha": alpha})
-    res = float(np.linalg.norm(_shift_down(amp) - alpha * amp))
+    res = float(np.linalg.norm(_lower(amp, boson_ladder(N)) - alpha * amp))
     _gate_residual(res, amp, max(1.0, aa), "glauber")
     return state
 
@@ -229,9 +217,10 @@ def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
     phase of e^{i arg u} S(zeta) D(alpha e^{-i arg u}) |0>.  Raises a
     truncation error when the certified tail mass exceeds ``max_tail``.
     """
+    alpha = complex(alpha)
+    _require_finite("canonical_ss", alpha=alpha)
     sq = _coerce_squeeze(u, v)
     u, v = sq.u, sq.v
-    alpha = complex(alpha)
     if N is None:
         N = DEFAULT_FOCK_CUTOFF
 
@@ -248,8 +237,8 @@ def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
         params={"alpha": alpha, "u": u, "v": v},
     )
     _gate_tail(state, max_tail, "canonical_ss")
-    res = float(np.linalg.norm(u * _shift_down(amp) + v * _shift_up(amp)
-                               - alpha * amp))
+    c = boson_ladder(N)
+    res = float(np.linalg.norm(u * _lower(amp, c) + v * _raise(amp, c) - alpha * amp))
     _gate_residual(res, amp, abs(u) + abs(v) + abs(alpha), "canonical_ss")
     return state
 
@@ -273,9 +262,10 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
         N = DEFAULT_FOCK_CUTOFF
     if n >= N // 2:
         raise TruncationError(f"squeezed_fock: level n={n} too close to cutoff N={N}")
+    c = boson_ladder(N)
     amp = _squeezed_amplitudes(0j, u, v, N)
     for _ in range(n):
-        amp = np.conj(u) * _shift_up(amp) + np.conj(v) * _shift_down(amp)
+        amp = np.conj(u) * _raise(amp, c) + np.conj(v) * _lower(amp, c)
         amp /= np.linalg.norm(amp)
     amp *= (u / abs(u)) ** (n - 1)
     state = StateVector(
@@ -283,8 +273,8 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
         params={"n": n, "u": u, "v": v},
     )
     _gate_tail(state, max_tail, "squeezed_fock")
-    w = u * _shift_down(amp) + v * _shift_up(amp)
-    w = np.conj(u) * _shift_up(w) + np.conj(v) * _shift_down(w)
+    w = u * _lower(amp, c) + v * _raise(amp, c)
+    w = np.conj(u) * _raise(w, c) + np.conj(v) * _lower(w, c)
     res = float(np.linalg.norm(w - float(n) * amp))
     _gate_residual(res, amp, (abs(u) + abs(v)) ** 2 * math.sqrt(N) + n,
                    "squeezed_fock")
@@ -297,6 +287,7 @@ def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
     Both carry eigenvalue alpha^2; the odd family needs alpha != 0.
     """
     alpha = complex(alpha)
+    _require_finite("even_odd_cs", alpha=alpha)
     if parity not in ("even", "odd"):
         raise InvalidInputError(f"parity must be 'even' or 'odd', got {parity!r}")
     if parity == "odd" and alpha == 0.0:
@@ -324,7 +315,8 @@ def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
         params={"alpha": alpha, "parity": parity},
     )
     _gate_tail(state, max_tail, "even_odd_cs")
-    res = float(np.linalg.norm(_shift_down(_shift_down(amp)) - alpha * alpha * amp))
+    c = boson_ladder(N)
+    res = float(np.linalg.norm(_lower(_lower(amp, c), c) - alpha * alpha * amp))
     _gate_residual(res, amp, max(1.0, aa * aa) * math.sqrt(N), "even_odd_cs")
     return state
 
@@ -341,6 +333,7 @@ def bg_cs(z, k, N=None):
     """
     z = complex(z)
     k = float(k)
+    _require_finite("bg_cs", z=z, k=k)
     if k <= 0:
         raise InvalidInputError(f"Bargmann index must be positive, got k={k}")
     if N is None:
@@ -362,7 +355,7 @@ def bg_cs(z, k, N=None):
         raise TruncationError(
             f"bg_cs: top-level amplitude mass {_top_mass(amp, 1):.3e} > 1e-14"
         )
-    res = float(np.linalg.norm(_su11_down(amp, k) - z * amp))
+    res = float(np.linalg.norm(_lower(amp, su11_ladder(k, N)) - z * amp))
     _gate_residual(res, amp, max(1.0, az), "bg_cs")
     return state
 
@@ -404,6 +397,7 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
     """
     xi = complex(xi)
     k = float(k)
+    _require_finite("su11_cs", xi=xi, k=k)
     if k <= 0:
         raise InvalidInputError(f"Bargmann index must be positive, got k={k}")
     ax = abs(xi)
@@ -427,9 +421,8 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
     state = StateVector(amp, su11_basis(k, N), family="su11_cs",
                         params={"xi": xi, "k": k})
     _gate_tail(state, max_tail, "su11_cs")
-    res = float(np.linalg.norm(
-        _su11_down(amp, k) - xi * xi * _su11_up(amp, k) - 2.0 * k * xi * amp
-    ))
+    c = su11_ladder(k, N)
+    res = float(np.linalg.norm(_lower(amp, c) - xi * xi * _raise(amp, c) - 2.0 * k * xi * amp))
     _gate_residual(res, amp, max(1.0, 2.0 * k * ax) * math.sqrt(N), "su11_cs")
     return state
 
@@ -442,6 +435,7 @@ def su11_cs_unitary(zeta, k, N=None):
     """
     zeta = complex(zeta)
     k = float(k)
+    _require_finite("su11_cs_unitary", zeta=zeta, k=k)
     if k <= 0:
         raise InvalidInputError(f"Bargmann index must be positive, got k={k}")
     ax = math.tanh(abs(zeta))
@@ -465,6 +459,7 @@ def su2_cs(tau, j):
     """
     tau = complex(tau)
     j = float(j)
+    _require_finite("su2_cs", tau=tau, j=j)
     basis = su2_basis(j)
     dim = basis.dim
     if tau == 0.0:
@@ -543,6 +538,7 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     """
     u, v, w, z = complex(u), complex(v), complex(w), complex(z)
     k = float(k)
+    _require_finite("su11_intelligent", u=u, v=v, w=w, z=z, k=k)
     if k <= 0:
         raise InvalidInputError(f"Bargmann index must be positive, got k={k}")
     scale = max(abs(u), abs(v), abs(w))
@@ -635,9 +631,9 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
         params={"u": u, "v": v, "w": w, "z": z, "k": k, "degenerate": False},
     )
     _gate_tail(state, max_tail, "su11_intelligent")
+    c = su11_ladder(k, N)
     res = float(np.linalg.norm(
-        u * _su11_down(amp, k) + v * _su11_up(amp, k)
-        + w * (k + np.arange(N)) * amp - z * amp
+        u * _lower(amp, c) + v * _raise(amp, c) + w * (k + np.arange(N)) * amp - z * amp
     )) / scale
     _gate_residual(res, amp, math.sqrt(N) * (1.0 + k + abs(z) / scale),
                    "su11_intelligent")

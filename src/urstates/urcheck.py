@@ -234,8 +234,8 @@ def one_observable_two_state(X, state1, state2, max_tail=1e-8):
             )
     if not X.is_hermitian():
         raise InvalidInputError(f"observable {X.label!r} is not Hermitian")
-    y1 = X.matrix @ state1.amplitudes
-    y2 = X.matrix @ state2.amplitudes
+    y1 = X.apply(state1.amplitudes)
+    y2 = X.apply(state2.amplitudes)
     e1 = float(np.vdot(y1, y1).real)
     e2 = float(np.vdot(y2, y2).real)
     cross = np.vdot(y1, y2)

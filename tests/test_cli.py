@@ -8,6 +8,7 @@ and strings, floats to tight tolerance) rather than byte-for-byte.
 import json
 import math
 import pathlib
+import warnings
 
 import pytest
 
@@ -126,15 +127,21 @@ def test_state_truncation_gate(capsys):
 
 
 @pytest.mark.parametrize("family", [
-    ["glauber"],
-    ["canonical-ss", "--u", "1.25", "--v", "0.75"],
+    ["glauber", "--alpha", "nan"],
+    ["canonical-ss", "--u", "1.25", "--v", "0.75", "--alpha", "nan"],
+    ["canonical-ss", "--alpha", "0", "--u", "nan", "--v", "0.3"],
+    ["canonical-ss", "--alpha", "0", "--u", "1.25", "--v", "nan"],
 ])
 def test_state_rejects_nan_alpha(capsys, family):
-    # NaN amplitudes once passed the norm check and reached the document
-    code, out, err = run_cli(capsys, "state", "--family", *family,
-                             "--alpha", "nan", "--cutoff", "32")
+    # NaN amplitudes once passed the norm check and reached the document;
+    # NaN parameters must be refused before numpy can warn about them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "state", "--family", *family,
+                                 "--cutoff", "32")
     assert code == 2
     assert out == ""
+    assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "InvalidInputError"
 
 

@@ -129,6 +129,48 @@ def test_operator_shape_and_hermiticity():
     assert not Operator("up", np.triu(np.ones((4, 4)), 1), b).is_hermitian()
 
 
+def test_operator_splits_a_dense_matrix_into_bands():
+    b = fock_basis(6)
+    mat = np.zeros((6, 6), dtype=complex)
+    mat[np.arange(5), np.arange(1, 6)] = [1.0, 2.0, 0.0, 4.0, 5.0j]
+    mat[np.arange(4) + 2, np.arange(4)] = 3.0
+    op = Operator("m", mat, b)
+    assert sorted(op.bands) == [-2, 1]
+    np.testing.assert_array_equal(op.bands[1], np.diagonal(mat, 1))
+    np.testing.assert_array_equal(op.matrix, mat)
+    psi = np.arange(6) + 1j * np.arange(6)[::-1]
+    np.testing.assert_allclose(op.apply(psi), mat @ psi, rtol=0, atol=1e-14)
+    zero = Operator("0", np.zeros((6, 6)), b)
+    assert zero.bands == {} and zero.is_hermitian()
+    np.testing.assert_array_equal(zero.apply(psi), np.zeros(6))
+
+
+def test_operator_from_bands_validation():
+    b = fock_basis(4)
+    with pytest.raises(BasisMismatchError):
+        Operator.from_bands("short", {1: np.ones(2)}, b)
+    with pytest.raises(BasisMismatchError):
+        Operator.from_bands("far", {4: np.ones(0)}, b)
+    with pytest.raises(InvalidInputError):
+        Operator.from_bands("nan", {0: [1.0, np.nan, 0.0, 0.0]}, b)
+    with pytest.raises(InvalidInputError):
+        Operator("inf", np.diag([1.0, np.inf, 0.0, 0.0]), b)
+    with pytest.raises(BasisMismatchError):
+        Operator.from_bands("I", {0: np.ones(4)}, b).apply(np.ones(5))
+
+
+def test_hermiticity_is_checked_band_against_mirrored_band():
+    b = fock_basis(5)
+    c = np.arange(1.0, 5.0)
+    assert Operator.from_bands("x", {1: c, -1: c}, b).is_hermitian()
+    assert Operator.from_bands("y", {1: 1j * c, -1: -1j * c}, b).is_hermitian()
+    assert not Operator.from_bands("skew", {1: c, -1: -c}, b).is_hermitian()
+    assert not Operator.from_bands("half", {1: c}, b).is_hermitian()
+    assert not Operator.from_bands("im-diag", {0: 1j * np.ones(5)}, b).is_hermitian()
+    # deviations are judged relative to the largest entry, as before
+    assert Operator.from_bands("x", {1: 1e6 * c, -1: 1e6 * c + 1e-9}, b).is_hermitian()
+
+
 def test_boson_rep_algebra():
     rep = boson_rep(32)
     a, ad = rep["a"].matrix, rep["adag"].matrix
@@ -196,3 +238,18 @@ def test_tensor_rep_two_modes():
                                atol=1e-12)
     with pytest.raises(UnsupportedScaleError):
         tensor_rep(3, 4)
+
+
+def test_tensor_rep_matches_kron_and_stays_banded():
+    N = 5
+    rep = tensor_rep(2, N)
+    a = boson_rep(N)["a"].matrix
+    eye = np.eye(N)
+    np.testing.assert_array_equal(rep["a"][0].matrix, np.kron(a, eye))
+    np.testing.assert_array_equal(rep["a"][1].matrix, np.kron(eye, a))
+    np.testing.assert_allclose(rep["n"][0].matrix,
+                               np.kron(np.diag(np.arange(N)), eye), atol=1e-12)
+    # the N^2-dimensional modes keep O(N^2) entries: two bands per quadrature
+    wide = tensor_rep(2, 40)
+    assert sorted(wide["q"][0].bands) == [-40, 40]
+    assert sorted(wide["p"][1].bands) == [-1, 1]

@@ -1,6 +1,7 @@
 """Moment reports, the observable-set registry, and Gaussian covariance maps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from urstates.errors import (
 )
 from urstates.hilbert import (
     DensityMatrix,
+    Operator,
+    StateVector,
     basis_state,
     fock_basis,
     su11_basis,
@@ -20,13 +23,14 @@ from urstates.hilbert import (
 from urstates.moments import (
     CUTOFF_ENV,
     MomentReport,
+    ObservableSet,
     _default_cutoff,
     gaussian_sigma,
     moment_report,
     observable_set,
     uv_moments,
 )
-from urstates.states import canonical_ss, glauber
+from urstates.states import canonical_ss, glauber, su11_cs
 
 
 def test_observable_set_registry():
@@ -35,6 +39,61 @@ def test_observable_set_registry():
     assert observable_set("su11:0.75", N=24).name == "su11:0.75"
     assert observable_set("su2:1.5").basis.dim == 4
     assert observable_set("a2-quadratures", N=16).labels == ["Re a^2", "Im a^2"]
+
+
+REGISTRY = [("canonical", 32), ("canonical:2", 6), ("su11:0.5", 32), ("su11:1", 32),
+            ("su2:1", None), ("su2:2.5", None), ("a2-quadratures", 32)]
+
+
+@pytest.mark.parametrize("name,N", REGISTRY)
+def test_banded_products_match_the_dense_matrices(name, N):
+    obs = observable_set(name, N=N)
+    rng = np.random.default_rng(3)
+    dim = obs.basis.dim
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    images = obs.images(psi)
+    for op, image in zip(obs.ops, images, strict=True):
+        dense = op.matrix @ psi
+        np.testing.assert_allclose(op.apply(psi), dense, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(image, dense, rtol=0, atol=1e-14)
+
+
+def test_observable_set_rejects_band_pair_that_is_not_conjugate():
+    basis = fock_basis(16)
+    c = np.sqrt(np.arange(1.0, 16.0))
+    q = Operator.from_bands("q", {-1: c, 1: c}, basis)
+    for bands in ({-1: -c, 1: c}, {-1: 1j * c, 1: 1j * c}, {1: c}):
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            ObservableSet([q, Operator.from_bands("bad", bands, basis)])
+
+
+def test_pure_report_matches_dense_moments():
+    obs = observable_set("su11:1", N=48)
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+    psi /= np.linalg.norm(psi)
+    rep = moment_report(obs, StateVector(psi, obs.basis), max_tail=None)
+    images = [m @ psi for m in obs.matrices()]
+    means = np.array([np.vdot(psi, y).real for y in images])
+    centered = [y - m * psi for y, m in zip(images, means)]
+    gram = np.array([[np.vdot(x, y) for y in centered] for x in centered])
+    np.testing.assert_allclose(rep.means, means, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(rep.sigma, gram.real, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rep.commut, gram.imag, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rep.centered[2], centered[2], rtol=0, atol=1e-13)
+
+
+def test_wide_su11_report_allocates_no_dense_matrix():
+    # dense generators at N=1024 would take 16 MB each
+    st = su11_cs(0.9, 1.0, N=1024)
+    tracemalloc.start()
+    try:
+        moment_report(observable_set("su11:1", N=1024), st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_observable_set_rejects_unknown_names():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ def test_squeeze_params_normalization():
         SqueezeParams(1.0, 1.0).normalized()
     with pytest.raises(InvalidInputError):
         SqueezeParams(0.5, 1.3).normalized()
+    for u, v in ((math.nan, 0.3), (1.2, math.nan), (math.inf, 1.0), (complex(1.2, math.nan), 0.0)):
+        with pytest.raises(InvalidInputError):
+            SqueezeParams(u, v).normalized()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: glauber(math.nan, N=32),
+    lambda: canonical_ss(complex(0.0, math.inf), 1.0, 0.0, N=32),
+    lambda: even_odd_cs(math.nan, "even", N=32),
+    lambda: bg_cs(math.nan, 1.0, N=32),
+    lambda: su11_cs(0.3, math.nan),
+    lambda: su11_cs_unitary(math.nan, 1.0, N=32),
+    lambda: su2_cs(math.nan, 1.0),
+    lambda: su11_intelligent(1.0, math.nan, 3.0, 1.0, 1.0),
+])
+def test_constructors_refuse_non_finite_parameters_without_warnings(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite"):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +119,14 @@ def test_glauber_poisson_moments():
     n_mean = np.vdot(st.amplitudes,
                      boson_rep(64)["n"].matrix @ st.amplitudes).real
     assert n_mean == pytest.approx(abs(alpha) ** 2, rel=1e-12)
+
+
+def test_glauber_large_amplitude_matches_recurrence():
+    # the unnormalized alpha^n / sqrt(n!) would overflow near |alpha| = 37.7
+    st = glauber(40.0, N=2048)
+    assert np.all(np.isfinite(st.amplitudes))
+    ref = canonical_ss(40.0, 1.0, 0.0, N=2048)
+    np.testing.assert_allclose(st.amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_glauber_cutoff_gate():
