@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import cmath
+import os
 import re
 import sys
 
@@ -49,7 +50,9 @@ from .states import (
     su11_cs,
     su11_intelligent,
 )
-from .urcheck import char_ur_report
+# char_ur_report stays importable as cli.char_ur_report: bench/spans.py
+# wraps it under that name
+from .urcheck import _ur_from_moments, char_ur_report  # noqa: F401
 
 __all__ = ["main"]
 
@@ -239,7 +242,7 @@ def _cmd_report(args):
     state = load_state(args.state)
     obs = _resolve_observables(args.observables, state.basis)
     rep = moment_report(obs, state, max_tail=args.max_tail)
-    ur = char_ur_report(obs, state, max_tail=args.max_tail)
+    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
     ur_doc = ur.to_json_dict()
     if args.orders is not None:
         bad = [r for r in args.orders if not 1 <= r <= obs.n]
@@ -261,7 +264,7 @@ def _cmd_report(args):
         "ur": ur_doc,
     }
     if args.certificate:
-        cert = minimizer_certificate(state, obs, max_tail=args.max_tail)
+        cert = minimizer_certificate(state, obs, report=rep)
         doc["certificate"] = cert.to_json_dict()
     _write_json(doc, args.out)
     return EX_OK
@@ -298,7 +301,7 @@ def _row_squeeze_shell(seed, index, point):
     st = canonical_ss(alpha, u, v, N=192)
     obs = _obs_cached("canonical", 192)
     rep = moment_report(obs, st)
-    ur = char_ur_report(obs, st)
+    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
     return [index, r, theta, alpha.real, alpha.imag,
             rep.sigma[0, 0], rep.sigma[1, 1], rep.sigma[0, 1],
             ur.pair_gaps[(0, 1)].schr_gap, st.tail_mass]
@@ -319,7 +322,7 @@ def _row_su11_cs(seed, index, point):
     st = su11_cs(xi, k)
     obs = _obs_cached(f"su11:{k:g}", st.basis.N)
     rep = moment_report(obs, st)
-    ur = char_ur_report(obs, st)
+    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
     return [index, k, xi.real, xi.imag,
             ur.pair_gaps[(0, 1)].schr_gap,
             ur.pair_gaps[(0, 2)].schr_gap,
@@ -345,7 +348,7 @@ def _row_bg_cs(seed, index, point):
     km = su11_rep(k, 96)["kminus"]
     residual = float(np.linalg.norm(km.apply(st.amplitudes) - z * st.amplitudes))
     rep = moment_report(obs, st)
-    ur = char_ur_report(obs, st)
+    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
     return [index, k, z.real, z.imag, residual,
             rep.sigma[0, 0] - rep.sigma[1, 1],
             ur.pair_gaps[(0, 1)].sum_gap, st.tail_mass]
@@ -368,7 +371,7 @@ def _row_even_odd(seed, index, point):
     re_a2, im_a2 = obs.images(st.amplitudes)
     residual = float(np.linalg.norm(re_a2 + 1j * im_a2 - alpha * alpha * st.amplitudes))
     rep = moment_report(obs, st)
-    ur = char_ur_report(obs, st)
+    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
     return [index, parity, alpha.real, alpha.imag, residual,
             rep.sigma[0, 1], ur.pair_gaps[(0, 1)].schr_gap]
 
@@ -421,10 +424,11 @@ def _cmd_scan(args):
     grid_fn, _row_fn, header = _SCAN_SUITES[args.suite]
     tasks = [(args.suite, args.seed, index, point)
              for index, point in enumerate(grid_fn())]
-    if args.jobs <= 1:
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs <= 1:
         rows = [_scan_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_worker, tasks, chunksize=8))
     _write_csv(header, rows, args.out)
     return EX_OK

@@ -57,6 +57,10 @@ DEFAULT_MODE_CUTOFF = 20
 #: fraction of top basis levels counted as "tail" in recorded certificates
 TAIL_FRACTION = 0.1
 
+#: largest su(2) or multimode dimension a basis may have; a spin or a
+#: per-mode cutoff that large is a bad input, not a request to allocate
+MAX_BASIS_DIM = 1 << 16
+
 
 @dataclass(frozen=True)
 class BasisSpec:
@@ -83,10 +87,15 @@ class BasisSpec:
             if self.k is None or self.k <= 0:
                 raise InvalidInputError(f"su11 basis needs Bargmann index k > 0, got {self.k}")
         if self.kind == "su2":
-            if self.j is None or self.j <= 0 or round(2 * self.j) != 2 * self.j:
+            if (self.j is None or not np.isfinite(self.j) or self.j <= 0
+                    or round(2 * self.j) != 2 * self.j):
                 raise InvalidInputError(f"su2 basis needs half-integer j > 0, got {self.j}")
         if self.kind == "multimode" and self.s not in (1, 2):
             raise UnsupportedScaleError(f"multimode basis supports s in {{1,2}}, got s={self.s}")
+        if self.kind in ("su2", "multimode") and self.dim > MAX_BASIS_DIM:
+            raise UnsupportedScaleError(
+                f"{self.kind} basis dimension {self.dim} exceeds MAX_BASIS_DIM={MAX_BASIS_DIM}"
+            )
 
     @property
     def dim(self):

@@ -196,7 +196,8 @@ def _edge_mass(state):
     return float(np.sum(np.abs(state.amplitudes[-2:]) ** 2))
 
 
-def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL):
+def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL,
+                          report=None):
     """Per-pair best (beta, z) and residual, plus the full Robertson gap.
 
     For each observable pair the bottom eigenvector of the 2x2 restriction
@@ -208,9 +209,11 @@ def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL):
     state gets sqrt(lambda_min).  Verdict is "minimizer" when every pairwise
     residual clears ``residual_tol``, widened for a pure state to the
     truncation-aware floor 50 sqrt(max(1, tr R_pair)) sqrt(N * edge mass)
-    that the state constructors use.
+    that the state constructors use.  ``report`` passes the moment report
+    of ``state`` for ``obs`` when the caller already holds it; it is taken
+    as is, so ``max_tail`` is then not checked again.
     """
-    rep = moment_report(obs, state, max_tail=max_tail)
+    rep = report if report is not None else moment_report(obs, state, max_tail=max_tail)
     R = rep.robertson
     n = obs.n
     pure = rep.centered is not None

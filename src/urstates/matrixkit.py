@@ -23,13 +23,18 @@ __all__ = ["char_coeffs", "principal_minor_sum", "psd_min_eig", "targeted_eigenv
 HERMITICITY_TOL = 1e-12
 
 
-def _as_square(M):
+def _as_square(M, stack=False):
+    """M as a float or complex array of square matrices.
+
+    With ``stack`` the leading axes may index a stack of matrices shaped
+    (..., n, n); every check covers every matrix of the stack.
+    """
     A = np.asarray(M)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if (A.ndim < 2 if stack else A.ndim != 2) or A.shape[-1] != A.shape[-2]:
         raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] == 0:
+    if A.size == 0:
         raise InvalidInputError("empty matrix")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InvalidInputError("matrix has non-finite entries")
     if np.iscomplexobj(A):
         return A.astype(np.complex128, copy=False)
@@ -44,21 +49,23 @@ def char_coeffs(M):
     which produces det(lam*I - M) = sum c_k lam^{n-k}; the sign flip
     C_r = (-1)^r c_r converts to the principal-minor convention above.
 
-    Returns a length-(n+1) array, real if M is real, complex otherwise.
+    M may be a stack shaped (..., n, n); the result is then shaped
+    (..., n+1), one row per matrix.  Returns a length-(n+1) array for a
+    single matrix, real if M is real, complex otherwise.
     """
-    A = _as_square(M)
-    n = A.shape[0]
-    coeffs = np.empty(n + 1, dtype=A.dtype)
-    coeffs[0] = 1.0
+    A = _as_square(M, stack=True)
+    n = A.shape[-1]
+    coeffs = np.empty(A.shape[:-2] + (n + 1,), dtype=A.dtype)
+    coeffs[..., 0] = 1.0
     eye = np.eye(n, dtype=A.dtype)
-    B = eye.copy()
+    B = eye
     sign = 1.0
     for k in range(1, n + 1):
         AB = A @ B
-        c = -np.trace(AB) / k
+        c = -AB.trace(0, -2, -1) / k
         sign = -sign
-        coeffs[k] = sign * c
-        B = AB + c * eye
+        coeffs[..., k] = sign * c
+        B = AB + c[..., None, None] * eye
     return coeffs
 
 
@@ -87,17 +94,22 @@ def psd_min_eig(H, tol=HERMITICITY_TOL):
 
     Refuses input that is not Hermitian within `tol` relative to the
     entrywise max-norm, then delegates to a symmetric eigensolver so the
-    result is real by construction.
+    result is real by construction.  A stack shaped (..., n, n) is checked
+    matrix by matrix, each against its own max-norm, and solved in one
+    LAPACK call; the result is then an array shaped (...,).
     """
-    A = _as_square(H)
-    scale = max(1.0, np.abs(A).max())
-    dev = np.abs(A - A.conj().T).max()
-    if dev > tol * scale:
+    A = _as_square(H, stack=True)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    dev = np.abs(A - np.swapaxes(A, -2, -1).conj()).max(axis=(-2, -1))
+    bad = dev > tol * scale
+    if np.any(bad):
+        k = np.argmax(bad)
         raise InvalidInputError(
-            f"matrix is not Hermitian within tolerance: max deviation {dev:.3e} "
-            f"(allowed {tol * scale:.3e})"
+            f"matrix is not Hermitian within tolerance: max deviation "
+            f"{np.ravel(dev)[k]:.3e} (allowed {tol * np.ravel(scale)[k]:.3e})"
         )
-    return float(np.linalg.eigvalsh(A)[0])
+    lam = np.linalg.eigvalsh(A)[..., 0]
+    return float(lam) if A.ndim == 2 else lam
 
 
 def targeted_eigenvector(M, z):

@@ -100,16 +100,17 @@ class ObservableSet:
         return [op.matrix for op in self.ops]
 
     def images(self, psi):
-        """The vectors X_i psi as the rows of an (n, dim) array.
+        """The vectors X_i psi as the rows of an (..., n, dim) array.
 
+        ``psi`` is one state of shape (dim,) or a stack of shape (..., dim).
         The bands of all observables share one padded layout, built on first
-        use, so a state costs one multiply and one sum for the whole set.
+        use, so a stack costs one multiply and one sum for the whole set.
         """
         if self._padded is None:
             _offsets, rows, src = pad_bands([op.bands for op in self.ops], self.basis.dim)
             self._padded = rows, src
         rows, src = self._padded
-        return (rows * psi[src][:, None, :]).sum(axis=0)
+        return (rows * psi[..., src][..., :, None, :]).sum(axis=-3)
 
 
 def observable_set(name, N=None):
@@ -185,8 +186,8 @@ class MomentReport:
         self.means = np.asarray(self.means, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
         self.commut = np.asarray(self.commut, dtype=float)
-        self.sigma_min_eig = psd_min_eig(self.sigma.astype(complex))
-        self.robertson_min_eig = psd_min_eig(self.robertson)
+        lam = psd_min_eig(np.stack([self.sigma, self.robertson]))
+        self.sigma_min_eig, self.robertson_min_eig = float(lam[0]), float(lam[1])
 
     @property
     def robertson(self):
@@ -238,18 +239,32 @@ def _check_compat(obs, state, max_tail):
         )
 
 
-def _moment_report_pure(obs, state, max_tail):
-    _check_compat(obs, state, max_tail)
-    psi = state.amplitudes
+def _pure_moments(obs, psi):
+    """Means, sigma, C and centered images of pure states psi (..., dim).
+
+    Shapes follow the leading axes of psi: means (..., n), sigma and C
+    (..., n, n), centered (..., n, dim).  A single state (dim,) stays on
+    1-D products, which are faster than a stack of one.
+    """
     images = obs.images(psi)
-    means = (images @ psi.conj()).real
+    if psi.ndim == 1:
+        means = (images @ psi.conj()).real
+    else:
+        means = (images @ psi.conj()[..., None])[..., 0].real
     # Centering the image vectors makes the Gram matrix the central-moment
     # matrix directly, avoiding the <X_i><X_j> cancellation that otherwise
     # dominates the error budget for strongly displaced states.
-    centered = images - means[:, None] * psi
-    gram = centered.conj() @ centered.T
-    sigma = (gram.real + gram.real.T) / 2.0
-    comm = (gram.imag - gram.imag.T) / 2.0
+    centered = images - means[..., None] * psi[..., None, :]
+    gram = centered.conj() @ np.swapaxes(centered, -2, -1)
+    gram_t = np.swapaxes(gram, -2, -1)
+    sigma = (gram.real + gram_t.real) / 2.0
+    comm = (gram.imag - gram_t.imag) / 2.0
+    return means, sigma, comm, centered
+
+
+def _moment_report_pure(obs, state, max_tail):
+    _check_compat(obs, state, max_tail)
+    means, sigma, comm, centered = _pure_moments(obs, state.amplitudes)
     return MomentReport(obs.labels, means, sigma, comm, centered)
 
 

@@ -45,12 +45,12 @@ def state_to_dict(state):
 def state_from_dict(doc):
     try:
         basis = BasisSpec.from_dict(doc["basis"])
-        pairs = doc["amplitudes"]
         family = doc.get("family")
         params = {k: _decode_param(v) for k, v in doc.get("params", {}).items()}
-    except (KeyError, TypeError) as exc:
+        amp = np.array([complex(re, im) for re, im in doc["amplitudes"]],
+                       dtype=np.complex128)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed state document: {exc}") from exc
-    amp = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     return StateVector(amp, basis, family=family, params=params)
 
 
@@ -61,9 +61,15 @@ def save_state(state, path):
 
 
 def load_state(path):
-    with open(path) as fh:
-        try:
+    """Read a state document; an unreadable or malformed file is an
+    InvalidInputError, except a missing one, which stays FileNotFoundError."""
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"state file {path!r} is not valid JSON: {exc}") from exc
+    except FileNotFoundError:
+        raise
+    except ValueError as exc:
+        raise InvalidInputError(f"state file {path!r} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read state file {path!r}: {exc}") from exc
     return state_from_dict(doc)

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .hilbert import StateVector
 from .matrixkit import char_coeffs
-from .moments import ObservableSet, moment_report
+from .moments import ObservableSet, _check_compat, _pure_moments, moment_report
 
 __all__ = [
     "PairGapRecord",
@@ -123,9 +123,7 @@ class URReport:
         return doc
 
 
-def _pair_record(sigma2, comm2, labels):
-    s11, s22, s12 = sigma2[0, 0], sigma2[1, 1], sigma2[0, 1]
-    c12 = comm2[0, 1]
+def _pair_record(s11, s22, s12, c12, labels):
     tr2 = s11 + s22
     sum_gap = tr2 - 2.0 * abs(c12)
     heis_gap = s11 * s22 - c12 * c12
@@ -144,7 +142,8 @@ def pair_ur_gaps(X, Y, state, max_tail=1e-8):
     """Evaluate the three pairwise relations for observables (X, Y)."""
     obs = ObservableSet([X, Y])
     rep = moment_report(obs, state, max_tail=max_tail)
-    return _pair_record(rep.sigma, rep.commut, obs.labels)
+    s, c = rep.sigma, rep.commut
+    return _pair_record(s[0, 0], s[1, 1], s[0, 1], c[0, 1], obs.labels)
 
 
 def char_ur_report(obs, states, max_tail=1e-8):
@@ -153,7 +152,10 @@ def char_ur_report(obs, states, max_tail=1e-8):
     ``states`` is a single state or a sequence of 1..8; with several states
     the sigma and C matrices are summed entrywise first, which yields the
     state-extended inequalities.  Pairwise gap records for every observable
-    pair (computed from the same summed matrices) ride along.
+    pair (computed from the same summed matrices) ride along.  Pure states
+    are checked one by one in order, then their moments come from one
+    stacked pass; a list holding a density matrix is reported state by
+    state.
     """
     if obs.n < 2:
         raise InvalidInputError("characteristic relations need at least 2 observables")
@@ -167,37 +169,43 @@ def char_ur_report(obs, states, max_tail=1e-8):
             f"got {len(state_list)}"
         )
 
-    n = obs.n
-    sigma_sum = np.zeros((n, n))
-    comm_sum = np.zeros((n, n))
-    for st in state_list:
-        rep = moment_report(obs, st, max_tail=max_tail)
-        sigma_sum += rep.sigma
-        comm_sum += rep.commut
+    if all(isinstance(st, StateVector) for st in state_list):
+        for st in state_list:
+            _check_compat(obs, st, max_tail)
+        amps = [st.amplitudes for st in state_list]
+        psi = amps[0] if len(amps) == 1 else np.stack(amps)
+        _means, sigma_sum, comm_sum, _centered = _pure_moments(obs, psi)
+        if psi.ndim == 2:
+            sigma_sum, comm_sum = sigma_sum.sum(axis=0), comm_sum.sum(axis=0)
+    else:
+        sigma_sum = np.zeros((obs.n, obs.n))
+        comm_sum = np.zeros((obs.n, obs.n))
+        for st in state_list:
+            rep = moment_report(obs, st, max_tail=max_tail)
+            sigma_sum += rep.sigma
+            comm_sum += rep.commut
+    return _ur_from_moments(obs.labels, sigma_sum, comm_sum, len(state_list))
 
-    cs = char_coeffs(sigma_sum.astype(complex))
-    cc = char_coeffs((comm_sum.astype(complex)))
+
+def _ur_from_moments(labels, sigma_sum, comm_sum, n_states):
+    """The gap records of ``char_ur_report`` from already summed sigma and C."""
+    n = len(labels)
+    cs, cc = char_coeffs(np.stack([sigma_sum, comm_sum]).astype(complex)).real.tolist()
     mean_var = float(np.trace(sigma_sum)) / n
     order_gaps = {}
     for r in range(1, n + 1):
-        c_sigma = float(cs[r].real)
-        c_comm = float(cc[r].real)
         scale = comb(n, r) * mean_var ** r
         order_gaps[r] = OrderGapRecord(
-            r, c_sigma, c_comm, c_sigma - c_comm,
-            _saturated(c_sigma, c_comm, scale),
+            r, cs[r], cc[r], cs[r] - cc[r], _saturated(cs[r], cc[r], scale),
         )
 
-    pair_gaps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx = np.ix_([i, j], [i, j])
-            pair_gaps[(i, j)] = _pair_record(
-                sigma_sum[idx], comm_sum[idx],
-                (obs.labels[i], obs.labels[j]),
-            )
+    s, c = sigma_sum.tolist(), comm_sum.tolist()
+    pair_gaps = {
+        (i, j): _pair_record(s[i][i], s[j][j], s[i][j], c[i][j], (labels[i], labels[j]))
+        for i in range(n) for j in range(i + 1, n)
+    }
 
-    return URReport(obs.labels, order_gaps, pair_gaps, len(state_list))
+    return URReport(list(labels), order_gaps, pair_gaps, n_states)
 
 
 def two_state_schrodinger(X, Y, state1, state2, max_tail=1e-8):

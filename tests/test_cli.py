@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+from urstates import cli
 from urstates.cli import main
 from urstates.stateio import load_state
 
@@ -244,6 +245,33 @@ def test_report_missing_state_file(tmp_path, capsys):
     assert json.loads(err)["error"] == "FileNotFoundError"
 
 
+def _break_basis_n(doc):
+    doc["basis"]["N"] = "abc"
+
+
+def _break_amplitude_pair(doc):
+    doc["amplitudes"][3] = [0.5]
+
+
+@pytest.mark.parametrize("defect", ["basis-N", "short-pair", "directory"])
+def test_report_malformed_state_document_exits_2(tmp_path, capsys, defect):
+    path = _write_state(tmp_path, capsys, "s.json", "--family", "glauber",
+                        "--alpha", "0.3", "--cutoff", "32")
+    if defect == "directory":
+        path = str(tmp_path)
+    else:
+        doc = json.loads(pathlib.Path(path).read_text())
+        {"basis-N": _break_basis_n, "short-pair": _break_amplitude_pair}[defect](doc)
+        pathlib.Path(path).write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "report", "--state", path,
+                             "--observables", "canonical")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidInputError"
+
+
 # -- distance ---------------------------------------------------------------
 
 def test_distance_identity_closed_form(tmp_path, capsys):
@@ -368,6 +396,40 @@ def test_scan_random_psd_parallel_determinism(tmp_path, capsys):
         # sigma and sigma + iC stay PSD for arbitrary normalized states
         assert float(cells[3]) > -1e-8
         assert float(cells[4]) > -1e-8
+
+
+def test_scan_jobs_are_clamped_to_the_cpu_count(tmp_path, capsys, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Runs the tasks in this process and records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    out = tmp_path / "rows.csv"
+    code, _, _ = run_cli(capsys, "scan", "--suite", "even-odd", "--jobs", "1000",
+                         "--out", str(out))
+    assert code == 0
+    assert started == [3]
+    assert len(out.read_text().strip().split("\n")) == 33
+    # one CPU (or an unknown count) runs the scan serially
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    code, _, _ = run_cli(capsys, "scan", "--suite", "even-odd", "--jobs", "4",
+                         "--out", str(out))
+    assert code == 0
+    assert started == [3]
 
 
 def test_scan_seed_changes_rows(tmp_path, capsys):

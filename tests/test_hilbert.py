@@ -1,5 +1,7 @@
 """Bases, state containers, and the ladder representations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from urstates.errors import (
     UnsupportedScaleError,
 )
 from urstates.hilbert import (
+    MAX_BASIS_DIM,
     BasisSpec,
     DensityMatrix,
     Operator,
@@ -46,6 +49,20 @@ def test_basis_validation():
         su2_basis(0.6)
     with pytest.raises(UnsupportedScaleError):
         multimode_basis(3, 8)
+    for bad_j in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            su2_basis(bad_j)
+
+
+def test_basis_dimension_is_capped():
+    assert su2_basis((MAX_BASIS_DIM - 1) / 2).dim == MAX_BASIS_DIM
+    assert multimode_basis(2, 256).dim == MAX_BASIS_DIM
+    with pytest.raises(UnsupportedScaleError, match="MAX_BASIS_DIM"):
+        su2_basis(MAX_BASIS_DIM / 2)
+    with pytest.raises(UnsupportedScaleError, match="MAX_BASIS_DIM"):
+        multimode_basis(2, 257)
+    with pytest.raises(UnsupportedScaleError, match="MAX_BASIS_DIM"):
+        BasisSpec.from_dict({"kind": "su2", "j": 1e300})
 
 
 def test_fock_tail_window_is_top_decile():

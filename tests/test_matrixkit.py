@@ -63,6 +63,13 @@ def test_square_input_is_enforced():
         char_coeffs(np.zeros((0, 0)))
     with pytest.raises(InvalidInputError):
         char_coeffs(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidInputError):
+        char_coeffs(np.zeros((3, 2, 3)))
+    # only char_coeffs and psd_min_eig take stacks
+    with pytest.raises(InvalidInputError):
+        principal_minor_sum(np.zeros((2, 3, 3)), 1)
+    with pytest.raises(InvalidInputError):
+        targeted_eigenvector(np.zeros((2, 3, 3)), 0.0)
 
 
 def test_minor_sum_argument_checks():
@@ -86,6 +93,56 @@ def test_psd_min_eig_known_values():
 def test_psd_min_eig_rejects_non_hermitian():
     with pytest.raises(InvalidInputError):
         psd_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _hermitian_stack(rng, shape, n):
+    A = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    return A + np.swapaxes(A, -2, -1).conj()
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
+def test_stacks_equal_the_per_matrix_results(shape):
+    rng = np.random.default_rng(17)
+    H = _hermitian_stack(rng, shape, 3)
+    lam = psd_min_eig(H)
+    coeffs = char_coeffs(H)
+    assert lam.shape == shape and coeffs.shape == shape + (4,)
+    for idx in np.ndindex(*shape):
+        assert lam[idx] == psd_min_eig(H[idx])
+        np.testing.assert_array_equal(coeffs[idx], char_coeffs(H[idx]))
+    real = H.real
+    np.testing.assert_array_equal(char_coeffs(real)[(0,) * len(shape)],
+                                  char_coeffs(real[(0,) * len(shape)]))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_stack_is_refused_for_one_bad_matrix(k):
+    rng = np.random.default_rng(19)
+    H = _hermitian_stack(rng, (4,), 3)
+    skewed = H.copy()
+    # within 1e-12 of the largest entry of one matrix is still Hermitian...
+    skewed[k, 0, 1] += 1e-13 * np.abs(H[k]).max()
+    psd_min_eig(skewed)
+    # ...but past it that one matrix sinks the whole stack
+    skewed[k, 0, 1] += 1e-9 * np.abs(H[k]).max()
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        psd_min_eig(skewed)
+    for bad in (np.nan, np.inf):
+        broken = H.copy()
+        broken[k, 2, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            psd_min_eig(broken)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            char_coeffs(broken)
+
+
+def test_hermiticity_tolerance_is_relative_to_each_matrix():
+    # a deviation that is small next to a large matrix elsewhere in the
+    # stack still counts against the small matrix it sits in
+    small = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    large = 1e6 * np.eye(2)
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        psd_min_eig(np.stack([large, small]))
 
 
 def test_targeted_eigenvector_on_normal_matrix():

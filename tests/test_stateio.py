@@ -54,6 +54,10 @@ def test_malformed_documents_are_rejected():
         lambda d: d.pop("basis"),
         lambda d: d.pop("amplitudes"),
         lambda d: d.__setitem__("basis", None),
+        lambda d: d.__setitem__("basis", {"kind": "fock", "N": "abc"}),
+        lambda d: d.__setitem__("basis", {"kind": "fock", "N": 1e999}),
+        lambda d: d.__setitem__("amplitudes", [[0.5]] + d["amplitudes"][1:]),
+        lambda d: d.__setitem__("amplitudes", [["a", 0.0]] + d["amplitudes"][1:]),
     ):
         doc = {k: v for k, v in good.items()}
         mutilate(doc)

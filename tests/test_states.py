@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -466,6 +467,17 @@ def test_su2_cs_weight_mean():
     t2 = abs(tau) ** 2
     assert rep.means[2] == pytest.approx(j * (t2 - 1) / (t2 + 1), rel=1e-12)
     assert su2_cs(0.0, 0.5).amplitudes[0] == 1.0
+
+
+def test_su2_cs_refuses_a_huge_spin_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="MAX_BASIS_DIM"):
+            su2_cs(0.5, 1e12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,16 @@ from urstates.errors import (
     InvalidInputError,
     TruncationError,
 )
-from urstates.hilbert import Operator, basis_state, fock_basis, su11_basis
-from urstates.moments import ObservableSet, observable_set
+from urstates.hilbert import (
+    DensityMatrix,
+    Operator,
+    StateVector,
+    basis_state,
+    fock_basis,
+    su11_basis,
+)
+from urstates.matrixkit import char_coeffs
+from urstates.moments import ObservableSet, moment_report, observable_set
 from urstates.states import canonical_ss, glauber, su2_cs
 from urstates.urcheck import (
     char_ur_report,
@@ -86,6 +94,99 @@ def test_extended_report_sums_matrices():
         char_ur_report(obs, [])
     with pytest.raises(InvalidInputError):
         char_ur_report(obs, [s1] * 9)
+
+
+REGISTRY = [("canonical", 32), ("canonical:2", 6), ("su11:0.5", 32), ("su11:1", 32),
+            ("su2:1", None), ("su2:2.5", None), ("a2-quadratures", 32)]
+
+
+def _random_states(rng, basis, count):
+    amps = rng.standard_normal((count, basis.dim)) + 1j * rng.standard_normal((count, basis.dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    return [StateVector(amp, basis) for amp in amps]
+
+
+def _summed_report_loop(obs, states):
+    """The per-state route: one moment report per state, summed, then gaps."""
+    sigma = sum(moment_report(obs, st, max_tail=None).sigma for st in states)
+    commut = sum(moment_report(obs, st, max_tail=None).commut for st in states)
+    return sigma, commut, char_coeffs(sigma.astype(complex)).real, \
+        char_coeffs(commut.astype(complex)).real
+
+
+@pytest.mark.parametrize("name,N", REGISTRY)
+def test_stacked_report_equals_the_summed_per_state_loop(name, N):
+    obs = observable_set(name, N=N)
+    rng = np.random.default_rng(23)
+    for count in range(1, 9):
+        states = _random_states(rng, obs.basis, count)
+        rep = char_ur_report(obs, states, max_tail=None)
+        sigma, commut, cs, cc = _summed_report_loop(obs, states)
+        assert rep.n_states == count
+        tol = 1e-14 * max(1.0, np.abs(sigma).max()) ** obs.n
+        for r, rec in rep.order_gaps.items():
+            assert abs(rec.c_sigma - cs[r]) <= tol
+            assert abs(rec.c_comm - cc[r]) <= tol
+        for (i, j), rec in rep.pair_gaps.items():
+            s11, s22, s12, c12 = sigma[i, i], sigma[j, j], sigma[i, j], commut[i, j]
+            scale = 1e-14 * max(1.0, s11, s22) ** 2
+            assert abs(rec.sum_gap - (s11 + s22 - 2.0 * abs(c12))) <= scale
+            assert abs(rec.schr_gap - (s11 * s22 - s12 ** 2 - c12 ** 2)) <= scale
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_list_errors_fire_on_the_kth_state(k):
+    obs = observable_set("canonical", N=32)
+    good = [glauber(0.1 * m, N=32) for m in range(5)]
+    wrong_basis = good.copy()
+    wrong_basis[k] = glauber(0.2, N=40)
+    with pytest.raises(BasisMismatchError):
+        char_ur_report(obs, wrong_basis)
+    leaking = good.copy()
+    leaking[k] = basis_state(obs.basis, 31)
+    with pytest.raises(TruncationError):
+        char_ur_report(obs, leaking)
+    # states are checked in list order: the first offender decides the error
+    both = good.copy()
+    both[k] = basis_state(obs.basis, 31)
+    both[-1] = glauber(0.2, N=40)
+    expected = BasisMismatchError if k == len(both) - 1 else TruncationError
+    with pytest.raises(expected):
+        char_ur_report(obs, both)
+
+
+def test_list_with_a_density_matrix_matches_its_pure_twin():
+    obs = observable_set("su11:0.5", N=24)
+    rng = np.random.default_rng(31)
+    s1, s2, s3 = _random_states(rng, obs.basis, 3)
+    rho = DensityMatrix(np.outer(s1.amplitudes, s1.amplitudes.conj()), obs.basis)
+    mixed = char_ur_report(obs, [rho, s2, s3], max_tail=None)
+    pure = char_ur_report(obs, [s1, s2, s3], max_tail=None)
+    for r, rec in pure.order_gaps.items():
+        assert mixed.order_gaps[r].gap == pytest.approx(rec.gap, rel=1e-12, abs=1e-12)
+    for key, rec in pure.pair_gaps.items():
+        assert mixed.pair_gaps[key].schr_gap == pytest.approx(rec.schr_gap, rel=1e-12)
+    with pytest.raises(InvalidInputError):
+        char_ur_report(obs, [s1, "not a state"], max_tail=None)
+
+
+def test_pure_reports_run_no_psd_eigensolve(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    obs = observable_set("su2:1")
+    states = _random_states(np.random.default_rng(37), obs.basis, 4)
+    char_ur_report(obs, states, max_tail=None)
+    char_ur_report(obs, states[0], max_tail=None)
+    assert calls == []
+    moment_report(obs, states[0], max_tail=None)
+    # both certificates come from one LAPACK call on [sigma, sigma + iC]
+    assert calls == [(2, 3, 3)]
 
 
 def test_two_state_schrodinger_reduces_to_single():
