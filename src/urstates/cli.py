@@ -39,7 +39,7 @@ from .hilbert import Operator, StateVector, su11_rep
 from .intelligent import minimizer_certificate
 from .metrics import g_overlap
 from .moments import _default_cutoff, moment_report, observable_set
-from .stateio import load_state, state_to_dict
+from .stateio import document_text, load_state, state_to_dict
 from .states import (
     bg_cs,
     canonical_ss,
@@ -92,7 +92,7 @@ def _emit_error(exc):
 
 
 def _write_json(doc, out):
-    text = json.dumps(doc, indent=1) + "\n"
+    text = document_text(doc)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -455,7 +455,16 @@ def _expr_callable(expr):
             )
 
     def fn(t):
-        return float(eval(code, {"__builtins__": {}}, {**_EXPR_NS, "t": t}))
+        t = float(t)
+        try:
+            val = float(eval(code, {"__builtins__": {}}, {**_EXPR_NS, "t": t}))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise InvalidInputError(
+                f"profile expression {expr!r} fails at t={t!r}: {exc}"
+            ) from exc
+        if not math.isfinite(val):
+            raise InvalidInputError(f"profile expression {expr!r} is {val} at t={t!r}")
+        return val
 
     return fn
 
@@ -490,13 +499,24 @@ def _profile_field(doc, key, required=True):
 
 
 def _load_profile(path):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(
-                f"profile file {path!r} is not valid JSON: {exc}"
-            ) from exc
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read profile file {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(
+            f"profile file {path!r} must hold a JSON object, got {type(doc).__name__}"
+        )
+    try:
+        return _profile_from_dict(doc)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed profile document {path!r}: {exc}") from exc
+
+
+def _profile_from_dict(doc):
     kind = doc.get("kind")
     if kind == "omega":
         return OscillatorProfile.from_omega(

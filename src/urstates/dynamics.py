@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DegenerateParameterError,
@@ -55,6 +54,8 @@ def _as_callable(f):
     if callable(f):
         return f
     val = float(f)
+    if not math.isfinite(val):
+        raise InvalidInputError(f"profile constant must be finite, got {val}")
     return lambda t: val
 
 
@@ -84,9 +85,9 @@ class OscillatorProfile:
         if omega0 is None:
             omega0 = om(0.0)
         omega0 = float(omega0)
-        if omega0 <= 0.0 or om(0.0) <= 0.0:
+        if not (0.0 < omega0 < math.inf and 0.0 < om(0.0) < math.inf):
             raise InvalidInputError(
-                f"frequency profile needs omega(0) > 0 and omega0 > 0, "
+                f"frequency profile needs finite omega(0) > 0 and omega0 > 0, "
                 f"got omega(0)={om(0.0)}, omega0={omega0}"
             )
         g3 = lambda t, _om=om, _w0=omega0: _om(t) ** 2 / (2.0 * _w0 * _w0)
@@ -96,8 +97,8 @@ class OscillatorProfile:
     @classmethod
     def from_g123(cls, g1, g2, g3, omega0, dg1=None, ddg1=None, dg2=None):
         omega0 = float(omega0)
-        if omega0 <= 0.0:
-            raise InvalidInputError(f"omega0 must be positive, got {omega0}")
+        if not 0.0 < omega0 < math.inf:
+            raise InvalidInputError(f"omega0 must be positive and finite, got {omega0}")
         return cls(kind="g123", omega0=omega0,
                    g1=_as_callable(g1), g2=_as_callable(g2), g3=_as_callable(g3),
                    dg1=None if dg1 is None else _as_callable(dg1),
@@ -190,6 +191,10 @@ def integrate_epsilon(profile, t_grid, eps0=None, deps0=None):
         om2 = effective_frequency(profile, tt)
         return [y[2], y[3], -om2 * y[0], -om2 * y[1]]
 
+    # scipy.integrate loads scipy.optimize with it, together slower to import
+    # than the rest of the package: only the calls that integrate pay for it
+    from scipy.integrate import solve_ivp
+
     y0 = [eps0.real, eps0.imag, deps0.real, deps0.imag]
     sol = solve_ivp(rhs, (t[0], t[-1]), y0, t_eval=t, method="RK45",
                     rtol=1e-11, atol=1e-13)
@@ -198,7 +203,7 @@ def integrate_epsilon(profile, t_grid, eps0=None, deps0=None):
     eps = sol.y[0] + 1j * sol.y[1]
     deps = sol.y[2] + 1j * sol.y[3]
     drift = float(np.max(np.abs(np.conj(eps) * deps - eps * np.conj(deps) - 2j)))
-    if drift > WRONSKIAN_TOL:
+    if not drift <= WRONSKIAN_TOL:  # a NaN drift fails too
         raise NumericError(
             f"step-size failure: Wronskian drift {drift:.3e} exceeds "
             f"{WRONSKIAN_TOL:.1e}"
@@ -343,6 +348,8 @@ def classical_flow(profile, init, t_grid):
             -w0 * (2.0 * g2 * pt + 2.0 * g3 * qt - g1 / (2.0 * qt ** 3)),
             w0 * (2.0 * g1 * pt + 2.0 * g2 * qt),
         ]
+
+    from scipy.integrate import solve_ivp
 
     y0 = [init.p_mean, init.q_mean, init.p_tilde, init.q_tilde]
     sol = solve_ivp(rhs, (t[0], t[-1]), y0, t_eval=t, method="RK45",

@@ -15,6 +15,8 @@ Truncation honesty is tracked through tail-mass certificates: the recorded
 tail of a state is the probability sitting in the top 10% of basis levels.
 """
 
+import math
+
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +134,15 @@ class BasisSpec:
         for _ in range(self.s - 1):
             mask = np.logical_or.outer(mask, per_mode).ravel()
         return mask
+
+    def tail_sum(self, prob):
+        """Sum of the per-index weights ``prob`` over the recorded tail region.
+
+        Outside multimode the tail is a trailing slice, so no mask is built.
+        """
+        if self.kind == "multimode":
+            return float(np.sum(prob[self.tail_index_mask()]))
+        return float(np.sum(prob[self.tail_start():]))
 
     def to_dict(self):
         d = {"kind": self.kind}
@@ -309,13 +320,14 @@ class StateVector:
             raise BasisMismatchError(
                 f"amplitude vector length {amp.size} does not match basis dim {self.basis.dim}"
             )
-        norm2 = float(np.sum(np.abs(amp) ** 2))
-        if not np.isfinite(norm2):
+        prob = np.abs(amp) ** 2
+        norm2 = float(np.sum(prob))
+        if not math.isfinite(norm2):
             raise InvalidInputError("state amplitudes must be finite")
         if abs(norm2 - 1.0) > 1e-12:
             raise InvalidInputError(f"state not normalized: sum |a_n|^2 = {norm2!r}")
         self.amplitudes = amp
-        self.tail_mass = float(np.sum(np.abs(amp[self.basis.tail_index_mask()]) ** 2))
+        self.tail_mass = self.basis.tail_sum(prob)
 
     @property
     def dim(self):
@@ -336,6 +348,8 @@ class DensityMatrix:
             raise BasisMismatchError(
                 f"density matrix shape {rho.shape} does not match basis dim {self.basis.dim}"
             )
+        if not np.all(np.isfinite(rho)):
+            raise InvalidInputError("density matrix entries must be finite")
         scale = max(1.0, np.abs(rho).max())
         if np.abs(rho - rho.conj().T).max() > 1e-12 * scale:
             raise InvalidInputError("density matrix is not Hermitian within 1e-12")
@@ -346,8 +360,7 @@ class DensityMatrix:
         if lam_min < -1e-10:
             raise InvalidInputError(f"density matrix has negative eigenvalue {lam_min:.3e}")
         self.matrix = rho
-        diag = np.real(np.diag(rho))
-        self.tail_mass = float(np.sum(diag[self.basis.tail_index_mask()]))
+        self.tail_mass = self.basis.tail_sum(np.real(np.diag(rho)))
 
     @property
     def dim(self):

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
 from .hilbert import BasisSpec, StateVector
 
 __all__ = ["state_to_dict", "state_from_dict", "save_state", "load_state"]
@@ -54,10 +54,19 @@ def state_from_dict(doc):
     return StateVector(amp, basis, family=family, params=params)
 
 
+def document_text(doc):
+    """The JSON text written for a document.  A NaN or infinity anywhere in
+    it is a NumericError, raised before anything is written."""
+    try:
+        return json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"document holds a non-finite number: {exc}") from exc
+
+
 def save_state(state, path):
+    text = document_text(state_to_dict(state))
     with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_state(path):

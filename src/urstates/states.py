@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateParameterError,
@@ -117,6 +116,16 @@ def _require_finite(family, **params):
     bad = [name for name, val in params.items() if not cmath.isfinite(val)]
     if bad:
         raise InvalidInputError(f"{family}: parameter {', '.join(bad)} must be finite")
+
+
+def _log_weights(ratio, log_x=0.0):
+    """log|c_n / c_0|, n = 0..len(ratio), for the step ratios
+    |c_{n+1} / c_n| = e^{log_x} ratio[n], as one running sum of logs.
+
+    The family parameter enters through its log, so a tiny one cannot
+    underflow a step ratio to zero.
+    """
+    return np.concatenate(([0.0], np.cumsum(log_x + np.log(ratio))))
 
 
 def _top_mass(amp, levels=2):
@@ -305,7 +314,8 @@ def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
         amp[0] = 1.0
     else:
         idx = np.arange(start, N, 2)
-        logs = idx * math.log(aa) - 0.5 * gammaln(idx + 1.0)
+        i = idx[:-1]
+        logs = _log_weights(1.0 / np.sqrt((i + 1.0) * (i + 2.0)), 2.0 * math.log(aa))
         logs -= logs.max()
         phases = np.exp(1j * cmath.phase(alpha) * idx)
         amp[idx] = np.exp(logs) * phases
@@ -344,7 +354,8 @@ def bg_cs(z, k, N=None):
         amp[0] = 1.0
     else:
         n = np.arange(N, dtype=float)
-        logs = n * math.log(az) - 0.5 * (gammaln(n + 1.0) + gammaln(2.0 * k + n))
+        m = n[:-1]
+        logs = _log_weights(1.0 / np.sqrt((m + 1.0) * (2.0 * k + m)), math.log(az))
         logs -= logs.max()
         amp = np.exp(logs) * np.exp(1j * cmath.phase(z) * n)
         amp /= np.linalg.norm(amp)
@@ -412,9 +423,8 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
         amp[0] = 1.0
     else:
         n = np.arange(N, dtype=float)
-        logs = n * math.log(ax) + 0.5 * (
-            gammaln(2.0 * k + n) - gammaln(2.0 * k) - gammaln(n + 1.0)
-        )
+        m = n[:-1]
+        logs = _log_weights(np.sqrt((2.0 * k + m) / (m + 1.0)), math.log(ax))
         logs -= logs.max()
         amp = np.exp(logs) * np.exp(1j * cmath.phase(xi) * n)
         amp /= np.linalg.norm(amp)
@@ -465,10 +475,8 @@ def su2_cs(tau, j):
     if tau == 0.0:
         return basis_state(basis, 0)
     n = np.arange(dim, dtype=float)
-    twoj = 2.0 * j
-    logs = n * math.log(abs(tau)) + 0.5 * (
-        gammaln(twoj + 1.0) - gammaln(n + 1.0) - gammaln(twoj - n + 1.0)
-    )
+    m = n[:-1]
+    logs = _log_weights(np.sqrt((2.0 * j - m) / (m + 1.0)), math.log(abs(tau)))
     logs -= logs.max()
     amp = np.exp(logs) * np.exp(1j * cmath.phase(tau) * n)
     amp /= np.linalg.norm(amp)
@@ -518,8 +526,8 @@ def _intelligent_amplitudes(u, v, w, z, k, l, N):
     else:
         base, a_par, x_arg, _n0 = min(branches, key=lambda b: abs(b[0]))
 
-    n = np.arange(N, dtype=float)
-    half_log_poch = 0.5 * (gammaln(2.0 * k + n) - gammaln(2.0 * k) - gammaln(n + 1.0))
+    n = np.arange(N - 1, dtype=float)
+    half_log_poch = _log_weights(np.sqrt((2.0 * k + n) / (n + 1.0)))
     b = np.empty(N, dtype=np.complex128)
     for m in range(N):
         f = gauss2f1_terminating(a_par, m, 2.0 * k, x_arg)

@@ -7,7 +7,10 @@ and strings, floats to tight tolerance) rather than byte-for-byte.
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -360,12 +363,31 @@ def test_evolve_expression_and_sampled_profiles(tmp_path, capsys):
     {"kind": "omega", "omega": [2.0]},
     {"kind": "g123", "g1": 0.5, "g2": 0.0, "g3": 0.5},
     {"kind": "g123", "g1": 1.0, "g2": 0.0, "g3": 1.0, "omega0": 1.0},
+    [1],
+    {"kind": "omega", "omega": 1.0, "omega0": "x"},
+    {"kind": "omega", "omega": 1.0, "omega0": math.nan},
+    {"kind": "omega", "omega": math.inf},
+    {"kind": "g123", "g1": 0.5, "g2": 0.0, "g3": 0.5, "omega0": math.nan},
+    {"kind": "omega", "omega": "sqrt(0.5 - t)"},
+    {"kind": "omega", "omega": "1 + (0.5 - t) ** 0.5"},
+    {"kind": "omega", "omega": "1 + 1e300 * 1e300 * t"},
 ])
 def test_evolve_rejects_bad_profiles(tmp_path, capsys, doc):
     prof = _profile(tmp_path, doc)
-    code, _, err = run_cli(capsys, "evolve", "--profile", prof,
-                           "--t0", "0", "--t1", "1", "--samples", "5")
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof,
+                             "--t0", "0", "--t1", "1", "--samples", "5")
     assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+def test_evolve_profile_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "evolve", "--profile", str(tmp_path),
+                             "--t0", "0", "--t1", "1", "--samples", "5")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "InvalidInputError"
 
 
@@ -374,6 +396,19 @@ def test_evolve_missing_profile_file(tmp_path, capsys):
                            str(tmp_path / "ghost.json"))
     assert code == 2
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "file"])
+def test_non_finite_document_exits_1(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.setattr(cli, "state_to_dict", lambda state: {"tail_mass": math.nan})
+    path = tmp_path / "state.json"
+    argv = ["state", "--family", "glauber", "--alpha", "0.5", "--cutoff", "32"]
+    code, stdout, err = run_cli(capsys, *argv, *(["--out", str(path)] if out else []))
+    assert code == 1
+    assert stdout == ""
+    assert not path.exists()
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NumericError"
 
 
 # -- scan -------------------------------------------------------------------
@@ -511,3 +546,31 @@ def test_golden_evolve_table(tmp_path, capsys):
                            "--t0", "0", "--t1", "1", "--samples", "5")
     assert code == 0
     assert_csv_matches(out, (GOLDEN / "evolve_const.csv").read_text())
+
+
+# -- cold start ---------------------------------------------------------------
+
+_COLD_IMPORT_PROBE = """
+import json, sys
+import urstates.cli
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+before = [m for m in heavy if m in sys.modules]
+from urstates.dynamics import OscillatorProfile, integrate_epsilon
+traj = integrate_epsilon(OscillatorProfile.from_omega(1.0), [0.0, 0.5, 1.0])
+print(json.dumps({"before": before, "after": "scipy.integrate" in sys.modules,
+                  "drift": traj.wronskian_drift}))
+"""
+
+
+def test_cli_import_leaves_integrate_optimize_and_special_unloaded():
+    # those three cost most of a cold `urstates report`; only the evolve and
+    # dynamics criteria need scipy.integrate, and they import it on first use
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["before"] == []
+    assert seen["after"] is True
+    assert seen["drift"] < 1e-8

@@ -98,6 +98,30 @@ def test_state_vector_validation():
         StateVector(np.full(8, 0.5), b)
     with pytest.raises(BasisMismatchError):
         StateVector(np.zeros(7), b)
+    amp = np.zeros(8, dtype=complex)
+    amp[0] = 1.0 + 2e-12
+    with pytest.raises(InvalidInputError, match="normalized"):
+        StateVector(amp, b)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        amp = np.zeros(8, dtype=complex)
+        amp[0], amp[5] = 1.0, bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            StateVector(amp, b)
+
+
+@pytest.mark.parametrize("basis", [fock_basis(37), su11_basis(0.75, 50),
+                                   su2_basis(3.5), multimode_basis(1, 12),
+                                   multimode_basis(2, 9)])
+def test_tail_mass_is_the_sum_over_the_tail_mask(basis):
+    rng = np.random.default_rng(7)
+    amp = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    amp /= np.linalg.norm(amp)
+    prob = np.abs(amp) ** 2
+    mask = basis.tail_index_mask()
+    assert StateVector(amp, basis).tail_mass == float(np.sum(prob[mask]))
+    rho = np.outer(amp, amp.conj())
+    diag = np.real(np.diag(rho))
+    assert DensityMatrix(rho, basis).tail_mass == float(np.sum(diag[mask]))
 
 
 def test_basis_state():
@@ -122,6 +146,11 @@ def test_density_matrix_validation():
     skew[0, 1] = 0.3
     with pytest.raises(InvalidInputError):
         DensityMatrix(skew, b)
+    for bad in (np.nan, np.inf):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            DensityMatrix(rho, b)
 
 
 def test_density_matrix_tail():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from urstates.errors import InvalidInputError
+from urstates.errors import InvalidInputError, NumericError
 from urstates.states import bg_cs, even_odd_cs, glauber, su2_cs, su11_cs
 from urstates.stateio import (
+    document_text,
     load_state,
     save_state,
     state_from_dict,
@@ -78,3 +79,16 @@ def test_unsupported_param_type():
                       params={"blob": object()})
     with pytest.raises(InvalidInputError):
         state_to_dict(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_numbers_never_reach_a_document(tmp_path, bad):
+    state = glauber(0.2, N=32)
+    odd = type(state)(state.amplitudes, state.basis, family="glauber",
+                      params={"alpha": bad})
+    path = tmp_path / "state.json"
+    with pytest.raises(NumericError):
+        save_state(odd, path)
+    assert not path.exists()
+    with pytest.raises(NumericError):
+        document_text({"gaps": [0.0, bad]})

@@ -561,3 +561,77 @@ def test_su11_intelligent_spectrum_contract():
         su11_intelligent_spectrum(0.6, 0.6, 1.0, 0.5)
     with pytest.raises(InvalidInputError):
         su11_intelligent_spectrum(0.3, 0.2, 1.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# log-weights as running sums of step ratios, against a log-gamma oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_amplitudes(logs, phase, n):
+    """Normalized amplitudes from log|c_n| and the per-level phase n*phase."""
+    amp = np.exp(logs - logs.max()) * np.exp(1j * phase * n)
+    return amp / np.linalg.norm(amp)
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 2.0])
+@pytest.mark.parametrize("N", [None, 1100])
+def test_su11_cs_log_weights_match_gammaln(k, N):
+    xi = 0.975 * cmath.exp(2.2j)
+    st = su11_cs(xi, k, N=N)
+    n = np.arange(st.dim, dtype=float)
+    logs = n * math.log(abs(xi)) + 0.5 * (special.gammaln(2 * k + n)
+                                          - special.gammaln(n + 1.0))
+    ref = _oracle_amplitudes(logs, cmath.phase(xi), n)
+    assert np.max(np.abs(st.amplitudes - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("j", [0.5, 7.5, 120.0, 500.0])
+@pytest.mark.parametrize("tau", [0.2 * cmath.exp(0.4j), 1.3 * cmath.exp(-2.0j), 5.0])
+def test_su2_cs_log_weights_match_gammaln(j, tau):
+    st = su2_cs(tau, j)
+    n = np.arange(st.dim, dtype=float)
+    logs = n * math.log(abs(tau)) + 0.5 * (special.gammaln(2 * j + 1.0)
+                                           - special.gammaln(n + 1.0)
+                                           - special.gammaln(2 * j - n + 1.0))
+    ref = _oracle_amplitudes(logs, cmath.phase(tau), n)
+    assert np.max(np.abs(st.amplitudes - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0, 3.5])
+def test_bg_cs_log_weights_match_gammaln(k):
+    z = 20.0 * cmath.exp(0.9j)
+    st = bg_cs(z, k, N=160)
+    n = np.arange(160, dtype=float)
+    logs = n * math.log(abs(z)) - 0.5 * (special.gammaln(n + 1.0)
+                                         + special.gammaln(2 * k + n))
+    ref = _oracle_amplitudes(logs, cmath.phase(z), n)
+    assert np.max(np.abs(st.amplitudes - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("alpha", [0.4j, 3.0 * cmath.exp(0.7j), -6.5])
+def test_even_odd_cs_log_weights_match_gammaln(parity, alpha):
+    st = even_odd_cs(alpha, parity, N=160)
+    idx = np.arange(0 if parity == "even" else 1, 160, 2)
+    logs = idx * math.log(abs(alpha)) - 0.5 * special.gammaln(idx + 1.0)
+    ref = np.zeros(160, dtype=complex)
+    ref[idx] = _oracle_amplitudes(logs, cmath.phase(alpha), idx)
+    assert np.max(np.abs(st.amplitudes - ref)) < 1e-12
+
+
+def test_terminating_intelligent_state_matches_gammaln_closed_form():
+    # on the Hermitian family the eigenvalue z = l (k + n0) makes the first
+    # parameter of the second hypergeometric form -n0: the series terminates
+    # and b_m = base^m sqrt((2k)_m / m!) 2F1(-n0, -m; 2k; x) in closed form
+    k, w, n0 = 0.75, 1.5, 3
+    u = 0.5 * cmath.exp(0.6j)
+    z = su11_intelligent_spectrum(u, np.conj(u), w, k, count=n0 + 1)[n0]
+    st = su11_intelligent(u, np.conj(u), w, z, k)
+    l = math.sqrt(w * w - 4 * abs(u) ** 2)
+    base, x = -(w - l) / (2 * u), -2 * l / (w - l)
+    m = np.arange(st.dim, dtype=float)
+    half_log_poch = 0.5 * (special.gammaln(2 * k + m) - special.gammaln(2 * k)
+                           - special.gammaln(m + 1.0))
+    b = base ** m * np.exp(half_log_poch) * special.hyp2f1(-n0, -m, 2 * k, x)
+    ref = b / np.linalg.norm(b)
+    assert np.max(np.abs(st.amplitudes - ref)) < 1e-12
