@@ -39,7 +39,7 @@ from .hilbert import Operator, StateVector, su11_rep
 from .intelligent import minimizer_certificate
 from .metrics import g_overlap
 from .moments import _default_cutoff, moment_report, observable_set
-from .stateio import document_text, load_state, state_to_dict
+from .stateio import document_text, load_state, read_document, state_to_dict
 from .states import (
     bg_cs,
     canonical_ss,
@@ -499,13 +499,7 @@ def _profile_field(doc, key, required=True):
 
 
 def _load_profile(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise InvalidInputError(f"cannot read profile file {path!r}: {exc}") from exc
+    doc = read_document(path, "profile")
     if not isinstance(doc, dict):
         raise InvalidInputError(
             f"profile file {path!r} must hold a JSON object, got {type(doc).__name__}"

@@ -12,7 +12,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericError
 from .hilbert import BasisSpec, StateVector
 
-__all__ = ["state_to_dict", "state_from_dict", "save_state", "load_state"]
+__all__ = ["state_to_dict", "state_from_dict", "save_state", "load_state",
+           "document_text", "read_document"]
 
 
 def _encode_param(value):
@@ -69,16 +70,21 @@ def save_state(state, path):
         fh.write(text)
 
 
-def load_state(path):
-    """Read a state document; an unreadable or malformed file is an
-    InvalidInputError, except a missing one, which stays FileNotFoundError."""
+def read_document(path, what):
+    """Parse the JSON file at ``path``; an unreadable or malformed file is an
+    InvalidInputError, except a missing one, which stays FileNotFoundError.
+    ``what`` names the kind of document in the message."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise
     except ValueError as exc:
-        raise InvalidInputError(f"state file {path!r} is not valid JSON: {exc}") from exc
+        raise InvalidInputError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
     except OSError as exc:
-        raise InvalidInputError(f"cannot read state file {path!r}: {exc}") from exc
-    return state_from_dict(doc)
+        raise InvalidInputError(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
+def load_state(path):
+    """Read a state document (see `read_document` for the errors)."""
+    return state_from_dict(read_document(path, "state"))
