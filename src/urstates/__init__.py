@@ -93,6 +93,6 @@ from .dynamics import (
     wavefunction,
 )
 from .metrics import DistanceResult, g_overlap
-from .acceptance import CRITERIA, CriterionResult, run as run_acceptance
+from .acceptance import CRITERIA, CriterionResult
 
 __version__ = "1.0.0"

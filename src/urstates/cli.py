@@ -17,13 +17,7 @@ import argparse
 import csv
 import json
 import math
-import cmath
-import os
-import re
 import sys
-
-from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,10 +29,10 @@ from .errors import (
     NumericError,
     TruncationError,
 )
-from .hilbert import Operator, StateVector, su11_rep
+from .hilbert import Operator, su11_rep
 from .intelligent import minimizer_certificate
 from .metrics import g_overlap
-from .moments import _default_cutoff, moment_report, observable_set
+from .moments import _default_cutoff, _parse_set_name, moment_report, observable_set
 from .stateio import document_text, load_state, read_document, state_to_dict
 from .states import (
     bg_cs,
@@ -186,56 +180,36 @@ def _cmd_state(args):
 # report
 # ---------------------------------------------------------------------------
 
+_SET_BASIS = {"canonical": "fock", "a2-quadratures": "fock", "su11": "su11", "su2": "su2"}
+_BASIS_WORDS = {"multimode": "a two-mode", "fock": "a Fock-basis",
+                "su11": "an su11-basis", "su2": "an su2-basis"}
+
+
 def _resolve_observables(name, basis):
     """Build a registry observable set on the basis the state lives in.
 
     A bare family name picks up the state's own parameters (k, j, cutoff);
     an explicit ``:x`` suffix must agree with them.
     """
-    m = re.fullmatch(r"([a-z0-9-]+?)(?::([0-9.]+))?", name.strip())
-    if not m:
-        raise InvalidInputError(f"malformed observable-set name {name!r}")
-    head, arg = m.group(1), m.group(2)
-
-    if head == "canonical" and arg == "2":
-        if basis.kind != "multimode":
-            raise BasisMismatchError(
-                f"observable set {name!r} needs a two-mode state, got basis "
-                f"{basis.kind!r}"
-            )
+    head, arg = _parse_set_name(name)
+    if head not in _SET_BASIS:
+        raise InvalidInputError(f"unknown observable set {name!r}")
+    kind = "multimode" if (head, arg) == ("canonical", 2) else _SET_BASIS[head]
+    if basis.kind != kind:
+        raise BasisMismatchError(
+            f"observable set {name!r} needs {_BASIS_WORDS[kind]} state, got basis "
+            f"{basis.kind!r}"
+        )
+    if head not in ("su11", "su2"):
         return observable_set(name, N=basis.N)
-    if head in ("canonical", "a2-quadratures"):
-        if basis.kind != "fock":
-            raise BasisMismatchError(
-                f"observable set {name!r} needs a Fock-basis state, got basis "
-                f"{basis.kind!r}"
-            )
-        return observable_set(head, N=basis.N)
-    if head == "su11":
-        if basis.kind != "su11":
-            raise BasisMismatchError(
-                f"observable set {name!r} needs an su11-basis state, got basis "
-                f"{basis.kind!r}"
-            )
-        k = float(arg) if arg else basis.k
-        if abs(k - basis.k) > 1e-12:
-            raise BasisMismatchError(
-                f"requested k={k:g} but the state carries k={basis.k:g}"
-            )
-        return observable_set(f"su11:{basis.k:g}", N=basis.N)
-    if head == "su2":
-        if basis.kind != "su2":
-            raise BasisMismatchError(
-                f"observable set {name!r} needs an su2-basis state, got basis "
-                f"{basis.kind!r}"
-            )
-        j = float(arg) if arg else basis.j
-        if abs(j - basis.j) > 1e-12:
-            raise BasisMismatchError(
-                f"requested j={j:g} but the state carries j={basis.j:g}"
-            )
-        return observable_set(f"su2:{basis.j:g}")
-    raise InvalidInputError(f"unknown observable set {name!r}")
+    # the set is built at the state's exact index: repr round-trips the float
+    letter = "k" if head == "su11" else "j"
+    value = getattr(basis, letter)
+    if arg is not None and abs(arg - value) > 1e-12:
+        raise BasisMismatchError(
+            f"requested {letter}={arg!r} but the state carries {letter}={value!r}"
+        )
+    return observable_set(f"{head}:{value!r}", N=basis.N)
 
 
 def _cmd_report(args):
@@ -274,163 +248,9 @@ def _cmd_report(args):
 # scan
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _obs_cached(name, N):
-    return observable_set(name, N=N)
-
-
-def _grid_squeeze_shell():
-    # eigenvalue phase tracks half the squeeze angle so the physical
-    # displacement stays bounded and the N=192 cutoff certifies every point
-    points = []
-    rs = np.linspace(0.0, 1.2, 20)
-    for i, r in enumerate(rs):
-        for m in range(20):
-            theta = 2.0 * math.pi * m / 20.0
-            amag = 2.0 * ((i + m) % 20) / 19.0
-            phi = theta / 2.0 + (i / 19.0 - 0.5) * (math.pi / 6.0)
-            points.append((float(r), theta, amag, phi))
-    return points
-
-
-def _row_squeeze_shell(seed, index, point):
-    r, theta, amag, phi = point
-    u = math.cosh(r)
-    v = math.sinh(r) * cmath.exp(1j * theta)
-    alpha = amag * cmath.exp(1j * phi)
-    st = canonical_ss(alpha, u, v, N=192)
-    obs = _obs_cached("canonical", 192)
-    rep = moment_report(obs, st)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
-    return [index, r, theta, alpha.real, alpha.imag,
-            rep.sigma[0, 0], rep.sigma[1, 1], rep.sigma[0, 1],
-            ur.pair_gaps[(0, 1)].schr_gap, st.tail_mass]
-
-
-def _grid_su11_cs():
-    points = []
-    for k in (0.5, 1.0, 2.0):
-        for rad in (0.3, 0.6, 0.9):
-            for m in range(8):
-                points.append((k, rad, 2.0 * math.pi * m / 8.0))
-    return points
-
-
-def _row_su11_cs(seed, index, point):
-    k, rad, phase = point
-    xi = rad * cmath.exp(1j * phase)
-    st = su11_cs(xi, k)
-    obs = _obs_cached(f"su11:{k:g}", st.basis.N)
-    rep = moment_report(obs, st)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
-    return [index, k, xi.real, xi.imag,
-            ur.pair_gaps[(0, 1)].schr_gap,
-            ur.pair_gaps[(0, 2)].schr_gap,
-            ur.pair_gaps[(1, 2)].schr_gap,
-            ur.order_gaps[2].gap, ur.order_gaps[3].gap,
-            rep.sigma[0, 0]]
-
-
-def _grid_bg_cs():
-    points = []
-    for k in (0.25, 0.5, 1.0, 2.0):
-        for rad in (0.75, 1.5, 2.25, 3.0):
-            for m in range(4):
-                points.append((k, rad, 2.0 * math.pi * m / 4.0))
-    return points
-
-
-def _row_bg_cs(seed, index, point):
-    k, rad, phase = point
-    z = rad * cmath.exp(1j * phase)
-    st = bg_cs(z, k, N=96)
-    obs = _obs_cached(f"su11:{k:g}", 96)
-    km = su11_rep(k, 96)["kminus"]
-    residual = float(np.linalg.norm(km.apply(st.amplitudes) - z * st.amplitudes))
-    rep = moment_report(obs, st)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
-    return [index, k, z.real, z.imag, residual,
-            rep.sigma[0, 0] - rep.sigma[1, 1],
-            ur.pair_gaps[(0, 1)].sum_gap, st.tail_mass]
-
-
-def _grid_even_odd():
-    points = []
-    for parity in ("even", "odd"):
-        for rad in (0.5, 1.0, 1.5, 2.0):
-            for m in range(4):
-                points.append((parity, rad, 2.0 * math.pi * m / 4.0))
-    return points
-
-
-def _row_even_odd(seed, index, point):
-    parity, rad, phase = point
-    alpha = rad * cmath.exp(1j * phase)
-    st = even_odd_cs(alpha, parity, N=128)
-    obs = _obs_cached("a2-quadratures", 128)
-    re_a2, im_a2 = obs.images(st.amplitudes)
-    residual = float(np.linalg.norm(re_a2 + 1j * im_a2 - alpha * alpha * st.amplitudes))
-    rep = moment_report(obs, st)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
-    return [index, parity, alpha.real, alpha.imag, residual,
-            rep.sigma[0, 1], ur.pair_gaps[(0, 1)].schr_gap]
-
-
-_PSD_FAMILIES = (("canonical", 32), ("su11:0.5", 24),
-                 ("su2:1", None), ("a2-quadratures", 24))
-
-
-def _grid_random_psd():
-    return [(name, trial) for name, _N in _PSD_FAMILIES for trial in range(50)]
-
-
-def _row_random_psd(seed, index, point):
-    name, trial = point
-    N = dict(_PSD_FAMILIES)[name]
-    obs = _obs_cached(name, N)
-    rng = np.random.default_rng((seed, index))
-    amp = rng.standard_normal(obs.basis.dim) + 1j * rng.standard_normal(obs.basis.dim)
-    amp /= np.linalg.norm(amp)
-    st = StateVector(amp, obs.basis, family="random")
-    rep = moment_report(obs, st, max_tail=None)
-    return [index, name, trial, rep.sigma_min_eig, rep.robertson_min_eig]
-
-
-_SCAN_SUITES = {
-    "squeeze-shell": (_grid_squeeze_shell, _row_squeeze_shell,
-                      ["index", "r", "theta", "re_alpha", "im_alpha",
-                       "dq2", "dp2", "dpq", "schr_gap", "tail_mass"]),
-    "su11-cs": (_grid_su11_cs, _row_su11_cs,
-                ["index", "k", "re_xi", "im_xi", "schr_01", "schr_02",
-                 "schr_12", "char2_gap", "char3_gap", "dk1_sq"]),
-    "bg-cs": (_grid_bg_cs, _row_bg_cs,
-              ["index", "k", "re_z", "im_z", "kminus_residual",
-               "variance_anisotropy", "sum_gap", "tail_mass"]),
-    "even-odd": (_grid_even_odd, _row_even_odd,
-                 ["index", "parity", "re_alpha", "im_alpha", "a2_residual",
-                  "covariance", "schr_gap"]),
-    "random-psd": (_grid_random_psd, _row_random_psd,
-                   ["index", "family", "trial", "sigma_min_eig",
-                    "robertson_min_eig"]),
-}
-
-
-def _scan_worker(task):
-    suite, seed, index, point = task
-    return _SCAN_SUITES[suite][1](seed, index, point)
-
-
 def _cmd_scan(args):
-    grid_fn, _row_fn, header = _SCAN_SUITES[args.suite]
-    tasks = [(args.suite, args.seed, index, point)
-             for index, point in enumerate(grid_fn())]
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        rows = [_scan_worker(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_worker, tasks, chunksize=8))
-    _write_csv(header, rows, args.out)
+    _grid, _row, header = acceptance.SUITES[args.suite]
+    _write_csv(header, acceptance.rows(args.suite, args.seed, args.jobs), args.out)
     return EX_OK
 
 
@@ -614,7 +434,7 @@ def _build_parser():
     p_rep.set_defaults(func=_cmd_report)
 
     p_scan = sub.add_parser("scan", help="sweep a named grid to CSV")
-    p_scan.add_argument("--suite", required=True, choices=sorted(_SCAN_SUITES))
+    p_scan.add_argument("--suite", required=True, choices=sorted(acceptance.SUITES))
     p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--seed", type=int, default=42)
     p_scan.add_argument("--out")

@@ -10,6 +10,7 @@ so the Robertson matrix R = sigma + iC is exactly the positive-semidefinite
 matrix of ordered central moments <dX_i dX_j>.
 """
 
+import math
 import os
 import re
 
@@ -113,6 +114,28 @@ class ObservableSet:
         return (rows * psi[..., src][..., :, None, :]).sum(axis=-3)
 
 
+def _parse_set_name(name):
+    """Split an observable-set name ``head`` or ``head:x`` into the head and
+    the scale x as a float (None without a suffix).
+
+    Any finite float literal is a valid suffix, so ``f"su11:{k!r}"`` names
+    the set at exactly k.
+    """
+    m = re.fullmatch(r"([a-z0-9-]+?)(?::(.+))?", name.strip())
+    if not m:
+        raise InvalidInputError(f"malformed observable-set name {name!r}")
+    head, arg = m.group(1), m.group(2)
+    if arg is None:
+        return head, None
+    try:
+        x = float(arg)
+    except ValueError:
+        raise InvalidInputError(f"malformed observable-set name {name!r}") from None
+    if not math.isfinite(x):
+        raise InvalidInputError(f"observable-set scale must be finite, got {name!r}")
+    return head, x
+
+
 def observable_set(name, N=None):
     """Build a named observable set.
 
@@ -125,28 +148,24 @@ def observable_set(name, N=None):
     - ``a2-quadratures`` — Hermitian quadratures of a^2:
       X = (a^2 + a^dag^2)/2, Y = (a^2 - a^dag^2)/(2i)
     """
-    m = re.fullmatch(r"([a-z0-9-]+?)(?::([0-9.]+))?", name.strip())
-    if not m:
-        raise InvalidInputError(f"malformed observable-set name {name!r}")
-    head, arg = m.group(1), m.group(2)
+    head, arg = _parse_set_name(name)
 
     if head == "canonical":
-        s = int(arg) if arg else 1
-        if s == 1:
+        if arg in (None, 1):
             rep = boson_rep(N if N else _default_cutoff(DEFAULT_FOCK_CUTOFF))
             return ObservableSet([rep["q"], rep["p"]], name="canonical")
-        if s == 2:
+        if arg == 2:
             rep = tensor_rep(2, N if N else DEFAULT_MODE_CUTOFF)
             return ObservableSet(rep["q"] + rep["p"], name="canonical:2")
-        raise InvalidInputError(f"canonical quadratures support s in {{1,2}}, got s={s}")
+        raise InvalidInputError(f"canonical quadratures support s in {{1,2}}, got s={arg:g}")
 
     if head == "su11":
-        k = float(arg) if arg else 0.5
+        k = 0.5 if arg is None else arg
         rep = su11_rep(k, N if N else _default_cutoff(DEFAULT_SU11_CUTOFF))
         return ObservableSet([rep["k1"], rep["k2"], rep["k3"]], name=f"su11:{k:g}")
 
     if head == "su2":
-        j = float(arg) if arg else 0.5
+        j = 0.5 if arg is None else arg
         rep = su2_rep(j)
         return ObservableSet([rep["j1"], rep["j2"], rep["j3"]], name=f"su2:{j:g}")
 

@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from urstates import cli
+from urstates import acceptance, cli
 from urstates.cli import main
 from urstates.stateio import load_state
 
@@ -228,16 +228,21 @@ def test_report_basis_mismatch(tmp_path, capsys):
 
 
 def test_report_su11_index_must_agree(tmp_path, capsys):
-    st = _write_state(tmp_path, capsys, "cs.json", "--family", "su11-cs",
-                      "--xi", "0.3", "--k", "1", "--cutoff", "64")
-    code, out, _ = run_cli(capsys, "report", "--state", st,
-                           "--observables", "su11")
-    assert code == 0
-    assert json.loads(out)["observables"] == "su11:1"
-    code2, _, err = run_cli(capsys, "report", "--state", st,
-                            "--observables", "su11:0.5")
-    assert code2 == 2
-    assert json.loads(err)["error"] == "BasisMismatchError"
+    # the set is built at the state's exact k, whose name shows k to 6
+    # significant digits
+    for k, shown in (("1", "su11:1"), ("0.3333333333333333", "su11:0.333333"),
+                     ("1.0000001", "su11:1")):
+        st = _write_state(tmp_path, capsys, "cs.json", "--family", "su11-cs",
+                          "--xi", "0.3", "--k", k, "--cutoff", "64")
+        for name in ("su11", f"su11:{k}"):
+            code, out, err = run_cli(capsys, "report", "--state", st,
+                                     "--observables", name)
+            assert code == 0, (k, name, err)
+            assert json.loads(out)["observables"] == shown
+        code2, _, err = run_cli(capsys, "report", "--state", st,
+                                "--observables", "su11:0.5")
+        assert code2 == 2
+        assert json.loads(err)["error"] == "BasisMismatchError"
 
 
 def test_report_missing_state_file(tmp_path, capsys):
@@ -413,17 +418,26 @@ def test_non_finite_document_exits_1(tmp_path, capsys, monkeypatch, out):
 
 # -- scan -------------------------------------------------------------------
 
-def test_scan_random_psd_parallel_determinism(tmp_path, capsys):
+@pytest.mark.parametrize("suite", sorted(acceptance.SUITES))
+def test_scan_parallel_determinism(tmp_path, capsys, suite):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    code1, _, _ = run_cli(capsys, "scan", "--suite", "random-psd",
-                          "--out", str(serial))
-    code2, _, _ = run_cli(capsys, "scan", "--suite", "random-psd",
+    code1, _, _ = run_cli(capsys, "scan", "--suite", suite, "--out", str(serial))
+    code2, _, _ = run_cli(capsys, "scan", "--suite", suite,
                           "--jobs", "2", "--out", str(parallel))
     assert code1 == 0 and code2 == 0
     assert serial.read_bytes() == parallel.read_bytes()
-
+    grid, _row, header = acceptance.SUITES[suite]
     lines = serial.read_text().strip().split("\n")
+    assert lines[0] == ",".join(header)
+    assert len(lines) == len(grid()) + 1
+
+
+def test_scan_random_psd_rows_are_psd(tmp_path, capsys):
+    out = tmp_path / "psd.csv"
+    code, _, _ = run_cli(capsys, "scan", "--suite", "random-psd", "--out", str(out))
+    assert code == 0
+    lines = out.read_text().strip().split("\n")
     assert lines[0] == "index,family,trial,sigma_min_eig,robertson_min_eig"
     assert len(lines) == 201
     for line in lines[1:]:
@@ -451,8 +465,8 @@ def test_scan_jobs_are_clamped_to_the_cpu_count(tmp_path, capsys, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 3)
     out = tmp_path / "rows.csv"
     code, _, _ = run_cli(capsys, "scan", "--suite", "even-odd", "--jobs", "1000",
                          "--out", str(out))
@@ -460,11 +474,19 @@ def test_scan_jobs_are_clamped_to_the_cpu_count(tmp_path, capsys, monkeypatch):
     assert started == [3]
     assert len(out.read_text().strip().split("\n")) == 33
     # one CPU (or an unknown count) runs the scan serially
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: None)
     code, _, _ = run_cli(capsys, "scan", "--suite", "even-odd", "--jobs", "4",
                          "--out", str(out))
     assert code == 0
     assert started == [3]
+
+
+def test_scan_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, "scan", "--suite", "random-psd", "--seed=-1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidInputError"
 
 
 def test_scan_seed_changes_rows(tmp_path, capsys):

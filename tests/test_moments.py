@@ -105,6 +105,18 @@ def test_observable_set_rejects_unknown_names():
         observable_set("a2-quadratures:2", N=16)
     with pytest.raises(InvalidInputError):
         observable_set("Canonical !!")
+    for bad in ("canonical:1.5", "su11:nan", "su11:inf", "su11:", "su11:1:2"):
+        with pytest.raises(InvalidInputError):
+            observable_set(bad, N=8)
+
+
+def test_observable_set_suffix_carries_the_exact_scale():
+    # any float repr is a valid suffix, and the set is built at exactly that
+    # value; the name shows it to 6 significant digits
+    for k in (1.0 / 3.0, 1.0000001, 1e-05):
+        obs = observable_set(f"su11:{k!r}", N=8)
+        assert obs.basis.k == k
+        assert obs.name == f"su11:{k:g}"
 
 
 def test_default_cutoff_env_override(monkeypatch):
