@@ -25,9 +25,7 @@ from .hilbert import (
     su2_basis,
     su2_rep,
     su11_basis,
-    su11_boson_rep,
     su11_rep,
-    su11_sector_indices,
     tensor_rep,
 )
 from .matrixkit import (
@@ -49,11 +47,10 @@ from .states import (
     su11_intelligent,
     su11_intelligent_spectrum,
 )
-from .stateio import load_state, save_state, state_from_dict, state_to_dict
+from .stateio import load_state, state_from_dict, state_to_dict
 from .moments import (
     MomentReport,
     ObservableSet,
-    gaussian_sigma,
     moment_report,
     observable_set,
     uv_moments,
@@ -66,17 +63,14 @@ from .urcheck import (
     char_ur_report,
     complementary,
     one_observable_two_state,
-    pair_ur_gaps,
     two_state_schrodinger,
 )
 from .intelligent import (
     CombinationSpec,
-    EigenSolveResult,
     MinimizerCertificate,
     PairCertificate,
     minimizer_certificate,
     solve_at_eigenvalue,
-    solve_combination_eigenstates,
 )
 from .dynamics import (
     ClassicalPhasePoint,
@@ -85,12 +79,9 @@ from .dynamics import (
     OscillatorProfile,
     classical_flow,
     effective_frequency,
-    fock_to_grid,
     integrate_epsilon,
-    quadratic_logfit_residual,
     trajectory_table,
     uv_trajectory,
-    wavefunction,
 )
 from .metrics import DistanceResult, g_overlap
 from .acceptance import CRITERIA, CriterionResult

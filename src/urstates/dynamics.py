@@ -12,20 +12,13 @@ for (<p>, <q>) and the squeeze pair (p~, q~) = (Dpq/Dq, Dq) provides an
 independent integration route used for cross-checks.
 """
 
-import cmath
 import math
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateParameterError,
-    InvalidInputError,
-    NumericError,
-    SingularProfileError,
-)
-from .hilbert import StateVector
+from .errors import InvalidInputError, NumericError, SingularProfileError
 
 __all__ = [
     "OscillatorProfile",
@@ -36,11 +29,7 @@ __all__ = [
     "integrate_epsilon",
     "uv_trajectory",
     "trajectory_table",
-    "wavefunction",
-    "unwound_angle",
     "classical_flow",
-    "fock_to_grid",
-    "quadratic_logfit_residual",
 ]
 
 #: central-difference step for profile derivatives without closed forms
@@ -48,6 +37,10 @@ DIFF_STEP = 1e-5
 
 #: maximum tolerated Wronskian drift over an integration window
 WRONSKIAN_TOL = 1e-8
+
+#: right-hand-side evaluations one integration may spend; criterion 8 takes
+#: about 6k (eps) and 10k (classical flow), omega = 20 over [0, 10] about 61k
+MAX_RHS_EVALS = 1_000_000
 
 
 def _as_callable(f):
@@ -152,6 +145,39 @@ def effective_frequency(profile, t):
             - 2.0 * w0 * dg2)
 
 
+def _integrate(rhs, t_grid, y0, what):
+    """Adaptive RK45 solution of y' = rhs(t, y) from y0, sampled on an
+    increasing time grid; returns (t, y) with y shaped (len(y0), len(t)).
+
+    More than MAX_RHS_EVALS right-hand-side calls raise NumericError, so a
+    step size shrinking toward a pole cannot run forever.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
+        raise InvalidInputError("time grid must be 1-d, increasing, length >= 2")
+    calls = 0
+
+    def counted(tt, y):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_RHS_EVALS:
+            raise NumericError(
+                f"{what} integration stopped at t = {tt:.6g} after "
+                f"{MAX_RHS_EVALS} right-hand-side evaluations"
+            )
+        return rhs(tt, y)
+
+    # scipy.integrate loads scipy.optimize with it, together slower to import
+    # than the rest of the package: only the calls that integrate pay for it
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(counted, (t[0], t[-1]), y0, t_eval=t, method="RK45",
+                    rtol=1e-11, atol=1e-13)
+    if not sol.success:
+        raise NumericError(f"{what} integration failed: {sol.message}")
+    return t, sol.y
+
+
 @dataclass
 class EpsilonTrajectory:
     """Samples of the classical amplitude and its derivative, with the
@@ -171,9 +197,6 @@ def integrate_epsilon(profile, t_grid, eps0=None, deps0=None):
     within 1e-12.  Adaptive 4th/5th-order integration; a Wronskian drift
     beyond 1e-8 over the window raises a step-size failure.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
-        raise InvalidInputError("time grid must be 1-d, increasing, length >= 2")
     w0 = profile.omega0
     if eps0 is None:
         eps0 = 1.0 / math.sqrt(w0)
@@ -191,17 +214,10 @@ def integrate_epsilon(profile, t_grid, eps0=None, deps0=None):
         om2 = effective_frequency(profile, tt)
         return [y[2], y[3], -om2 * y[0], -om2 * y[1]]
 
-    # scipy.integrate loads scipy.optimize with it, together slower to import
-    # than the rest of the package: only the calls that integrate pay for it
-    from scipy.integrate import solve_ivp
-
-    y0 = [eps0.real, eps0.imag, deps0.real, deps0.imag]
-    sol = solve_ivp(rhs, (t[0], t[-1]), y0, t_eval=t, method="RK45",
-                    rtol=1e-11, atol=1e-13)
-    if not sol.success:
-        raise NumericError(f"oscillator integration failed: {sol.message}")
-    eps = sol.y[0] + 1j * sol.y[1]
-    deps = sol.y[2] + 1j * sol.y[3]
+    t, y = _integrate(rhs, t_grid, [eps0.real, eps0.imag, deps0.real, deps0.imag],
+                      "oscillator")
+    eps = y[0] + 1j * y[1]
+    deps = y[2] + 1j * y[3]
     drift = float(np.max(np.abs(np.conj(eps) * deps - eps * np.conj(deps) - 2j)))
     if not drift <= WRONSKIAN_TOL:  # a NaN drift fails too
         raise NumericError(
@@ -250,46 +266,6 @@ def trajectory_table(profile, t_grid):
     return traj, u, v, rows
 
 
-def unwound_angle(value, hint=None):
-    """arg(value), shifted by whole turns to land nearest ``hint``."""
-    theta = cmath.phase(value)
-    if hint is not None:
-        theta += 2.0 * math.pi * round((hint - theta) / (2.0 * math.pi))
-    return theta
-
-
-def wavefunction(alpha, sq, x_grid, uv_arg_hint=None):
-    """Position-space Gaussian of the u a + v a^dag eigenstate:
-
-    Psi(x) = pi^(-1/4) (u-v)^(-1/2)
-             exp[-(1/2)((u+v)/(u-v))(x - sqrt(2) alpha/(u+v))^2]
-             exp[(1/2)((u*+v*)/(u+v)) alpha^2 - |alpha|^2/2]
-
-    normalized for every alpha on the shell |u|^2 - |v|^2 = 1.  The square
-    root of u - v takes the principal branch unless ``uv_arg_hint`` carries
-    the previous arg(u - v) along a trajectory, which keeps the global
-    phase continuous through branch crossings.
-    """
-    alpha = complex(alpha)
-    u0, v0 = complex(sq.u), complex(sq.v)
-    if abs(u0 - v0) <= 1e-12 * max(abs(u0), abs(v0), 1.0):
-        raise DegenerateParameterError(
-            "u = v is the infinitely squeezed limit; no normalizable Gaussian"
-        )
-    nsq = sq.normalized()
-    u, v = nsq.u, nsq.v
-    x = np.asarray(x_grid, dtype=float)
-    d0 = u - v
-    s = u + v
-    theta = unwound_angle(d0, uv_arg_hint)
-    root_inv = abs(d0) ** -0.5 * cmath.exp(-0.5j * theta)
-    lam = s / d0
-    x0 = math.sqrt(2.0) * alpha / s
-    const = cmath.exp(0.5 * (np.conj(s) / s) * alpha * alpha
-                      - 0.5 * abs(alpha) ** 2)
-    return (math.pi ** -0.25) * root_inv * const * np.exp(-0.5 * lam * (x - x0) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # classical Hamilton flow for the means and the squeeze pair
 # ---------------------------------------------------------------------------
@@ -334,10 +310,6 @@ def classical_flow(profile, init, t_grid):
     driving both canonical pairs; the 1/(4 q~^2) centrifugal term keeps
     q~ = Dq strictly positive along any quadratic profile.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
-        raise InvalidInputError("time grid must be 1-d, increasing, length >= 2")
-
     def rhs(tt, y):
         p, q, pt, qt = y
         g1, g2, g3 = profile.g_values(tt)
@@ -349,14 +321,9 @@ def classical_flow(profile, init, t_grid):
             w0 * (2.0 * g1 * pt + 2.0 * g2 * qt),
         ]
 
-    from scipy.integrate import solve_ivp
-
-    y0 = [init.p_mean, init.q_mean, init.p_tilde, init.q_tilde]
-    sol = solve_ivp(rhs, (t[0], t[-1]), y0, t_eval=t, method="RK45",
-                    rtol=1e-11, atol=1e-13)
-    if not sol.success:
-        raise NumericError(f"classical flow integration failed: {sol.message}")
-    p, q, pt, qt = sol.y
+    t, (p, q, pt, qt) = _integrate(
+        rhs, t_grid, [init.p_mean, init.q_mean, init.p_tilde, init.q_tilde],
+        "classical flow")
     if np.min(qt) < 1e-6:
         raise NumericError(
             f"squeezing collapse: q~ reached {np.min(qt):.3e} during the flow"
@@ -366,58 +333,3 @@ def classical_flow(profile, init, t_grid):
         for i in range(t.size)
     ])
     return ClassicalTrajectory(t, p, q, pt, qt, energy)
-
-
-# ---------------------------------------------------------------------------
-# grid synthesis and Gaussian-form diagnostics
-# ---------------------------------------------------------------------------
-
-def fock_to_grid(state, x_grid):
-    """Evaluate a Fock-basis state on a position grid through the stable
-    oscillator-eigenfunction recurrence
-
-    phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1}.
-    """
-    if not isinstance(state, StateVector) or state.basis.kind != "fock":
-        raise InvalidInputError("fock_to_grid needs a pure state on a Fock basis")
-    x = np.asarray(x_grid, dtype=float)
-    amp = state.amplitudes
-    phi_prev = np.zeros_like(x)
-    phi = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    total = amp[0] * phi.astype(complex)
-    for n in range(1, amp.size):
-        phi_next = (math.sqrt(2.0 / n) * x * phi
-                    - math.sqrt((n - 1.0) / n) * phi_prev)
-        phi_prev, phi = phi, phi_next
-        if amp[n] != 0.0:
-            total += amp[n] * phi
-    return total
-
-
-def quadratic_logfit_residual(values, x_grid, rel_cut=1e-6):
-    """Weighted rms misfit of log Psi against a quadratic in x.
-
-    Gaussians of the squeezed family fit exactly (residual at solver noise);
-    any departure from the family shows up as a residual far above 1e-6.
-    Only points with |Psi| above ``rel_cut`` of the peak enter the fit, and
-    the phase is unwrapped along the grid before fitting.
-    """
-    psi = np.asarray(values, dtype=complex)
-    x = np.asarray(x_grid, dtype=float)
-    if psi.shape != x.shape or psi.ndim != 1:
-        raise InvalidInputError("values and x_grid must be matching 1-d arrays")
-    mag = np.abs(psi)
-    peak = mag.max()
-    if peak == 0.0:
-        raise InvalidInputError("cannot fit the zero function")
-    keep = mag > rel_cut * peak
-    if np.count_nonzero(keep) < 8:
-        raise InvalidInputError("too few significant samples for a quadratic fit")
-    xs = x[keep]
-    logs = np.log(mag[keep]) + 1j * np.unwrap(np.angle(psi[keep]))
-    w = mag[keep] ** 2
-    design = np.stack([np.ones_like(xs), xs, xs * xs], axis=1)
-    sw = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], logs * sw, rcond=None)
-    misfit = design @ coef - logs
-    return float(np.sqrt(np.sum(w * np.abs(misfit) ** 2) / np.sum(w)))

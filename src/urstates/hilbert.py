@@ -37,11 +37,8 @@ __all__ = [
     "hermitian_parts",
     "boson_rep",
     "su11_rep",
-    "su11_boson_rep",
-    "su11_sector_indices",
     "su2_rep",
     "tensor_rep",
-    "tail_mass",
     "fock_basis",
     "su11_basis",
     "su2_basis",
@@ -296,14 +293,6 @@ class Operator:
                    for d, band in bands.items())
 
 
-def tail_mass(amplitudes, m):
-    """Sum of |amplitude|^2 from flat index m upward."""
-    a = np.asarray(amplitudes)
-    if m < 0 or m > a.size:
-        raise InvalidInputError(f"tail index {m} out of range 0..{a.size}")
-    return float(np.sum(np.abs(a[m:]) ** 2))
-
-
 @dataclass
 class StateVector:
     """Normalized pure state with a recorded top-decile tail certificate."""
@@ -426,29 +415,6 @@ def su11_rep(k, N=DEFAULT_SU11_CUTOFF):
     km, kp, k1, k2, k3 = _ladder_set(su11_basis(k, N), ("K-", "K+", "K1", "K2", "K3"),
                                      su11_ladder(k, N), 1, 2.0, -2j,
                                      k + np.arange(N, dtype=float))
-    return {"kplus": kp, "kminus": km, "k1": k1, "k2": k2, "k3": k3}
-
-
-def su11_sector_indices(k, N_fock):
-    """Fock indices of the parity sector carrying D+(k) for k in {1/4, 3/4}."""
-    if k == 0.25:
-        return np.arange(0, N_fock, 2)
-    if k == 0.75:
-        return np.arange(1, N_fock, 2)
-    raise InvalidInputError(f"one-mode bosonic realization exists for k in {{1/4, 3/4}}, got k={k}")
-
-
-def su11_boson_rep(k, N_fock=DEFAULT_FOCK_CUTOFF):
-    """One-mode bosonic realization K- = a^2/2, K+ = a^dag^2/2, K3 = n/2 + 1/4.
-
-    Returned operators live on the full Fock basis; restricted to the even
-    (k=1/4) or odd (k=3/4) sector they reproduce su11_rep entrywise.
-    """
-    su11_sector_indices(k, N_fock)  # validates k
-    c = boson_ladder(N_fock)
-    km, kp, k1, k2, k3 = _ladder_set(fock_basis(N_fock), ("K-", "K+", "K1", "K2", "K3"),
-                                     c[:-1] * c[1:] / 2.0, 2, 2.0, -2j,
-                                     np.arange(N_fock, dtype=float) / 2.0 + 0.25)
     return {"kplus": kp, "kminus": km, "k1": k1, "k2": k2, "k3": k3}
 
 

@@ -15,7 +15,6 @@ state minimizes the pairwise relation iff that residual vanishes.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, UnsupportedScaleError
 from .hilbert import StateVector
@@ -24,17 +23,11 @@ from .moments import moment_report
 
 __all__ = [
     "CombinationSpec",
-    "EigenSolveResult",
-    "solve_combination_eigenstates",
     "solve_at_eigenvalue",
     "PairCertificate",
     "MinimizerCertificate",
     "minimizer_certificate",
 ]
-
-#: eigenvectors holding more than this mass in the top basis decile are
-#: discarded as truncation artifacts
-TAIL_FILTER = 1e-6
 
 #: pairwise residual below which a state counts as an exact minimizer
 RESIDUAL_TOL = 1e-8
@@ -66,63 +59,6 @@ class CombinationSpec:
         for b, m in zip(self.beta, mats):
             out += b * m
         return out
-
-
-@dataclass
-class EigenSolveResult:
-    """All surviving eigenpairs of a combination matrix, sorted by eigenvalue."""
-
-    pairs: list
-    n_filtered: int
-    degraded: bool
-
-    def eigenvalues(self):
-        return np.array([z for z, _ in self.pairs])
-
-
-def solve_combination_eigenstates(spec, tail_filter=TAIL_FILTER):
-    """Dense eigendecomposition of beta . X.
-
-    Hermitian-to-tolerance matrices go through the symmetric solver;
-    otherwise the general solver runs and the result carries a
-    degraded-confidence flag when the eigenvector matrix is badly
-    conditioned (defective-to-tolerance pencil).  Eigenvectors holding more
-    than ``tail_filter`` of their mass in the top basis decile are dropped
-    as truncation artifacts, with the dropped count reported.
-    """
-    M = spec.matrix()
-    if M.shape[0] > MAX_DENSE_DIM:
-        raise UnsupportedScaleError(
-            f"dense eigensolve capped at dimension {MAX_DENSE_DIM}, got {M.shape[0]}"
-        )
-    basis = spec.observables.basis
-    scale = max(1.0, np.abs(M).max())
-    degraded = False
-    if np.abs(M - M.conj().T).max() <= 1e-12 * scale:
-        vals, vecs = np.linalg.eigh((M + M.conj().T) / 2.0)
-        vals = vals.astype(complex)
-    else:
-        vals, vecs = scipy.linalg.eig(M)
-        try:
-            degraded = np.linalg.cond(vecs) > 1e8
-        except np.linalg.LinAlgError:
-            degraded = True
-
-    order = np.lexsort((vals.imag, vals.real))
-    pairs = []
-    filtered = 0
-    for idx in order:
-        amp = vecs[:, idx]
-        amp = amp / np.linalg.norm(amp)
-        first = np.argmax(np.abs(amp) > 1e-8)
-        amp = amp * (np.conj(amp[first]) / abs(amp[first]))
-        state = StateVector(amp, basis, family="combination-eigenvector",
-                            params={"degraded": degraded})
-        if state.tail_mass > tail_filter:
-            filtered += 1
-            continue
-        pairs.append((complex(vals[idx]), state))
-    return EigenSolveResult(pairs, filtered, degraded)
 
 
 def solve_at_eigenvalue(spec, z):

@@ -1,4 +1,4 @@
-"""First and second moments of observable sets, and Gaussian covariance maps.
+"""First and second moments of observable sets, and the closed-form Gaussian moments.
 
 The covariance matrix sigma and commutator matrix C are defined through the
 ordered second-moment Gram matrix G_ij = <X_i X_j>:
@@ -42,7 +42,6 @@ __all__ = [
     "observable_set",
     "MomentReport",
     "moment_report",
-    "gaussian_sigma",
     "uv_moments",
 ]
 
@@ -308,56 +307,6 @@ def _moment_report_mixed(obs, state, max_tail):
 # ---------------------------------------------------------------------------
 # Gaussian covariance from Bogoliubov data
 # ---------------------------------------------------------------------------
-
-def gaussian_sigma(u, v, ctilde=None):
-    """Quadrature covariance of a joint eigenstate of A_mu = sum (u a + v a^dag).
-
-    For s modes, u and v are s x s matrices (scalars promote to 1 x 1) with
-    the eigenstate-existence condition u u^dag - v v^dag = 1; on that shell
-    the ordered central moments are <A_mu A_nu^dag> = C~ = (1/2) 1.  The
-    quadrature covariance in the order (q_1..q_s, p_1..p_s) follows from
-    inverting the linear map B from quadratures to (A, A^dag):
-
-        sigma = B^{-1} [[0, C~], [C~^T, 0]] B^{-T},
-        B = (1/sqrt 2) [[u + v, i(u - v)], [u* + v*, i(v* - u*)]]
-
-    ``ctilde`` defaults to the shell value (1/2) 1; passing a different
-    Hermitian matrix evaluates the same map off shell.
-    """
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    v = np.atleast_2d(np.asarray(v, dtype=complex))
-    if u.shape != v.shape or u.shape[0] != u.shape[1]:
-        raise InvalidInputError(
-            f"u and v must be square matrices of equal size, got {u.shape} and {v.shape}"
-        )
-    s = u.shape[0]
-    if ctilde is None:
-        ctilde = np.eye(s) / 2.0
-    ctilde = np.atleast_2d(np.asarray(ctilde, dtype=complex))
-    if ctilde.shape != (s, s):
-        raise InvalidInputError(f"ctilde must be {s}x{s}, got {ctilde.shape}")
-
-    B = np.block([
-        [u + v, 1j * (u - v)],
-        [u.conj() + v.conj(), 1j * (v.conj() - u.conj())],
-    ]) / np.sqrt(2.0)
-    if np.linalg.cond(B) > 1e12:
-        raise InvalidInputError(
-            "quadrature map is numerically singular (infinite squeezing direction)"
-        )
-    M0 = np.block([
-        [np.zeros((s, s)), ctilde],
-        [ctilde.T, np.zeros((s, s))],
-    ])
-    Y = np.linalg.solve(B, M0)
-    sigma = np.linalg.solve(B, Y.T).T
-    if np.abs(sigma.imag).max() > 1e-10 * max(1.0, np.abs(sigma).max()):
-        raise InvalidInputError(
-            "covariance came out non-real; (u, v, ctilde) are inconsistent"
-        )
-    sigma = sigma.real
-    return (sigma + sigma.T) / 2.0
-
 
 def uv_moments(u, v):
     """Second moments (dq^2, dp^2, dpq) of the u a + v a^dag eigenstate.

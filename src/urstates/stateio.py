@@ -12,8 +12,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericError
 from .hilbert import BasisSpec, StateVector
 
-__all__ = ["state_to_dict", "state_from_dict", "save_state", "load_state",
-           "document_text", "read_document"]
+__all__ = ["state_to_dict", "state_from_dict", "load_state", "document_text",
+           "read_document"]
 
 
 def _encode_param(value):
@@ -62,12 +62,6 @@ def document_text(doc):
         return json.dumps(doc, indent=1, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericError(f"document holds a non-finite number: {exc}") from exc
-
-
-def save_state(state, path):
-    text = document_text(state_to_dict(state))
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def read_document(path, what):

@@ -84,10 +84,6 @@ class SqueezeParams:
         root = math.sqrt(s)
         return SqueezeParams(u / root, v / root)
 
-    @property
-    def shell_defect(self):
-        return abs(self.u) ** 2 - abs(self.v) ** 2 - 1.0
-
 
 def _coerce_squeeze(u, v):
     return SqueezeParams(complex(u), complex(v)).normalized()

@@ -19,12 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    BasisMismatchError,
-    InvalidInputError,
-    NumericError,
-    TruncationError,
-)
+from .errors import InvalidInputError, NumericError
 from .hilbert import StateVector
 from .matrixkit import char_coeffs
 from .moments import ObservableSet, _check_compat, _pure_moments, moment_report
@@ -34,7 +29,6 @@ __all__ = [
     "OrderGapRecord",
     "ComplementaryPair",
     "URReport",
-    "pair_ur_gaps",
     "char_ur_report",
     "two_state_schrodinger",
     "one_observable_two_state",
@@ -138,14 +132,6 @@ def _pair_record(s11, s22, s12, c12, labels):
                          float(schr_gap), flags)
 
 
-def pair_ur_gaps(X, Y, state, max_tail=1e-8):
-    """Evaluate the three pairwise relations for observables (X, Y)."""
-    obs = ObservableSet([X, Y])
-    rep = moment_report(obs, state, max_tail=max_tail)
-    s, c = rep.sigma, rep.commut
-    return _pair_record(s[0, 0], s[1, 1], s[0, 1], c[0, 1], obs.labels)
-
-
 def char_ur_report(obs, states, max_tail=1e-8):
     """Characteristic-coefficient gaps C_r(sigma) - C_r(C) for r = 1..n.
 
@@ -234,12 +220,7 @@ def one_observable_two_state(X, state1, state2, max_tail=1e-8):
             raise InvalidInputError(
                 "one_observable_two_state is defined for pure states"
             )
-        if st.basis != X.basis:
-            raise BasisMismatchError("state basis does not match observable basis")
-        if max_tail is not None and st.tail_mass > max_tail:
-            raise TruncationError(
-                f"state tail mass {st.tail_mass:.3e} exceeds {max_tail:.1e}"
-            )
+        _check_compat(X, st, max_tail)
     if not X.is_hermitian():
         raise InvalidInputError(f"observable {X.label!r} is not Hermitian")
     y1 = X.apply(state1.amplitudes)

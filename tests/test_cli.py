@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from urstates import acceptance, cli
+from urstates import acceptance, cli, dynamics
 from urstates.cli import main
 from urstates.stateio import load_state
 
@@ -385,6 +385,19 @@ def test_evolve_rejects_bad_profiles(tmp_path, capsys, doc):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "InvalidInputError"
+
+
+def test_evolve_pole_profile_exits_1(tmp_path, capsys, monkeypatch):
+    # the step size shrinks toward the pole at t = 1/2 until the evaluation
+    # budget (lowered here to keep the test short) runs out
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 20_000)
+    prof = _profile(tmp_path, {"kind": "omega", "omega": "1/(t-0.5)**2 + 1"})
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof,
+                             "--t0", "0", "--t1", "2", "--samples", "5")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NumericError"
 
 
 def test_evolve_profile_directory_exits_2(tmp_path, capsys):

@@ -1,38 +1,60 @@
-"""Oscillator profiles, the eps -> (u, v) map, grids, and the classical flow."""
+"""Oscillator profiles, the eps -> (u, v) map, the classical flow, and the
+paper's closed-form Gaussian against the Fock-basis squeezed state."""
 
 import math
 
 import numpy as np
 import pytest
 
+from urstates import dynamics
 from urstates.dynamics import (
     ClassicalPhasePoint,
     OscillatorProfile,
     classical_flow,
     effective_frequency,
-    fock_to_grid,
     integrate_epsilon,
-    quadratic_logfit_residual,
     trajectory_table,
-    unwound_angle,
     uv_trajectory,
-    wavefunction,
 )
-from urstates.errors import (
-    DegenerateParameterError,
-    InvalidInputError,
-    SingularProfileError,
-)
-from urstates.hilbert import basis_state, fock_basis, su11_basis
-from urstates.states import SqueezeParams, canonical_ss, even_odd_cs
+from urstates.errors import InvalidInputError, NumericError, SingularProfileError
+from urstates.hilbert import basis_state, fock_basis
+from urstates.states import SqueezeParams, canonical_ss
 
 # constant omega = 2 with omega0 = 1: the canonical solution is
 # eps = cos 2t + (i/2) sin 2t, u = cos 2t + (5i/4) sin 2t, v = (3i/4) sin 2t
 CONST2 = OscillatorProfile.from_omega(2.0, omega0=1.0)
 
+# Omega diverges at t = 1/2, so an adaptive step shrinks toward it forever
+POLE = OscillatorProfile.from_omega(lambda t: 1.0 / (t - 0.5) ** 2 + 1.0)
+
 
 def closed_eps(t):
     return np.cos(2 * t) + 0.5j * np.sin(2 * t)
+
+
+def gaussian_wavefunction(alpha, u, v, x):
+    """Position-space eigenstate of u a + v a^dag on the shell |u|^2 - |v|^2 = 1:
+
+    Psi(x) = pi^(-1/4) (u-v)^(-1/2)
+             exp[-(1/2)((u+v)/(u-v))(x - sqrt(2) alpha/(u+v))^2]
+             exp[(1/2)((u*+v*)/(u+v)) alpha^2 - |alpha|^2/2]
+    """
+    d, s = u - v, u + v
+    x0 = math.sqrt(2.0) * alpha / s
+    const = np.exp(0.5 * (np.conj(s) / s) * alpha * alpha - 0.5 * abs(alpha) ** 2)
+    return math.pi ** -0.25 * d ** -0.5 * const * np.exp(-0.5 * (s / d) * (x - x0) ** 2)
+
+
+def fock_to_grid(amp, x):
+    """sum_n amp_n phi_n(x) through the oscillator-eigenfunction recurrence
+    phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1}."""
+    phi_prev = np.zeros_like(x)
+    phi = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    total = amp[0] * phi.astype(complex)
+    for n in range(1, amp.size):
+        phi_prev, phi = phi, math.sqrt(2.0 / n) * x * phi - math.sqrt((n - 1.0) / n) * phi_prev
+        total += amp[n] * phi
+    return total
 
 
 def test_profile_validation():
@@ -132,65 +154,30 @@ def test_trajectory_table_refuses_tilted_profile():
         trajectory_table(tilted, np.linspace(0.0, 1.0, 5))
 
 
-def test_unwound_angle():
-    assert unwound_angle(np.exp(0.1j)) == pytest.approx(0.1)
-    assert unwound_angle(np.exp(0.1j), hint=0.1 + 2 * math.pi) == pytest.approx(
-        0.1 + 2 * math.pi)
-    assert unwound_angle(np.exp(0.1j), hint=-6.0) == pytest.approx(
-        0.1 - 2 * math.pi)
-
-
 def test_wavefunction_normalization_and_dual_route():
     alpha = 0.7 - 0.2j
     u = math.cosh(0.6)
     v = math.sinh(0.6) * np.exp(0.9j)
     x = np.linspace(-8.0, 8.0, 1601)
-    psi = wavefunction(alpha, SqueezeParams(u, v), x)
+    sq = SqueezeParams(u, v).normalized()
+    psi = gaussian_wavefunction(alpha, sq.u, sq.v, x)
     norm = np.trapezoid(np.abs(psi) ** 2, x)
     assert norm == pytest.approx(1.0, rel=1e-9)
     # independent route: synthesize the same state from Fock amplitudes
-    grid = fock_to_grid(canonical_ss(alpha, u, v, N=128), x)
+    grid = fock_to_grid(canonical_ss(alpha, u, v, N=128).amplitudes, x)
     overlap = np.trapezoid(np.conj(grid) * psi, x)
     assert abs(overlap) == pytest.approx(1.0, rel=1e-9)
 
 
-def test_wavefunction_rejects_infinite_squeeze():
-    with pytest.raises(DegenerateParameterError):
-        wavefunction(0.0, SqueezeParams(1.0, 1.0), np.linspace(-1, 1, 9))
-
-
 def test_fock_to_grid_low_levels():
     x = np.linspace(-3.0, 3.0, 7)
-    ground = fock_to_grid(basis_state(fock_basis(16), 0), x)
+    ground = fock_to_grid(basis_state(fock_basis(16), 0).amplitudes, x)
     np.testing.assert_allclose(
         ground, math.pi ** -0.25 * np.exp(-x * x / 2.0), rtol=1e-14)
-    first = fock_to_grid(basis_state(fock_basis(16), 1), x)
+    first = fock_to_grid(basis_state(fock_basis(16), 1).amplitudes, x)
     np.testing.assert_allclose(
         first, math.sqrt(2.0) * x * math.pi ** -0.25 * np.exp(-x * x / 2.0),
         rtol=1e-13, atol=1e-15)
-
-
-def test_fock_to_grid_rejects_other_bases():
-    with pytest.raises(InvalidInputError):
-        fock_to_grid(basis_state(su11_basis(0.5, 16), 0), np.linspace(-1, 1, 5))
-
-
-def test_logfit_flags_non_gaussians():
-    x = np.linspace(-7.0, 7.0, 1401)
-    gauss = wavefunction(0.4, SqueezeParams(math.cosh(0.3), math.sinh(0.3)), x)
-    assert quadratic_logfit_residual(gauss, x) < 1e-10
-    cat = fock_to_grid(even_odd_cs(2.0, "even", N=64), x)
-    assert quadratic_logfit_residual(cat, x) > 1e-2
-
-
-def test_logfit_validation():
-    x = np.linspace(-1.0, 1.0, 6)
-    with pytest.raises(InvalidInputError):
-        quadratic_logfit_residual(np.zeros(6, dtype=complex), x)
-    with pytest.raises(InvalidInputError):
-        quadratic_logfit_residual(np.exp(-x * x), x)  # only 6 samples
-    with pytest.raises(InvalidInputError):
-        quadratic_logfit_residual(np.ones(5, dtype=complex), x)
 
 
 def test_classical_flow_means_and_stationary_squeeze():
@@ -221,3 +208,12 @@ def test_classical_flow_validation():
     with pytest.raises(InvalidInputError):
         classical_flow(CONST2, ClassicalPhasePoint(0, 0, 0, 1.0),
                        [0.0, 0.5, 0.2])
+
+
+def test_integration_budget_ends_a_pole_profile(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_RHS_EVALS", 20_000)
+    t = np.linspace(0.0, 2.0, 5)
+    with pytest.raises(NumericError, match="20000 right-hand-side evaluations"):
+        integrate_epsilon(POLE, t)
+    with pytest.raises(NumericError, match="20000 right-hand-side evaluations"):
+        classical_flow(POLE, ClassicalPhasePoint(0.0, 0.0, 0.0, 1.0), t)

@@ -23,10 +23,7 @@ from urstates.hilbert import (
     su2_basis,
     su2_rep,
     su11_basis,
-    su11_boson_rep,
     su11_rep,
-    su11_sector_indices,
-    tail_mass,
     tensor_rep,
 )
 
@@ -159,14 +156,6 @@ def test_density_matrix_tail():
     assert dm.tail_mass == pytest.approx(0.75)
 
 
-def test_tail_mass_helper():
-    amp = np.array([0.6, 0.8, 0.0])
-    assert tail_mass(amp, 1) == pytest.approx(0.64)
-    assert tail_mass(amp, 0) == pytest.approx(1.0)
-    with pytest.raises(InvalidInputError):
-        tail_mass(amp, 4)
-
-
 def test_operator_shape_and_hermiticity():
     b = fock_basis(4)
     with pytest.raises(BasisMismatchError):
@@ -243,25 +232,6 @@ def test_su11_rep_algebra():
     # Casimir K3^2 - K1^2 - K2^2 = k(k-1) away from the truncation edge
     cas = k3 @ k3 - k1 @ k1 - k2 @ k2
     np.testing.assert_allclose(np.diag(cas)[:-1], k * (k - 1.0), atol=1e-10)
-
-
-@pytest.mark.parametrize("k", [0.25, 0.75])
-def test_su11_boson_sector_matches_weight_basis(k):
-    N_fock = 40
-    idx = su11_sector_indices(k, N_fock)
-    bos = su11_boson_rep(k, N_fock)
-    wt = su11_rep(k, idx.size)
-    sub = np.ix_(idx, idx)
-    for name in ("kplus", "kminus", "k3"):
-        np.testing.assert_allclose(bos[name].matrix[sub], wt[name].matrix,
-                                   atol=1e-12)
-
-
-def test_su11_sector_indices_validation():
-    assert su11_sector_indices(0.25, 10).tolist() == [0, 2, 4, 6, 8]
-    assert su11_sector_indices(0.75, 10).tolist() == [1, 3, 5, 7, 9]
-    with pytest.raises(InvalidInputError):
-        su11_sector_indices(0.5, 10)
 
 
 def test_su2_rep_algebra():

@@ -1,4 +1,4 @@
-"""Combination eigensolvers and minimizer certificates."""
+"""Targeted combination eigenvectors and minimizer certificates."""
 
 import cmath
 import math
@@ -12,7 +12,6 @@ from urstates.intelligent import (
     CombinationSpec,
     minimizer_certificate,
     solve_at_eigenvalue,
-    solve_combination_eigenstates,
 )
 from urstates.moments import observable_set
 from urstates.states import (
@@ -36,35 +35,6 @@ def test_spec_validation():
     assert spec.matrix().shape == (32, 32)
 
 
-def test_hermitian_combination_spectrum():
-    obs = observable_set("su11:0.75", N=48)
-    spec = CombinationSpec(np.array([0.0, 0.0, 1.0]), obs)
-    res = solve_combination_eigenstates(spec)
-    assert not res.degraded
-    # K3 eigenvectors are basis states; the top decile gets filtered
-    assert res.n_filtered == 5
-    assert len(res.pairs) == 43
-    np.testing.assert_allclose(
-        res.eigenvalues().real, 0.75 + np.arange(43), atol=1e-12)
-    assert np.abs(res.eigenvalues().imag).max() < 1e-12
-    z0, ground = res.pairs[0]
-    assert abs(ground.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
-    # gauge: first significant component real positive
-    assert ground.amplitudes[0].real > 0
-
-
-def test_nonhermitian_combination_bookkeeping():
-    obs = observable_set("canonical", N=24)
-    # q + ip is sqrt(2) a: nilpotent-to-tolerance on a truncated ladder, the
-    # canonical defective case for the dense route
-    spec = CombinationSpec(np.array([1.0, 1.0j]) / SQ2, obs)
-    res = solve_combination_eigenstates(spec)
-    assert res.degraded
-    assert len(res.pairs) + res.n_filtered == 24
-    for _z, st in res.pairs:
-        assert st.params["degraded"]
-
-
 def test_targeted_solve_recovers_coherent_state():
     obs = observable_set("canonical", N=64)
     spec = CombinationSpec(np.array([1.0, 1.0j]) / SQ2, obs)
@@ -79,8 +49,6 @@ def test_targeted_solve_recovers_coherent_state():
 def test_dense_dimension_cap():
     obs = observable_set("canonical", N=600)
     spec = CombinationSpec(np.array([1.0, 0.0]), obs)
-    with pytest.raises(UnsupportedScaleError):
-        solve_combination_eigenstates(spec)
     with pytest.raises(UnsupportedScaleError):
         solve_at_eigenvalue(spec, 0.0)
 

@@ -1,4 +1,4 @@
-"""Moment reports, the observable-set registry, and Gaussian covariance maps."""
+"""Moment reports, the observable-set registry, and the closed-form Gaussian moments."""
 
 import math
 import tracemalloc
@@ -25,7 +25,6 @@ from urstates.moments import (
     MomentReport,
     ObservableSet,
     _default_cutoff,
-    gaussian_sigma,
     moment_report,
     observable_set,
     uv_moments,
@@ -205,39 +204,13 @@ def test_submatrices():
     np.testing.assert_allclose(s2, rep.sigma[:2, :2])
 
 
-def test_gaussian_sigma_single_mode():
-    r = 0.7
-    sigma = gaussian_sigma(math.cosh(r), math.sinh(r))
-    np.testing.assert_allclose(
-        sigma, np.diag([math.exp(-2 * r), math.exp(2 * r)]) / 2.0, atol=1e-12)
-
-
 def test_gaussian_sigma_matches_state_moments():
     u = math.cosh(0.6) * np.exp(0.4j)
     v = math.sinh(0.6) * np.exp(-0.9j)
     st = canonical_ss(0.7, u, v, N=128)
     rep = moment_report(observable_set("canonical", N=128), st)
-    np.testing.assert_allclose(gaussian_sigma(u, v), rep.sigma, atol=1e-9)
-
-
-def test_gaussian_sigma_two_mode_block():
-    r1, r2 = 0.4, 0.9
-    u = np.diag([math.cosh(r1), math.cosh(r2)])
-    v = np.diag([math.sinh(r1), math.sinh(r2)])
-    sigma = gaussian_sigma(u, v)
-    expect = np.diag([math.exp(-2 * r1) / 2, math.exp(-2 * r2) / 2,
-                      math.exp(2 * r1) / 2, math.exp(2 * r2) / 2])
-    np.testing.assert_allclose(sigma, expect, atol=1e-12)
-
-
-def test_gaussian_sigma_validation():
-    with pytest.raises(InvalidInputError):
-        gaussian_sigma(np.eye(2), np.zeros((3, 3)))
-    with pytest.raises(InvalidInputError):
-        # u = v makes the quadrature map singular
-        gaussian_sigma(1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        gaussian_sigma(1.0, 0.0, ctilde=np.eye(2))
+    dq2, dp2, dpq = uv_moments(u, v)
+    np.testing.assert_allclose([[dq2, dpq], [dpq, dp2]], rep.sigma, atol=1e-9)
 
 
 def test_uv_moments_closed_form():

@@ -31,7 +31,7 @@ from urstates.states import (
     su11_intelligent,
     su11_intelligent_spectrum,
 )
-from urstates.urcheck import pair_ur_gaps
+from urstates.urcheck import char_ur_report
 
 
 def overlap(s1, s2):
@@ -69,7 +69,7 @@ def ss_oracle(alpha, u, v, N, M=256):
 
 def test_squeeze_params_normalization():
     sq = SqueezeParams(2.0 * math.cosh(0.5), 2.0 * math.sinh(0.5)).normalized()
-    assert sq.shell_defect == pytest.approx(0.0, abs=1e-12)
+    assert abs(sq.u) ** 2 - abs(sq.v) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert sq.u == pytest.approx(math.cosh(0.5))
     with pytest.raises(InvalidInputError):
         SqueezeParams(1.0, 1.0).normalized()
@@ -192,7 +192,7 @@ def test_canonical_ss_saturates_schrodinger():
     v = math.sinh(1.0) * cmath.exp(2.1j)
     st = canonical_ss(0.5 + 0.5j, u, v, N=128)
     obs = observable_set("canonical", N=128)
-    rec = pair_ur_gaps(obs.ops[0], obs.ops[1], st)
+    rec = char_ur_report(obs, st).pair_gaps[(0, 1)]
     assert abs(rec.schr_gap) < 1e-10
     assert rec.saturated["schr"]
 
@@ -208,7 +208,7 @@ def test_canonical_ss_large_displacement_needs_wide_basis():
         canonical_ss(2j, u, v, N=256)
     st = canonical_ss(2j, u, v, N=384)
     obs = observable_set("canonical", N=384)
-    rec = pair_ur_gaps(obs.ops[0], obs.ops[1], st)
+    rec = char_ur_report(obs, st).pair_gaps[(0, 1)]
     assert abs(rec.schr_gap) < 1e-9
 
 
@@ -400,6 +400,19 @@ def test_bg_cs_validation():
     assert bg_cs(0.0, 0.5, N=32).amplitudes[0] == 1.0
     with pytest.raises(InvalidInputError):
         bg_cs(1.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.3 - 0.4j, 2.5j])
+@pytest.mark.parametrize("parity, k", [("even", 0.25), ("odd", 0.75)])
+def test_even_odd_cs_is_the_one_mode_bg_cs(parity, k, alpha):
+    # K- = a^2/2 on the even (k = 1/4) or odd (k = 3/4) Fock levels, so the
+    # a^2 eigenstates of eigenvalue alpha^2 are the BG states of z = alpha^2/2
+    st = even_odd_cs(alpha, parity, N=64)
+    bg = bg_cs(alpha * alpha / 2.0, k, N=32)
+    start = 0 if parity == "even" else 1
+    phase = 1.0 if parity == "even" else cmath.exp(1j * cmath.phase(alpha))
+    np.testing.assert_allclose(st.amplitudes[start::2], phase * bg.amplitudes,
+                               rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from urstates.urcheck import (
     char_ur_report,
     complementary,
     one_observable_two_state,
-    pair_ur_gaps,
     two_state_schrodinger,
 )
 
@@ -33,6 +32,11 @@ from urstates.urcheck import (
 def qp(N):
     obs = observable_set("canonical", N=N)
     return obs.ops[0], obs.ops[1]
+
+
+def pair_ur_gaps(X, Y, state):
+    """The pairwise gap record of (X, Y) in ``state``."""
+    return char_ur_report(ObservableSet([X, Y]), state).pair_gaps[(0, 1)]
 
 
 def test_vacuum_saturates_everything():
