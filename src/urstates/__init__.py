@@ -15,7 +15,6 @@ from .errors import (
 )
 from .hilbert import (
     BasisSpec,
-    DensityMatrix,
     Operator,
     StateVector,
     basis_state,

@@ -21,10 +21,10 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidInputError, NormalizabilityError
-from .hilbert import Operator, StateVector, basis_state, fock_basis, su11_rep
+from .hilbert import StateVector, basis_state, fock_basis, su11_rep
 from .intelligent import CombinationSpec, solve_at_eigenvalue
 from .matrixkit import char_coeffs, principal_minor_sum
-from .metrics import g_overlap
+from .metrics import g_overlap, number_plus_one
 from .moments import moment_report, observable_set, uv_moments
 from .states import (
     bg_cs,
@@ -317,17 +317,20 @@ def criterion_4():
         w = 2.0 * mag * ratio
         sets.append((u, np.conj(u), w, k, n0))
 
-    worst_res = worst_det = 0.0
-    for u, v, w, k, n0 in sets:
-        z = su11_intelligent_spectrum(u, v, w, k, count=n0 + 1)[n0]
-        st = su11_intelligent(u, v, w, z, k)
+    def residual(st, u, v, w, z, k):
+        # ||(u K- + v K+ + w K3 - z) psi|| from the generator bands
         rep = su11_rep(k, st.basis.N)
         psi = st.amplitudes
         Mpsi = (u * rep["kminus"].apply(psi) + v * rep["kplus"].apply(psi)
                 + w * rep["k3"].apply(psi))
-        res = float(np.linalg.norm(Mpsi - z * psi))
+        return float(np.linalg.norm(Mpsi - z * psi))
+
+    worst_res = worst_det = 0.0
+    for u, v, w, k, n0 in sets:
+        z = su11_intelligent_spectrum(u, v, w, k, count=n0 + 1)[n0]
+        st = su11_intelligent(u, v, w, z, k)
         ur = char_ur_report(observable_set(f"su11:{k!r}", N=st.basis.N), st)
-        worst_res = max(worst_res, res)
+        worst_res = max(worst_res, residual(st, u, v, w, z, k))
         worst_det = max(worst_det, abs(ur.order_gaps[3].c_sigma))
 
     # degenerate (l = 0) sets collapse onto the coherent ray
@@ -337,6 +340,7 @@ def criterion_4():
         v = math.sinh(r0) ** 2 * cmath.exp(2j * theta)
         w = math.sinh(2.0 * r0) * cmath.exp(1j * theta)
         st = su11_intelligent(u, v, w, 0.0, k)
+        worst_res = max(worst_res, residual(st, u, v, w, 0.0, k))
         xi = -math.tanh(r0) * cmath.exp(1j * theta)
         ref = su11_cs(xi, k, N=st.basis.N)
         worst_overlap = min(worst_overlap,
@@ -505,8 +509,7 @@ def criterion_10():
     """Distance functional identities and the triangle inequality."""
     rng = np.random.default_rng(42)
     fb = fock_basis(32)
-    nmat = np.diag(np.arange(32, dtype=float)) + np.eye(32)
-    X = Operator("n+1", nmat, fb)
+    X = number_plus_one(fb)
 
     st = glauber(0.7 + 0.2j, N=32)
     d_self = g_overlap(st, st, X)

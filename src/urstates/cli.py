@@ -29,9 +29,9 @@ from .errors import (
     NumericError,
     TruncationError,
 )
-from .hilbert import Operator, su11_rep
+from .hilbert import su11_rep
 from .intelligent import minimizer_certificate
-from .metrics import g_overlap
+from .metrics import g_overlap, number_plus_one
 from .moments import _default_cutoff, _parse_set_name, moment_report, observable_set
 from .stateio import document_text, load_state, read_document, state_to_dict
 from .states import (
@@ -369,10 +369,7 @@ def _cmd_evolve(args):
 
 def _distance_observable(name, basis):
     if name == "n+1":
-        if basis.kind != "fock":
-            raise BasisMismatchError("observable 'n+1' needs a Fock-basis state")
-        mat = np.diag(np.arange(basis.N, dtype=float)) + np.eye(basis.N)
-        return Operator("n+1", mat, basis)
+        return number_plus_one(basis)
     if name == "k3":
         if basis.kind != "su11":
             raise BasisMismatchError("observable 'k3' needs an su11-basis state")

@@ -31,7 +31,6 @@ __all__ = [
     "BasisSpec",
     "Operator",
     "StateVector",
-    "DensityMatrix",
     "boson_ladder",
     "su11_ladder",
     "hermitian_parts",
@@ -216,7 +215,7 @@ class Operator:
     and `apply` costs O(N).  ``Operator(label, matrix, basis)`` splits a
     hand-written dense matrix into its bands; builders that know their bands
     use `Operator.from_bands`.  The dense ``matrix`` is built on first access
-    and cached, for the eigensolvers and mixed-state traces that need it.
+    and cached, for the dense solvers that need it.
     """
 
     def __init__(self, label, matrix, basis):
@@ -317,39 +316,6 @@ class StateVector:
             raise InvalidInputError(f"state not normalized: sum |a_n|^2 = {norm2!r}")
         self.amplitudes = amp
         self.tail_mass = self.basis.tail_sum(prob)
-
-    @property
-    def dim(self):
-        return self.basis.dim
-
-
-@dataclass
-class DensityMatrix:
-    """Hermitian, unit-trace, PSD (to tolerance) mixed state."""
-
-    matrix: np.ndarray
-    basis: BasisSpec
-    tail_mass: float = field(init=False)
-
-    def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=np.complex128)
-        if rho.shape != (self.basis.dim, self.basis.dim):
-            raise BasisMismatchError(
-                f"density matrix shape {rho.shape} does not match basis dim {self.basis.dim}"
-            )
-        if not np.all(np.isfinite(rho)):
-            raise InvalidInputError("density matrix entries must be finite")
-        scale = max(1.0, np.abs(rho).max())
-        if np.abs(rho - rho.conj().T).max() > 1e-12 * scale:
-            raise InvalidInputError("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > 1e-12:
-            raise InvalidInputError(f"density matrix trace {tr!r} != 1")
-        lam_min = float(np.linalg.eigvalsh(rho)[0])
-        if lam_min < -1e-10:
-            raise InvalidInputError(f"density matrix has negative eigenvalue {lam_min:.3e}")
-        self.matrix = rho
-        self.tail_mass = self.basis.tail_sum(np.real(np.diag(rho)))
 
     @property
     def dim(self):

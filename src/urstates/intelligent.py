@@ -54,10 +54,10 @@ class CombinationSpec:
         self.beta = beta
 
     def matrix(self):
-        mats = self.observables.matrices()
-        out = np.zeros(mats[0].shape, dtype=np.complex128)
-        for b, m in zip(self.beta, mats):
-            out += b * m
+        dim = self.observables.basis.dim
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        for b, op in zip(self.beta, self.observables.ops):
+            out += b * op.matrix
         return out
 
 
@@ -138,34 +138,32 @@ def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL,
 
     For each observable pair the bottom eigenvector of the 2x2 restriction
     of R = sigma + iC gives the optimal normalized beta (gauge: first
-    significant component real positive) and z = beta . means.  For a pure
-    state the residual is || beta_0 dX_i psi + beta_1 dX_j psi ||, taken from
-    the centered vectors of the moment report: it grows linearly with
-    rounding, where sqrt(lambda_min) would turn 1e-16 into 1e-8.  A mixed
-    state gets sqrt(lambda_min).  Verdict is "minimizer" when every pairwise
-    residual clears ``residual_tol``, widened for a pure state to the
-    truncation-aware floor 50 sqrt(max(1, tr R_pair)) sqrt(N * edge mass)
-    that the state constructors use.  ``report`` passes the moment report
-    of ``state`` for ``obs`` when the caller already holds it; it is taken
-    as is, so ``max_tail`` is then not checked again.
+    significant component real positive) and z = beta . means.  The
+    residual is || beta_0 dX_i psi + beta_1 dX_j psi ||, taken from the
+    centered vectors of the moment report: it grows linearly with rounding,
+    where sqrt(lambda_min) would turn 1e-16 into 1e-8.  Verdict is
+    "minimizer" when every pairwise residual clears ``residual_tol``,
+    widened to the truncation-aware floor
+    50 sqrt(max(1, tr R_pair)) sqrt(N * edge mass) that the state
+    constructors use.  ``report`` passes the moment report of ``state``
+    for ``obs`` when the caller already holds it; it is taken as is, so
+    ``max_tail`` is then not checked again.
     """
+    if not isinstance(state, StateVector):
+        raise InvalidInputError(f"expected a StateVector, got {type(state).__name__}")
     rep = report if report is not None else moment_report(obs, state, max_tail=max_tail)
     R = rep.robertson
     n = obs.n
-    pure = rep.centered is not None
-    trunc = state.dim * _edge_mass(state) if pure else 0.0
+    trunc = state.dim * _edge_mass(state)
     pairs = {}
     minimizer = True
     for i in range(n):
         for j in range(i + 1, n):
             sub = R[np.ix_([i, j], [i, j])]
-            vals, vecs = np.linalg.eigh(sub)
+            _vals, vecs = np.linalg.eigh(sub)
             beta = _gauge_fix(vecs[:, 0])
-            if pure:
-                residual = float(np.linalg.norm(
-                    beta[0] * rep.centered[i] + beta[1] * rep.centered[j]))
-            else:
-                residual = float(np.sqrt(max(float(vals[0]), 0.0)))
+            residual = float(np.linalg.norm(
+                beta[0] * rep.centered[i] + beta[1] * rep.centered[j]))
             spread = max(1.0, float(np.trace(sub).real))
             bound = max(residual_tol, 50.0 * np.sqrt(spread * trunc))
             z = complex(beta[0] * rep.means[i] + beta[1] * rep.means[j])

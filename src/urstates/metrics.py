@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError, InvalidInputError
-from .hilbert import StateVector
+from .hilbert import Operator, StateVector
 
-__all__ = ["DistanceResult", "g_overlap"]
+__all__ = ["DistanceResult", "g_overlap", "number_plus_one"]
 
 #: strict-positivity threshold on the smallest eigenvalue of X
 POSITIVITY_TOL = 1e-10
@@ -30,6 +30,26 @@ class DistanceResult:
 
     def to_json_dict(self):
         return {"g": self.g, "D2": self.D_sq, "observable": self.observable_label}
+
+
+def number_plus_one(basis):
+    """The strictly positive observable n + 1 on a Fock basis, as one band."""
+    if basis.kind != "fock":
+        raise BasisMismatchError("observable 'n+1' needs a Fock-basis state")
+    return Operator.from_bands("n+1", {0: np.arange(1, basis.N + 1, dtype=float)}, basis)
+
+
+def _min_eig(X):
+    """Smallest eigenvalue of the Hermitian X, from its upper bands in the
+    LAPACK band layout (band d in row width - d, from column d on)."""
+    from scipy.linalg import eigvals_banded
+
+    upper = {d: band for d, band in X.bands.items() if d >= 0}
+    width = max(upper, default=0)
+    a_band = np.zeros((width + 1, X.basis.dim), np.result_type(float, *upper.values()))
+    for d, band in upper.items():
+        a_band[width - d, d:] = band
+    return float(eigvals_banded(a_band, select="i", select_range=(0, 0))[0])
 
 
 def g_overlap(state1, state2, X=None, max_tail=1e-8):
@@ -58,7 +78,7 @@ def g_overlap(state1, state2, X=None, max_tail=1e-8):
             raise BasisMismatchError("observable basis does not match the states")
         if not X.is_hermitian():
             raise InvalidInputError(f"observable {X.label!r} is not Hermitian")
-        lam = float(np.linalg.eigvalsh((X.matrix + X.matrix.conj().T) / 2.0)[0])
+        lam = _min_eig(X)
         if lam <= POSITIVITY_TOL:
             raise InvalidInputError(
                 f"observable {X.label!r} is not strictly positive "

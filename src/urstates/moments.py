@@ -23,7 +23,6 @@ from .hilbert import (
     DEFAULT_FOCK_CUTOFF,
     DEFAULT_MODE_CUTOFF,
     DEFAULT_SU11_CUTOFF,
-    DensityMatrix,
     Operator,
     StateVector,
     boson_ladder,
@@ -94,10 +93,6 @@ class ObservableSet:
     @property
     def labels(self):
         return [op.label for op in self.ops]
-
-    def matrices(self):
-        """Dense matrices, for the mixed-state traces and the eigensolvers."""
-        return [op.matrix for op in self.ops]
 
     def images(self, psi):
         """The vectors X_i psi as the rows of an (..., n, dim) array.
@@ -187,9 +182,9 @@ def observable_set(name, N=None):
 class MomentReport:
     """Means, covariance sigma, commutator matrix C and PSD certificates.
 
-    For a pure state, ``centered`` keeps the vectors (X_i - <X_i>) psi as the
-    rows of an (n, dim) array whose Gram matrix is R, so certificates can
-    reuse them without new products.
+    ``centered`` keeps the vectors (X_i - <X_i>) psi as the rows of an
+    (n, dim) array whose Gram matrix is R, so certificates can reuse them
+    without new products.
     """
 
     labels: list
@@ -230,22 +225,21 @@ class MomentReport:
 
 
 def moment_report(obs, state, max_tail=1e-8):
-    """Means and second moments of an observable set in a given state.
+    """Means and second moments of an observable set in a pure state.
 
-    Pure states go through the Gram matrix of the vectors X_i psi (one
-    banded product per observable); density matrices through traces of the
-    dense matrices.
-    A recorded tail mass above ``max_tail`` aborts with a truncation error,
-    since moments of a leaking state are not trustworthy.
+    The moments come from the Gram matrix of the vectors X_i psi (one
+    banded product per observable).  A recorded tail mass above
+    ``max_tail`` aborts with a truncation error, since moments of a
+    leaking state are not trustworthy.
     """
-    if isinstance(state, StateVector):
-        return _moment_report_pure(obs, state, max_tail)
-    if isinstance(state, DensityMatrix):
-        return _moment_report_mixed(obs, state, max_tail)
-    raise InvalidInputError(f"unsupported state object {type(state)!r}")
+    _check_compat(obs, state, max_tail)
+    means, sigma, comm, centered = _pure_moments(obs, state.amplitudes)
+    return MomentReport(obs.labels, means, sigma, comm, centered)
 
 
 def _check_compat(obs, state, max_tail):
+    if not isinstance(state, StateVector):
+        raise InvalidInputError(f"expected a StateVector, got {type(state).__name__}")
     if state.basis != obs.basis:
         raise BasisMismatchError(
             f"state basis {state.basis} does not match observable basis {obs.basis}"
@@ -278,30 +272,6 @@ def _pure_moments(obs, psi):
     sigma = (gram.real + gram_t.real) / 2.0
     comm = (gram.imag - gram_t.imag) / 2.0
     return means, sigma, comm, centered
-
-
-def _moment_report_pure(obs, state, max_tail):
-    _check_compat(obs, state, max_tail)
-    means, sigma, comm, centered = _pure_moments(obs, state.amplitudes)
-    return MomentReport(obs.labels, means, sigma, comm, centered)
-
-
-def _moment_report_mixed(obs, state, max_tail):
-    _check_compat(obs, state, max_tail)
-    rho = state.matrix
-    dim = rho.shape[0]
-    mats = obs.matrices()
-    means = np.array([np.trace(rho @ mat).real for mat in mats])
-    centered = [mat - m * np.eye(dim) for mat, m in zip(mats, means)]
-    prods = [rho @ mat for mat in centered]
-    n = obs.n
-    gram = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = np.sum(prods[i].T * centered[j])
-    sigma = (gram.real + gram.real.T) / 2.0
-    comm = (gram.imag - gram.imag.T) / 2.0
-    return MomentReport(obs.labels, means, sigma, comm)
 
 
 # ---------------------------------------------------------------------------

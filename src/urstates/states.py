@@ -39,7 +39,6 @@ from .hilbert import (
     su11_rep,
     su2_basis,
 )
-from .matrixkit import targeted_eigenvector
 from .specfun import gauss2f1_terminating
 
 __all__ = [
@@ -395,6 +394,21 @@ def _su11_cs_cutoff(abs_xi, k):
     )
 
 
+def _su11_cs_amplitudes(xi, k, N):
+    """Normalized amplitudes c_n ~ xi^n sqrt((2k)_n / n!) of |xi; k> on the
+    lowest N weight levels."""
+    if xi == 0.0:
+        amp = np.zeros(N, dtype=np.complex128)
+        amp[0] = 1.0
+        return amp
+    n = np.arange(N, dtype=float)
+    m = n[:-1]
+    logs = _log_weights(np.sqrt((2.0 * k + m) / (m + 1.0)), math.log(abs(xi)))
+    logs -= logs.max()
+    amp = np.exp(logs) * np.exp(1j * cmath.phase(xi) * n)
+    return amp / np.linalg.norm(amp)
+
+
 def su11_cs(xi, k, N=None, max_tail=1e-8):
     """SU(1,1) coherent state |xi; k>, |xi| < 1 on the unit disk.
 
@@ -414,16 +428,7 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
         )
     if N is None:
         N = _su11_cs_cutoff(ax, k)
-    amp = np.zeros(N, dtype=np.complex128)
-    if ax == 0.0:
-        amp[0] = 1.0
-    else:
-        n = np.arange(N, dtype=float)
-        m = n[:-1]
-        logs = _log_weights(np.sqrt((2.0 * k + m) / (m + 1.0)), math.log(ax))
-        logs -= logs.max()
-        amp = np.exp(logs) * np.exp(1j * cmath.phase(xi) * n)
-        amp /= np.linalg.norm(amp)
+    amp = _su11_cs_amplitudes(xi, k, N)
     state = StateVector(amp, su11_basis(k, N), family="su11_cs",
                         params={"xi": xi, "k": k})
     _gate_tail(state, max_tail, "su11_cs")
@@ -537,8 +542,8 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     Normalizability requires a root of u t^2 + w t + v = 0 inside the unit
     disk; outside that region the constructor refuses.  The degenerate case
     l = sqrt(w^2 - 4uv) = 0 collapses onto the SU(1,1) coherent ray with
-    xi = -w/(2u) and eigenvalue 0, recovered here through a targeted
-    singular-vector solve rather than the (then-singular) closed form.
+    xi = -w/(2u) and eigenvalue 0, where the hypergeometric form is singular;
+    the state is then |xi; k> with the amplitudes of `su11_cs`.
     """
     u, v, w, z = complex(u), complex(v), complex(w), complex(z)
     k = float(k)
@@ -561,7 +566,8 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     disc_scale = max(abs(w * w), 4.0 * abs(u) * abs(v))
     l = cmath.sqrt(disc)
 
-    if abs(disc) <= 1e-12 * disc_scale:
+    degenerate = abs(disc) <= 1e-12 * disc_scale
+    if degenerate:
         xi = -w / (2.0 * u)
         if abs(xi) >= 1.0 - 1e-12:
             raise NormalizabilityError(
@@ -575,64 +581,54 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
             )
         if N is None:
             N = _su11_cs_cutoff(abs(xi), k)
-        rep = su11_rep(k, N)
-        M = (u * rep["kminus"].matrix + v * rep["kplus"].matrix
-             + w * rep["k3"].matrix)
-        amp, res = targeted_eigenvector(M, z)
+        # with v = u xi^2 and w = -2 u xi the operator is
+        # u (K- - 2 xi K3 + xi^2 K+), which annihilates |xi; k>
+        amp = _su11_cs_amplitudes(xi, k, N)
         first = np.argmax(np.abs(amp) > 1e-8)
         amp = amp * (np.conj(amp[first]) / abs(amp[first]))
-        state = StateVector(
-            amp, su11_basis(k, N), family="su11_intelligent",
-            params={"u": u, "v": v, "w": w, "z": z, "k": k,
-                    "degenerate": True},
-        )
-        _gate_tail(state, max_tail, "su11_intelligent")
-        _gate_residual(res / scale, amp, math.sqrt(N) * (1.0 + k),
-                       "su11_intelligent")
-        return state
-
-    roots = ((-w + l) / (2.0 * u), (-w - l) / (2.0 * u))
-    if min(abs(roots[0]), abs(roots[1])) >= 1.0 - 1e-12:
-        raise NormalizabilityError(
-            f"intelligent family not normalizable: characteristic roots "
-            f"|t1|={abs(roots[0]):.6g}, |t2|={abs(roots[1]):.6g} both outside "
-            f"the unit disk"
-        )
-
-    grow = N is None
-    if grow:
-        N = _su11_cs_cutoff(min(min(abs(roots[0]), abs(roots[1])) + 0.05, 0.999), k)
-    grown = False
-    while True:
-        b = _intelligent_amplitudes(u, v, w, z, k, l, N)
-        nb = np.linalg.norm(b)
-        if nb == 0.0 or not np.all(np.isfinite(b)):
-            raise NumericError(
-                "intelligent family: closed-form amplitudes over/underflowed"
-            )
-        amp = b / nb
-        top = _top_mass(amp)
-        if not grow or top <= 1e-18:
-            break
-        # When one characteristic root sits outside the disk the spectrum is
-        # discrete; a wrong z shows up as amplitudes that refuse to decay no
-        # matter how far the basis grows.
-        if grown and top > 1e-6:
+    else:
+        roots = ((-w + l) / (2.0 * u), (-w - l) / (2.0 * u))
+        if min(abs(roots[0]), abs(roots[1])) >= 1.0 - 1e-12:
             raise NormalizabilityError(
-                f"su11_intelligent: no normalizable eigenstate at z={z} "
-                f"(amplitude mass persists at every cutoff)"
+                f"intelligent family not normalizable: characteristic roots "
+                f"|t1|={abs(roots[0]):.6g}, |t2|={abs(roots[1]):.6g} both outside "
+                f"the unit disk"
             )
-        if N >= MAX_ADAPTIVE_CUTOFF:
-            raise TruncationError(
-                f"su11_intelligent: amplitudes still carry mass at "
-                f"N={N}; parameters sit too close to the normalizability edge"
-            )
-        N = min(2 * N, MAX_ADAPTIVE_CUTOFF)
-        grown = True
+
+        grow = N is None
+        if grow:
+            N = _su11_cs_cutoff(min(min(abs(roots[0]), abs(roots[1])) + 0.05, 0.999), k)
+        grown = False
+        while True:
+            b = _intelligent_amplitudes(u, v, w, z, k, l, N)
+            nb = np.linalg.norm(b)
+            if nb == 0.0 or not np.all(np.isfinite(b)):
+                raise NumericError(
+                    "intelligent family: closed-form amplitudes over/underflowed"
+                )
+            amp = b / nb
+            top = _top_mass(amp)
+            if not grow or top <= 1e-18:
+                break
+            # When one characteristic root sits outside the disk the spectrum is
+            # discrete; a wrong z shows up as amplitudes that refuse to decay no
+            # matter how far the basis grows.
+            if grown and top > 1e-6:
+                raise NormalizabilityError(
+                    f"su11_intelligent: no normalizable eigenstate at z={z} "
+                    f"(amplitude mass persists at every cutoff)"
+                )
+            if N >= MAX_ADAPTIVE_CUTOFF:
+                raise TruncationError(
+                    f"su11_intelligent: amplitudes still carry mass at "
+                    f"N={N}; parameters sit too close to the normalizability edge"
+                )
+            N = min(2 * N, MAX_ADAPTIVE_CUTOFF)
+            grown = True
 
     state = StateVector(
         amp, su11_basis(k, N), family="su11_intelligent",
-        params={"u": u, "v": v, "w": w, "z": z, "k": k, "degenerate": False},
+        params={"u": u, "v": v, "w": w, "z": z, "k": k, "degenerate": degenerate},
     )
     _gate_tail(state, max_tail, "su11_intelligent")
     c = su11_ladder(k, N)

@@ -20,7 +20,6 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .hilbert import StateVector
 from .matrixkit import char_coeffs
 from .moments import ObservableSet, _check_compat, _pure_moments, moment_report
 
@@ -138,10 +137,9 @@ def char_ur_report(obs, states, max_tail=1e-8):
     ``states`` is a single state or a sequence of 1..8; with several states
     the sigma and C matrices are summed entrywise first, which yields the
     state-extended inequalities.  Pairwise gap records for every observable
-    pair (computed from the same summed matrices) ride along.  Pure states
+    pair (computed from the same summed matrices) ride along.  The states
     are checked one by one in order, then their moments come from one
-    stacked pass; a list holding a density matrix is reported state by
-    state.
+    stacked pass.
     """
     if obs.n < 2:
         raise InvalidInputError("characteristic relations need at least 2 observables")
@@ -155,21 +153,13 @@ def char_ur_report(obs, states, max_tail=1e-8):
             f"got {len(state_list)}"
         )
 
-    if all(isinstance(st, StateVector) for st in state_list):
-        for st in state_list:
-            _check_compat(obs, st, max_tail)
-        amps = [st.amplitudes for st in state_list]
-        psi = amps[0] if len(amps) == 1 else np.stack(amps)
-        _means, sigma_sum, comm_sum, _centered = _pure_moments(obs, psi)
-        if psi.ndim == 2:
-            sigma_sum, comm_sum = sigma_sum.sum(axis=0), comm_sum.sum(axis=0)
-    else:
-        sigma_sum = np.zeros((obs.n, obs.n))
-        comm_sum = np.zeros((obs.n, obs.n))
-        for st in state_list:
-            rep = moment_report(obs, st, max_tail=max_tail)
-            sigma_sum += rep.sigma
-            comm_sum += rep.commut
+    for st in state_list:
+        _check_compat(obs, st, max_tail)
+    amps = [st.amplitudes for st in state_list]
+    psi = amps[0] if len(amps) == 1 else np.stack(amps)
+    _means, sigma_sum, comm_sum, _centered = _pure_moments(obs, psi)
+    if psi.ndim == 2:
+        sigma_sum, comm_sum = sigma_sum.sum(axis=0), comm_sum.sum(axis=0)
     return _ur_from_moments(obs.labels, sigma_sum, comm_sum, len(state_list))
 
 
@@ -216,10 +206,6 @@ def one_observable_two_state(X, state1, state2, max_tail=1e-8):
     <1|X^2|1><2|X^2|2> >= |<1|X^2|2>|^2   (gap returned signed).
     """
     for st in (state1, state2):
-        if not isinstance(st, StateVector):
-            raise InvalidInputError(
-                "one_observable_two_state is defined for pure states"
-            )
         _check_compat(X, st, max_tail)
     if not X.is_hermitian():
         raise InvalidInputError(f"observable {X.label!r} is not Hermitian")

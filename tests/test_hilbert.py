@@ -13,7 +13,6 @@ from urstates.errors import (
 from urstates.hilbert import (
     MAX_BASIS_DIM,
     BasisSpec,
-    DensityMatrix,
     Operator,
     StateVector,
     basis_state,
@@ -116,9 +115,6 @@ def test_tail_mass_is_the_sum_over_the_tail_mask(basis):
     prob = np.abs(amp) ** 2
     mask = basis.tail_index_mask()
     assert StateVector(amp, basis).tail_mass == float(np.sum(prob[mask]))
-    rho = np.outer(amp, amp.conj())
-    diag = np.real(np.diag(rho))
-    assert DensityMatrix(rho, basis).tail_mass == float(np.sum(diag[mask]))
 
 
 def test_basis_state():
@@ -128,32 +124,6 @@ def test_basis_state():
     assert basis_state(fock_basis(10), 0).tail_mass == 0.0
     with pytest.raises(InvalidInputError):
         basis_state(fock_basis(10), 10)
-
-
-def test_density_matrix_validation():
-    b = fock_basis(4)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    assert DensityMatrix(rho, b).tail_mass == 0.0
-    with pytest.raises(InvalidInputError):
-        DensityMatrix(np.eye(4) * 0.5, b)
-    with pytest.raises(InvalidInputError):
-        DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), b)
-    skew = np.eye(4, dtype=complex)
-    skew[0, 1] = 0.3
-    with pytest.raises(InvalidInputError):
-        DensityMatrix(skew, b)
-    for bad in (np.nan, np.inf):
-        rho = np.eye(4, dtype=complex) / 4
-        rho[0, 1] = bad
-        with pytest.raises(InvalidInputError, match="finite"):
-            DensityMatrix(rho, b)
-
-
-def test_density_matrix_tail():
-    rho = np.diag([0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.75])
-    dm = DensityMatrix(rho.astype(complex), fock_basis(10))
-    assert dm.tail_mass == pytest.approx(0.75)
 
 
 def test_operator_shape_and_hermiticity():

@@ -13,7 +13,7 @@ from urstates.intelligent import (
     minimizer_certificate,
     solve_at_eigenvalue,
 )
-from urstates.moments import observable_set
+from urstates.moments import moment_report, observable_set
 from urstates.states import (
     canonical_ss,
     glauber,
@@ -21,6 +21,7 @@ from urstates.states import (
     su11_cs,
     su11_intelligent,
 )
+from urstates.urcheck import char_ur_report
 
 SQ2 = math.sqrt(2.0)
 
@@ -162,3 +163,21 @@ def test_certificate_json_shape():
     rec = doc["pairs"]["0,1"]
     assert set(rec) == {"labels", "beta", "z", "residual", "schr_gap"}
     assert rec["labels"] == ["q", "p"]
+
+
+@pytest.mark.parametrize("bad", ["not a state", np.ones(16, dtype=complex)])
+def test_reports_refuse_a_non_state(bad):
+    # a type error, not an AttributeError from reading a missing field
+    obs = observable_set("canonical", N=16)
+    vac = basis_state(fock_basis(16), 0)
+    rep = moment_report(obs, vac)
+    calls = (
+        lambda: moment_report(obs, bad),
+        lambda: char_ur_report(obs, bad),
+        lambda: char_ur_report(obs, [vac, bad]),
+        lambda: minimizer_certificate(bad, obs),
+        lambda: minimizer_certificate(bad, obs, report=rep),
+    )
+    for call in calls:
+        with pytest.raises(InvalidInputError):
+            call()

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from urstates.errors import BasisMismatchError, InvalidInputError
-from urstates.hilbert import Operator, basis_state, fock_basis
-from urstates.metrics import g_overlap
+from urstates.hilbert import (
+    Operator,
+    basis_state,
+    boson_rep,
+    fock_basis,
+    su11_basis,
+    su11_rep,
+)
+from urstates.metrics import _min_eig, g_overlap, number_plus_one
 from urstates.moments import observable_set
 from urstates.states import glauber, squeezed_fock
 
@@ -80,6 +87,23 @@ def test_rejects_non_positive_observable():
     with pytest.raises(InvalidInputError):
         g_overlap(basis_state(fock_basis(32), 0),
                   basis_state(fock_basis(32), 1), obs.ops[0])
+
+
+def test_number_plus_one_is_one_band():
+    X = number_plus_one(fock_basis(24))
+    assert X.offsets == [0]
+    np.testing.assert_array_equal(X.matrix, n_plus_one(24).matrix)
+    with pytest.raises(BasisMismatchError):
+        number_plus_one(su11_basis(0.5, 24))
+
+
+@pytest.mark.parametrize("X", [su11_rep(0.75, 300)["k3"],
+                               number_plus_one(fock_basis(300)),
+                               boson_rep(300)["q"]],
+                         ids=["k3", "n+1", "q"])
+def test_banded_minimum_eigenvalue_matches_dense(X):
+    dense = np.linalg.eigvalsh(X.matrix)[0]
+    assert _min_eig(X) == pytest.approx(dense, rel=1e-14, abs=1e-13)
 
 
 def test_rejects_non_hermitian_observable():

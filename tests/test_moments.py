@@ -13,7 +13,6 @@ from urstates.errors import (
     TruncationError,
 )
 from urstates.hilbert import (
-    DensityMatrix,
     Operator,
     StateVector,
     basis_state,
@@ -73,7 +72,7 @@ def test_pure_report_matches_dense_moments():
     psi = rng.standard_normal(48) + 1j * rng.standard_normal(48)
     psi /= np.linalg.norm(psi)
     rep = moment_report(obs, StateVector(psi, obs.basis), max_tail=None)
-    images = [m @ psi for m in obs.matrices()]
+    images = [op.matrix @ psi for op in obs.ops]
     means = np.array([np.vdot(psi, y).real for y in images])
     centered = [y - m * psi for y, m in zip(images, means)]
     gram = np.array([[np.vdot(x, y) for y in centered] for x in centered])
@@ -148,27 +147,6 @@ def test_fock_level_moments():
     obs = observable_set("canonical", N=32)
     rep = moment_report(obs, basis_state(fock_basis(32), 3))
     np.testing.assert_allclose(rep.sigma, np.eye(2) * 3.5, atol=1e-12)
-
-
-def test_pure_and_mixed_routes_agree():
-    st = glauber(0.8 - 0.5j, N=48)
-    rho = DensityMatrix(np.outer(st.amplitudes, st.amplitudes.conj()),
-                        st.basis)
-    obs = observable_set("canonical", N=48)
-    rp = moment_report(obs, st)
-    rm = moment_report(obs, rho)
-    np.testing.assert_allclose(rp.means, rm.means, atol=1e-12)
-    np.testing.assert_allclose(rp.sigma, rm.sigma, atol=1e-12)
-    np.testing.assert_allclose(rp.commut, rm.commut, atol=1e-12)
-
-
-def test_mixed_state_moments():
-    # equal mixture of |0> and |1>: sigma = I, means 0
-    rho = np.zeros((16, 16), dtype=complex)
-    rho[0, 0] = rho[1, 1] = 0.5
-    rep = moment_report(observable_set("canonical", N=16),
-                        DensityMatrix(rho, fock_basis(16)))
-    np.testing.assert_allclose(rep.sigma, np.eye(2), atol=1e-12)
 
 
 def test_moment_report_gates():

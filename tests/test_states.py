@@ -553,6 +553,40 @@ def test_su11_intelligent_degenerate_case_is_coherent_ray():
     assert st.params["degenerate"] is True
 
 
+def _degenerate_set(r0, theta):
+    """(u, v, w) with w^2 = 4uv on the coherent ray xi = -tanh(r0) e^{i theta}."""
+    return (math.cosh(r0) ** 2, math.sinh(r0) ** 2 * cmath.exp(2j * theta),
+            math.sinh(2 * r0) * cmath.exp(1j * theta))
+
+
+@pytest.mark.parametrize("r0,theta,k,N", [(0.3, 0.4, 0.5, None), (0.7, 2.1, 1.0, None),
+                                          (0.9, -1.3, 2.0, 200), (1.2, 3.0, 0.25, 200)])
+def test_su11_intelligent_degenerate_state_matches_the_svd_route(r0, theta, k, N):
+    # oracle: the smallest right singular vector of the dense u K- + v K+ + w K3
+    u, v, w = _degenerate_set(r0, theta)
+    st = su11_intelligent(u, v, w, 0.0, k, N=N)
+    assert st.basis.N <= 200
+    rep = su11_rep(k, st.basis.N)
+    M = u * rep["kminus"].matrix + v * rep["kplus"].matrix + w * rep["k3"].matrix
+    ref = np.linalg.svd(M)[2][-1].conj()
+    first = np.argmax(np.abs(ref) > 1e-8)
+    ref *= np.conj(ref[first]) / abs(ref[first])
+    np.testing.assert_allclose(st.amplitudes, ref, rtol=0, atol=1e-12)
+
+
+def test_su11_intelligent_degenerate_state_allocates_no_dense_matrix():
+    # |xi| = 0.976 at k = 2 needs N near 1300; a dense generator there is 26 MB
+    u, v, w = _degenerate_set(math.atanh(0.976), 0.8)
+    tracemalloc.start()
+    try:
+        st = su11_intelligent(u, v, w, 0.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.basis.N > 1200
+    assert peak < 5 * 2 ** 20
+
+
 def test_su11_intelligent_refuses_unphysical_parameters():
     u = 0.8 * cmath.exp(0.3j)
     with pytest.raises(NormalizabilityError):

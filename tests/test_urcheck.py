@@ -11,7 +11,6 @@ from urstates.errors import (
     TruncationError,
 )
 from urstates.hilbert import (
-    DensityMatrix,
     Operator,
     StateVector,
     basis_state,
@@ -159,17 +158,9 @@ def test_list_errors_fire_on_the_kth_state(k):
         char_ur_report(obs, both)
 
 
-def test_list_with_a_density_matrix_matches_its_pure_twin():
+def test_list_with_a_non_state_is_refused():
     obs = observable_set("su11:0.5", N=24)
-    rng = np.random.default_rng(31)
-    s1, s2, s3 = _random_states(rng, obs.basis, 3)
-    rho = DensityMatrix(np.outer(s1.amplitudes, s1.amplitudes.conj()), obs.basis)
-    mixed = char_ur_report(obs, [rho, s2, s3], max_tail=None)
-    pure = char_ur_report(obs, [s1, s2, s3], max_tail=None)
-    for r, rec in pure.order_gaps.items():
-        assert mixed.order_gaps[r].gap == pytest.approx(rec.gap, rel=1e-12, abs=1e-12)
-    for key, rec in pure.pair_gaps.items():
-        assert mixed.pair_gaps[key].schr_gap == pytest.approx(rec.schr_gap, rel=1e-12)
+    s1 = _random_states(np.random.default_rng(31), obs.basis, 1)[0]
     with pytest.raises(InvalidInputError):
         char_ur_report(obs, [s1, "not a state"], max_tail=None)
 
@@ -216,12 +207,9 @@ def test_one_observable_two_state():
     assert one_observable_two_state(q, s1, s2) >= -1e-12
     with pytest.raises(BasisMismatchError):
         one_observable_two_state(q, s1, glauber(0.4, N=48))
-    # the relation is defined for pure states only
-    from urstates.hilbert import DensityMatrix
-    rho = DensityMatrix(np.outer(s1.amplitudes, s1.amplitudes.conj()),
-                        s1.basis)
+    # the relation is defined for states, not bare amplitude arrays
     with pytest.raises(InvalidInputError):
-        one_observable_two_state(q, rho, s1)
+        one_observable_two_state(q, s1.amplitudes, s1)
 
 
 def test_one_observable_rejects_non_hermitian():
