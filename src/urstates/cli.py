@@ -9,14 +9,17 @@ compares two stored states; ``selftest`` runs the acceptance criteria.
 
 Exit codes: 0 success, 2 contract violations (bad parameters, failed
 normalizability or truncation gates) with an error JSON on stderr,
-1 internal numeric failures, 64 flag-grammar errors.  All floats are
+1 internal numeric failures, 64 flag-grammar errors, 141 when the reader
+of stdout closed it before the output was written.  All floats are
 serialized through repr, so a dump/parse cycle is value-exact.
 """
 
 import argparse
 import csv
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -54,6 +57,8 @@ EX_OK = 0
 EX_NUMERIC = 1
 EX_CONTRACT = 2
 EX_USAGE = 64
+#: 128 + SIGPIPE, the status a shell reports for a filter cut off by its reader
+EX_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,6 +408,7 @@ def _cmd_selftest(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="urstates",
                      description="states, uncertainty reports and scans")
@@ -462,7 +468,18 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        # output held in the buffer meets a closed pipe here, not at exit
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the flush at interpreter exit does not raise again (see the
+        # SIGPIPE note of the Python signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EX_PIPE
     except (InvalidInputError, TruncationError) as exc:
         _emit_error(exc)
         return EX_CONTRACT

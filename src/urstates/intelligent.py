@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedScaleError
 from .hilbert import StateVector
-from .matrixkit import char_coeffs, targeted_eigenvector
+from .matrixkit import _small_char_coeffs, char_coeffs, targeted_eigenvector
 from .moments import moment_report
 
 __all__ = [
@@ -172,8 +172,11 @@ def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL,
             pairs[(i, j)] = PairCertificate(
                 (obs.labels[i], obs.labels[j]), beta, z, residual, schr)
             minimizer = minimizer and residual <= bound
-    cs = char_coeffs(rep.sigma.astype(complex))
-    cc = char_coeffs(rep.commut.astype(complex))
+    if n <= 3:
+        cs, cc = _small_char_coeffs(rep.sigma.tolist()), _small_char_coeffs(rep.commut.tolist())
+    else:
+        cs = char_coeffs(rep.sigma.astype(complex))
+        cc = char_coeffs(rep.commut.astype(complex))
     robertson_gap = float((cs[n] - cc[n]).real)
     verdict = "minimizer" if minimizer else "not-minimizer"
     return MinimizerCertificate(pairs, robertson_gap, verdict)

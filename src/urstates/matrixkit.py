@@ -6,12 +6,16 @@ The coefficient convention used throughout the package: for an n x n matrix M,
 
 so C_0 = 1, C_1 = tr M, C_n = det M, and C_r equals the sum of all r x r
 principal minors of M (elementary symmetric functions of the eigenvalues).
-Two independent routes are provided: a Faddeev-LeVerrier recurrence
-(`char_coeffs`) and brute-force principal-minor enumeration
-(`principal_minor_sum`).
+Two independent routes are provided for any n: a Faddeev-LeVerrier
+recurrence (`char_coeffs`) and brute-force principal-minor enumeration
+(`principal_minor_sum`).  For the 2- and 3-observable sets that reports
+evaluate, `_small_char_coeffs` takes the closed forms on Python floats, and
+`_hermitian_min_eig_2x2` the closed-form lower eigenvalue of a 2x2 sigma or
+R = sigma + iC.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -67,6 +71,53 @@ def char_coeffs(M):
         coeffs[..., k] = sign * c
         B = AB + c[..., None, None] * eye
     return coeffs
+
+
+def _small_char_coeffs(m):
+    """C_0..C_n of a real n x n matrix, n <= 3, given as nested Python floats.
+
+    The closed forms: C_1 = tr m, C_2 = sum_{i<j} (m_ii m_jj - m_ij m_ji)
+    and C_3 = det m.  Returns a list of floats.  Larger matrices go
+    through ``char_coeffs``.
+    """
+    if not all(map(math.isfinite, itertools.chain.from_iterable(m))):
+        raise InvalidInputError("matrix has non-finite entries")
+    n = len(m)
+    if n == 2:
+        (a, b), (c, d) = m
+        return [1.0, a + d, a * d - b * c]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        ei_fh = e * i - f * h
+        return [1.0, a + e + i, (a * e - b * d) + (a * i - c * g) + ei_fh,
+                a * ei_fh - b * (d * i - f * g) + c * (d * h - e * g)]
+    if n == 1:
+        return [1.0, m[0][0]]
+    raise InvalidInputError(f"closed-form coefficients cover n <= 3, got n = {n}")
+
+
+def _hermitian_min_eig_2x2(re, im=None):
+    """Lower eigenvalue of the 2x2 Hermitian matrix re + i im, in closed form.
+
+    ``re`` and ``im`` are nested Python floats (``im`` None for a real
+    matrix).  With b + ix the lower off-diagonal entry, the one eigvalsh
+    reads, lam_min = (a + d)/2 - sqrt(((a - d)/2)^2 + b^2 + x^2).  Input
+    is refused as ``psd_min_eig`` refuses it: non-finite entries, or a
+    deviation from Hermiticity above HERMITICITY_TOL times max(1, max-norm).
+    """
+    (a, b_up), (b, d) = re
+    (xa, x_up), (x, xd) = im if im is not None else ((0.0, 0.0), (0.0, 0.0))
+    if not all(map(math.isfinite, (a, b_up, b, d, xa, x_up, x, xd))):
+        raise InvalidInputError("matrix has non-finite entries")
+    scale = max(1.0, math.hypot(a, xa), math.hypot(d, xd),
+                math.hypot(b_up, x_up), math.hypot(b, x))
+    dev = max(2.0 * abs(xa), 2.0 * abs(xd), math.hypot(b_up - b, x_up + x))
+    if dev > HERMITICITY_TOL * scale:
+        raise InvalidInputError(
+            f"matrix is not Hermitian within tolerance: max deviation "
+            f"{dev:.3e} (allowed {HERMITICITY_TOL * scale:.3e})"
+        )
+    return 0.5 * (a + d) - math.hypot(0.5 * (a - d), b, x)
 
 
 def principal_minor_sum(M, r):

@@ -34,7 +34,7 @@ from .hilbert import (
     su2_rep,
     tensor_rep,
 )
-from .matrixkit import psd_min_eig
+from .matrixkit import _hermitian_min_eig_2x2, psd_min_eig
 
 __all__ = [
     "ObservableSet",
@@ -199,6 +199,11 @@ class MomentReport:
         self.means = np.asarray(self.means, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
         self.commut = np.asarray(self.commut, dtype=float)
+        if self.sigma.shape == self.commut.shape == (2, 2):
+            s, c = self.sigma.tolist(), self.commut.tolist()
+            self.sigma_min_eig = _hermitian_min_eig_2x2(s)
+            self.robertson_min_eig = _hermitian_min_eig_2x2(s, c)
+            return
         lam = psd_min_eig(np.stack([self.sigma, self.robertson]))
         self.sigma_min_eig, self.robertson_min_eig = float(lam[0]), float(lam[1])
 

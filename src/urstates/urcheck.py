@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .matrixkit import char_coeffs
+from .matrixkit import _small_char_coeffs, char_coeffs
 from .moments import ObservableSet, _check_compat, _pure_moments, moment_report
 
 __all__ = [
@@ -166,8 +166,12 @@ def char_ur_report(obs, states, max_tail=1e-8):
 def _ur_from_moments(labels, sigma_sum, comm_sum, n_states):
     """The gap records of ``char_ur_report`` from already summed sigma and C."""
     n = len(labels)
-    cs, cc = char_coeffs(np.stack([sigma_sum, comm_sum]).astype(complex)).real.tolist()
-    mean_var = float(np.trace(sigma_sum)) / n
+    s, c = sigma_sum.tolist(), comm_sum.tolist()
+    if n <= 3:
+        cs, cc = _small_char_coeffs(s), _small_char_coeffs(c)
+    else:
+        cs, cc = char_coeffs(np.stack([sigma_sum, comm_sum]).astype(complex)).real.tolist()
+    mean_var = cs[1] / n
     order_gaps = {}
     for r in range(1, n + 1):
         scale = comb(n, r) * mean_var ** r
@@ -175,7 +179,6 @@ def _ur_from_moments(labels, sigma_sum, comm_sum, n_states):
             r, cs[r], cc[r], cs[r] - cc[r], _saturated(cs[r], cc[r], scale),
         )
 
-    s, c = sigma_sum.tolist(), comm_sum.tolist()
     pair_gaps = {
         (i, j): _pair_record(s[i][i], s[j][j], s[i][j], c[i][j], (labels[i], labels[j]))
         for i in range(n) for j in range(i + 1, n)

@@ -609,3 +609,28 @@ def test_cli_import_leaves_integrate_optimize_and_special_unloaded():
     assert seen["before"] == []
     assert seen["after"] is True
     assert seen["drift"] < 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--criteria", "5"],
+    ["scan", "--suite", "random-psd"],
+    ["state", "--family", "glauber", "--alpha", "0.3", "--cutoff", "32"],
+])
+def test_closed_stdout_ends_quietly(argv):
+    # the reader leaves before the first byte: the run ends with EX_PIPE
+    # and writes no traceback, whether the output meets the closed pipe
+    # mid-run (the scan's 12 kB) or in the final flush; stdout is left
+    # block-buffered, as it is by default
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "urstates.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EX_PIPE, err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == ""

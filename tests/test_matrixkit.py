@@ -1,10 +1,13 @@
-"""char_coeffs against brute-force minors, plus the PSD / targeted-SVD helpers."""
+"""char_coeffs and its closed forms against brute-force minors, plus the
+PSD / targeted-SVD helpers."""
 
 import numpy as np
 import pytest
 
 from urstates.errors import InvalidInputError
 from urstates.matrixkit import (
+    _hermitian_min_eig_2x2,
+    _small_char_coeffs,
     char_coeffs,
     principal_minor_sum,
     psd_min_eig,
@@ -81,6 +84,89 @@ def test_minor_sum_argument_checks():
         principal_minor_sum(M, 4)
     with pytest.raises(InvalidInputError):
         principal_minor_sum(M, 1.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["symmetric", "antisymmetric"])
+def test_small_char_coeffs_match_both_general_routes(n, kind):
+    # the shapes of sigma and C; C_r is compared on the scale of its
+    # natural size max|m|^r, since C_n of an antisymmetric 3x3 is 0
+    rng = np.random.default_rng(41 + n)
+    for _ in range(50):
+        A = rng.standard_normal((n, n))
+        M = A + A.T if kind == "symmetric" else A - A.T
+        c = _small_char_coeffs(M.tolist())
+        fl = char_coeffs(M)
+        scale = max(1.0, np.abs(M).max())
+        for r in range(n + 1):
+            ref = principal_minor_sum(M, r)
+            tol = 1e-13 * max(abs(ref), scale ** r)
+            assert abs(c[r] - ref) <= tol
+            assert abs(c[r] - fl[r]) <= tol
+
+
+def test_small_char_coeffs_refusals():
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        _small_char_coeffs([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        _small_char_coeffs([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(InvalidInputError, match="n <= 3"):
+        _small_char_coeffs(np.eye(4).tolist())
+
+
+def test_min_eig_2x2_matches_eigvalsh():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        A = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 3, (2, 2))
+        S, C = A + A.T, rng.standard_normal() * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for H, args in ((S, (S.tolist(),)), (S + 1j * C, (S.tolist(), C.tolist()))):
+            ref = np.linalg.eigvalsh(H)[0]
+            assert abs(_hermitian_min_eig_2x2(*args) - ref) <= 1e-14 * np.abs(H).max()
+
+
+def test_min_eig_2x2_of_a_singular_robertson_matrix():
+    # a canonical squeezed state saturates Robertson: R = sigma + iC is singular
+    from urstates.moments import moment_report, observable_set
+    from urstates.states import canonical_ss
+
+    rep = moment_report(observable_set("canonical", N=128), canonical_ss(0.4, 1.25, 0.75, N=128))
+    R = rep.robertson
+    ref = np.linalg.eigvalsh(R)[0]
+    lam = _hermitian_min_eig_2x2(rep.sigma.tolist(), rep.commut.tolist())
+    assert abs(lam - ref) <= 1e-14 * np.abs(R).max()
+    assert abs(lam) < 1e-12 and rep.robertson_min_eig == lam
+
+
+@pytest.mark.parametrize("re, im", [
+    ([[1.0, 0.5 + 2e-12], [0.5, 1.0]], None),             # sigma not symmetric
+    ([[1.0, 0.5], [0.5, 1.0]], [[0.0, 0.5], [0.5, 0.0]]),  # C not antisymmetric
+    ([[1.0, 0.5], [0.5, 1.0]], [[2e-12, 0.5], [-0.5, 0.0]]),  # C with a diagonal
+    ([[1.0, 0.5], [0.5, np.nan]], None),
+    ([[1.0, 0.5], [0.5, 1.0]], [[0.0, np.inf], [-np.inf, 0.0]]),
+])
+def test_min_eig_2x2_refuses_what_psd_min_eig_refuses(re, im):
+    H = np.zeros((2, 2), dtype=complex)
+    H.real, H.imag = re, im if im is not None else 0.0
+    with pytest.raises(InvalidInputError):
+        psd_min_eig(H)
+    with pytest.raises(InvalidInputError):
+        _hermitian_min_eig_2x2(re, im)
+
+
+def test_min_eig_2x2_hermiticity_tolerance_is_relative():
+    # 1e-12 of max(1, max-norm), as in psd_min_eig: 0.5 of it passes, 2 of it fails
+    for big in (1.0, 1e6):
+        for factor, ok in ((0.5, True), (2.0, False)):
+            re = [[big, 0.1], [0.1 + factor * 1e-12 * big, 1.0]]
+            im = [[0.0, 0.3], [-0.3, 0.0]]
+            H = np.array(re) + 1j * np.array(im)
+            if ok:
+                assert _hermitian_min_eig_2x2(re, im) == pytest.approx(psd_min_eig(H), abs=1e-9)
+            else:
+                with pytest.raises(InvalidInputError, match="not Hermitian"):
+                    _hermitian_min_eig_2x2(re, im)
+                with pytest.raises(InvalidInputError, match="not Hermitian"):
+                    psd_min_eig(H)
 
 
 def test_psd_min_eig_known_values():

@@ -209,7 +209,30 @@ def test_uv_moments_schrodinger_identity(r, theta, phi):
     assert dq2 * dp2 - dpq * dpq == pytest.approx(0.25, rel=1e-9)
 
 
+_SIGMA = [[1.0, 0.2], [0.2, 2.0]]
+_COMMUT = [[0.0, 0.5], [-0.5, 0.0]]
+
+
 def test_moment_report_rejects_bad_matrices():
-    with pytest.raises(InvalidInputError):
-        MomentReport(["x"], np.zeros(1), np.array([[1.0, 2.0], [0.0, 1.0]]),
-                     np.zeros((2, 2)))
+    # refused at 1e-12 of the max-norm, by the 2x2 closed form and by the
+    # eigensolver route alike
+    bad = [
+        ([[1.0, 2.0], [0.0, 1.0]], np.zeros((2, 2))),
+        ([[1.0, 0.2 + 4e-12], [0.2, 2.0]], _COMMUT),      # sigma not symmetric
+        (_SIGMA, [[0.0, 0.5], [-0.5 + 4e-12, 0.0]]),      # C not antisymmetric
+        (_SIGMA, [[4e-12, 0.5], [-0.5, 0.0]]),            # C with a diagonal
+        ([[np.nan, 0.2], [0.2, 2.0]], _COMMUT),
+        (_SIGMA, [[0.0, np.inf], [-np.inf, 0.0]]),
+        (np.diag([1.0, 2.0, np.nan]), np.zeros((3, 3))),
+        (np.diag([1.0, 2.0, 3.0]) + np.triu(np.full((3, 3), 4e-12), 1), np.zeros((3, 3))),
+    ]
+    for sigma, commut in bad:
+        with pytest.raises(InvalidInputError):
+            MomentReport(["x", "y"], np.zeros(2), np.array(sigma), np.array(commut))
+
+
+def test_moment_report_accepts_rounding_asymmetry():
+    rep = MomentReport(["x", "y"], np.zeros(2), [[1.0, 0.2 + 1e-13], [0.2, 2.0]],
+                       [[0.0, 0.5], [-0.5 + 1e-13, 0.0]])
+    lam = np.linalg.eigvalsh(np.array(_SIGMA) + 1j * np.array(_COMMUT))[0]
+    assert rep.robertson_min_eig == pytest.approx(lam, abs=1e-12)

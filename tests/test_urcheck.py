@@ -21,6 +21,7 @@ from urstates.matrixkit import char_coeffs
 from urstates.moments import ObservableSet, moment_report, observable_set
 from urstates.states import canonical_ss, glauber, su2_cs
 from urstates.urcheck import (
+    _ur_from_moments,
     char_ur_report,
     complementary,
     one_observable_two_state,
@@ -182,6 +183,21 @@ def test_pure_reports_run_no_psd_eigensolve(monkeypatch):
     moment_report(obs, states[0], max_tail=None)
     # both certificates come from one LAPACK call on [sigma, sigma + iC]
     assert calls == [(2, 3, 3)]
+    # ...and for a pair of observables from the 2x2 closed form
+    pair = observable_set("canonical", N=16)
+    moment_report(pair, _random_states(np.random.default_rng(37), pair.basis, 1)[0],
+                  max_tail=None)
+    assert calls == [(2, 3, 3)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_non_finite_moments_are_refused(n):
+    sigma, commut = np.eye(n), np.zeros((n, n))
+    sigma[0, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        _ur_from_moments([f"x{i}" for i in range(n)], sigma, commut, 1)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        _ur_from_moments([f"x{i}" for i in range(n)], commut, sigma, 1)
 
 
 def test_two_state_schrodinger_reduces_to_single():
