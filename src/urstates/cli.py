@@ -140,6 +140,13 @@ _FAMILY_FLAGS = {
 _PARAM_FLAGS = ("alpha", "u", "v", "w", "z", "xi", "tau", "k", "j", "n")
 
 
+def _max_tail(args):
+    """The --max-tail bound, which must be finite and non-negative."""
+    if not 0.0 <= args.max_tail < math.inf:
+        raise InvalidInputError(f"--max-tail must be finite and >= 0, got {args.max_tail!r}")
+    return args.max_tail
+
+
 def _build_state(args):
     family = args.family
     needed = _FAMILY_FLAGS[family]
@@ -156,7 +163,7 @@ def _build_state(args):
         )
 
     N = args.cutoff if args.cutoff is not None else _default_cutoff(None)
-    mt = args.max_tail
+    mt = _max_tail(args)
     if family == "glauber":
         return glauber(args.alpha, N=N)
     if family == "canonical-ss":
@@ -218,9 +225,10 @@ def _resolve_observables(name, basis):
 
 
 def _cmd_report(args):
+    max_tail = _max_tail(args)
     state = load_state(args.state)
     obs = _resolve_observables(args.observables, state.basis)
-    rep = moment_report(obs, state, max_tail=args.max_tail)
+    rep = moment_report(obs, state, max_tail=max_tail)
     ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
     ur_doc = ur.to_json_dict()
     if args.orders is not None:

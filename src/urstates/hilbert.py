@@ -18,6 +18,7 @@ tail of a state is the probability sitting in the top 10% of basis levels.
 import math
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,13 +98,9 @@ class BasisSpec:
 
     @property
     def dim(self):
-        if self.kind == "fock":
-            return self.N
-        if self.kind == "su11":
-            return self.N
         if self.kind == "su2":
             return int(round(2 * self.j)) + 1
-        return self.N ** self.s
+        return self.N ** self.s if self.kind == "multimode" else self.N
 
     def tail_start(self):
         """First flat index counted as tail (per mode for multimode).
@@ -112,33 +109,26 @@ class BasisSpec:
         truncated — so its tail window is empty and tail mass is identically
         zero.
         """
-        if self.kind == "su2":
-            return self.dim
-        if self.kind == "multimode":
-            return int((1.0 - TAIL_FRACTION) * self.N)
-        return int((1.0 - TAIL_FRACTION) * self.dim)
+        return self.dim if self.kind == "su2" else int((1.0 - TAIL_FRACTION) * self.N)
 
     def tail_index_mask(self):
         """Boolean mask over flat indices marking the recorded tail region."""
         if self.kind != "multimode":
-            mask = np.zeros(self.dim, dtype=bool)
-            mask[self.tail_start():] = True
-            return mask
-        cut = self.tail_start()
-        per_mode = np.arange(self.N) >= cut
-        mask = per_mode.copy()
+            return np.arange(self.dim) >= self.tail_start()
+        per_mode = mask = np.arange(self.N) >= self.tail_start()
         for _ in range(self.s - 1):
             mask = np.logical_or.outer(mask, per_mode).ravel()
         return mask
 
-    def tail_sum(self, prob):
-        """Sum of the per-index weights ``prob`` over the recorded tail region.
+    @cached_property
+    def _tail(self):
+        """The recorded tail region as an index into flat amplitudes, built once."""
+        return (self.tail_index_mask() if self.kind == "multimode"
+                else slice(self.tail_start(), None))
 
-        Outside multimode the tail is a trailing slice, so no mask is built.
-        """
-        if self.kind == "multimode":
-            return float(np.sum(prob[self.tail_index_mask()]))
-        return float(np.sum(prob[self.tail_start():]))
+    def tail_sum(self, prob):
+        """Sum of the per-index weights ``prob`` over the recorded tail region."""
+        return float(prob[self._tail].sum())
 
     def to_dict(self):
         d = {"kind": self.kind}
@@ -309,7 +299,7 @@ class StateVector:
                 f"amplitude vector length {amp.size} does not match basis dim {self.basis.dim}"
             )
         prob = np.abs(amp) ** 2
-        norm2 = float(np.sum(prob))
+        norm2 = float(prob.sum())
         if not math.isfinite(norm2):
             raise InvalidInputError("state amplitudes must be finite")
         if abs(norm2 - 1.0) > 1e-12:
@@ -320,6 +310,14 @@ class StateVector:
     @property
     def dim(self):
         return self.basis.dim
+
+    def tail_exceeds(self, max_tail):
+        """Whether the tail mass is above ``max_tail`` (never for None).  A NaN
+        bound, which ``tail_mass > nan`` would let through, or a negative one
+        is refused."""
+        if max_tail is not None and not max_tail >= 0.0:
+            raise InvalidInputError(f"max_tail must be None or >= 0, got {max_tail!r}")
+        return max_tail is not None and self.tail_mass > max_tail
 
 
 def basis_state(basis, n):

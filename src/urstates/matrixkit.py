@@ -9,13 +9,15 @@ principal minors of M (elementary symmetric functions of the eigenvalues).
 Two independent routes are provided for any n: a Faddeev-LeVerrier
 recurrence (`char_coeffs`) and brute-force principal-minor enumeration
 (`principal_minor_sum`).  For the 2- and 3-observable sets that reports
-evaluate, `_small_char_coeffs` takes the closed forms on Python floats, and
+evaluate, `_small_char_coeffs` takes the closed forms on Python floats,
 `_hermitian_min_eig_2x2` the closed-form lower eigenvalue of a 2x2 sigma or
-R = sigma + iC.
+R = sigma + iC, and `_check_sigma_robertson` the input checks of
+`psd_min_eig` for the two at any n.
 """
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -118,6 +120,27 @@ def _hermitian_min_eig_2x2(re, im=None):
             f"{dev:.3e} (allowed {HERMITICITY_TOL * scale:.3e})"
         )
     return 0.5 * (a + d) - math.hypot(0.5 * (a - d), b, x)
+
+
+def _check_sigma_robertson(s, c):
+    """Refuse sigma and R = sigma + iC, given as nested Python floats, as
+    ``psd_min_eig`` refuses the stack of the two: non-finite entries, then a
+    deviation from Hermiticity above HERMITICITY_TOL times max(1, max-norm),
+    sigma first.  ``_hermitian_min_eig_2x2`` unrolls the same rule for 2x2."""
+    # the entries row by row, and those of the transpose: M_ij against M_ji
+    flatten = itertools.chain.from_iterable
+    s, s_t, c, c_t = (list(flatten(m)) for m in (s, zip(*s), c, zip(*c)))
+    if not all(map(math.isfinite, itertools.chain(s, c))):
+        raise InvalidInputError("matrix has non-finite entries")
+    zeros = [0.0] * len(s)
+    for im, im_t in ((zeros, zeros), (c, c_t)):
+        scale = max(1.0, *map(math.hypot, s, im))
+        dev = max(map(math.hypot, map(operator.sub, s, s_t), map(operator.add, im, im_t)))
+        if dev > HERMITICITY_TOL * scale:
+            raise InvalidInputError(
+                f"matrix is not Hermitian within tolerance: max deviation "
+                f"{dev:.3e} (allowed {HERMITICITY_TOL * scale:.3e})"
+            )
 
 
 def principal_minor_sum(M, r):

@@ -62,7 +62,7 @@ def g_overlap(state1, state2, X=None, max_tail=1e-8):
     for st in (state1, state2):
         if not isinstance(st, StateVector):
             raise InvalidInputError("g_overlap compares pure states")
-        if max_tail is not None and st.tail_mass > max_tail:
+        if st.tail_exceeds(max_tail):
             raise InvalidInputError(
                 f"state tail mass {st.tail_mass:.3e} exceeds {max_tail:.1e}"
             )

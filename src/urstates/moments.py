@@ -34,7 +34,8 @@ from .hilbert import (
     su2_rep,
     tensor_rep,
 )
-from .matrixkit import _hermitian_min_eig_2x2, psd_min_eig
+# psd_min_eig stays importable as moments.psd_min_eig, the name bench/spans.py wraps
+from .matrixkit import _check_sigma_robertson, _hermitian_min_eig_2x2, psd_min_eig  # noqa: F401
 
 __all__ = [
     "ObservableSet",
@@ -199,13 +200,19 @@ class MomentReport:
         self.means = np.asarray(self.means, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
         self.commut = np.asarray(self.commut, dtype=float)
-        if self.sigma.shape == self.commut.shape == (2, 2):
-            s, c = self.sigma.tolist(), self.commut.tolist()
+        shape = self.sigma.shape
+        if not (len(shape) == 2 and shape[0] and shape == self.commut.shape == shape[::-1]):
+            raise InvalidInputError(f"expected square sigma and C of one shape, got "
+                                    f"{shape} and {self.commut.shape}")
+        s, c = self.sigma.tolist(), self.commut.tolist()
+        if shape == (2, 2):
             self.sigma_min_eig = _hermitian_min_eig_2x2(s)
             self.robertson_min_eig = _hermitian_min_eig_2x2(s, c)
             return
-        lam = psd_min_eig(np.stack([self.sigma, self.robertson]))
-        self.sigma_min_eig, self.robertson_min_eig = float(lam[0]), float(lam[1])
+        # checked on floats first, so sigma + iC never sees a non-finite entry
+        _check_sigma_robertson(s, c)
+        lam = np.linalg.eigvalsh(np.array([self.sigma, self.robertson]))
+        self.sigma_min_eig, self.robertson_min_eig = lam[:, 0].tolist()
 
     @property
     def robertson(self):
@@ -249,7 +256,7 @@ def _check_compat(obs, state, max_tail):
         raise BasisMismatchError(
             f"state basis {state.basis} does not match observable basis {obs.basis}"
         )
-    if max_tail is not None and state.tail_mass > max_tail:
+    if state.tail_exceeds(max_tail):
         raise TruncationError(
             f"state tail mass {state.tail_mass:.3e} exceeds {max_tail:.1e}; "
             f"moments would not be trustworthy"

@@ -128,7 +128,7 @@ def _top_mass(amp, levels=2):
 
 
 def _gate_tail(state, max_tail, family):
-    if max_tail is not None and state.tail_mass > max_tail:
+    if state.tail_exceeds(max_tail):
         raise TruncationError(
             f"{family}: tail mass {state.tail_mass:.3e} exceeds {max_tail:.1e}; "
             f"raise the cutoff N"

@@ -47,39 +47,50 @@ def _saturated(lhs, rhs, scale=0.0):
     return bool(abs(lhs - rhs) <= SATURATION_RTOL * max(abs(lhs), abs(rhs), scale, 1e-30))
 
 
-@dataclass(frozen=True)
 class PairGapRecord:
-    labels: tuple
-    sum_gap: float
-    heis_gap: float
-    schr_gap: float
-    saturated: dict
+    """Sum, Heisenberg and Schrodinger gaps of one observable pair, from the
+    floats sigma_ii, sigma_jj, sigma_ij and C_ij; the flags are computed when read."""
+
+    __slots__ = ("labels", "sum_gap", "heis_gap", "schr_gap", "_moments")
+
+    def __init__(self, s11, s22, s12, c12, labels):
+        self.labels, self._moments = labels, (s11, s22, s12, c12)
+        self.sum_gap = s11 + s22 - 2.0 * abs(c12)
+        self.heis_gap = s11 * s22 - c12 * c12
+        self.schr_gap = self.heis_gap - s12 * s12
+
+    @property
+    def saturated(self):
+        s11, s22, s12, c12 = self._moments
+        tr2 = s11 + s22
+        prod_scale = (tr2 / 2.0) ** 2
+        return {"sum": _saturated(tr2, 2.0 * abs(c12), tr2),
+                "heis": _saturated(s11 * s22, c12 * c12, prod_scale),
+                "schr": _saturated(s11 * s22 - s12 * s12, c12 * c12, prod_scale)}
 
     def to_json_dict(self):
-        return {
-            "labels": list(self.labels),
-            "sum_gap": self.sum_gap,
-            "heis_gap": self.heis_gap,
-            "schr_gap": self.schr_gap,
-            "saturated": dict(self.saturated),
-        }
+        return {"labels": list(self.labels), "sum_gap": self.sum_gap, "heis_gap": self.heis_gap,
+                "schr_gap": self.schr_gap, "saturated": self.saturated}
 
 
-@dataclass(frozen=True)
 class OrderGapRecord:
-    r: int
-    c_sigma: float
-    c_comm: float
-    gap: float
-    saturated: bool
+    """The order-r gap C_r(sigma) - C_r(C) of n observables; the flag, at the
+    scale comb(n, r) (C_1(sigma)/n)^r, is computed when read."""
+
+    __slots__ = ("r", "c_sigma", "c_comm", "gap", "_n", "_mean_var")
+
+    def __init__(self, r, c_sigma, c_comm, n, mean_var):
+        self.r, self.c_sigma, self.c_comm, self.gap = r, c_sigma, c_comm, c_sigma - c_comm
+        self._n, self._mean_var = n, mean_var
+
+    @property
+    def saturated(self):
+        scale = comb(self._n, self.r) * self._mean_var ** self.r
+        return _saturated(self.c_sigma, self.c_comm, scale)
 
     def to_json_dict(self):
-        return {
-            "c_sigma": self.c_sigma,
-            "c_comm": self.c_comm,
-            "gap": self.gap,
-            "saturated": self.saturated,
-        }
+        return {"c_sigma": self.c_sigma, "c_comm": self.c_comm, "gap": self.gap,
+                "saturated": self.saturated}
 
 
 @dataclass(frozen=True)
@@ -114,21 +125,6 @@ class URReport:
         if self.complementary is not None:
             doc["complementary"] = self.complementary.to_json_dict()
         return doc
-
-
-def _pair_record(s11, s22, s12, c12, labels):
-    tr2 = s11 + s22
-    sum_gap = tr2 - 2.0 * abs(c12)
-    heis_gap = s11 * s22 - c12 * c12
-    schr_gap = heis_gap - s12 * s12
-    prod_scale = (tr2 / 2.0) ** 2
-    flags = {
-        "sum": _saturated(tr2, 2.0 * abs(c12), tr2),
-        "heis": _saturated(s11 * s22, c12 * c12, prod_scale),
-        "schr": _saturated(s11 * s22 - s12 * s12, c12 * c12, prod_scale),
-    }
-    return PairGapRecord(tuple(labels), float(sum_gap), float(heis_gap),
-                         float(schr_gap), flags)
 
 
 def char_ur_report(obs, states, max_tail=1e-8):
@@ -172,15 +168,9 @@ def _ur_from_moments(labels, sigma_sum, comm_sum, n_states):
     else:
         cs, cc = char_coeffs(np.stack([sigma_sum, comm_sum]).astype(complex)).real.tolist()
     mean_var = cs[1] / n
-    order_gaps = {}
-    for r in range(1, n + 1):
-        scale = comb(n, r) * mean_var ** r
-        order_gaps[r] = OrderGapRecord(
-            r, cs[r], cc[r], cs[r] - cc[r], _saturated(cs[r], cc[r], scale),
-        )
-
+    order_gaps = {r: OrderGapRecord(r, cs[r], cc[r], n, mean_var) for r in range(1, n + 1)}
     pair_gaps = {
-        (i, j): _pair_record(s[i][i], s[j][j], s[i][j], c[i][j], (labels[i], labels[j]))
+        (i, j): PairGapRecord(s[i][i], s[j][j], s[i][j], c[i][j], (labels[i], labels[j]))
         for i in range(n) for j in range(i + 1, n)
     }
 

@@ -149,6 +149,35 @@ def test_state_rejects_nan_alpha(capsys, family):
     assert json.loads(err)["error"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("family", [
+    ["glauber", "--alpha", "0.5"],
+    ["canonical-ss", "--alpha", "0.3", "--u", "1.25", "--v", "0.75"],
+    ["squeezed-fock", "--n", "1", "--u", "1.25", "--v", "0.75"],
+    ["even-cs", "--alpha", "0.5"],
+    ["odd-cs", "--alpha", "0.5"],
+    ["bg-cs", "--z", "0.5", "--k", "1"],
+    ["su11-cs", "--xi", "0.6", "--k", "1"],
+    ["su11-intelligent", "--u", "1", "--v", "-0.16", "--w", "0", "--z", "1.6", "--k", "1"],
+    ["su2-cs", "--tau", "0.5j", "--j", "1.5"],
+])
+@pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
+def test_state_refuses_a_max_tail_that_is_not_a_finite_non_negative_number(capsys, family, bound):
+    # --max-tail nan once turned the tail gate off, and -1 ended in a
+    # TruncationError; every family is refused, those without a gate too
+    code, out, err = run_cli(capsys, "state", "--family", *family, "--cutoff", "16",
+                             f"--max-tail={bound}")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+def test_state_max_tail_still_gates(capsys):
+    argv = ["state", "--family", "su11-cs", "--xi", "0.6", "--k", "1", "--cutoff", "16"]
+    assert json.loads(run_cli(capsys, *argv, "--max-tail", "1e-8")[2])["error"] == "TruncationError"
+    assert run_cli(capsys, *argv, "--max-tail", "1e-4")[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["frobnicate"],
     ["state", "--family", "mystery", "--alpha", "1"],
@@ -251,6 +280,18 @@ def test_report_missing_state_file(tmp_path, capsys):
                            "--observables", "canonical")
     assert code == 2
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
+def test_report_refuses_a_max_tail_that_is_not_a_finite_non_negative_number(tmp_path, capsys,
+                                                                          bound):
+    st = _write_state(tmp_path, capsys, "cs.json", "--family", "glauber", "--alpha", "0.5",
+                      "--cutoff", "32")
+    code, out, err = run_cli(capsys, "report", "--state", st, "--observables", "canonical",
+                             f"--max-tail={bound}")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
 
 
 def _break_basis_n(doc):
@@ -581,6 +622,13 @@ def test_golden_evolve_table(tmp_path, capsys):
                            "--t0", "0", "--t1", "1", "--samples", "5")
     assert code == 0
     assert_csv_matches(out, (GOLDEN / "evolve_const.csv").read_text())
+
+
+@pytest.mark.parametrize("suite", ["bg-cs", "even-odd", "random-psd", "squeeze-shell", "su11-cs"])
+def test_golden_scan_table(capsys, suite):
+    code, out, _ = run_cli(capsys, "scan", "--suite", suite, "--seed", "42")
+    assert code == 0
+    assert_csv_matches(out, (GOLDEN / f"scan_{suite}.csv").read_text())
 
 
 # -- cold start ---------------------------------------------------------------

@@ -114,7 +114,24 @@ def test_tail_mass_is_the_sum_over_the_tail_mask(basis):
     amp /= np.linalg.norm(amp)
     prob = np.abs(amp) ** 2
     mask = basis.tail_index_mask()
-    assert StateVector(amp, basis).tail_mass == float(np.sum(prob[mask]))
+    tail_mass = StateVector(amp, basis).tail_mass
+    assert tail_mass == float(np.sum(prob[mask]))
+    assert tail_mass == basis.tail_sum(np.abs(amp) ** 2)
+    # the tail index a basis keeps for its states leaves its identity alone
+    assert basis == BasisSpec.from_dict(basis.to_dict())
+    assert hash(basis) == hash(BasisSpec.from_dict(basis.to_dict()))
+
+
+def test_tail_gate_bound():
+    top = basis_state(fock_basis(10), 9)
+    assert top.tail_exceeds(0.5)
+    assert not top.tail_exceeds(1.0)
+    assert not top.tail_exceeds(math.inf)
+    assert not top.tail_exceeds(None)
+    # tail_mass > nan is false, so a NaN bound would turn the gate off
+    for bad in (math.nan, -1.0, -1e-300):
+        with pytest.raises(InvalidInputError, match="max_tail"):
+            top.tail_exceeds(bad)
 
 
 def test_basis_state():

@@ -126,6 +126,9 @@ def test_input_gates():
     # the gate is advisory: max_tail=None admits the same pair
     res = g_overlap(top, basis_state(fock_basis(32), 31), max_tail=None)
     assert res.g == 1.0
+    for bad in (math.nan, -1.0):
+        with pytest.raises(InvalidInputError, match="max_tail"):
+            g_overlap(glauber(0.2, N=32), glauber(0.3, N=32), max_tail=bad)
 
 
 def test_json_shape():

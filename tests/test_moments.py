@@ -28,7 +28,9 @@ from urstates.moments import (
     observable_set,
     uv_moments,
 )
+from urstates.matrixkit import psd_min_eig
 from urstates.states import canonical_ss, glauber, su11_cs
+from urstates.urcheck import char_ur_report
 
 
 def test_observable_set_registry():
@@ -225,6 +227,14 @@ def test_moment_report_rejects_bad_matrices():
         (_SIGMA, [[0.0, np.inf], [-np.inf, 0.0]]),
         (np.diag([1.0, 2.0, np.nan]), np.zeros((3, 3))),
         (np.diag([1.0, 2.0, 3.0]) + np.triu(np.full((3, 3), 4e-12), 1), np.zeros((3, 3))),
+        # checked on floats before sigma + iC is formed: 0 * inf there made
+        # numpy warn, an error in this suite, before the intended refusal
+        (np.eye(3), [[0.0, np.inf, 0.0], [-np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        # shapes that are not one square n x n, n >= 1
+        (np.eye(3), np.zeros((2, 2))),
+        (np.ones((2, 3)), np.zeros((2, 3))),
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+        (np.ones(3), np.zeros(3)),
     ]
     for sigma, commut in bad:
         with pytest.raises(InvalidInputError):
@@ -236,3 +246,73 @@ def test_moment_report_accepts_rounding_asymmetry():
                        [[0.0, 0.5], [-0.5 + 1e-13, 0.0]])
     lam = np.linalg.eigvalsh(np.array(_SIGMA) + 1j * np.array(_COMMUT))[0]
     assert rep.robertson_min_eig == pytest.approx(lam, abs=1e-12)
+
+
+@pytest.mark.parametrize("name,N", [("su11:0.5", 32), ("su2:1", None), ("su2:2.5", None),
+                                    ("canonical:2", 6)])
+def test_three_and_more_observables_match_psd_min_eig_bit_for_bit(name, N):
+    obs = observable_set(name, N=N)
+    rng = np.random.default_rng(29)
+    reports = []
+    for _ in range(20):
+        amp = rng.standard_normal(obs.basis.dim) + 1j * rng.standard_normal(obs.basis.dim)
+        reports.append(moment_report(obs, StateVector(amp / np.linalg.norm(amp), obs.basis),
+                                     max_tail=None))
+    # su(2) coherent states have a doubled sigma eigenvalue
+    reports.append(moment_report(obs, basis_state(obs.basis, 0), max_tail=None))
+    for rep in reports:
+        lam = psd_min_eig(np.stack([rep.sigma, rep.sigma + 1j * rep.commut]))
+        assert (rep.sigma_min_eig, rep.robertson_min_eig) == (lam[0], lam[1])
+        assert type(rep.sigma_min_eig) is float and type(rep.robertson_min_eig) is float
+
+
+@pytest.mark.parametrize("big", [1.0, 1e6])
+@pytest.mark.parametrize("part", ["sigma", "commut", "commut-diagonal"])
+def test_three_observable_hermiticity_threshold_is_relative(big, part):
+    # 1e-12 of max(1, max-norm) of the matrix checked, on both sides; the
+    # max-norm is big for sigma and for sigma + iC alike
+    sigma = np.array([[big, 0.1, 0.2], [0.1, 1.0, 0.3], [0.2, 0.3, 0.5]])
+    commut = np.array([[0.0, 0.4, -0.1], [-0.4, 0.0, 0.5], [0.1, -0.5, 0.0]])
+    for factor, ok in ((0.5, True), (2.0, False)):
+        s, c = sigma.copy(), commut.copy()
+        if part == "sigma":
+            s[2, 1] += factor * 1e-12 * big
+        elif part == "commut":
+            c[2, 1] += factor * 1e-12 * big
+        else:
+            # 2|C_ii| is the deviation of the diagonal of sigma + iC
+            c[1, 1] = 0.5 * factor * 1e-12 * big
+        stack = np.stack([s, s + 1j * c])
+        if ok:
+            rep = MomentReport(["a", "b", "c"], np.zeros(3), s, c)
+            lam = psd_min_eig(stack)
+            assert (rep.sigma_min_eig, rep.robertson_min_eig) == (lam[0], lam[1])
+        else:
+            with pytest.raises(InvalidInputError, match="not Hermitian") as ours:
+                MomentReport(["a", "b", "c"], np.zeros(3), s, c)
+            with pytest.raises(InvalidInputError, match="not Hermitian") as theirs:
+                psd_min_eig(stack)
+            assert str(ours.value) == str(theirs.value)
+
+
+def test_three_observable_refusal_reports_non_finite_entries_first():
+    # as psd_min_eig on the stack [sigma, R]: a NaN in C is named before the
+    # deviation of a sigma that is not symmetric
+    sigma = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    commut = np.zeros((3, 3))
+    commut[0, 2] = commut[2, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="non-finite") as ours:
+        MomentReport(["a", "b", "c"], np.zeros(3), sigma, commut)
+    with pytest.raises(InvalidInputError, match="non-finite") as theirs:
+        psd_min_eig(np.stack([sigma, sigma + 1j * commut]))
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_moment_gates_refuse_a_nan_or_negative_bound(bad):
+    obs = observable_set("canonical", N=20)
+    st = basis_state(fock_basis(20), 0)
+    with pytest.raises(InvalidInputError, match="max_tail"):
+        moment_report(obs, st, max_tail=bad)
+    with pytest.raises(InvalidInputError, match="max_tail"):
+        char_ur_report(obs, [st, st], max_tail=bad)

@@ -97,6 +97,22 @@ def test_constructors_refuse_non_finite_parameters_without_warnings(build):
             build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda mt: canonical_ss(0.3, 1.25, 0.75, N=64, max_tail=mt),
+    lambda mt: squeezed_fock(1, 1.25, 0.75, N=64, max_tail=mt),
+    lambda mt: even_odd_cs(0.5, "odd", N=32, max_tail=mt),
+    lambda mt: su11_cs(0.3, 1.0, max_tail=mt),
+    lambda mt: su11_intelligent(1.0, -0.16, 0.0, 1.6, 1.0, max_tail=mt),
+])
+def test_tail_gates_refuse_a_nan_or_negative_bound(build):
+    # tail_mass > nan is false: a NaN bound used to turn the gate off
+    for bad in (math.nan, -1.0):
+        with pytest.raises(InvalidInputError, match="max_tail"):
+            build(bad)
+    # None still turns the gate off, and an infinite bound admits everything
+    assert build(None).tail_mass == build(math.inf).tail_mass
+
+
 # ---------------------------------------------------------------------------
 # glauber
 # ---------------------------------------------------------------------------

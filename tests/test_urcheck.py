@@ -1,9 +1,11 @@
 """Signed uncertainty gaps, extended several-state forms, complementary split."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from urstates.errors import (
     BasisMismatchError,
@@ -17,10 +19,11 @@ from urstates.hilbert import (
     fock_basis,
     su11_basis,
 )
-from urstates.matrixkit import char_coeffs
+from urstates.matrixkit import _small_char_coeffs, char_coeffs
 from urstates.moments import ObservableSet, moment_report, observable_set
 from urstates.states import canonical_ss, glauber, su2_cs
 from urstates.urcheck import (
+    SATURATION_RTOL,
     _ur_from_moments,
     char_ur_report,
     complementary,
@@ -285,3 +288,90 @@ def test_report_json_shape():
     assert set(doc["orders"]) == {"1", "2"}
     assert set(doc["pairs"]) == {"0,1"}
     assert doc["pairs"]["0,1"]["saturated"]["schr"] is True
+
+
+# -- gap records against the formulas they replaced ---------------------------
+
+def _dataclass_era_records(labels, sigma, commut):
+    """The order and pair documents as the frozen-dataclass records built
+    them: every gap and flag computed up front, from the same floats."""
+    def saturated(lhs, rhs, scale=0.0):
+        return bool(abs(lhs - rhs) <= SATURATION_RTOL * max(abs(lhs), abs(rhs), scale, 1e-30))
+
+    n = len(labels)
+    s, c = sigma.tolist(), commut.tolist()
+    if n <= 3:
+        cs, cc = _small_char_coeffs(s), _small_char_coeffs(c)
+    else:
+        cs, cc = char_coeffs(np.stack([sigma, commut]).astype(complex)).real.tolist()
+    mean_var = cs[1] / n
+    orders = {}
+    for r in range(1, n + 1):
+        scale = math.comb(n, r) * mean_var ** r
+        orders[str(r)] = {"c_sigma": cs[r], "c_comm": cc[r], "gap": cs[r] - cc[r],
+                          "saturated": saturated(cs[r], cc[r], scale)}
+    pairs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            s11, s22, s12, c12 = s[i][i], s[j][j], s[i][j], c[i][j]
+            tr2 = s11 + s22
+            heis_gap = s11 * s22 - c12 * c12
+            prod_scale = (tr2 / 2.0) ** 2
+            pairs[f"{i},{j}"] = {
+                "labels": [labels[i], labels[j]],
+                "sum_gap": float(tr2 - 2.0 * abs(c12)),
+                "heis_gap": float(heis_gap),
+                "schr_gap": float(heis_gap - s12 * s12),
+                "saturated": {
+                    "sum": saturated(tr2, 2.0 * abs(c12), tr2),
+                    "heis": saturated(s11 * s22, c12 * c12, prod_scale),
+                    "schr": saturated(s11 * s22 - s12 * s12, c12 * c12, prod_scale),
+                },
+            }
+    return orders, pairs
+
+
+def _assert_records_match(labels, sigma, commut):
+    rep = _ur_from_moments(labels, sigma, commut, 1)
+    orders, pairs = _dataclass_era_records(labels, sigma, commut)
+    doc = rep.to_json_dict()
+    # json.dumps writes floats by repr, so this is a bit-for-bit comparison
+    assert json.dumps(doc["orders"]) == json.dumps(orders)
+    assert json.dumps(doc["pairs"]) == json.dumps(pairs)
+    for r, rec in rep.order_gaps.items():
+        want = orders[str(r)]
+        assert rec.r == r
+        assert (rec.c_sigma, rec.c_comm, rec.gap) == (want["c_sigma"], want["c_comm"], want["gap"])
+        assert rec.saturated is want["saturated"]
+    for (i, j), rec in rep.pair_gaps.items():
+        want = pairs[f"{i},{j}"]
+        assert rec.labels == tuple(want["labels"])
+        assert (rec.sum_gap, rec.heis_gap, rec.schr_gap) == \
+            (want["sum_gap"], want["heis_gap"], want["schr_gap"])
+        assert rec.saturated == want["saturated"]
+
+
+_ENTRY = strategies.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.integers(2, 4), strategies.lists(_ENTRY, min_size=16, max_size=16),
+       strategies.lists(_ENTRY, min_size=16, max_size=16))
+def test_gap_records_equal_the_dataclass_formulas(n, a, b):
+    A = np.array(a[:n * n]).reshape(n, n)
+    B = np.array(b[:n * n]).reshape(n, n)
+    labels = [f"x{i}" for i in range(n)]
+    _assert_records_match(labels, A + A.T, B - B.T)
+
+
+@pytest.mark.parametrize("name,N,build", [
+    ("canonical", 64, lambda b: glauber(0.3 - 0.2j, N=64)),
+    ("canonical", 128, lambda b: canonical_ss(0.4, 1.25, 0.75, N=128)),
+    ("su2:1", None, lambda b: su2_cs(0.4, 1.0)),
+    ("su11:0.5", 48, lambda b: basis_state(b, 0)),
+    ("su11:0.5", 48, lambda b: basis_state(b, 3)),
+])
+def test_gap_records_equal_the_dataclass_formulas_where_they_saturate(name, N, build):
+    obs = observable_set(name, N=N)
+    rep = moment_report(obs, build(obs.basis), max_tail=None)
+    _assert_records_match(obs.labels, rep.sigma, rep.commut)
