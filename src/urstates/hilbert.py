@@ -32,6 +32,7 @@ __all__ = [
     "BasisSpec",
     "Operator",
     "StateVector",
+    "mass_exceeds",
     "boson_ladder",
     "su11_ladder",
     "hermitian_parts",
@@ -312,12 +313,16 @@ class StateVector:
         return self.basis.dim
 
     def tail_exceeds(self, max_tail):
-        """Whether the tail mass is above ``max_tail`` (never for None).  A NaN
-        bound, which ``tail_mass > nan`` would let through, or a negative one
-        is refused."""
-        if max_tail is not None and not max_tail >= 0.0:
-            raise InvalidInputError(f"max_tail must be None or >= 0, got {max_tail!r}")
-        return max_tail is not None and self.tail_mass > max_tail
+        """Whether the tail mass is above ``max_tail``; see `mass_exceeds`."""
+        return mass_exceeds(self.tail_mass, max_tail)
+
+
+def mass_exceeds(mass, max_tail):
+    """Whether ``mass`` is above ``max_tail`` (never for None).  A NaN bound,
+    which ``mass > nan`` would let through, or a negative one is refused."""
+    if max_tail is not None and not max_tail >= 0.0:
+        raise InvalidInputError(f"max_tail must be None or >= 0, got {max_tail!r}")
+    return max_tail is not None and mass > max_tail
 
 
 def basis_state(basis, n):

@@ -13,6 +13,7 @@ always satisfy |u|^2 - |v|^2 = 1 after the internal rescale.
 """
 
 import cmath
+import functools
 import math
 
 from dataclasses import dataclass
@@ -31,9 +32,9 @@ from .hilbert import (
     DEFAULT_FOCK_CUTOFF,
     DEFAULT_SU11_CUTOFF,
     StateVector,
-    basis_state,
     boson_ladder,
     fock_basis,
+    mass_exceeds,
     su11_basis,
     su11_ladder,
     su11_rep,
@@ -52,6 +53,7 @@ __all__ = [
     "su11_intelligent",
     "even_odd_cs",
     "su2_cs",
+    "FAMILIES",
 ]
 
 #: hard ceiling for adaptive basis growth before declaring defeat
@@ -73,7 +75,7 @@ class SqueezeParams:
     def normalized(self):
         u = complex(self.u)
         v = complex(self.v)
-        _require_finite("squeeze pair", u=u, v=v)
+        _check_params("squeeze pair", u=u, v=v)
         s = abs(u) ** 2 - abs(v) ** 2
         if not s > 0.0:
             raise InvalidInputError(
@@ -106,11 +108,28 @@ def _raise(amp, c):
     return out
 
 
-def _require_finite(family, **params):
-    """Refuse NaN or infinite parameters before any arithmetic sees them."""
+def _check_params(family, **params):
+    """Refuse NaN or infinite parameters before any arithmetic sees them,
+    and a Bargmann index ``k`` that is not positive."""
     bad = [name for name, val in params.items() if not cmath.isfinite(val)]
     if bad:
         raise InvalidInputError(f"{family}: parameter {', '.join(bad)} must be finite")
+    if params.get("k", 1.0) <= 0:
+        raise InvalidInputError(f"Bargmann index must be positive, got k={params['k']}")
+
+
+def _fock_cutoff(N, alpha, family):
+    """The Fock cutoff N (DEFAULT_FOCK_CUTOFF when omitted), refused below
+    the |alpha|^2 + 10|alpha| + 20 levels a displacement alpha needs."""
+    if N is None:
+        N = DEFAULT_FOCK_CUTOFF
+    aa = abs(alpha)
+    if N < aa * aa + 10.0 * aa + 20.0:
+        raise TruncationError(
+            f"{family}: cutoff N={N} too small for |alpha|={aa:.3g} "
+            f"(need at least |alpha|^2 + 10|alpha| + 20)"
+        )
+    return N
 
 
 def _log_weights(ratio, log_x=0.0):
@@ -123,58 +142,83 @@ def _log_weights(ratio, log_x=0.0):
     return np.concatenate(([0.0], np.cumsum(log_x + np.log(ratio))))
 
 
+def _step_amplitudes(x, ratio, dim, start=0, step=1):
+    """Normalized amplitudes c_n ~ x^n w_n on the levels n = start,
+    start + step, ... below ``dim``, zero elsewhere.
+
+    ``ratio(m)`` gives the weight ratios w_{m+step} / w_m > 0 on every kept
+    level m but the last.  |x|^step enters them through its log, and the
+    phase as e^{i n arg x}; x = 0 leaves the lowest kept level alone.
+    """
+    amp = np.zeros(dim, dtype=np.complex128)
+    if x == 0.0:
+        amp[start] = 1.0
+        return amp
+    levels = np.arange(start, dim, step)
+    logs = _log_weights(ratio(levels[:-1]), step * math.log(abs(x)))
+    logs -= logs.max()
+    amp[levels] = np.exp(logs) * np.exp(1j * cmath.phase(x) * levels)
+    return amp / np.linalg.norm(amp)
+
+
 def _top_mass(amp, levels=2):
     return float(np.sum(np.abs(amp[-levels:]) ** 2))
 
 
-def _gate_tail(state, max_tail, family):
-    if state.tail_exceeds(max_tail):
+def _certified(amp, basis, family, params, max_tail, residual, scale, discarded=None):
+    """The StateVector of ``amp``, once it passes the tail gate and then the
+    eigen-equation residual gate.
+
+    The tail gate holds the top-slice ``tail_mass`` to ``max_tail``, or the
+    mass ``discarded`` beyond the cutoff where a family bounds it.  Only then
+    is ``residual()`` evaluated, and the gate on it is truncation-aware: it
+    may reach 50 scale sqrt(N m), m the mass on the top two levels, and 1e-8
+    at least.
+    """
+    state = StateVector(amp, basis, family=family, params=params)
+    mass, what = (state.tail_mass, "tail") if discarded is None else (discarded, "discarded")
+    if mass_exceeds(mass, max_tail):
         raise TruncationError(
-            f"{family}: tail mass {state.tail_mass:.3e} exceeds {max_tail:.1e}; "
-            f"raise the cutoff N"
+            f"{family}: {what} mass {mass:.3e} exceeds {max_tail:.1e}; raise the cutoff N"
         )
-    return state
-
-
-def _gate_residual(res, amp, op_scale, family, floor_factor=50.0):
-    """Certify an eigen-equation residual against a truncation-aware floor."""
-    N = amp.size
-    floor = floor_factor * op_scale * math.sqrt(N * _top_mass(amp))
-    bound = max(1e-8, floor)
+    res = float(residual())
+    bound = max(1e-8, 50.0 * scale * math.sqrt(amp.size * _top_mass(amp)))
     if res > bound:
         raise NumericError(
             f"{family}: eigen-equation residual {res:.3e} exceeds {bound:.3e}"
         )
-    return res
+    return state
 
 
 # ---------------------------------------------------------------------------
 # canonical (Fock-basis) families
 # ---------------------------------------------------------------------------
 
-def glauber(alpha, N=None):
+def _poisson_tail(x, N):
+    """Upper bound on the Poisson mass sum_{n >= N} e^{-x} x^n / n! for
+    x < N + 1: the first term over 1 - x/(N+1), since every later step ratio
+    x/(n+1) is at most x/(N+1)."""
+    if x == 0.0:
+        return 0.0
+    return math.exp(-x + N * math.log(x) - math.lgamma(N + 1.0)) / (1.0 - x / (N + 1.0))
+
+
+def glauber(alpha, N=None, max_tail=1e-8):
     """Coherent state |alpha>: eigenstate of a, minimal and isotropic spread.
 
     Amplitudes follow c_{n+1} = c_n alpha/sqrt(n+1), the v = 0 case of the
     squeeze recurrence, which rescales as it goes so large |alpha| cannot
-    overflow before normalization.
+    overflow before normalization.  The tail gate holds the Poisson mass the
+    cutoff discards (`_poisson_tail`) to ``max_tail``.
     """
     alpha = complex(alpha)
-    _require_finite("glauber", alpha=alpha)
-    if N is None:
-        N = DEFAULT_FOCK_CUTOFF
+    _check_params("glauber", alpha=alpha)
+    N = _fock_cutoff(N, alpha, "glauber")
     aa = abs(alpha)
-    if N < aa * aa + 10.0 * aa + 20.0:
-        raise TruncationError(
-            f"glauber: cutoff N={N} too small for |alpha|={aa:.3g} "
-            f"(need at least |alpha|^2 + 10|alpha| + 20)"
-        )
     amp = _squeezed_amplitudes(alpha, 1.0, 0.0, N)
-    state = StateVector(amp, fock_basis(N), family="glauber",
-                        params={"alpha": alpha})
-    res = float(np.linalg.norm(_lower(amp, boson_ladder(N)) - alpha * amp))
-    _gate_residual(res, amp, max(1.0, aa), "glauber")
-    return state
+    return _certified(amp, fock_basis(N), "glauber", {"alpha": alpha}, max_tail,
+                      lambda: np.linalg.norm(_lower(amp, boson_ladder(N)) - alpha * amp),
+                      max(1.0, aa), discarded=_poisson_tail(aa * aa, N))
 
 
 #: the squeeze recurrence rescales its prefix whenever an amplitude passes
@@ -222,29 +266,16 @@ def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
     truncation error when the certified tail mass exceeds ``max_tail``.
     """
     alpha = complex(alpha)
-    _require_finite("canonical_ss", alpha=alpha)
+    _check_params("canonical_ss", alpha=alpha)
     sq = _coerce_squeeze(u, v)
     u, v = sq.u, sq.v
-    if N is None:
-        N = DEFAULT_FOCK_CUTOFF
-
-    aa = abs(alpha)
-    if N < aa * aa + 10.0 * aa + 20.0:
-        raise TruncationError(
-            f"canonical_ss: cutoff N={N} too small for displacement "
-            f"|alpha|={aa:.3g}"
-        )
-
+    N = _fock_cutoff(N, alpha, "canonical_ss")
     amp = _squeezed_amplitudes(alpha, u, v, N)
-    state = StateVector(
-        amp, fock_basis(N), family="canonical_ss",
-        params={"alpha": alpha, "u": u, "v": v},
-    )
-    _gate_tail(state, max_tail, "canonical_ss")
     c = boson_ladder(N)
-    res = float(np.linalg.norm(u * _lower(amp, c) + v * _raise(amp, c) - alpha * amp))
-    _gate_residual(res, amp, abs(u) + abs(v) + abs(alpha), "canonical_ss")
-    return state
+    return _certified(amp, fock_basis(N), "canonical_ss",
+                      {"alpha": alpha, "u": u, "v": v}, max_tail,
+                      lambda: np.linalg.norm(u * _lower(amp, c) + v * _raise(amp, c) - alpha * amp),
+                      abs(u) + abs(v) + abs(alpha))
 
 
 def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
@@ -272,17 +303,14 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
         amp = np.conj(u) * _raise(amp, c) + np.conj(v) * _lower(amp, c)
         amp /= np.linalg.norm(amp)
     amp *= (u / abs(u)) ** (n - 1)
-    state = StateVector(
-        amp, fock_basis(N), family="squeezed_fock",
-        params={"n": n, "u": u, "v": v},
-    )
-    _gate_tail(state, max_tail, "squeezed_fock")
-    w = u * _lower(amp, c) + v * _raise(amp, c)
-    w = np.conj(u) * _raise(w, c) + np.conj(v) * _lower(w, c)
-    res = float(np.linalg.norm(w - float(n) * amp))
-    _gate_residual(res, amp, (abs(u) + abs(v)) ** 2 * math.sqrt(N) + n,
-                   "squeezed_fock")
-    return state
+
+    def residual():
+        w = u * _lower(amp, c) + v * _raise(amp, c)
+        w = np.conj(u) * _raise(w, c) + np.conj(v) * _lower(w, c)
+        return np.linalg.norm(w - float(n) * amp)
+
+    return _certified(amp, fock_basis(N), "squeezed_fock", {"n": n, "u": u, "v": v},
+                      max_tail, residual, (abs(u) + abs(v)) ** 2 * math.sqrt(N) + n)
 
 
 def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
@@ -291,79 +319,49 @@ def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
     Both carry eigenvalue alpha^2; the odd family needs alpha != 0.
     """
     alpha = complex(alpha)
-    _require_finite("even_odd_cs", alpha=alpha)
+    _check_params("even_odd_cs", alpha=alpha)
     if parity not in ("even", "odd"):
         raise InvalidInputError(f"parity must be 'even' or 'odd', got {parity!r}")
     if parity == "odd" and alpha == 0.0:
         raise InvalidInputError("odd projection of the vacuum vanishes identically")
-    if N is None:
-        N = DEFAULT_FOCK_CUTOFF
-    aa = abs(alpha)
-    if N < aa * aa + 10.0 * aa + 20.0:
-        raise TruncationError(
-            f"even_odd_cs: cutoff N={N} too small for |alpha|={aa:.3g}"
-        )
-    start = 0 if parity == "even" else 1
-    amp = np.zeros(N, dtype=np.complex128)
-    if aa == 0.0:
-        amp[0] = 1.0
-    else:
-        idx = np.arange(start, N, 2)
-        i = idx[:-1]
-        logs = _log_weights(1.0 / np.sqrt((i + 1.0) * (i + 2.0)), 2.0 * math.log(aa))
-        logs -= logs.max()
-        phases = np.exp(1j * cmath.phase(alpha) * idx)
-        amp[idx] = np.exp(logs) * phases
-        amp /= np.linalg.norm(amp)
-    state = StateVector(
-        amp, fock_basis(N), family="even_odd_cs",
-        params={"alpha": alpha, "parity": parity},
-    )
-    _gate_tail(state, max_tail, "even_odd_cs")
+    N = _fock_cutoff(N, alpha, "even_odd_cs")
+    amp = _step_amplitudes(alpha, lambda m: 1.0 / np.sqrt((m + 1.0) * (m + 2.0)), N,
+                           start=0 if parity == "even" else 1, step=2)
     c = boson_ladder(N)
-    res = float(np.linalg.norm(_lower(_lower(amp, c), c) - alpha * alpha * amp))
-    _gate_residual(res, amp, max(1.0, aa * aa) * math.sqrt(N), "even_odd_cs")
-    return state
+    return _certified(amp, fock_basis(N), "even_odd_cs",
+                      {"alpha": alpha, "parity": parity}, max_tail,
+                      lambda: np.linalg.norm(_lower(_lower(amp, c), c) - alpha * alpha * amp),
+                      max(1.0, abs(alpha) ** 2) * math.sqrt(N))
 
 
 # ---------------------------------------------------------------------------
 # su(1,1) families on the discrete-series weight basis
 # ---------------------------------------------------------------------------
 
-def bg_cs(z, k, N=None):
+def bg_cs(z, k, N=None, max_tail=1e-8):
     """Barut-Girardello state: eigenstate of the lowering generator K-.
 
     Amplitudes c_n ~ z^n / sqrt(n! Gamma(2k+n)) decay factorially, so any
-    reasonable cutoff holds the whole state; a tail gate still certifies it.
+    reasonable cutoff holds the whole state; a tail gate still certifies it,
+    and the top level must carry at most 1e-14 of the mass.
     """
     z = complex(z)
     k = float(k)
-    _require_finite("bg_cs", z=z, k=k)
-    if k <= 0:
-        raise InvalidInputError(f"Bargmann index must be positive, got k={k}")
+    _check_params("bg_cs", z=z, k=k)
     if N is None:
         N = DEFAULT_SU11_CUTOFF
-    az = abs(z)
-    amp = np.zeros(N, dtype=np.complex128)
-    if az == 0.0:
-        amp[0] = 1.0
-    else:
-        n = np.arange(N, dtype=float)
-        m = n[:-1]
-        logs = _log_weights(1.0 / np.sqrt((m + 1.0) * (2.0 * k + m)), math.log(az))
-        logs -= logs.max()
-        amp = np.exp(logs) * np.exp(1j * cmath.phase(z) * n)
-        amp /= np.linalg.norm(amp)
-    state = StateVector(amp, su11_basis(k, N), family="bg_cs",
-                        params={"z": z, "k": k})
-    _gate_tail(state, 1e-8, "bg_cs")
-    if _top_mass(amp, 1) > 1e-14:
-        raise TruncationError(
-            f"bg_cs: top-level amplitude mass {_top_mass(amp, 1):.3e} > 1e-14"
-        )
-    res = float(np.linalg.norm(_lower(amp, su11_ladder(k, N)) - z * amp))
-    _gate_residual(res, amp, max(1.0, az), "bg_cs")
-    return state
+    amp = _step_amplitudes(z, lambda m: 1.0 / np.sqrt((m + 1.0) * (2.0 * k + m)), N)
+
+    def residual():
+        # the top-level check runs between the tail gate and the residual gate
+        if _top_mass(amp, 1) > 1e-14:
+            raise TruncationError(
+                f"bg_cs: top-level amplitude mass {_top_mass(amp, 1):.3e} > 1e-14"
+            )
+        return np.linalg.norm(_lower(amp, su11_ladder(k, N)) - z * amp)
+
+    return _certified(amp, su11_basis(k, N), "bg_cs", {"z": z, "k": k}, max_tail,
+                      residual, max(1.0, abs(z)))
 
 
 def _su11_cs_cutoff(abs_xi, k):
@@ -397,16 +395,7 @@ def _su11_cs_cutoff(abs_xi, k):
 def _su11_cs_amplitudes(xi, k, N):
     """Normalized amplitudes c_n ~ xi^n sqrt((2k)_n / n!) of |xi; k> on the
     lowest N weight levels."""
-    if xi == 0.0:
-        amp = np.zeros(N, dtype=np.complex128)
-        amp[0] = 1.0
-        return amp
-    n = np.arange(N, dtype=float)
-    m = n[:-1]
-    logs = _log_weights(np.sqrt((2.0 * k + m) / (m + 1.0)), math.log(abs(xi)))
-    logs -= logs.max()
-    amp = np.exp(logs) * np.exp(1j * cmath.phase(xi) * n)
-    return amp / np.linalg.norm(amp)
+    return _step_amplitudes(xi, lambda m: np.sqrt((2.0 * k + m) / (m + 1.0)), N)
 
 
 def su11_cs(xi, k, N=None, max_tail=1e-8):
@@ -418,9 +407,7 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
     """
     xi = complex(xi)
     k = float(k)
-    _require_finite("su11_cs", xi=xi, k=k)
-    if k <= 0:
-        raise InvalidInputError(f"Bargmann index must be positive, got k={k}")
+    _check_params("su11_cs", xi=xi, k=k)
     ax = abs(xi)
     if ax >= 1.0 - 1e-12:
         raise NormalizabilityError(
@@ -429,13 +416,12 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
     if N is None:
         N = _su11_cs_cutoff(ax, k)
     amp = _su11_cs_amplitudes(xi, k, N)
-    state = StateVector(amp, su11_basis(k, N), family="su11_cs",
-                        params={"xi": xi, "k": k})
-    _gate_tail(state, max_tail, "su11_cs")
     c = su11_ladder(k, N)
-    res = float(np.linalg.norm(_lower(amp, c) - xi * xi * _raise(amp, c) - 2.0 * k * xi * amp))
-    _gate_residual(res, amp, max(1.0, 2.0 * k * ax) * math.sqrt(N), "su11_cs")
-    return state
+    return _certified(
+        amp, su11_basis(k, N), "su11_cs", {"xi": xi, "k": k}, max_tail,
+        lambda: np.linalg.norm(_lower(amp, c) - xi * xi * _raise(amp, c) - 2.0 * k * xi * amp),
+        max(1.0, 2.0 * k * ax) * math.sqrt(N),
+    )
 
 
 def su11_cs_unitary(zeta, k, N=None):
@@ -446,9 +432,7 @@ def su11_cs_unitary(zeta, k, N=None):
     """
     zeta = complex(zeta)
     k = float(k)
-    _require_finite("su11_cs_unitary", zeta=zeta, k=k)
-    if k <= 0:
-        raise InvalidInputError(f"Bargmann index must be positive, got k={k}")
+    _check_params("su11_cs_unitary", zeta=zeta, k=k)
     ax = math.tanh(abs(zeta))
     if N is None:
         N = _su11_cs_cutoff(ax, k)
@@ -456,10 +440,9 @@ def su11_cs_unitary(zeta, k, N=None):
     G = zeta * rep["kplus"].matrix - np.conj(zeta) * rep["kminus"].matrix
     amp = expm(G)[:, 0].astype(np.complex128)
     amp /= np.linalg.norm(amp)
-    state = StateVector(amp, su11_basis(k, N), family="su11_cs_unitary",
-                        params={"zeta": zeta, "k": k})
-    _gate_tail(state, 1e-8, "su11_cs_unitary")
-    return state
+    # no eigen-equation is solved here, so there is no residual to gate
+    return _certified(amp, su11_basis(k, N), "su11_cs_unitary", {"zeta": zeta, "k": k},
+                      1e-8, lambda: 0.0, 1.0)
 
 
 def su2_cs(tau, j):
@@ -470,17 +453,9 @@ def su2_cs(tau, j):
     """
     tau = complex(tau)
     j = float(j)
-    _require_finite("su2_cs", tau=tau, j=j)
+    _check_params("su2_cs", tau=tau, j=j)
     basis = su2_basis(j)
-    dim = basis.dim
-    if tau == 0.0:
-        return basis_state(basis, 0)
-    n = np.arange(dim, dtype=float)
-    m = n[:-1]
-    logs = _log_weights(np.sqrt((2.0 * j - m) / (m + 1.0)), math.log(abs(tau)))
-    logs -= logs.max()
-    amp = np.exp(logs) * np.exp(1j * cmath.phase(tau) * n)
-    amp /= np.linalg.norm(amp)
+    amp = _step_amplitudes(tau, lambda m: np.sqrt((2.0 * j - m) / (m + 1.0)), basis.dim)
     return StateVector(amp, basis, family="su2_cs", params={"tau": tau, "j": j})
 
 
@@ -547,9 +522,7 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     """
     u, v, w, z = complex(u), complex(v), complex(w), complex(z)
     k = float(k)
-    _require_finite("su11_intelligent", u=u, v=v, w=w, z=z, k=k)
-    if k <= 0:
-        raise InvalidInputError(f"Bargmann index must be positive, got k={k}")
+    _check_params("su11_intelligent", u=u, v=v, w=w, z=z, k=k)
     scale = max(abs(u), abs(v), abs(w))
     if scale == 0.0:
         raise InvalidInputError("intelligent family needs (u, v, w) != 0")
@@ -626,18 +599,15 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
             N = min(2 * N, MAX_ADAPTIVE_CUTOFF)
             grown = True
 
-    state = StateVector(
-        amp, su11_basis(k, N), family="su11_intelligent",
-        params={"u": u, "v": v, "w": w, "z": z, "k": k, "degenerate": degenerate},
-    )
-    _gate_tail(state, max_tail, "su11_intelligent")
     c = su11_ladder(k, N)
-    res = float(np.linalg.norm(
-        u * _lower(amp, c) + v * _raise(amp, c) + w * (k + np.arange(N)) * amp - z * amp
-    )) / scale
-    _gate_residual(res, amp, math.sqrt(N) * (1.0 + k + abs(z) / scale),
-                   "su11_intelligent")
-    return state
+    return _certified(
+        amp, su11_basis(k, N), "su11_intelligent",
+        {"u": u, "v": v, "w": w, "z": z, "k": k, "degenerate": degenerate}, max_tail,
+        lambda: np.linalg.norm(
+            u * _lower(amp, c) + v * _raise(amp, c) + w * (k + np.arange(N)) * amp - z * amp
+        ) / scale,
+        math.sqrt(N) * (1.0 + k + abs(z) / scale),
+    )
 
 
 def su11_intelligent_spectrum(u, v, w, k, count=8):
@@ -657,3 +627,19 @@ def su11_intelligent_spectrum(u, v, w, k, count=8):
         )
     l = math.sqrt(disc) * (1.0 if w.real > 0 else -1.0)
     return [l * (k + n) for n in range(count)]
+
+
+#: the families of ``urstates state --family``: name -> (constructor, the
+#: keyword parameters it takes from the command line).  N and max_tail are
+#: the cutoff and the tail bound, which the exact su(2) irrep does not take.
+FAMILIES = {
+    "glauber": (glauber, ("alpha", "N", "max_tail")),
+    "canonical-ss": (canonical_ss, ("alpha", "u", "v", "N", "max_tail")),
+    "squeezed-fock": (squeezed_fock, ("n", "u", "v", "N", "max_tail")),
+    "even-cs": (functools.partial(even_odd_cs, parity="even"), ("alpha", "N", "max_tail")),
+    "odd-cs": (functools.partial(even_odd_cs, parity="odd"), ("alpha", "N", "max_tail")),
+    "bg-cs": (bg_cs, ("z", "k", "N", "max_tail")),
+    "su11-cs": (su11_cs, ("xi", "k", "N", "max_tail")),
+    "su11-intelligent": (su11_intelligent, ("u", "v", "w", "z", "k", "N", "max_tail")),
+    "su2-cs": (su2_cs, ("tau", "j")),
+}

@@ -5,6 +5,8 @@ see straight through them; goldens are compared structurally (exact keys
 and strings, floats to tight tolerance) rather than byte-for-byte.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,10 +16,12 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urstates import acceptance, cli, dynamics
 from urstates.cli import main
 from urstates.stateio import load_state
+from urstates.states import FAMILIES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -163,13 +167,98 @@ def test_state_rejects_nan_alpha(capsys, family):
 @pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
 def test_state_refuses_a_max_tail_that_is_not_a_finite_non_negative_number(capsys, family, bound):
     # --max-tail nan once turned the tail gate off, and -1 ended in a
-    # TruncationError; every family is refused, those without a gate too
-    code, out, err = run_cli(capsys, "state", "--family", *family, "--cutoff", "16",
+    # TruncationError; every family is refused, su2-cs without a gate too
+    cutoff = [] if family[0] == "su2-cs" else ["--cutoff", "16"]
+    code, out, err = run_cli(capsys, "state", "--family", *family, *cutoff,
                              f"--max-tail={bound}")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "InvalidInputError"
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidInputError"
+    assert "--max-tail" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["glauber", "--alpha", "3", "--cutoff", "64", "--max-tail", "1e-40"],
+    ["bg-cs", "--z", "3", "--k", "1", "--cutoff", "24", "--max-tail", "1e-30"],
+])
+def test_state_max_tail_gates_glauber_and_bg_cs(capsys, argv):
+    assert run_cli(capsys, "state", "--family", *argv[:-2])[0] == 0
+    code, out, err = run_cli(capsys, "state", "--family", *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "TruncationError"
+
+
+def test_state_su2_cs_refuses_a_cutoff(capsys):
+    # the spin irrep is exact: there is nothing for a cutoff to truncate
+    code, out, err = run_cli(capsys, "state", "--family", "su2-cs", "--tau", "0.5",
+                             "--j", "1", "--cutoff", "64")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "InvalidInputError",
+                               "message": "family 'su2-cs' does not take --cutoff"}
+
+
+def test_state_su2_cs_at_tau_zero_writes_its_family(capsys):
+    code, out, _ = run_cli(capsys, "state", "--family", "su2-cs", "--tau", "0", "--j", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["family"] == "su2_cs"
+    assert doc["params"] == {"tau": {"re": 0.0, "im": 0.0}, "j": 2.0}
+
+
+def test_state_overflow_is_a_numeric_failure_on_one_line(capsys):
+    # |u|^2 overflows a float: once a bare OverflowError traceback
+    code, out, err = run_cli(capsys, "state", "--family", "canonical-ss", "--alpha", "0",
+                             "--u=1e200", "--v", "0", "--cutoff", "32")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "OverflowError"
+
+
+# every --family value, with random parameters: finite, huge, NaN and
+# infinite; cutoffs stay small and spins stay at j <= 20
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_PARAM_VALUES = {
+    "n": st.integers(-10, 10 ** 6),
+    "k": _ANY_FLOAT,
+    "j": st.one_of(st.floats(max_value=20.0), st.just(math.nan), st.sampled_from([0.5, 3.0, 20.0])),
+    "N": st.integers(8, 64),
+    "max_tail": st.one_of(_ANY_FLOAT, st.sampled_from([1e-8, 1e-3, 1.0])),
+}
+_COMPLEX = st.one_of(
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(max_magnitude=3.0),
+)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_state_ends_in_a_document_or_one_error_line(family, data):
+    _build, params = FAMILIES[family]
+    argv = ["state", "--family", family]
+    for name in params:
+        value = data.draw(_PARAM_VALUES.get(name, _COMPLEX), label=name)
+        argv.append(f"{cli._param_flag(name)}={value!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 64), (argv, err.getvalue())
+    assert "NaN" not in out.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["amplitudes"]
+    elif code != 64:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert set(json.loads(lines[0])) == {"error", "message"}
 
 
 def test_state_max_tail_still_gates(capsys):
@@ -591,6 +680,32 @@ def test_golden_state_document(capsys):
                            "--alpha", "0.3+0.4j", "--cutoff", "32")
     assert code == 0
     expected = json.loads((GOLDEN / "state_glauber.json").read_text())
+    assert_json_matches(json.loads(out), expected)
+
+
+#: the other families, each with a golden document made by the same command
+_GOLDEN_STATES = {
+    "canonical-ss": ["--alpha=0.3+0.2j", "--u", "1.1", "--v", "0.3j", "--cutoff", "32"],
+    "squeezed-fock": ["--n", "2", "--u", "1.05", "--v=0.2-0.1j", "--cutoff", "32"],
+    "even-cs": ["--alpha=0.8+0.3j", "--cutoff", "32"],
+    "odd-cs": ["--alpha=0.8+0.3j", "--cutoff", "32"],
+    "bg-cs": ["--z=0.7-0.4j", "--k", "0.75", "--cutoff", "24"],
+    "su11-cs": ["--xi=0.3+0.2j", "--k", "0.5", "--cutoff", "48"],
+    "su11-intelligent": ["--u", "1", "--v=-0.16+0.05j", "--w", "0.1", "--z", "1.6",
+                         "--k", "1", "--cutoff", "48"],
+    "su2-cs": ["--tau=0.5-0.3j", "--j", "2.5"],
+}
+
+
+def test_golden_states_cover_every_family():
+    assert sorted(["glauber", *_GOLDEN_STATES]) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(_GOLDEN_STATES))
+def test_golden_state_document_of_every_family(capsys, family):
+    code, out, _ = run_cli(capsys, "state", "--family", family, *_GOLDEN_STATES[family])
+    assert code == 0
+    expected = json.loads((GOLDEN / f"state_{family}.json").read_text())
     assert_json_matches(json.loads(out), expected)
 
 

@@ -20,6 +20,7 @@ from urstates.moments import moment_report, observable_set
 from urstates.states import (
     MAX_ADAPTIVE_CUTOFF,
     SqueezeParams,
+    _poisson_tail,
     bg_cs,
     canonical_ss,
     even_odd_cs,
@@ -103,6 +104,8 @@ def test_constructors_refuse_non_finite_parameters_without_warnings(build):
     lambda mt: even_odd_cs(0.5, "odd", N=32, max_tail=mt),
     lambda mt: su11_cs(0.3, 1.0, max_tail=mt),
     lambda mt: su11_intelligent(1.0, -0.16, 0.0, 1.6, 1.0, max_tail=mt),
+    lambda mt: glauber(0.5, N=32, max_tail=mt),
+    lambda mt: bg_cs(0.5, 1.0, N=32, max_tail=mt),
 ])
 def test_tail_gates_refuse_a_nan_or_negative_bound(build):
     # tail_mass > nan is false: a NaN bound used to turn the gate off
@@ -150,6 +153,27 @@ def test_glauber_cutoff_gate():
     with pytest.raises(TruncationError):
         glauber(3.0, N=32)
     assert glauber(0.0, N=20).amplitudes[0] == 1.0
+
+
+def test_glauber_gates_on_its_discarded_poisson_mass():
+    # on the minimum cutoff the top slice holds 5.1e-8 and 5.5e-4 of the
+    # mass, but the Poisson tail beyond N is about 1e-24: both are accepted
+    for alpha, N in ((40.0, 2021), (60.0, 4221)):
+        assert _poisson_tail(alpha * alpha, N) < 1e-20
+        assert glauber(alpha, N=N).dim == N
+    # the top slice of glauber(3, N=64) holds 8.9e-27, past N lies 1.3e-32
+    assert glauber(3.0, N=64, max_tail=1e-30).tail_mass > 1e-30
+    with pytest.raises(TruncationError, match="discarded mass"):
+        glauber(3.0, N=64, max_tail=1e-40)
+
+
+@pytest.mark.parametrize("alpha, N", [(0.5, 26), (0.3 + 0.4j, 32), (3.0, 64),
+                                      (6.0 - 2.0j, 104), (10.0, 220)])
+def test_glauber_poisson_bound_covers_the_mass_beyond_the_cutoff(alpha, N):
+    wide = glauber(alpha, N=4 * N)
+    beyond = float(np.sum(np.abs(wide.amplitudes[N:]) ** 2))
+    assert beyond > 0.0
+    assert _poisson_tail(abs(alpha) ** 2, N) >= beyond
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +436,16 @@ def test_bg_cs_weight_mean_matches_bessel_ratio(k):
     assert rep.means[2] == pytest.approx(expect, rel=1e-12)
 
 
+def test_bg_cs_tail_gate_honours_max_tail():
+    st = bg_cs(3.0, 1.0, N=24)
+    assert 1e-30 < st.tail_mass < 1e-8
+    with pytest.raises(TruncationError, match="tail mass"):
+        bg_cs(3.0, 1.0, N=24, max_tail=1e-30)
+    # the top-level check still refuses what a loose tail bound admits
+    with pytest.raises(TruncationError, match="top-level"):
+        bg_cs(12.0, 1.0, N=24, max_tail=1.0)
+
+
 def test_bg_cs_validation():
     assert bg_cs(0.0, 0.5, N=32).amplitudes[0] == 1.0
     with pytest.raises(InvalidInputError):
@@ -496,6 +530,13 @@ def test_su2_cs_weight_mean():
     t2 = abs(tau) ** 2
     assert rep.means[2] == pytest.approx(j * (t2 - 1) / (t2 + 1), rel=1e-12)
     assert su2_cs(0.0, 0.5).amplitudes[0] == 1.0
+
+
+def test_su2_cs_at_tau_zero_keeps_its_family_and_parameters():
+    st = su2_cs(0.0, 2.0)
+    assert st.family == "su2_cs"
+    assert st.params == {"tau": 0j, "j": 2.0}
+    np.testing.assert_array_equal(st.amplitudes, np.eye(5)[0])
 
 
 def test_su2_cs_refuses_a_huge_spin_before_allocating():
