@@ -31,7 +31,6 @@ from .matrixkit import (
     char_coeffs,
     principal_minor_sum,
     psd_min_eig,
-    targeted_eigenvector,
 )
 from .states import (
     SqueezeParams,
@@ -42,7 +41,6 @@ from .states import (
     squeezed_fock,
     su2_cs,
     su11_cs,
-    su11_cs_unitary,
     su11_intelligent,
     su11_intelligent_spectrum,
 )
@@ -64,13 +62,7 @@ from .urcheck import (
     one_observable_two_state,
     two_state_schrodinger,
 )
-from .intelligent import (
-    CombinationSpec,
-    MinimizerCertificate,
-    PairCertificate,
-    minimizer_certificate,
-    solve_at_eigenvalue,
-)
+from .intelligent import MinimizerCertificate, PairCertificate, minimizer_certificate
 from .dynamics import (
     ClassicalPhasePoint,
     ClassicalTrajectory,

@@ -468,7 +468,7 @@ def main(argv=None):
         return EX_CONTRACT
     except (NumericError, ArithmeticError) as exc:
         # ArithmeticError: an overflow or a division by zero that Python
-        # raises, such as the float square of a huge squeeze parameter
+        # raises, which no constructor gate anticipated
         _emit_error(exc)
         return EX_NUMERIC
     except FileNotFoundError as exc:

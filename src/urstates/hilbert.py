@@ -203,31 +203,10 @@ class Operator:
     ``bands`` maps an offset d to the entries M[i, i+d] in order along that
     diagonal (the layout of ``np.diagonal(M, d)``).  Every observable here is
     a low-order polynomial in ladder operators, so it has a handful of bands
-    and `apply` costs O(N).  ``Operator(label, matrix, basis)`` splits a
-    hand-written dense matrix into its bands; builders that know their bands
-    use `Operator.from_bands`.  The dense ``matrix`` is built on first access
-    and cached, for the dense solvers that need it.
+    and `apply` costs O(N).
     """
 
-    def __init__(self, label, matrix, basis):
-        mat = np.asarray(matrix)
-        if mat.shape != (basis.dim, basis.dim):
-            raise BasisMismatchError(
-                f"operator {label!r}: matrix shape {mat.shape} does not "
-                f"match basis dim {basis.dim}"
-            )
-        rows, cols = np.nonzero(mat)
-        bands = {int(d): np.diagonal(mat, d) for d in np.unique(cols - rows)}
-        self._init(label, bands, basis)
-
-    @classmethod
-    def from_bands(cls, label, bands, basis):
-        """An operator from its diagonals, ``{d: entries M[i, i+d]}``."""
-        op = cls.__new__(cls)
-        op._init(label, bands, basis)
-        return op
-
-    def _init(self, label, bands, basis):
+    def __init__(self, label, bands, basis):
         dim = basis.dim
         for d, band in bands.items():
             if abs(d) >= dim or np.shape(band) != (dim - abs(d),):
@@ -250,6 +229,7 @@ class Operator:
         return {d: row[max(0, -d):max(0, -d) + dim - abs(d)]
                 for d, row in zip(self.offsets, self._rows)}
 
+    # no caller in the package: bench/test_oracles.py compares against it
     @property
     def matrix(self):
         """The dense dim x dim matrix, built once from the bands."""
@@ -367,7 +347,7 @@ def _ladder_set(basis, names, c, d, re_div, im_div, diag):
     one, labeled by ``names`` in that order."""
     re_part, im_part = hermitian_parts(c, d, re_div, im_div)
     bands = ({d: c}, {-d: c}, re_part, im_part, {0: diag})
-    return [Operator.from_bands(name, b, basis) for name, b in zip(names, bands)]
+    return [Operator(name, b, basis) for name, b in zip(names, bands)]
 
 
 def boson_rep(N=DEFAULT_FOCK_CUTOFF):

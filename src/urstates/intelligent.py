@@ -1,6 +1,5 @@
-"""Minimizing states numerically: eigenproblems for complex combinations of
-observables, and certificates that a given state minimizes the pairwise and
-Robertson relations.
+"""Certificates that a given state minimizes the pairwise and Robertson
+relations.
 
 The certificate logic rests on one identity: for a normalized coefficient
 pair beta and the ordered central-moment matrix R = sigma + iC,
@@ -16,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedScaleError
+from .errors import InvalidInputError
 from .hilbert import StateVector
-from .matrixkit import _small_char_coeffs, char_coeffs, targeted_eigenvector
+from .matrixkit import _small_char_coeffs, char_coeffs
 from .moments import moment_report
 
 __all__ = [
-    "CombinationSpec",
-    "solve_at_eigenvalue",
     "PairCertificate",
     "MinimizerCertificate",
     "minimizer_certificate",
@@ -31,57 +28,6 @@ __all__ = [
 
 #: pairwise residual below which a state counts as an exact minimizer
 RESIDUAL_TOL = 1e-8
-
-MAX_DENSE_DIM = 512
-
-
-@dataclass
-class CombinationSpec:
-    """Complex coefficient vector beta over an observable set."""
-
-    beta: np.ndarray
-    observables: object
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=np.complex128)
-        if beta.ndim != 1 or beta.size != self.observables.n:
-            raise InvalidInputError(
-                f"beta length {beta.size} does not match observable count "
-                f"{self.observables.n}"
-            )
-        if not np.any(np.abs(beta) > 0.0):
-            raise InvalidInputError("beta must have at least one nonzero coefficient")
-        self.beta = beta
-
-    def matrix(self):
-        dim = self.observables.basis.dim
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for b, op in zip(self.beta, self.observables.ops):
-            out += b * op.matrix
-        return out
-
-
-def solve_at_eigenvalue(spec, z):
-    """Eigenvector of beta . X at a *known* eigenvalue z, via the smallest
-    singular pair of (beta . X - z).  Returns (StateVector, residual).
-
-    This sidesteps the pseudospectrum trouble of nonnormal truncations:
-    their dense eigendecompositions scatter along rays, but the singular
-    vector at a prescribed z stays accurate.
-    """
-    M = spec.matrix()
-    if M.shape[0] > MAX_DENSE_DIM:
-        raise UnsupportedScaleError(
-            f"dense solve capped at dimension {MAX_DENSE_DIM}, got {M.shape[0]}"
-        )
-    amp, res = targeted_eigenvector(M, complex(z))
-    first = np.argmax(np.abs(amp) > 1e-8)
-    amp = amp * (np.conj(amp[first]) / abs(amp[first]))
-    state = StateVector(amp, spec.observables.basis,
-                        family="combination-eigenvector",
-                        params={"z": complex(z), "targeted": True})
-    return state, res
-
 
 @dataclass(frozen=True)
 class PairCertificate:

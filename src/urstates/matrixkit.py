@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["char_coeffs", "principal_minor_sum", "psd_min_eig", "targeted_eigenvector"]
+__all__ = ["char_coeffs", "principal_minor_sum", "psd_min_eig"]
 
 #: entrywise Hermiticity tolerance (relative to the max-norm) for psd_min_eig
 HERMITICITY_TOL = 1e-12
@@ -185,18 +185,3 @@ def psd_min_eig(H, tol=HERMITICITY_TOL):
     lam = np.linalg.eigvalsh(A)[..., 0]
     return float(lam) if A.ndim == 2 else lam
 
-
-def targeted_eigenvector(M, z):
-    """Best normalized solution of (M - z) x = 0, with its residual.
-
-    Returns the right singular vector of M - z*I belonging to the smallest
-    singular value, and that singular value (= ||(M - z) x||).  Truncated
-    ladder-operator combinations are highly nonnormal and their dense
-    eigendecompositions are pseudospectrum-limited, so recovering the
-    eigenvector at a *known* eigenvalue goes through this SVD instead.
-    """
-    A = _as_square(M)
-    n = A.shape[0]
-    _u, s, vh = np.linalg.svd(A - z * np.eye(n, dtype=A.dtype))
-    vec = vh[-1].conj()
-    return vec / np.linalg.norm(vec), float(s[-1])

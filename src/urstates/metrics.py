@@ -36,7 +36,7 @@ def number_plus_one(basis):
     """The strictly positive observable n + 1 on a Fock basis, as one band."""
     if basis.kind != "fock":
         raise BasisMismatchError("observable 'n+1' needs a Fock-basis state")
-    return Operator.from_bands("n+1", {0: np.arange(1, basis.N + 1, dtype=float)}, basis)
+    return Operator("n+1", {0: np.arange(1, basis.N + 1, dtype=float)}, basis)
 
 
 def _min_eig(X):

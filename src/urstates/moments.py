@@ -172,8 +172,8 @@ def observable_set(name, N=None):
         basis = fock_basis(n_levels)
         # a^2 carries sqrt(n+1) sqrt(n+2) on band +2
         x_bands, y_bands = hermitian_parts(c[:-1] * c[1:], 2, 2.0, 2j)
-        X = Operator.from_bands("Re a^2", x_bands, basis)
-        Y = Operator.from_bands("Im a^2", y_bands, basis)
+        X = Operator("Re a^2", x_bands, basis)
+        Y = Operator("Im a^2", y_bands, basis)
         return ObservableSet([X, Y], name="a2-quadratures")
 
     raise InvalidInputError(f"unknown observable set {name!r}")

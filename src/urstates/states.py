@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+# no caller in the package: bench/spans.py wraps states.expm, and reads
+# scipy.linalg off the import path of cli
+from scipy.linalg import expm  # noqa: F401
 
 from .errors import (
     DegenerateParameterError,
@@ -37,7 +39,6 @@ from .hilbert import (
     mass_exceeds,
     su11_basis,
     su11_ladder,
-    su11_rep,
     su2_basis,
 )
 from .specfun import gauss2f1_terminating
@@ -49,7 +50,6 @@ __all__ = [
     "squeezed_fock",
     "bg_cs",
     "su11_cs",
-    "su11_cs_unitary",
     "su11_intelligent",
     "even_odd_cs",
     "su2_cs",
@@ -76,14 +76,19 @@ class SqueezeParams:
         u = complex(self.u)
         v = complex(self.v)
         _check_params("squeeze pair", u=u, v=v)
-        s = abs(u) ** 2 - abs(v) ** 2
+        # only the ray u : v matters, so a pair whose squares would overflow
+        # or underflow is first scaled near 1 by an exact power of two
+        top = max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag))
+        e = 0 if 2.0 ** -500 <= top <= 2.0 ** 500 else -math.frexp(top)[1]
+        su, sv = (complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)) for x in (u, v))
+        s = abs(su) ** 2 - abs(sv) ** 2
         if not s > 0.0:
             raise InvalidInputError(
                 f"squeeze pair needs |u| > |v| for a normalizable eigenstate, "
                 f"got |u|={abs(u):.6g}, |v|={abs(v):.6g}"
             )
         root = math.sqrt(s)
-        return SqueezeParams(u / root, v / root)
+        return SqueezeParams(su / root, sv / root)
 
 
 def _coerce_squeeze(u, v):
@@ -148,7 +153,8 @@ def _step_amplitudes(x, ratio, dim, start=0, step=1):
 
     ``ratio(m)`` gives the weight ratios w_{m+step} / w_m > 0 on every kept
     level m but the last.  |x|^step enters them through its log, and the
-    phase as e^{i n arg x}; x = 0 leaves the lowest kept level alone.
+    phase as e^{i n arg x} (atan2, which gives 0 where the angle underflows
+    and cmath.phase raises); x = 0 leaves the lowest kept level alone.
     """
     amp = np.zeros(dim, dtype=np.complex128)
     if x == 0.0:
@@ -157,7 +163,7 @@ def _step_amplitudes(x, ratio, dim, start=0, step=1):
     levels = np.arange(start, dim, step)
     logs = _log_weights(ratio(levels[:-1]), step * math.log(abs(x)))
     logs -= logs.max()
-    amp[levels] = np.exp(logs) * np.exp(1j * cmath.phase(x) * levels)
+    amp[levels] = np.exp(logs) * np.exp(1j * math.atan2(x.imag, x.real) * levels)
     return amp / np.linalg.norm(amp)
 
 
@@ -183,7 +189,8 @@ def _certified(amp, basis, family, params, max_tail, residual, scale, discarded=
         )
     res = float(residual())
     bound = max(1e-8, 50.0 * scale * math.sqrt(amp.size * _top_mass(amp)))
-    if res > bound:
+    # a NaN residual fails the gate, where res > bound would let it through
+    if not res <= bound:
         raise NumericError(
             f"{family}: eigen-equation residual {res:.3e} exceeds {bound:.3e}"
         )
@@ -422,27 +429,6 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
         lambda: np.linalg.norm(_lower(amp, c) - xi * xi * _raise(amp, c) - 2.0 * k * xi * amp),
         max(1.0, 2.0 * k * ax) * math.sqrt(N),
     )
-
-
-def su11_cs_unitary(zeta, k, N=None):
-    """Exponential-route twin of `su11_cs`: exp(zeta K+ - conj(zeta) K-)|k,k>.
-
-    Equals |xi; k> with xi = e^{i arg zeta} tanh|zeta|.  Kept as an
-    independent construction so the two routes can cross-check each other.
-    """
-    zeta = complex(zeta)
-    k = float(k)
-    _check_params("su11_cs_unitary", zeta=zeta, k=k)
-    ax = math.tanh(abs(zeta))
-    if N is None:
-        N = _su11_cs_cutoff(ax, k)
-    rep = su11_rep(k, N)
-    G = zeta * rep["kplus"].matrix - np.conj(zeta) * rep["kminus"].matrix
-    amp = expm(G)[:, 0].astype(np.complex128)
-    amp /= np.linalg.norm(amp)
-    # no eigen-equation is solved here, so there is no residual to gate
-    return _certified(amp, su11_basis(k, N), "su11_cs_unitary", {"zeta": zeta, "k": k},
-                      1e-8, lambda: 0.0, 1.0)
 
 
 def su2_cs(tau, j):

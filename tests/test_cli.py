@@ -210,13 +210,38 @@ def test_state_su2_cs_at_tau_zero_writes_its_family(capsys):
 
 
 def test_state_overflow_is_a_numeric_failure_on_one_line(capsys):
-    # |u|^2 overflows a float: once a bare OverflowError traceback
-    code, out, err = run_cli(capsys, "state", "--family", "canonical-ss", "--alpha", "0",
-                             "--u=1e200", "--v", "0", "--cutoff", "32")
+    # 2k overflows a float, the K- ladder coefficients are inf and the
+    # eigen-equation residual is NaN: once accepted with exit 0
+    code, out, err = run_cli(capsys, "state", "--family", "bg-cs", "--z", "0",
+                             "--k", "8.98846567431158e+307", "--cutoff", "8")
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "OverflowError"
+    assert json.loads(err)["error"] == "NumericError"
+
+
+def test_state_arithmetic_error_is_a_numeric_failure_on_one_line(capsys, monkeypatch):
+    def overflow(**_params):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(FAMILIES, "glauber", (overflow, FAMILIES["glauber"][1]))
+    code, out, err = run_cli(capsys, "state", "--family", "glauber", "--alpha", "0.5")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "OverflowError", "message": "math range error"}
+
+
+@pytest.mark.parametrize("argv", [
+    # |u|^2 overflowed (exit 1), or underflowed to a refused |u| <= |v| (exit 2)
+    ("canonical-ss", "--alpha", "0", "--u=1e200", "--v", "0", "--cutoff", "32"),
+    ("canonical-ss", "--alpha", "0", "--u=1e-200", "--v", "0", "--cutoff", "32"),
+    # arg z underflows, where cmath.phase raised OverflowError (exit 1)
+    ("bg-cs", "--z=4+5e-324j", "--k", "1"),
+])
+def test_state_builds_where_an_intermediate_overflowed_or_underflowed(capsys, argv):
+    code, out, err = run_cli(capsys, "state", "--family", *argv)
+    assert code == 0, err
+    assert all(im == 0.0 for _re, im in json.loads(out)["amplitudes"])
 
 
 # every --family value, with random parameters: finite, huge, NaN and

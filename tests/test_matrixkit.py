@@ -1,5 +1,5 @@
 """char_coeffs and its closed forms against brute-force minors, plus the
-PSD / targeted-SVD helpers."""
+PSD helper."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from urstates.matrixkit import (
     char_coeffs,
     principal_minor_sum,
     psd_min_eig,
-    targeted_eigenvector,
 )
 
 
@@ -71,8 +70,6 @@ def test_square_input_is_enforced():
     # only char_coeffs and psd_min_eig take stacks
     with pytest.raises(InvalidInputError):
         principal_minor_sum(np.zeros((2, 3, 3)), 1)
-    with pytest.raises(InvalidInputError):
-        targeted_eigenvector(np.zeros((2, 3, 3)), 0.0)
 
 
 def test_minor_sum_argument_checks():
@@ -230,19 +227,3 @@ def test_hermiticity_tolerance_is_relative_to_each_matrix():
     with pytest.raises(InvalidInputError, match="not Hermitian"):
         psd_min_eig(np.stack([large, small]))
 
-
-def test_targeted_eigenvector_on_normal_matrix():
-    vec, res = targeted_eigenvector(np.diag([1.0, 4.0, 9.0]), 4.0)
-    assert res < 1e-12
-    np.testing.assert_allclose(np.abs(vec), [0.0, 1.0, 0.0], atol=1e-12)
-
-
-def test_targeted_eigenvector_on_nonnormal_matrix():
-    # strongly nonnormal upper triangular: dense eig is pseudospectrum
-    # limited, but the singular vector at the exact eigenvalue stays clean
-    n = 40
-    M = np.diag(np.arange(n, dtype=float)) + 0.5 * np.triu(np.ones((n, n)), 1)
-    vec, res = targeted_eigenvector(M, 7.0)
-    assert res < 1e-10
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-    assert np.linalg.norm(M @ vec - 7.0 * vec) < 1e-9

@@ -21,7 +21,7 @@ from urstates.states import glauber, squeezed_fock
 
 def n_plus_one(N):
     basis = fock_basis(N)
-    return Operator("n+1", np.diag(np.arange(N) + 1.0), basis)
+    return Operator("n+1", {0: np.arange(N) + 1.0}, basis)
 
 
 def test_identity_overlap_matches_coherent_formula():
@@ -108,7 +108,7 @@ def test_banded_minimum_eigenvalue_matches_dense(X):
 
 def test_rejects_non_hermitian_observable():
     basis = fock_basis(16)
-    shift = Operator("shift", np.eye(16, k=1), basis)
+    shift = Operator("shift", {1: np.ones(15)}, basis)
     with pytest.raises(InvalidInputError):
         g_overlap(basis_state(basis, 0), basis_state(basis, 1), shift)
 

@@ -62,10 +62,10 @@ def test_banded_products_match_the_dense_matrices(name, N):
 def test_observable_set_rejects_band_pair_that_is_not_conjugate():
     basis = fock_basis(16)
     c = np.sqrt(np.arange(1.0, 16.0))
-    q = Operator.from_bands("q", {-1: c, 1: c}, basis)
+    q = Operator("q", {-1: c, 1: c}, basis)
     for bands in ({-1: -c, 1: c}, {-1: 1j * c, 1: 1j * c}, {1: c}):
         with pytest.raises(InvalidInputError, match="not Hermitian"):
-            ObservableSet([q, Operator.from_bands("bad", bands, basis)])
+            ObservableSet([q, Operator("bad", bands, basis)])
 
 
 def test_pure_report_matches_dense_moments():

@@ -13,6 +13,7 @@ from scipy.linalg import expm
 from urstates.errors import (
     InvalidInputError,
     NormalizabilityError,
+    NumericError,
     TruncationError,
 )
 from urstates.hilbert import basis_state, boson_rep, fock_basis, su11_rep
@@ -28,7 +29,6 @@ from urstates.states import (
     squeezed_fock,
     su2_cs,
     su11_cs,
-    su11_cs_unitary,
     su11_intelligent,
     su11_intelligent_spectrum,
 )
@@ -64,6 +64,14 @@ def ss_oracle(alpha, u, v, N, M=256):
     return phase_u * squeeze_oracle(u, v, seed, N)
 
 
+def su11_cs_unitary(zeta, k, N):
+    """exp(zeta K+ - conj(zeta) K-)|k,k> through a dense expm on N levels,
+    normalized: the exponential route to |xi; k>, xi = e^{i arg zeta} tanh|zeta|."""
+    rep = su11_rep(k, N)
+    amp = expm(zeta * rep["kplus"].matrix - np.conj(zeta) * rep["kminus"].matrix)[:, 0]
+    return amp / np.linalg.norm(amp)
+
+
 # ---------------------------------------------------------------------------
 # squeeze parameters
 # ---------------------------------------------------------------------------
@@ -79,6 +87,22 @@ def test_squeeze_params_normalization():
     for u, v in ((math.nan, 0.3), (1.2, math.nan), (math.inf, 1.0), (complex(1.2, math.nan), 0.0)):
         with pytest.raises(InvalidInputError):
             SqueezeParams(u, v).normalized()
+    # |u|^2 would overflow or underflow at these scales, but only the ray counts
+    for u in (1e200, 1e-200, 5e-324):
+        sq = SqueezeParams(u, 0.0).normalized()
+        assert (sq.u, sq.v) == (1.0, 0.0)
+        with pytest.raises(InvalidInputError):
+            SqueezeParams(u, u).normalized()
+
+
+@pytest.mark.parametrize("lam", [3.0, 1e-200, 1e200, 2.0 ** -600, 5e-300])
+def test_squeeze_pair_is_a_ray_at_any_scale(lam):
+    # |u|^2 - |v|^2 of the given pair would underflow or overflow at all but
+    # the first scale; only the ray u : v may matter
+    u, v = 1.25, 0.75 * cmath.exp(0.3j)
+    ref = canonical_ss(0.2, u, v, N=64)
+    st = canonical_ss(0.2, lam * u, lam * v, N=64)
+    np.testing.assert_allclose(st.amplitudes, ref.amplitudes, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("build", [
@@ -87,7 +111,7 @@ def test_squeeze_params_normalization():
     lambda: even_odd_cs(math.nan, "even", N=32),
     lambda: bg_cs(math.nan, 1.0, N=32),
     lambda: su11_cs(0.3, math.nan),
-    lambda: su11_cs_unitary(math.nan, 1.0, N=32),
+    lambda: squeezed_fock(1, math.nan, 0.3, N=32),
     lambda: su2_cs(math.nan, 1.0),
     lambda: su11_intelligent(1.0, math.nan, 3.0, 1.0, 1.0),
 ])
@@ -446,6 +470,21 @@ def test_bg_cs_tail_gate_honours_max_tail():
         bg_cs(12.0, 1.0, N=24, max_tail=1.0)
 
 
+def test_residual_gate_refuses_a_nan_residual():
+    # 2k overflows, so the K- ladder coefficients are inf and the residual
+    # ||K- psi - z psi|| is inf * 0 = NaN, which res > bound let through
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="residual nan"):
+        bg_cs(0.0, 8.98846567431158e+307, N=8)
+
+
+def test_step_amplitudes_take_phase_zero_for_an_underflowing_angle():
+    # Im z / Re z underflows: cmath.phase raised OverflowError on these
+    np.testing.assert_array_equal(bg_cs(complex(4.0, 5e-324), 1.0).amplitudes,
+                                  bg_cs(4.0, 1.0).amplitudes)
+    np.testing.assert_array_equal(su2_cs(complex(2.0, 5e-324), 3.0).amplitudes,
+                                  su2_cs(2.0, 3.0).amplitudes)
+
+
 def test_bg_cs_validation():
     assert bg_cs(0.0, 0.5, N=32).amplitudes[0] == 1.0
     with pytest.raises(InvalidInputError):
@@ -491,7 +530,7 @@ def test_su11_cs_agrees_with_exponential_route():
     k = 0.75
     disk = su11_cs(math.tanh(0.7) * cmath.exp(1.1j), k)
     exp_route = su11_cs_unitary(zeta, k, N=disk.basis.N)
-    assert overlap(disk, exp_route) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(disk.amplitudes, exp_route)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_su11_cs_validation():

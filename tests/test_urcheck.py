@@ -233,7 +233,7 @@ def test_one_observable_two_state():
 
 def test_one_observable_rejects_non_hermitian():
     obs = observable_set("canonical", N=16)
-    bad = Operator("a-ish", np.triu(np.ones((16, 16)), 1), obs.basis)
+    bad = Operator("a-ish", {d: np.ones(16 - d) for d in range(1, 16)}, obs.basis)
     with pytest.raises(InvalidInputError):
         one_observable_two_state(bad, basis_state(fock_basis(16), 0),
                                  basis_state(fock_basis(16), 1))
