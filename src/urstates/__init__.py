@@ -53,7 +53,6 @@ from .moments import (
     uv_moments,
 )
 from .urcheck import (
-    ComplementaryPair,
     OrderGapRecord,
     PairGapRecord,
     URReport,

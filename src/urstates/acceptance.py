@@ -571,8 +571,8 @@ def _complementary_family(states, obs_for, orders):
         if alpha <= 1e-6 * max(natural, 1e-300):
             continue
         for rep in reports:
-            pair = complementary(rep, r, alpha)
-            total = pair.P_sq + pair.V_sq
+            p_sq, v_sq = complementary(rep, r, alpha)
+            total = p_sq + v_sq
             worst_sum = max(worst_sum, total - 1.0)
             if rep.order_gaps[r].saturated:
                 worst_eq = max(worst_eq, abs(total - 1.0))

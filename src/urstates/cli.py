@@ -204,22 +204,11 @@ def _resolve_observables(name, basis):
     return observable_set(f"{head}:{value!r}", N=basis.N)
 
 
-def _cmd_report(args):
-    max_tail = _max_tail(args)
-    state = load_state(args.state)
-    obs = _resolve_observables(args.observables, state.basis)
-    rep = moment_report(obs, state, max_tail=max_tail)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
-    ur_doc = ur.to_json_dict()
-    if args.orders is not None:
-        bad = [r for r in args.orders if not 1 <= r <= obs.n]
-        if bad:
-            raise InvalidInputError(
-                f"orders {bad} outside 1..{obs.n} for {obs.n} observables"
-            )
-        keep = {str(r) for r in args.orders}
-        ur_doc["orders"] = {r: rec for r, rec in ur_doc["orders"].items()
-                            if r in keep}
+def _report_document(state, obs, rep, ur, cert, orders):
+    """The `report` document: the state, its moments, the UR gaps of the
+    orders in ``orders`` (every order when None) and every pair, and the
+    certificate when ``cert`` is not None.  The certificate's Schrodinger
+    and Robertson gaps are the UR report's own."""
     doc = {
         "state": {
             "family": state.family,
@@ -227,13 +216,55 @@ def _cmd_report(args):
             "tail_mass": state.tail_mass,
         },
         "observables": obs.name,
-        "moments": rep.to_json_dict(),
-        "ur": ur_doc,
+        "moments": {
+            "observables": obs.labels,
+            "means": rep.means.tolist(),
+            "sigma": rep.sigma.tolist(),
+            "commut": rep.commut.tolist(),
+            "psd": {"sigma_min_eig": rep.sigma_min_eig,
+                    "robertson_min_eig": rep.robertson_min_eig},
+        },
+        "ur": {
+            "observables": obs.labels,
+            "n_states": ur.n_states,
+            "orders": {str(r): {"c_sigma": rec.c_sigma, "c_comm": rec.c_comm, "gap": rec.gap,
+                                "saturated": rec.saturated}
+                       for r, rec in sorted(ur.order_gaps.items())
+                       if orders is None or r in orders},
+            "pairs": {f"{i},{j}": {"labels": list(rec.labels), "sum_gap": rec.sum_gap,
+                                   "heis_gap": rec.heis_gap, "schr_gap": rec.schr_gap,
+                                   "saturated": rec.saturated}
+                      for (i, j), rec in sorted(ur.pair_gaps.items())},
+        },
     }
-    if args.certificate:
-        cert = minimizer_certificate(state, obs, report=rep)
-        doc["certificate"] = cert.to_json_dict()
-    _write_json(doc, args.out)
+    if cert is not None:
+        doc["certificate"] = {
+            "pairs": {f"{i},{j}": {"labels": list(rec.labels),
+                                   "beta": [[b.real, b.imag] for b in rec.beta],
+                                   "z": {"re": rec.z.real, "im": rec.z.imag},
+                                   "residual": rec.residual,
+                                   "schr_gap": ur.pair_gaps[(i, j)].schr_gap}
+                      for (i, j), rec in sorted(cert.pairs.items())},
+            "robertson_gap": ur.order_gaps[obs.n].gap,
+            "verdict": cert.verdict,
+        }
+    return doc
+
+
+def _cmd_report(args):
+    max_tail = _max_tail(args)
+    state = load_state(args.state)
+    obs = _resolve_observables(args.observables, state.basis)
+    rep = moment_report(obs, state, max_tail=max_tail)
+    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
+    if args.orders is not None:
+        bad = [r for r in args.orders if not 1 <= r <= obs.n]
+        if bad:
+            raise InvalidInputError(
+                f"orders {bad} outside 1..{obs.n} for {obs.n} observables"
+            )
+    cert = minimizer_certificate(state, obs, report=rep) if args.certificate else None
+    _write_json(_report_document(state, obs, rep, ur, cert, args.orders), args.out)
     return EX_OK
 
 

@@ -1,5 +1,4 @@
-"""Certificates that a given state minimizes the pairwise and Robertson
-relations.
+"""Certificates that a given state minimizes the pairwise relations.
 
 The certificate logic rests on one identity: for a normalized coefficient
 pair beta and the ordered central-moment matrix R = sigma + iC,
@@ -8,7 +7,10 @@ pair beta and the ordered central-moment matrix R = sigma + iC,
 
 so the optimal beta is the bottom eigenvector of the 2x2 restriction of R
 and the optimal residual is the square root of its lowest eigenvalue.  A
-state minimizes the pairwise relation iff that residual vanishes.
+state minimizes the pairwise relation iff that residual vanishes.  The
+Schrodinger and Robertson gaps that a `report` document prints beside the
+certificate are the UR report's (`urcheck.char_ur_report`); the
+certificate holds only (beta, z), the residual and the verdict.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .hilbert import StateVector
-from .matrixkit import _small_char_coeffs, char_coeffs
+# char_coeffs stays importable as intelligent.char_coeffs: bench/spans.py
+# wraps it under that name
+from .matrixkit import char_coeffs  # noqa: F401
 from .moments import moment_report
 
 __all__ = [
@@ -35,31 +39,12 @@ class PairCertificate:
     beta: np.ndarray
     z: complex
     residual: float
-    schr_gap: float
-
-    def to_json_dict(self):
-        return {
-            "labels": list(self.labels),
-            "beta": [[b.real, b.imag] for b in self.beta],
-            "z": {"re": self.z.real, "im": self.z.imag},
-            "residual": self.residual,
-            "schr_gap": self.schr_gap,
-        }
 
 
 @dataclass
 class MinimizerCertificate:
     pairs: dict
-    robertson_gap: float
     verdict: str
-
-    def to_json_dict(self):
-        return {
-            "pairs": {f"{i},{j}": rec.to_json_dict()
-                      for (i, j), rec in sorted(self.pairs.items())},
-            "robertson_gap": self.robertson_gap,
-            "verdict": self.verdict,
-        }
 
 
 def _gauge_fix(vec):
@@ -80,7 +65,7 @@ def _edge_mass(state):
 
 def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL,
                           report=None):
-    """Per-pair best (beta, z) and residual, plus the full Robertson gap.
+    """Per-pair best (beta, z) and residual, and the verdict.
 
     For each observable pair the bottom eigenvector of the 2x2 restriction
     of R = sigma + iC gives the optimal normalized beta (gauge: first
@@ -93,10 +78,15 @@ def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL,
     50 sqrt(max(1, tr R_pair)) sqrt(N * edge mass) that the state
     constructors use.  ``report`` passes the moment report of ``state``
     for ``obs`` when the caller already holds it; it is taken as is, so
-    ``max_tail`` is then not checked again.
+    ``max_tail`` is then not checked again, but a report of another
+    observable set is refused.
     """
     if not isinstance(state, StateVector):
         raise InvalidInputError(f"expected a StateVector, got {type(state).__name__}")
+    if report is not None and report.labels != obs.labels:
+        raise InvalidInputError(
+            f"report of observables {report.labels} given for {obs.labels}"
+        )
     rep = report if report is not None else moment_report(obs, state, max_tail=max_tail)
     R = rep.robertson
     n = obs.n
@@ -113,16 +103,7 @@ def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL,
             spread = max(1.0, float(np.trace(sub).real))
             bound = max(residual_tol, 50.0 * np.sqrt(spread * trunc))
             z = complex(beta[0] * rep.means[i] + beta[1] * rep.means[j])
-            s2, c2 = rep.submatrices(i, j)
-            schr = float(s2[0, 0] * s2[1, 1] - s2[0, 1] ** 2 - c2[0, 1] ** 2)
-            pairs[(i, j)] = PairCertificate(
-                (obs.labels[i], obs.labels[j]), beta, z, residual, schr)
+            pairs[(i, j)] = PairCertificate((obs.labels[i], obs.labels[j]), beta, z, residual)
             minimizer = minimizer and residual <= bound
-    if n <= 3:
-        cs, cc = _small_char_coeffs(rep.sigma.tolist()), _small_char_coeffs(rep.commut.tolist())
-    else:
-        cs = char_coeffs(rep.sigma.astype(complex))
-        cc = char_coeffs(rep.commut.astype(complex))
-    robertson_gap = float((cs[n] - cc[n]).real)
     verdict = "minimizer" if minimizer else "not-minimizer"
-    return MinimizerCertificate(pairs, robertson_gap, verdict)
+    return MinimizerCertificate(pairs, verdict)

@@ -218,23 +218,6 @@ class MomentReport:
     def robertson(self):
         return self.sigma + 1j * self.commut
 
-    def submatrices(self, i, j):
-        """(2x2 sigma, 2x2 C) restricted to the observable pair (i, j)."""
-        idx = np.ix_([i, j], [i, j])
-        return self.sigma[idx], self.commut[idx]
-
-    def to_json_dict(self):
-        return {
-            "observables": list(self.labels),
-            "means": [float(x) for x in self.means],
-            "sigma": [[float(x) for x in row] for row in self.sigma],
-            "commut": [[float(x) for x in row] for row in self.commut],
-            "psd": {
-                "sigma_min_eig": float(self.sigma_min_eig),
-                "robertson_min_eig": float(self.robertson_min_eig),
-            },
-        }
-
 
 def moment_report(obs, state, max_tail=1e-8):
     """Means and second moments of an observable set in a pure state.

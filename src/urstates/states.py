@@ -60,6 +60,19 @@ __all__ = [
 MAX_ADAPTIVE_CUTOFF = 4096
 
 
+def _ray_scaled(*xs):
+    """The complex numbers ``xs`` scaled by one exact power of two.
+
+    For parameters of which only the ray matters: when the largest real or
+    imaginary part lies outside [2^-500, 2^500], where products of two of
+    them would overflow or underflow, the scale brings it near 1; otherwise
+    the values come back as they are.
+    """
+    top = max(max(abs(x.real), abs(x.imag)) for x in xs)
+    e = 0 if 2.0 ** -500 <= top <= 2.0 ** 500 else -math.frexp(top)[1]
+    return [complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)) for x in xs]
+
+
 @dataclass(frozen=True)
 class SqueezeParams:
     """Bogoliubov pair (u, v) defining A = u a + v a^dag.
@@ -76,11 +89,7 @@ class SqueezeParams:
         u = complex(self.u)
         v = complex(self.v)
         _check_params("squeeze pair", u=u, v=v)
-        # only the ray u : v matters, so a pair whose squares would overflow
-        # or underflow is first scaled near 1 by an exact power of two
-        top = max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag))
-        e = 0 if 2.0 ** -500 <= top <= 2.0 ** 500 else -math.frexp(top)[1]
-        su, sv = (complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)) for x in (u, v))
+        su, sv = _ray_scaled(u, v)
         s = abs(su) ** 2 - abs(sv) ** 2
         if not s > 0.0:
             raise InvalidInputError(
@@ -506,9 +515,11 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     xi = -w/(2u) and eigenvalue 0, where the hypergeometric form is singular;
     the state is then |xi; k> with the amplitudes of `su11_cs`.
     """
-    u, v, w, z = complex(u), complex(v), complex(w), complex(z)
+    params = {"u": complex(u), "v": complex(v), "w": complex(w), "z": complex(z)}
     k = float(k)
-    _check_params("su11_intelligent", u=u, v=v, w=w, z=z, k=k)
+    _check_params("su11_intelligent", **params, k=k)
+    # the eigen-equation only sees the ray through (u, v, w, z)
+    u, v, w, z = _ray_scaled(*params.values())
     scale = max(abs(u), abs(v), abs(w))
     if scale == 0.0:
         raise InvalidInputError("intelligent family needs (u, v, w) != 0")
@@ -588,7 +599,7 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     c = su11_ladder(k, N)
     return _certified(
         amp, su11_basis(k, N), "su11_intelligent",
-        {"u": u, "v": v, "w": w, "z": z, "k": k, "degenerate": degenerate}, max_tail,
+        {**params, "k": k, "degenerate": degenerate}, max_tail,
         lambda: np.linalg.norm(
             u * _lower(amp, c) + v * _raise(amp, c) + w * (k + np.arange(N)) * amp - z * amp
         ) / scale,

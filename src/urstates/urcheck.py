@@ -15,7 +15,7 @@ is what makes them genuinely new constraints.
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .moments import ObservableSet, _check_compat, _pure_moments, moment_report
 __all__ = [
     "PairGapRecord",
     "OrderGapRecord",
-    "ComplementaryPair",
     "URReport",
     "char_ur_report",
     "two_state_schrodinger",
@@ -68,10 +67,6 @@ class PairGapRecord:
                 "heis": _saturated(s11 * s22, c12 * c12, prod_scale),
                 "schr": _saturated(s11 * s22 - s12 * s12, c12 * c12, prod_scale)}
 
-    def to_json_dict(self):
-        return {"labels": list(self.labels), "sum_gap": self.sum_gap, "heis_gap": self.heis_gap,
-                "schr_gap": self.schr_gap, "saturated": self.saturated}
-
 
 class OrderGapRecord:
     """The order-r gap C_r(sigma) - C_r(C) of n observables; the flag, at the
@@ -88,22 +83,6 @@ class OrderGapRecord:
         scale = comb(self._n, self.r) * self._mean_var ** self.r
         return _saturated(self.c_sigma, self.c_comm, scale)
 
-    def to_json_dict(self):
-        return {"c_sigma": self.c_sigma, "c_comm": self.c_comm, "gap": self.gap,
-                "saturated": self.saturated}
-
-
-@dataclass(frozen=True)
-class ComplementaryPair:
-    r: int
-    alpha_r: float
-    P_sq: float
-    V_sq: float
-
-    def to_json_dict(self):
-        return {"r": self.r, "alpha": self.alpha_r,
-                "P2": self.P_sq, "V2": self.V_sq}
-
 
 @dataclass
 class URReport:
@@ -111,20 +90,6 @@ class URReport:
     order_gaps: dict
     pair_gaps: dict
     n_states: int
-    complementary: ComplementaryPair | None = None
-
-    def to_json_dict(self):
-        doc = {
-            "observables": list(self.observables),
-            "n_states": self.n_states,
-            "orders": {str(r): rec.to_json_dict()
-                       for r, rec in sorted(self.order_gaps.items())},
-            "pairs": {f"{i},{j}": rec.to_json_dict()
-                      for (i, j), rec in sorted(self.pair_gaps.items())},
-        }
-        if self.complementary is not None:
-            doc["complementary"] = self.complementary.to_json_dict()
-        return doc
 
 
 def char_ur_report(obs, states, max_tail=1e-8):
@@ -216,13 +181,14 @@ def complementary(report, r, alpha_r):
     P^2 = 1 - C_r(sigma)/alpha_r  (predictability),
     V^2 = C_r(C)/alpha_r          (commutator visibility),
 
-    bounded by P^2 + V^2 <= 1 whenever alpha_r >= C_r(sigma).
+    bounded by P^2 + V^2 <= 1 whenever alpha_r >= C_r(sigma).  Returns
+    the pair (P^2, V^2).
     """
     if r not in report.order_gaps:
         raise InvalidInputError(f"report carries no order r={r}")
     rec = report.order_gaps[r]
-    if alpha_r <= 0.0:
-        raise InvalidInputError(f"scale alpha_r must be positive, got {alpha_r}")
+    if not 0.0 < alpha_r < inf:
+        raise InvalidInputError(f"scale alpha_r must be finite and positive, got {alpha_r}")
     if alpha_r < rec.c_sigma * (1.0 - 1e-12) - 1e-30:
         raise InvalidInputError(
             f"invalid scale: alpha_r={alpha_r:.6g} < C_{r}(sigma)={rec.c_sigma:.6g}"
@@ -238,6 +204,4 @@ def complementary(report, r, alpha_r):
         raise NumericError(
             f"complementary pair violates P^2 + V^2 <= 1: {p_sq + v_sq!r}"
         )
-    pair = ComplementaryPair(int(r), float(alpha_r), p_sq, v_sq)
-    report.complementary = pair
-    return pair
+    return p_sq, v_sq

@@ -13,15 +13,19 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from urstates import acceptance, cli, dynamics
 from urstates.cli import main
-from urstates.stateio import load_state
-from urstates.states import FAMILIES
+from urstates.errors import UrstatesError
+from urstates.hilbert import StateVector, multimode_basis
+from urstates.stateio import document_text, load_state, state_to_dict
+from urstates.states import FAMILIES, canonical_ss
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -244,6 +248,20 @@ def test_state_builds_where_an_intermediate_overflowed_or_underflowed(capsys, ar
     assert all(im == 0.0 for _re, im in json.loads(out)["amplitudes"])
 
 
+def test_state_su11_intelligent_with_huge_parameters_is_one_error_line(capsys):
+    # w*w - 4*u*v was inf - inf = NaN here, and the branch classification
+    # raised ValueError out of round(nan); scaled onto the same ray, the
+    # operator is the degenerate one with |xi| = 2
+    code, out, err = run_cli(capsys, "state", "--family", "su11-intelligent",
+                             "--u=3.3519519824856493e+153", "--v=1.3407807929942597e+154",
+                             "--w=1.3407807929942597e+154", "--z", "0", "--k", "1",
+                             "--cutoff", "8")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NormalizabilityError"
+
+
 # every --family value, with random parameters: finite, huge, NaN and
 # infinite; cutoffs stay small and spins stay at j <= 20
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
@@ -433,6 +451,72 @@ def test_report_malformed_state_document_exits_2(tmp_path, capsys, defect):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "InvalidInputError"
+
+
+#: family parameters at modest values, so that most draws build a state
+_REPORT_PARAMS = {
+    "alpha": st.complex_numbers(max_magnitude=1.5),
+    "u": st.floats(1.0, 2.0),
+    "v": st.complex_numbers(max_magnitude=0.9),
+    "w": st.complex_numbers(max_magnitude=0.5),
+    "z": st.complex_numbers(max_magnitude=1.5),
+    "xi": st.complex_numbers(max_magnitude=0.8),
+    "tau": st.complex_numbers(max_magnitude=3.0),
+    "n": st.integers(0, 3),
+    "k": st.sampled_from([0.5, 1.0, 1.5]),
+    "j": st.sampled_from([0.5, 1.0, 2.5]),
+    "N": st.sampled_from([8, 16, 24]),
+    "max_tail": st.none(),
+}
+#: the observable sets of each basis kind, and a list that mostly mismatches
+_SETS_OF_BASIS = {"fock": ["canonical", "a2-quadratures"], "su11": ["su11"], "su2": ["su2"]}
+_OBSERVABLE_SETS = ["canonical", "canonical:2", "su11", "su11:1", "su2", "su2:2.5",
+                    "a2-quadratures", "bogus"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_report_ends_in_a_document_or_one_error_line(data):
+    family = data.draw(st.sampled_from(sorted(FAMILIES)), label="family")
+    build, params = FAMILIES[family]
+    kwargs = {p: data.draw(_REPORT_PARAMS[p], label=p) for p in params}
+    try:
+        state = build(**kwargs)
+    except UrstatesError:
+        assume(False)
+    sets = st.sampled_from(_SETS_OF_BASIS[state.basis.kind]) | st.sampled_from(_OBSERVABLE_SETS)
+    argv = ["report", "--observables", data.draw(sets, label="set")]
+    orders = data.draw(st.none() | st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                       | st.lists(st.integers(-1, 5), min_size=1, max_size=3), label="orders")
+    if orders is not None:
+        argv.append("--orders=" + ",".join(map(str, orders)))
+    if data.draw(st.booleans(), label="certificate"):
+        argv.append("--certificate")
+    max_tail = data.draw(st.none() | st.sampled_from([1e-8, 1e-3, 1.0]) | st.floats(),
+                         label="max_tail")
+    if max_tail is not None:
+        argv.append(f"--max-tail={max_tail!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "st.json")
+        with open(path, "w") as fh:
+            fh.write(document_text(state_to_dict(state)))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--state", path])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 64), (argv, err.getvalue())
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+    if code == 0:
+        doc = json.loads(out.getvalue())
+        if "certificate" in doc and orders is None:
+            _assert_certificate_gaps_are_the_ur_gaps(doc)
+    elif code != 64:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert set(json.loads(lines[0])) == {"error", "message"}
 
 
 # -- distance ---------------------------------------------------------------
@@ -742,6 +826,67 @@ def test_golden_report_document(tmp_path, capsys):
     assert code == 0
     expected = json.loads((GOLDEN / "report_su11_cs.json").read_text())
     assert_json_matches(json.loads(out), expected)
+
+
+def _two_mode_state(tmp_path):
+    """A two-mode product of squeezed coherent states, N = 32 per mode,
+    written as a state document; no family builds one."""
+    a = canonical_ss(0.3 + 0.2j, 1.1, 0.3j, N=32).amplitudes
+    b = canonical_ss(-0.2 + 0.1j, 1.2, -0.4, N=32).amplitudes
+    st = StateVector(np.kron(a, b), multimode_basis(2, 32), family="product")
+    path = tmp_path / "two.json"
+    path.write_text(document_text(state_to_dict(st)))
+    return str(path)
+
+
+#: report goldens: file -> (family and its golden state arguments, or None
+#: for the two-mode state, and the report flags)
+_GOLDEN_REPORTS = {
+    "report_su11_cs.json": (["su11-cs", "--xi", "0.35j", "--k", "1", "--cutoff", "96"],
+                            ["--observables", "su11", "--certificate"]),
+    "report_canonical_ss.json": (["canonical-ss", *_GOLDEN_STATES["canonical-ss"]],
+                                 ["--observables", "canonical", "--certificate"]),
+    "report_su2_cs.json": (["su2-cs", *_GOLDEN_STATES["su2-cs"]],
+                           ["--observables", "su2", "--certificate", "--orders", "2"]),
+    "report_even_cs_a2.json": (["even-cs", *_GOLDEN_STATES["even-cs"]],
+                               ["--observables", "a2-quadratures", "--certificate"]),
+    "report_two_mode.json": (None, ["--observables", "canonical:2", "--certificate"]),
+}
+
+
+def _golden_report_state(tmp_path, capsys, golden):
+    family_args, _flags = _GOLDEN_REPORTS[golden]
+    if family_args is None:
+        return _two_mode_state(tmp_path)
+    return _write_state(tmp_path, capsys, "st.json", "--family", *family_args)
+
+
+@pytest.mark.parametrize("golden", [g for g in _GOLDEN_REPORTS if g != "report_su11_cs.json"])
+def test_golden_report_of_other_observable_sets(tmp_path, capsys, golden):
+    st = _golden_report_state(tmp_path, capsys, golden)
+    code, out, err = run_cli(capsys, "report", "--state", st, *_GOLDEN_REPORTS[golden][1])
+    assert code == 0, err
+    expected = json.loads((GOLDEN / golden).read_text())
+    assert_json_matches(json.loads(out), expected)
+
+
+def _assert_certificate_gaps_are_the_ur_gaps(doc):
+    cert, ur = doc["certificate"], doc["ur"]
+    assert set(cert["pairs"]) == set(ur["pairs"])
+    # repr tells -0.0 from 0.0, so this is a bit-for-bit comparison
+    for key, rec in cert["pairs"].items():
+        assert repr(rec["schr_gap"]) == repr(ur["pairs"][key]["schr_gap"]), key
+    top = str(len(ur["observables"]))
+    assert repr(cert["robertson_gap"]) == repr(ur["orders"][top]["gap"])
+
+
+@pytest.mark.parametrize("golden", sorted(_GOLDEN_REPORTS))
+def test_certificate_gaps_are_the_ur_gaps(tmp_path, capsys, golden):
+    st = _golden_report_state(tmp_path, capsys, golden)
+    flags = [f for f in _GOLDEN_REPORTS[golden][1] if f not in ("--orders", "2")]
+    code, out, err = run_cli(capsys, "report", "--state", st, *flags)
+    assert code == 0, err
+    _assert_certificate_gaps_are_the_ur_gaps(json.loads(out))
 
 
 def test_golden_distance_document(tmp_path, capsys):

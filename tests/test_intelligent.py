@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from urstates.cli import _report_document
 from urstates.errors import InvalidInputError
 from urstates.hilbert import basis_state, fock_basis, su2_basis
 from urstates.intelligent import minimizer_certificate
-from urstates.moments import moment_report, observable_set
+from urstates.moments import ObservableSet, moment_report, observable_set
 from urstates.states import (
     canonical_ss,
     glauber,
@@ -49,7 +50,7 @@ def test_certificate_squeezed_state_is_minimizer():
     cert = minimizer_certificate(st, obs)
     assert cert.verdict == "minimizer"
     assert cert.pairs[(0, 1)].residual < 1e-8
-    assert abs(cert.robertson_gap) < 1e-9
+    assert abs(char_ur_report(obs, st).order_gaps[2].gap) < 1e-9
 
 
 def test_certificate_verdict_on_exact_minimizer_grids():
@@ -99,23 +100,25 @@ def test_certificate_su2_top_levels_are_not_truncation():
 def test_certificate_coherent_state_recovers_alpha():
     alpha = 0.4 + 0.3j
     obs = observable_set("canonical", N=64)
-    cert = minimizer_certificate(glauber(alpha, N=64), obs)
+    st = glauber(alpha, N=64)
+    cert = minimizer_certificate(st, obs)
     rec = cert.pairs[(0, 1)]
     assert cert.verdict == "minimizer"
     # optimal beta is (1, i)/sqrt(2), so z = beta . means is alpha itself
     np.testing.assert_allclose(rec.beta, np.array([1.0, 1.0j]) / SQ2,
                                atol=1e-9)
     assert rec.z == pytest.approx(alpha, abs=1e-9)
-    assert rec.schr_gap == pytest.approx(0.0, abs=1e-10)
+    assert char_ur_report(obs, st).pair_gaps[(0, 1)].schr_gap == pytest.approx(0.0, abs=1e-10)
 
 
 def test_certificate_fock_state_fails():
     obs = observable_set("canonical", N=64)
-    cert = minimizer_certificate(basis_state(fock_basis(64), 2), obs)
+    st = basis_state(fock_basis(64), 2)
+    cert = minimizer_certificate(st, obs)
     assert cert.verdict == "not-minimizer"
     # R restriction [[5/2, i/2], [-i/2, 5/2]] has bottom eigenvalue 2
     assert cert.pairs[(0, 1)].residual == pytest.approx(SQ2, rel=1e-12)
-    assert cert.robertson_gap == pytest.approx(6.0, rel=1e-12)
+    assert char_ur_report(obs, st).order_gaps[2].gap == pytest.approx(6.0, rel=1e-12)
 
 
 def test_certificate_su11_cs_minimizes_every_pair():
@@ -139,18 +142,31 @@ def test_certificate_excited_intelligent_state_is_partial():
     assert cert.pairs[(0, 2)].residual > 0.1
     assert cert.pairs[(1, 2)].residual > 0.1
     assert cert.verdict == "not-minimizer"
-    assert cert.robertson_gap > 0.03
+    assert char_ur_report(obs, st).order_gaps[3].gap > 0.03
 
 
 def test_certificate_json_shape():
     obs = observable_set("canonical", N=64)
-    cert = minimizer_certificate(glauber(0.2, N=64), obs)
-    doc = cert.to_json_dict()
+    st = glauber(0.2, N=64)
+    rep = moment_report(obs, st)
+    cert = minimizer_certificate(st, obs, report=rep)
+    ur = char_ur_report(obs, st)
+    doc = _report_document(st, obs, rep, ur, cert, None)["certificate"]
     assert set(doc) == {"pairs", "robertson_gap", "verdict"}
     assert set(doc["pairs"]) == {"0,1"}
     rec = doc["pairs"]["0,1"]
     assert set(rec) == {"labels", "beta", "z", "residual", "schr_gap"}
     assert rec["labels"] == ["q", "p"]
+    assert rec["schr_gap"] == ur.pair_gaps[(0, 1)].schr_gap
+    assert doc["robertson_gap"] == ur.order_gaps[2].gap
+
+
+def test_certificate_refuses_a_report_of_another_observable_set():
+    st = su11_cs(0.4, 1.0, N=64)
+    obs = observable_set("su11:1", N=64)
+    pair = ObservableSet(obs.ops[:2])
+    with pytest.raises(InvalidInputError, match="report of observables"):
+        minimizer_certificate(st, obs, report=moment_report(pair, st))
 
 
 @pytest.mark.parametrize("bad", ["not a state", np.ones(16, dtype=complex)])

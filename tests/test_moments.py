@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from urstates.cli import _report_document
 from urstates.errors import (
     BasisMismatchError,
     InvalidInputError,
@@ -17,7 +18,6 @@ from urstates.hilbert import (
     StateVector,
     basis_state,
     fock_basis,
-    su11_basis,
 )
 from urstates.moments import (
     CUTOFF_ENV,
@@ -30,7 +30,7 @@ from urstates.moments import (
 )
 from urstates.matrixkit import psd_min_eig
 from urstates.states import canonical_ss, glauber, su11_cs
-from urstates.urcheck import char_ur_report
+from urstates.urcheck import _ur_from_moments, char_ur_report
 
 
 def test_observable_set_registry():
@@ -168,20 +168,14 @@ def test_moment_report_gates():
 
 
 def test_report_json_shape():
-    rep = moment_report(observable_set("canonical", N=16),
-                        basis_state(fock_basis(16), 1))
-    doc = rep.to_json_dict()
+    obs = observable_set("canonical", N=16)
+    st = basis_state(fock_basis(16), 1)
+    rep = moment_report(obs, st)
+    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
+    doc = _report_document(st, obs, rep, ur, None, None)["moments"]
     assert set(doc) == {"observables", "means", "sigma", "commut", "psd"}
     assert doc["observables"] == ["q", "p"]
     assert isinstance(doc["psd"]["sigma_min_eig"], float)
-
-
-def test_submatrices():
-    rep = moment_report(observable_set("su11:0.5", N=24),
-                        basis_state(su11_basis(0.5, 24), 0))
-    s2, c2 = rep.submatrices(0, 1)
-    assert s2.shape == (2, 2) and c2.shape == (2, 2)
-    np.testing.assert_allclose(s2, rep.sigma[:2, :2])
 
 
 def test_gaussian_sigma_matches_state_moments():

@@ -609,6 +609,20 @@ def test_su11_intelligent_solves_eigen_equation():
         assert np.linalg.norm(M @ st.amplitudes - z * st.amplitudes) < 1e-8
 
 
+@pytest.mark.parametrize("lam", [2.0 ** 600, 2.0 ** -600, 1e300, 3.0])
+def test_su11_intelligent_is_a_ray_at_any_scale(lam):
+    # w^2 - 4uv of the given values would overflow or underflow at the
+    # first three scales; only the ray through (u, v, w, z) may matter
+    u, v, w, z = 1.0, -0.16 + 0.05j, 0.1, 1.6
+    ref = su11_intelligent(u, v, w, z, 1.0, N=48)
+    st = su11_intelligent(lam * u, lam * v, lam * w, lam * z, 1.0, N=48)
+    if lam in (2.0 ** 600, 2.0 ** -600):
+        np.testing.assert_array_equal(st.amplitudes, ref.amplitudes)
+    else:
+        np.testing.assert_allclose(st.amplitudes, ref.amplitudes, rtol=0, atol=1e-14)
+    assert st.params["u"] == lam * u and st.params["z"] == lam * z
+
+
 def test_su11_intelligent_amplitudes_decay():
     # regression: the terminating hypergeometric branch must not pick up
     # rounding noise at high levels (growth there once inverted the tail)
