@@ -10,10 +10,8 @@ bit-reproducible.
 
 import cmath
 import math
-import os
 import time
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -232,29 +230,15 @@ SUITES = {
 }
 
 
-def _scan_worker(task):
-    suite, seed, index, point = task
-    return SUITES[suite][1](seed, index, point)
-
-
-def rows(suite, seed=42, jobs=1):
-    """The rows of a scan suite in grid order.
-
-    ``seed`` (non-negative) seeds the random rows, one generator per row
-    index, so ``jobs`` > 1 — computed in a process pool of at most
-    ``os.cpu_count()`` workers — yields the same rows as a serial run.
-    """
+def rows(suite, seed=42):
+    """The rows of a scan suite in grid order.  ``seed`` (non-negative)
+    seeds the random rows, one generator per row index."""
     if suite not in SUITES:
         raise InvalidInputError(f"no scan suite named {suite!r}")
     if seed < 0:
         raise InvalidInputError(f"scan seed must be non-negative, got {seed}")
-    tasks = [(suite, seed, index, point)
-             for index, point in enumerate(SUITES[suite][0]())]
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        return [_scan_worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_scan_worker, tasks, chunksize=8))
+    grid, row, _header = SUITES[suite]
+    return [row(seed, index, point) for index, point in enumerate(grid())]
 
 
 def _columns(suite):

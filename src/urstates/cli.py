@@ -3,9 +3,9 @@
 Verbs: ``state`` builds a named state and writes its JSON document;
 ``report`` evaluates moments, uncertainty gaps and (optionally) a
 minimizer certificate for a stored state; ``scan`` sweeps a named
-parameter grid to CSV, optionally in parallel; ``evolve`` integrates an
-oscillator profile and tabulates the squeeze trajectory; ``distance``
-compares two stored states; ``selftest`` runs the acceptance criteria.
+parameter grid to CSV; ``evolve`` integrates an oscillator profile and
+tabulates the squeeze trajectory; ``distance`` compares two stored
+states; ``selftest`` runs the acceptance criteria.
 
 Exit codes: 0 success, 2 contract violations (bad parameters, failed
 normalizability or truncation gates) with an error JSON on stderr,
@@ -35,7 +35,7 @@ from .errors import (
 from .hilbert import su11_rep
 from .intelligent import minimizer_certificate
 from .metrics import g_overlap, number_plus_one
-from .moments import _default_cutoff, _parse_set_name, moment_report, observable_set
+from .moments import _parse_set_name, moment_report, observable_set
 from .stateio import document_text, load_state, read_document, state_to_dict
 from .states import FAMILIES
 # canonical_ss stays importable as cli.canonical_ss: bench/spans.py wraps it
@@ -152,8 +152,6 @@ def _build_state(args):
             f"family {family!r} does not take {', '.join(stray)}"
         )
 
-    if args.N is None:
-        args.N = _default_cutoff(None)
     _max_tail(args)
     return build(**{p: getattr(args, p) for p in params})
 
@@ -274,7 +272,7 @@ def _cmd_report(args):
 
 def _cmd_scan(args):
     _grid, _row, header = acceptance.SUITES[args.suite]
-    _write_csv(header, acceptance.rows(args.suite, args.seed, args.jobs), args.out)
+    _write_csv(header, acceptance.rows(args.suite, args.seed), args.out)
     return EX_OK
 
 
@@ -452,7 +450,6 @@ def _build_parser():
 
     p_scan = sub.add_parser("scan", help="sweep a named grid to CSV")
     p_scan.add_argument("--suite", required=True, choices=sorted(acceptance.SUITES))
-    p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--seed", type=int, default=42)
     p_scan.add_argument("--out")
     p_scan.set_defaults(func=_cmd_scan)

@@ -58,19 +58,18 @@ def _zero(t):
 
 @dataclass
 class OscillatorProfile:
-    """Time-dependent quadratic oscillator, either as a bare frequency
-    omega(t) or as coefficient functions g1, g2, g3 with scale omega0."""
+    """Time-dependent quadratic oscillator: coefficient functions g1, g2, g3
+    with scale omega0.  ``kind`` is "omega" for a bare-frequency oscillator,
+    (g1, g2) = (1/2, 0) by construction, and "g123" otherwise."""
 
     kind: str
     omega0: float
     g1: object
     g2: object
     g3: object
-    omega: object = None
     dg1: object = None
     ddg1: object = None
     dg2: object = None
-    meta: dict = None
 
     @classmethod
     def from_omega(cls, omega, omega0=None):
@@ -85,14 +84,17 @@ class OscillatorProfile:
             )
         g3 = lambda t, _om=om, _w0=omega0: _om(t) ** 2 / (2.0 * _w0 * _w0)
         return cls(kind="omega", omega0=omega0, g1=lambda t: 0.5, g2=_zero,
-                   g3=g3, omega=om, dg1=_zero, ddg1=_zero, dg2=_zero)
+                   g3=g3, dg1=_zero, ddg1=_zero, dg2=_zero)
 
     @classmethod
     def from_g123(cls, g1, g2, g3, omega0, dg1=None, ddg1=None, dg2=None):
+        """A g123 profile; g1 and g2 given as the numbers 1/2 and 0 make it
+        a bare-frequency one (kind "omega")."""
         omega0 = float(omega0)
         if not 0.0 < omega0 < math.inf:
             raise InvalidInputError(f"omega0 must be positive and finite, got {omega0}")
-        return cls(kind="g123", omega0=omega0,
+        bare = not (callable(g1) or callable(g2)) and (float(g1), float(g2)) == (0.5, 0.0)
+        return cls(kind="omega" if bare else "g123", omega0=omega0,
                    g1=_as_callable(g1), g2=_as_callable(g2), g3=_as_callable(g3),
                    dg1=None if dg1 is None else _as_callable(dg1),
                    ddg1=None if ddg1 is None else _as_callable(ddg1),
@@ -100,15 +102,6 @@ class OscillatorProfile:
 
     def g_values(self, t):
         return self.g1(t), self.g2(t), self.g3(t)
-
-    def is_frequency_form(self, t_samples=(0.0,)):
-        """True when (g1, g2) = (1/2, 0) at the sampled times, i.e. the
-        profile is a bare-frequency oscillator and the eps -> (u, v) map
-        applies literally."""
-        for t in t_samples:
-            if abs(self.g1(t) - 0.5) > 1e-12 or abs(self.g2(t)) > 1e-12:
-                return False
-        return True
 
 
 def _d1(f, t):
@@ -244,12 +237,12 @@ def uv_trajectory(traj, omega0):
 def trajectory_table(profile, t_grid):
     """Integrate and tabulate: rows of (t, eps, u, v, dq2, dp2, dpq).
 
-    Only bare-frequency profiles map onto (u, v) literally; a g123 profile
-    with (g1, g2) != (1/2, 0) carries its squeezing in a transformed frame
-    and is refused here rather than silently mislabeled.
+    Only bare-frequency profiles (kind "omega") map onto (u, v) literally;
+    any other g123 profile carries its squeezing in a transformed frame and
+    is refused here rather than silently mislabeled.
     """
     t = np.asarray(t_grid, dtype=float)
-    if not profile.is_frequency_form(t):
+    if profile.kind != "omega":
         raise InvalidInputError(
             "u/v extraction applies to bare-frequency profiles "
             "(g1 = 1/2, g2 = 0); evolve the generic profile through "

@@ -63,8 +63,7 @@ def _edge_mass(state):
     return float(np.sum(np.abs(state.amplitudes[-2:]) ** 2))
 
 
-def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL,
-                          report=None):
+def minimizer_certificate(state, obs, max_tail=1e-8, report=None):
     """Per-pair best (beta, z) and residual, and the verdict.
 
     For each observable pair the bottom eigenvector of the 2x2 restriction
@@ -73,7 +72,7 @@ def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL,
     residual is || beta_0 dX_i psi + beta_1 dX_j psi ||, taken from the
     centered vectors of the moment report: it grows linearly with rounding,
     where sqrt(lambda_min) would turn 1e-16 into 1e-8.  Verdict is
-    "minimizer" when every pairwise residual clears ``residual_tol``,
+    "minimizer" when every pairwise residual clears ``RESIDUAL_TOL``,
     widened to the truncation-aware floor
     50 sqrt(max(1, tr R_pair)) sqrt(N * edge mass) that the state
     constructors use.  ``report`` passes the moment report of ``state``
@@ -101,7 +100,7 @@ def minimizer_certificate(state, obs, max_tail=1e-8, residual_tol=RESIDUAL_TOL,
             residual = float(np.linalg.norm(
                 beta[0] * rep.centered[i] + beta[1] * rep.centered[j]))
             spread = max(1.0, float(np.trace(sub).real))
-            bound = max(residual_tol, 50.0 * np.sqrt(spread * trunc))
+            bound = max(RESIDUAL_TOL, 50.0 * np.sqrt(spread * trunc))
             z = complex(beta[0] * rep.means[i] + beta[1] * rep.means[j])
             pairs[(i, j)] = PairCertificate((obs.labels[i], obs.labels[j]), beta, z, residual)
             minimizer = minimizer and residual <= bound

@@ -11,7 +11,6 @@ matrix of ordered central moments <dX_i dX_j>.
 """
 
 import math
-import os
 import re
 
 from dataclasses import dataclass, field
@@ -44,22 +43,6 @@ __all__ = [
     "moment_report",
     "uv_moments",
 ]
-
-#: environment variable overriding the default Fock / weight-basis cutoff
-CUTOFF_ENV = "URSTATES_CUTOFF"
-
-
-def _default_cutoff(fallback):
-    raw = os.environ.get(CUTOFF_ENV)
-    if raw is None:
-        return fallback
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"{CUTOFF_ENV}={raw!r} is not an integer")
-    if n < 8:
-        raise InvalidInputError(f"{CUTOFF_ENV}={n} is too small (need >= 8)")
-    return n
 
 
 @dataclass
@@ -147,7 +130,7 @@ def observable_set(name, N=None):
 
     if head == "canonical":
         if arg in (None, 1):
-            rep = boson_rep(N if N else _default_cutoff(DEFAULT_FOCK_CUTOFF))
+            rep = boson_rep(N if N else DEFAULT_FOCK_CUTOFF)
             return ObservableSet([rep["q"], rep["p"]], name="canonical")
         if arg == 2:
             rep = tensor_rep(2, N if N else DEFAULT_MODE_CUTOFF)
@@ -156,7 +139,7 @@ def observable_set(name, N=None):
 
     if head == "su11":
         k = 0.5 if arg is None else arg
-        rep = su11_rep(k, N if N else _default_cutoff(DEFAULT_SU11_CUTOFF))
+        rep = su11_rep(k, N if N else DEFAULT_SU11_CUTOFF)
         return ObservableSet([rep["k1"], rep["k2"], rep["k3"]], name=f"su11:{k:g}")
 
     if head == "su2":
@@ -167,7 +150,7 @@ def observable_set(name, N=None):
     if head == "a2-quadratures":
         if arg is not None:
             raise InvalidInputError("a2-quadratures takes no scale parameter")
-        n_levels = N if N else _default_cutoff(DEFAULT_FOCK_CUTOFF)
+        n_levels = N if N else DEFAULT_FOCK_CUTOFF
         c = boson_ladder(n_levels)
         basis = fock_basis(n_levels)
         # a^2 carries sqrt(n+1) sqrt(n+2) on band +2

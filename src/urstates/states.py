@@ -510,7 +510,9 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     """Eigenstate of u K- + v K+ + w K3 with eigenvalue z.
 
     Normalizability requires a root of u t^2 + w t + v = 0 inside the unit
-    disk; outside that region the constructor refuses.  The degenerate case
+    disk; outside that region the constructor refuses.  With one root
+    outside, the spectrum is discrete and an off-spectrum z is refused
+    before any amplitude is evaluated.  The degenerate case
     l = sqrt(w^2 - 4uv) = 0 collapses onto the SU(1,1) coherent ray with
     xi = -w/(2u) and eigenvalue 0, where the hypergeometric form is singular;
     the state is then |xi; k> with the amplitudes of `su11_cs`.
@@ -564,6 +566,18 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
                 f"|t1|={abs(roots[0]):.6g}, |t2|={abs(roots[1]):.6g} both outside "
                 f"the unit disk"
             )
+        inside = [abs(t) < 1.0 - 1e-12 for t in roots]
+        if inside[0] != inside[1]:
+            # one root outside: the spectrum is discrete, and z lies on it only
+            # when the branch whose base is the inside root terminates
+            # (roots[0] is the base of the branch sgn = -1)
+            sgn = -1.0 if inside[0] else 1.0
+            if _is_nonpositive_int(k + sgn * z / l) is None:
+                raise NormalizabilityError(
+                    f"su11_intelligent: no normalizable eigenstate at z={z}: one "
+                    f"characteristic root lies outside the unit disk, and z is "
+                    f"not on the discrete spectrum"
+                )
 
         grow = N is None
         if grow:

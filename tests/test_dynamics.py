@@ -64,9 +64,13 @@ def test_profile_validation():
         OscillatorProfile.from_omega(2.0, omega0=0.0)
     with pytest.raises(InvalidInputError):
         OscillatorProfile.from_g123(0.5, 0.0, 0.5, omega0=-2.0)
-    assert CONST2.is_frequency_form()
+    assert CONST2.kind == "omega"
     tilted = OscillatorProfile.from_g123(1.0, 0.0, 1.0, omega0=2.0)
-    assert not tilted.is_frequency_form()
+    assert tilted.kind == "g123"
+    # frequency form is how the profile was built, not what g1 and g2 read
+    # at a few times: only the numbers 1/2 and 0 make a g123 profile bare
+    assert OscillatorProfile.from_g123(0.5, 0, lambda t: 2.0 + t, omega0=1.0).kind == "omega"
+    assert OscillatorProfile.from_g123(lambda t: 0.5, 0.0, 1.0, omega0=1.0).kind == "g123"
 
 
 def test_effective_frequency_of_bare_profile():

@@ -20,10 +20,8 @@ from urstates.hilbert import (
     fock_basis,
 )
 from urstates.moments import (
-    CUTOFF_ENV,
     MomentReport,
     ObservableSet,
-    _default_cutoff,
     moment_report,
     observable_set,
     uv_moments,
@@ -117,20 +115,6 @@ def test_observable_set_suffix_carries_the_exact_scale():
         obs = observable_set(f"su11:{k!r}", N=8)
         assert obs.basis.k == k
         assert obs.name == f"su11:{k:g}"
-
-
-def test_default_cutoff_env_override(monkeypatch):
-    monkeypatch.delenv(CUTOFF_ENV, raising=False)
-    assert _default_cutoff(128) == 128
-    monkeypatch.setenv(CUTOFF_ENV, "64")
-    assert _default_cutoff(128) == 64
-    assert observable_set("canonical").basis.N == 64
-    monkeypatch.setenv(CUTOFF_ENV, "abc")
-    with pytest.raises(InvalidInputError):
-        _default_cutoff(128)
-    monkeypatch.setenv(CUTOFF_ENV, "4")
-    with pytest.raises(InvalidInputError):
-        _default_cutoff(128)
 
 
 def test_vacuum_moments():

@@ -16,6 +16,7 @@ from urstates.errors import (
     NumericError,
     TruncationError,
 )
+from urstates import states
 from urstates.hilbert import basis_state, boson_rep, fock_basis, su11_rep
 from urstates.moments import moment_report, observable_set
 from urstates.states import (
@@ -708,6 +709,34 @@ def test_su11_intelligent_refuses_unphysical_parameters():
         su11_intelligent(0.3, 0.3, 0.75, 0.2 + 0.11j, 0.5)
     with pytest.raises(InvalidInputError):
         su11_intelligent(0.0, 0.5, 1.0, 0.0, 0.5)
+
+
+def test_su11_intelligent_refuses_z_off_the_discrete_spectrum_before_evaluating(monkeypatch):
+    # roots -0.068 and -2.93: with one root outside the disk only
+    # z = l (k + n), l = sqrt(w^2 - 4uv), has a normalizable eigenstate
+    u, v, w, k = 1.0, 0.2, 3.0, 1.0
+    l = math.sqrt(w * w - 4.0 * u * v)
+    rep = su11_rep(k, 96)
+    M = u * rep["kminus"].matrix + v * rep["kplus"].matrix + w * rep["k3"].matrix
+    for n in range(4):
+        st = su11_intelligent(u, v, w, l * (k + n), k)
+        assert st.basis.N == 96
+        assert np.linalg.norm(M @ st.amplitudes - l * (k + n) * st.amplitudes) < 1e-8
+
+    def unreachable(*args):
+        raise AssertionError("amplitudes evaluated for a refused z")
+
+    monkeypatch.setattr(states, "_intelligent_amplitudes", unreachable)
+    rng = np.random.default_rng(3)
+    draws = [(u, v, w, 0.5)]
+    while len(draws) < 40:
+        uu, vv, ww, zz = (complex(*rng.normal(0.0, s, 2)) for s in (1.0, 1.0, 2.0, 3.0))
+        ll = cmath.sqrt(ww * ww - 4.0 * uu * vv)
+        if (abs((-ww + ll) / (2.0 * uu)) < 1.0) != (abs((-ww - ll) / (2.0 * uu)) < 1.0):
+            draws.append((uu, vv, ww, zz))
+    for uu, vv, ww, zz in draws:
+        with pytest.raises(NormalizabilityError):
+            su11_intelligent(uu, vv, ww, zz, k)
 
 
 def test_su11_intelligent_spectrum_contract():
