@@ -372,7 +372,15 @@ def _profile_from_dict(doc):
     raise InvalidInputError(f"profile kind must be 'omega' or 'g123', got {kind!r}")
 
 
+#: most time samples one ``evolve`` run tabulates
+MAX_SAMPLES = 100_000
+
+
 def _cmd_evolve(args):
+    if not (2 <= args.samples <= MAX_SAMPLES
+            and math.isfinite(args.t0) and math.isfinite(args.t1)):
+        raise InvalidInputError(f"evolve needs finite --t0, --t1 and 2 <= --samples <= "
+                                f"{MAX_SAMPLES}, got {args.t0}, {args.t1}, {args.samples}")
     profile = _load_profile(args.profile)
     t = np.linspace(args.t0, args.t1, args.samples)
     _traj, _u, _v, rows = trajectory_table(profile, t)

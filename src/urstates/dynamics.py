@@ -146,8 +146,9 @@ def _integrate(rhs, t_grid, y0, what):
     step size shrinking toward a pole cannot run forever.
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
-        raise InvalidInputError("time grid must be 1-d, increasing, length >= 2")
+    if (t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t))
+            or np.any(np.diff(t) <= 0.0)):
+        raise InvalidInputError("time grid must be 1-d, finite, increasing, length >= 2")
     calls = 0
 
     def counted(tt, y):

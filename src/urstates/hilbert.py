@@ -57,7 +57,7 @@ DEFAULT_MODE_CUTOFF = 20
 #: fraction of top basis levels counted as "tail" in recorded certificates
 TAIL_FRACTION = 0.1
 
-#: largest su(2) or multimode dimension a basis may have; a spin or a
+#: largest dimension a basis of any kind may have; a cutoff, a spin or a
 #: per-mode cutoff that large is a bad input, not a request to allocate
 MAX_BASIS_DIM = 1 << 16
 
@@ -92,7 +92,7 @@ class BasisSpec:
                 raise InvalidInputError(f"su2 basis needs half-integer j > 0, got {self.j}")
         if self.kind == "multimode" and self.s not in (1, 2):
             raise UnsupportedScaleError(f"multimode basis supports s in {{1,2}}, got s={self.s}")
-        if self.kind in ("su2", "multimode") and self.dim > MAX_BASIS_DIM:
+        if self.dim > MAX_BASIS_DIM:
             raise UnsupportedScaleError(
                 f"{self.kind} basis dimension {self.dim} exceeds MAX_BASIS_DIM={MAX_BASIS_DIM}"
             )

@@ -1,5 +1,9 @@
 """Constructors for the coherent / squeezed / intelligent state families.
 
+Amplitudes come from closed-form step ratios, or from the family's own
+eigen-equation: a three-term recurrence from c_0 = 1, or a spectrum-raising
+operator on the discrete su(1,1) spectrum.  No special function is summed.
+
 Every constructor returns a normalized :class:`~urstates.hilbert.StateVector`
 and certifies itself on construction: families defined by an eigenvalue
 problem get an algebraic residual check, and truncation honesty is enforced
@@ -29,10 +33,12 @@ from .errors import (
     NormalizabilityError,
     NumericError,
     TruncationError,
+    UnsupportedScaleError,
 )
 from .hilbert import (
     DEFAULT_FOCK_CUTOFF,
     DEFAULT_SU11_CUTOFF,
+    MAX_BASIS_DIM,
     StateVector,
     boson_ladder,
     fock_basis,
@@ -41,7 +47,6 @@ from .hilbert import (
     su11_ladder,
     su2_basis,
 )
-from .specfun import gauss2f1_terminating
 
 __all__ = [
     "SqueezeParams",
@@ -132,11 +137,20 @@ def _check_params(family, **params):
         raise InvalidInputError(f"Bargmann index must be positive, got k={params['k']}")
 
 
+def _cutoff(N, family, default=None):
+    """The cutoff N, or ``default`` when N is omitted; a given N outside
+    [2, MAX_BASIS_DIM] is refused before any amplitude is allocated."""
+    if N is not None and not 2 <= N <= MAX_BASIS_DIM:
+        raise UnsupportedScaleError(
+            f"{family}: cutoff N={N} outside [2, MAX_BASIS_DIM={MAX_BASIS_DIM}]"
+        )
+    return default if N is None else N
+
+
 def _fock_cutoff(N, alpha, family):
     """The Fock cutoff N (DEFAULT_FOCK_CUTOFF when omitted), refused below
     the |alpha|^2 + 10|alpha| + 20 levels a displacement alpha needs."""
-    if N is None:
-        N = DEFAULT_FOCK_CUTOFF
+    N = _cutoff(N, family, DEFAULT_FOCK_CUTOFF)
     aa = abs(alpha)
     if N < aa * aa + 10.0 * aa + 20.0:
         raise TruncationError(
@@ -144,16 +158,6 @@ def _fock_cutoff(N, alpha, family):
             f"(need at least |alpha|^2 + 10|alpha| + 20)"
         )
     return N
-
-
-def _log_weights(ratio, log_x=0.0):
-    """log|c_n / c_0|, n = 0..len(ratio), for the step ratios
-    |c_{n+1} / c_n| = e^{log_x} ratio[n], as one running sum of logs.
-
-    The family parameter enters through its log, so a tiny one cannot
-    underflow a step ratio to zero.
-    """
-    return np.concatenate(([0.0], np.cumsum(log_x + np.log(ratio))))
 
 
 def _step_amplitudes(x, ratio, dim, start=0, step=1):
@@ -170,7 +174,9 @@ def _step_amplitudes(x, ratio, dim, start=0, step=1):
         amp[start] = 1.0
         return amp
     levels = np.arange(start, dim, step)
-    logs = _log_weights(ratio(levels[:-1]), step * math.log(abs(x)))
+    # log|c_n / c_start| as one running sum of the log step ratios
+    log_steps = step * math.log(abs(x)) + np.log(ratio(levels[:-1]))
+    logs = np.concatenate(([0.0], np.cumsum(log_steps)))
     logs -= logs.max()
     amp[levels] = np.exp(logs) * np.exp(1j * math.atan2(x.imag, x.real) * levels)
     return amp / np.linalg.norm(amp)
@@ -237,29 +243,22 @@ def glauber(alpha, N=None, max_tail=1e-8):
                       max(1.0, aa), discarded=_poisson_tail(aa * aa, N))
 
 
-#: the squeeze recurrence rescales its prefix whenever an amplitude passes
-#: this size, so large displacements cannot overflow before normalization
+#: the eigen-equation recurrence rescales its prefix whenever an amplitude
+#: passes this size, so a growing solution cannot overflow before normalization
 _RESCALE_AT = 1e150
 
 
-def _squeezed_amplitudes(alpha, u, v, N):
-    """Normalized eigenvector of u a + v a^dag at eigenvalue alpha, on shell.
-
-    The Fock components follow from the eigen-equation itself,
-    u sqrt(n+1) c_{n+1} = alpha c_n - v sqrt(n) c_{n-1} with c_{-1} = 0 and
-    c_0 = 1, in O(N).  The ray is then phased like the squeezed displaced
-    vacuum e^{i arg u} S(zeta) D(beta)|0> it equals, with
-    beta = alpha e^{-i arg u}, S(zeta) = exp((zeta a^dag^2 - conj(zeta) a^2)/2)
-    and zeta = arccosh|u| e^{i(arg v - arg u + pi)}: the vacuum component
-    then carries the phase of e^{i arg u} exp(i Im(conj(v/u) beta^2) / 2).
-    """
-    roots = np.sqrt(np.arange(N, dtype=float)).tolist()
-    a_u, v_u = alpha / u, v / u
-    c = [0j] * N
+def _recurrence_amplitudes(diag, off, lad):
+    """Normalized solution of lad[n] c_{n+1} = diag[n] c_n - off lad[n-1] c_{n-1}
+    from c_0 = 1 on the len(lad) + 1 levels, in O(N): the eigen-equation
+    (u L + v L^dag + D - z) psi = 0 over u, L the lowering operator with +1
+    band ``lad``, off = v/u and the list diag[n] = (z - D_n)/u."""
+    lad = [0.0] + lad.tolist()
+    c = [0j] * len(lad)
     c_prev, c_cur = 0j, 1.0 + 0.0j
     c[0] = c_cur
-    for n in range(N - 1):
-        c_next = (a_u * c_cur - v_u * roots[n] * c_prev) / roots[n + 1]
+    for n in range(len(lad) - 1):
+        c_next = (diag[n] * c_cur - off * lad[n] * c_prev) / lad[n + 1]
         if abs(c_next) > _RESCALE_AT:
             c[:n + 1] = [x / _RESCALE_AT for x in c[:n + 1]]
             c_cur /= _RESCALE_AT
@@ -267,7 +266,22 @@ def _squeezed_amplitudes(alpha, u, v, N):
         c[n + 1] = c_next
         c_prev, c_cur = c_cur, c_next
     amp = np.array(c, dtype=np.complex128)
-    amp /= np.linalg.norm(amp)
+    return amp / np.linalg.norm(amp)
+
+
+def _squeezed_amplitudes(alpha, u, v, N):
+    """Normalized eigenvector of u a + v a^dag at eigenvalue alpha, on shell.
+
+    The Fock components follow from the eigen-equation itself,
+    u sqrt(n+1) c_{n+1} = alpha c_n - v sqrt(n) c_{n-1} with c_{-1} = 0 and
+    c_0 = 1 (`_recurrence_amplitudes`).  The ray is then phased like the
+    squeezed displaced vacuum e^{i arg u} S(zeta) D(beta)|0> it equals, with
+    beta = alpha e^{-i arg u}, S(zeta) = exp((zeta a^dag^2 - conj(zeta) a^2)/2)
+    and zeta = arccosh|u| e^{i(arg v - arg u + pi)}: the vacuum component
+    then carries the phase of e^{i arg u} exp(i Im(conj(v/u) beta^2) / 2).
+    """
+    a_u, v_u = alpha / u, v / u
+    amp = _recurrence_amplitudes([a_u] * N, v_u, boson_ladder(N))
     phase_u = u / abs(u)
     beta = alpha / phase_u
     return amp * (phase_u * cmath.exp(0.5j * (v_u.conjugate() * beta * beta).imag))
@@ -309,8 +323,7 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
         raise InvalidInputError(f"squeezed_fock needs n >= 0, got {n}")
     sq = _coerce_squeeze(u, v)
     u, v = sq.u, sq.v
-    if N is None:
-        N = DEFAULT_FOCK_CUTOFF
+    N = _cutoff(N, "squeezed_fock", DEFAULT_FOCK_CUTOFF)
     if n >= N // 2:
         raise TruncationError(f"squeezed_fock: level n={n} too close to cutoff N={N}")
     c = boson_ladder(N)
@@ -364,8 +377,7 @@ def bg_cs(z, k, N=None, max_tail=1e-8):
     z = complex(z)
     k = float(k)
     _check_params("bg_cs", z=z, k=k)
-    if N is None:
-        N = DEFAULT_SU11_CUTOFF
+    N = _cutoff(N, "bg_cs", DEFAULT_SU11_CUTOFF)
     amp = _step_amplitudes(z, lambda m: 1.0 / np.sqrt((m + 1.0) * (2.0 * k + m)), N)
 
     def residual():
@@ -429,8 +441,7 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
         raise NormalizabilityError(
             f"su11_cs needs |xi| < 1 (unit disk), got |xi|={ax:.12g}"
         )
-    if N is None:
-        N = _su11_cs_cutoff(ax, k)
+    N = _cutoff(N, "su11_cs") or _su11_cs_cutoff(ax, k)
     amp = _su11_cs_amplitudes(xi, k, N)
     c = su11_ladder(k, N)
     return _certified(
@@ -467,59 +478,40 @@ def _is_nonpositive_int(x, tol=1e-9):
         return None
     return int(-r)
 
-def _intelligent_amplitudes(u, v, w, z, k, l, N):
-    """Closed-form components b_n of the u K- + v K+ + w K3 eigenstate.
 
-    Two algebraically equal hypergeometric forms exist, one per root of
-    u t^2 + w t + v = 0; evaluation prefers a form whose first parameter is
-    a nonpositive integer (the series then terminates after a fixed number
-    of cancellation-free terms), otherwise the form with the smaller base.
-    """
-    branches = []
-    for sgn in (+1.0, -1.0):
-        base = -(w + sgn * l) / (2.0 * u)
-        if abs(w + sgn * l) < 1e-14 * max(abs(w), abs(l), 1e-300):
-            continue
-        a_par = k + sgn * z / l
-        x_arg = sgn * 2.0 * l / (w + sgn * l)
-        branches.append((base, a_par, x_arg, _is_nonpositive_int(a_par)))
-    if not branches:
-        raise DegenerateParameterError(
-            "intelligent family: both hypergeometric forms degenerate"
-        )
-    terminating = [b for b in branches if b[3] is not None]
-    if terminating:
-        base, a_par, x_arg, n0_int = min(terminating, key=lambda b: abs(b[0]))
-        # evaluate at the exact integer: a rounding residue of a few ulp in
-        # a_par would keep the series running past its termination point,
-        # and those near-zero terms get amplified by m-degree polynomials
-        a_par = -float(n0_int)
-    else:
-        base, a_par, x_arg, _n0 = min(branches, key=lambda b: abs(b[0]))
+def _raised_amplitudes(u, v, w, s, t_in, n0, k, N):
+    """E^n0 |t_in; k>, the eigenstate of M = u K- + v K+ + w K3 at z = s (k + n0).
 
-    n = np.arange(N - 1, dtype=float)
-    half_log_poch = _log_weights(np.sqrt((2.0 * k + n) / (n + 1.0)))
-    b = np.empty(N, dtype=np.complex128)
-    for m in range(N):
-        f = gauss2f1_terminating(a_par, m, 2.0 * k, x_arg)
-        b[m] = (base ** m) * math.exp(half_log_poch[m]) * f
-    return b
+    |t_in; k> is the M eigenstate at s k, and E = u^2 K- + (w^2 + s w - 2uv)/2 K+
+    + u (s + w) K3 obeys [M, E] = s E: each application, normalized, climbs
+    one level."""
+    amp = _su11_cs_amplitudes(t_in, k, N)
+    c = su11_ladder(k, N)
+    a, b, d = u * u, 0.5 * (w * w + s * w - 2.0 * u * v), u * (s + w) * (k + np.arange(N))
+    for _ in range(n0):
+        amp = a * _lower(amp, c) + b * _raise(amp, c) + d * amp
+        amp /= np.linalg.norm(amp)
+    return amp
 
 
 def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     """Eigenstate of u K- + v K+ + w K3 with eigenvalue z.
 
     Normalizability requires a root of u t^2 + w t + v = 0 inside the unit
-    disk; outside that region the constructor refuses.  With one root
-    outside, the spectrum is discrete and an off-spectrum z is refused
-    before any amplitude is evaluated.  The degenerate case
-    l = sqrt(w^2 - 4uv) = 0 collapses onto the SU(1,1) coherent ray with
-    xi = -w/(2u) and eigenvalue 0, where the hypergeometric form is singular;
-    the state is then |xi; k> with the amplitudes of `su11_cs`.
+    disk; outside that region the constructor refuses.  With both roots
+    inside every z is an eigenvalue, and the amplitudes are the recurrence
+    u sqrt((n+1)(2k+n)) c_{n+1} = (z - w(k+n)) c_n - v sqrt(n(2k+n-1)) c_{n-1}
+    run forward from c_0 = 1.  With one root t_in inside, the spectrum is
+    z_n = s (k + n), s = w + 2 u t_in: an off-spectrum z is refused before
+    any amplitude is evaluated, and the state is `_raised_amplitudes`.  At
+    l = sqrt(w^2 - 4uv) = 0 the operator collapses onto the coherent ray
+    xi = -w/(2u) with eigenvalue 0, and the state is |xi; k> of `su11_cs`.
+    The first component above 1e-8 is made real and positive.
     """
     params = {"u": complex(u), "v": complex(v), "w": complex(w), "z": complex(z)}
     k = float(k)
     _check_params("su11_intelligent", **params, k=k)
+    N = _cutoff(N, "su11_intelligent")
     # the eigen-equation only sees the ray through (u, v, w, z)
     u, v, w, z = _ray_scaled(*params.values())
     scale = max(abs(u), abs(v), abs(w))
@@ -551,28 +543,26 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
                 f"degenerate intelligent family carries only eigenvalue 0, "
                 f"requested z={z}"
             )
-        if N is None:
-            N = _su11_cs_cutoff(abs(xi), k)
+        N = N or _su11_cs_cutoff(abs(xi), k)
         # with v = u xi^2 and w = -2 u xi the operator is
         # u (K- - 2 xi K3 + xi^2 K+), which annihilates |xi; k>
         amp = _su11_cs_amplitudes(xi, k, N)
-        first = np.argmax(np.abs(amp) > 1e-8)
-        amp = amp * (np.conj(amp[first]) / abs(amp[first]))
     else:
         roots = ((-w + l) / (2.0 * u), (-w - l) / (2.0 * u))
-        if min(abs(roots[0]), abs(roots[1])) >= 1.0 - 1e-12:
+        inside = [abs(t) < 1.0 - 1e-12 for t in roots]
+        if not any(inside):
             raise NormalizabilityError(
                 f"intelligent family not normalizable: characteristic roots "
                 f"|t1|={abs(roots[0]):.6g}, |t2|={abs(roots[1]):.6g} both outside "
                 f"the unit disk"
             )
-        inside = [abs(t) < 1.0 - 1e-12 for t in roots]
-        if inside[0] != inside[1]:
-            # one root outside: the spectrum is discrete, and z lies on it only
-            # when the branch whose base is the inside root terminates
-            # (roots[0] is the base of the branch sgn = -1)
-            sgn = -1.0 if inside[0] else 1.0
-            if _is_nonpositive_int(k + sgn * z / l) is None:
+        n0 = None
+        if not all(inside):
+            # one root outside: the spectrum is discrete, z_n = s (k + n) with
+            # the step s = w + 2 u t_in = +-l set by the inside root t_in
+            t_in, s = (roots[0], l) if inside[0] else (roots[1], -l)
+            n0 = _is_nonpositive_int(k - z / s)
+            if n0 is None:
                 raise NormalizabilityError(
                     f"su11_intelligent: no normalizable eigenstate at z={z}: one "
                     f"characteristic root lies outside the unit disk, and z is "
@@ -580,36 +570,26 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
                 )
 
         grow = N is None
-        if grow:
-            N = _su11_cs_cutoff(min(min(abs(roots[0]), abs(roots[1])) + 0.05, 0.999), k)
-        grown = False
+        N = N or _su11_cs_cutoff(min(min(abs(roots[0]), abs(roots[1])) + 0.05, 0.999), k)
         while True:
-            b = _intelligent_amplitudes(u, v, w, z, k, l, N)
-            nb = np.linalg.norm(b)
-            if nb == 0.0 or not np.all(np.isfinite(b)):
-                raise NumericError(
-                    "intelligent family: closed-form amplitudes over/underflowed"
-                )
-            amp = b / nb
-            top = _top_mass(amp)
-            if not grow or top <= 1e-18:
+            if n0 is None:
+                amp = _recurrence_amplitudes(((z - w * (k + np.arange(N))) / u).tolist(),
+                                             v / u, su11_ladder(k, N))
+            else:
+                amp = _raised_amplitudes(u, v, w, s, t_in, n0, k, N)
+            if not np.all(np.isfinite(amp)):
+                raise NumericError("intelligent family: amplitudes over/underflowed")
+            if not grow or _top_mass(amp) <= 1e-18:
                 break
-            # When one characteristic root sits outside the disk the spectrum is
-            # discrete; a wrong z shows up as amplitudes that refuse to decay no
-            # matter how far the basis grows.
-            if grown and top > 1e-6:
-                raise NormalizabilityError(
-                    f"su11_intelligent: no normalizable eigenstate at z={z} "
-                    f"(amplitude mass persists at every cutoff)"
-                )
             if N >= MAX_ADAPTIVE_CUTOFF:
                 raise TruncationError(
                     f"su11_intelligent: amplitudes still carry mass at "
                     f"N={N}; parameters sit too close to the normalizability edge"
                 )
             N = min(2 * N, MAX_ADAPTIVE_CUTOFF)
-            grown = True
 
+    first = np.argmax(np.abs(amp) > 1e-8)
+    amp = amp * (np.conj(amp[first]) / abs(amp[first]))
     c = su11_ladder(k, N)
     return _certified(
         amp, su11_basis(k, N), "su11_intelligent",

@@ -14,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 from urstates import acceptance, cli, dynamics
 from urstates.cli import main
 from urstates.errors import UrstatesError
-from urstates.hilbert import StateVector, multimode_basis
+from urstates.hilbert import MAX_BASIS_DIM, StateVector, multimode_basis
 from urstates.stateio import document_text, load_state, state_to_dict
 from urstates.states import FAMILIES, canonical_ss
 
@@ -157,7 +158,8 @@ def test_state_rejects_nan_alpha(capsys, family):
     assert json.loads(err)["error"] == "InvalidInputError"
 
 
-@pytest.mark.parametrize("family", [
+#: every --family value with parameters that build, su2-cs last
+_FAMILY_ARGS = [
     ["glauber", "--alpha", "0.5"],
     ["canonical-ss", "--alpha", "0.3", "--u", "1.25", "--v", "0.75"],
     ["squeezed-fock", "--n", "1", "--u", "1.25", "--v", "0.75"],
@@ -167,7 +169,10 @@ def test_state_rejects_nan_alpha(capsys, family):
     ["su11-cs", "--xi", "0.6", "--k", "1"],
     ["su11-intelligent", "--u", "1", "--v", "-0.16", "--w", "0", "--z", "1.6", "--k", "1"],
     ["su2-cs", "--tau", "0.5j", "--j", "1.5"],
-])
+]
+
+
+@pytest.mark.parametrize("family", _FAMILY_ARGS)
 @pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
 def test_state_refuses_a_max_tail_that_is_not_a_finite_non_negative_number(capsys, family, bound):
     # --max-tail nan once turned the tail gate off, and -1 ended in a
@@ -181,6 +186,27 @@ def test_state_refuses_a_max_tail_that_is_not_a_finite_non_negative_number(capsy
     payload = json.loads(err)
     assert payload["error"] == "InvalidInputError"
     assert "--max-tail" in payload["message"]
+
+
+@pytest.mark.parametrize("family", [f for f in _FAMILY_ARGS if f[0] != "su2-cs"],
+                         ids=lambda f: f[0])
+@pytest.mark.parametrize("cutoff", [MAX_BASIS_DIM + 1, -1])
+def test_state_refuses_a_cutoff_outside_the_basis_bound_before_allocating(capsys, family, cutoff):
+    # --cutoff 4000000 once built a 1.7 GB glauber vacuum, and a negative
+    # cutoff ended in a ValueError traceback from np.zeros
+    cli._build_parser()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "state", "--family", *family, f"--cutoff={cutoff}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "UnsupportedScaleError"
+    # one amplitude vector of MAX_BASIS_DIM levels takes 1 MiB
+    assert peak < 2 ** 18
 
 
 @pytest.mark.parametrize("argv", [
@@ -670,6 +696,25 @@ def test_evolve_pole_profile_exits_1(tmp_path, capsys, monkeypatch):
 def test_evolve_profile_directory_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "evolve", "--profile", str(tmp_path),
                              "--t0", "0", "--t1", "1", "--samples", "5")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--samples", "-1"],
+    ["--samples", "1"],
+    ["--samples", str(cli.MAX_SAMPLES + 1)],
+    ["--t0", "nan"],
+    ["--t1", "inf"],
+    ["--t0=-inf", "--t1", "nan"],
+])
+def test_evolve_refuses_a_bad_time_grid_before_integrating(tmp_path, capsys, argv):
+    # --samples -1 once ended in a ValueError traceback from np.linspace, and
+    # --t0 nan ran 10^6 right-hand-side evaluations before a NumericError
+    prof = _profile(tmp_path, {"kind": "omega", "omega": 2.0, "omega0": 1.0})
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1

@@ -133,6 +133,10 @@ def test_epsilon_initial_data_validation():
         integrate_epsilon(CONST2, [0.0, -1.0])
     with pytest.raises(InvalidInputError):
         integrate_epsilon(CONST2, [[0.0, 1.0]])
+    # a non-finite grid once ran the whole evaluation budget into NumericError
+    for grid in ([math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(InvalidInputError, match="finite"):
+            integrate_epsilon(CONST2, grid)
     # Wronskian of (1, 2i) is 4i, not 2i
     with pytest.raises(InvalidInputError):
         integrate_epsilon(CONST2, [0.0, 1.0], eps0=1.0, deps0=2j)

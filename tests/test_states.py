@@ -625,8 +625,8 @@ def test_su11_intelligent_is_a_ray_at_any_scale(lam):
 
 
 def test_su11_intelligent_amplitudes_decay():
-    # regression: the terminating hypergeometric branch must not pick up
-    # rounding noise at high levels (growth there once inverted the tail)
+    # regression: a discrete-spectrum state must decay all the way to the
+    # cutoff (rounding noise growing with the level once inverted its tail)
     u = 0.3 * cmath.exp(1.1j)
     z = su11_intelligent_spectrum(u, np.conj(u), 0.75, 0.5, count=2)[1]
     st = su11_intelligent(u, np.conj(u), 0.75, z, 0.5)
@@ -670,19 +670,79 @@ def _degenerate_set(r0, theta):
             math.sinh(2 * r0) * cmath.exp(1j * theta))
 
 
+def _svd_null_vector(u, v, w, z, k, N):
+    """Oracle: the smallest right singular vector of the dense
+    u K- + v K+ + w K3 - z on N levels, its first component above 1e-8 made
+    real and positive as the constructor does."""
+    rep = su11_rep(k, N)
+    M = (u * rep["kminus"].matrix + v * rep["kplus"].matrix + w * rep["k3"].matrix
+         - z * np.eye(N))
+    ref = np.linalg.svd(M)[2][-1].conj()
+    first = np.argmax(np.abs(ref) > 1e-8)
+    return ref * (np.conj(ref[first]) / abs(ref[first]))
+
+
 @pytest.mark.parametrize("r0,theta,k,N", [(0.3, 0.4, 0.5, None), (0.7, 2.1, 1.0, None),
                                           (0.9, -1.3, 2.0, 200), (1.2, 3.0, 0.25, 200)])
 def test_su11_intelligent_degenerate_state_matches_the_svd_route(r0, theta, k, N):
-    # oracle: the smallest right singular vector of the dense u K- + v K+ + w K3
     u, v, w = _degenerate_set(r0, theta)
     st = su11_intelligent(u, v, w, 0.0, k, N=N)
     assert st.basis.N <= 200
-    rep = su11_rep(k, st.basis.N)
+    np.testing.assert_allclose(st.amplitudes, _svd_null_vector(u, v, w, 0.0, k, st.basis.N),
+                               rtol=0, atol=1e-12)
+
+
+def _random_intelligent_sets(count=12, seed=1):
+    """Seeded (u, v, w, z, k): u, v, w complex normal with sigma 1, 1, 2 and
+    |v| scaled down by 1e-2..1e-10 in every third set, k in {1/4, 1/2, 1, 2};
+    the characteristic roots of u t^2 + w t + v are kept below 0.8 in modulus
+    where they count, so each state fits in 200 levels.  Half have both roots
+    inside the disk and a random z; half have one inside, and z on the
+    discrete spectrum s (k + n0), n0 = 0..3."""
+    rng = np.random.default_rng(seed)
+    both, one = [], []
+    while len(both) + len(one) < count:
+        u, v, w = (complex(*rng.normal(0.0, s, 2)) for s in (1.0, 1.0, 2.0))
+        if (len(both) + len(one)) % 3 == 2:
+            v *= 10.0 ** rng.uniform(-10.0, -2.0)
+        k = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+        l = cmath.sqrt(w * w - 4.0 * u * v)
+        r = [abs((-w + l) / (2.0 * u)), abs((-w - l) / (2.0 * u))]
+        if max(r) < 0.8 and len(both) < count // 2:
+            both.append((u, v, w, complex(*rng.normal(0.0, 2.0, 2)), k))
+        elif min(r) < 0.8 and max(r) > 1.0 and len(one) < count - count // 2:
+            s = l if r[0] < r[1] else -l
+            one.append((u, v, w, s * (k + int(rng.integers(0, 4))), k))
+    return both + one
+
+
+@pytest.mark.parametrize("u, v, w, z, k", [
+    # roots +-0.6, continuous spectrum: refused while the amplitudes were
+    # hypergeometric sums
+    (1.0, -0.36, 0.0, 0.0, 1.0),
+    # roots 0 and -3, z on the discrete spectrum with n0 = 2: three levels
+    (1.0, 0.0, 3.0, 9.0, 1.0),
+    *_random_intelligent_sets(),
+])
+def test_su11_intelligent_state_matches_the_svd_route(u, v, w, z, k):
+    st = su11_intelligent(u, v, w, z, k)
+    N = st.basis.N
+    assert N <= 200
+    rep = su11_rep(k, N)
     M = u * rep["kminus"].matrix + v * rep["kplus"].matrix + w * rep["k3"].matrix
-    ref = np.linalg.svd(M)[2][-1].conj()
-    first = np.argmax(np.abs(ref) > 1e-8)
-    ref *= np.conj(ref[first]) / abs(ref[first])
-    np.testing.assert_allclose(st.amplitudes, ref, rtol=0, atol=1e-12)
+    assert np.linalg.norm(M @ st.amplitudes - z * st.amplitudes) < 1e-8
+    # the two routes truncate the top row differently: the recurrence drops
+    # c_N, the SVD spreads the defect over the vector
+    np.testing.assert_allclose(st.amplitudes, _svd_null_vector(u, v, w, z, k, N),
+                               rtol=0, atol=1e-11)
+
+
+def test_su11_intelligent_discrete_state_at_v_zero_is_finite():
+    # u K- + 3 K3 at z = 9: the vacuum raised twice, nothing above level 2;
+    # the growth loop once refused it as "amplitude mass persists"
+    st = su11_intelligent(1.0, 0.0, 3.0, 9.0, 1.0)
+    assert np.all(st.amplitudes[3:] == 0.0)
+    assert np.all(st.amplitudes[:3] != 0.0)
 
 
 def test_su11_intelligent_degenerate_state_allocates_no_dense_matrix():
@@ -726,7 +786,8 @@ def test_su11_intelligent_refuses_z_off_the_discrete_spectrum_before_evaluating(
     def unreachable(*args):
         raise AssertionError("amplitudes evaluated for a refused z")
 
-    monkeypatch.setattr(states, "_intelligent_amplitudes", unreachable)
+    for helper in ("_recurrence_amplitudes", "_raised_amplitudes", "_su11_cs_amplitudes"):
+        monkeypatch.setattr(states, helper, unreachable)
     rng = np.random.default_rng(3)
     draws = [(u, v, w, 0.5)]
     while len(draws) < 40:
