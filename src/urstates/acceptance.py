@@ -74,8 +74,7 @@ def _random_state(rng, basis):
 #
 # A suite is a parameter grid, a row function and the CSV header of its
 # rows.  `urstates scan` writes the rows; criteria 1, 2, 3 and 12 reduce the
-# rows of one suite each.  Row functions take (seed, index, point) so that a
-# process pool can compute any row on its own.
+# rows of one suite each.
 
 @lru_cache(maxsize=16)
 def _obs_cached(name, N):

@@ -15,10 +15,12 @@ serialized through repr, so a dump/parse cycle is value-exact.
 """
 
 import argparse
+import ast
 import csv
 import functools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -283,24 +285,55 @@ def _cmd_scan(args):
 _EXPR_NAMES = ("sin", "cos", "tan", "asin", "acos", "atan", "exp", "log",
                "sqrt", "sinh", "cosh", "tanh", "floor", "fabs", "pi", "e")
 _EXPR_NS = {name: getattr(math, name) for name in _EXPR_NAMES}
+_EXPR_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                ast.Div: operator.truediv, ast.Pow: operator.pow}
+_EXPR_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _expr_node(node, expr):
+    """A function of t that evaluates the expression tree ``node`` on floats.
+
+    Only numeric constants (taken as floats), t, pi, e, binary + - * / **,
+    unary + and -, and calls of the `_EXPR_NAMES` functions are allowed, so
+    ** is a float power that overflows at once; any other node is refused
+    before anything is evaluated.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)
+        return lambda t: value
+    if isinstance(node, ast.Name) and node.id == "t":
+        return lambda t: t
+    if isinstance(node, ast.Name) and isinstance(_EXPR_NS.get(node.id), float):
+        value = _EXPR_NS[node.id]
+        return lambda t: value
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINARY:
+        op = _EXPR_BINARY[type(node.op)]
+        left, right = _expr_node(node.left, expr), _expr_node(node.right, expr)
+        return lambda t: op(left(t), right(t))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARY:
+        op, operand = _EXPR_UNARY[type(node.op)], _expr_node(node.operand, expr)
+        return lambda t: op(operand(t))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and callable(_EXPR_NS.get(node.func.id)) and not node.keywords):
+        fn, args = _EXPR_NS[node.func.id], [_expr_node(arg, expr) for arg in node.args]
+        # floor returns an int, whose powers would be exact and unbounded
+        return lambda t: float(fn(*[arg(t) for arg in args]))
+    what = getattr(node, "func", getattr(node, "op", node))
+    raise InvalidInputError(f"profile expression {expr!r} may not use "
+                            f"{getattr(what, 'id', type(what).__name__)!r}")
 
 
 def _expr_callable(expr):
     try:
-        code = compile(expr, "<profile>", "eval")
-    except SyntaxError as exc:
+        node = _expr_node(ast.parse(expr, mode="eval").body, expr)
+    except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidInputError(f"bad profile expression {expr!r}: {exc}")
-    for name in code.co_names:
-        if name != "t" and name not in _EXPR_NS:
-            raise InvalidInputError(
-                f"profile expression {expr!r} uses unknown name {name!r}"
-            )
 
     def fn(t):
         t = float(t)
         try:
-            val = float(eval(code, {"__builtins__": {}}, {**_EXPR_NS, "t": t}))
-        except (ArithmeticError, ValueError, TypeError) as exc:
+            val = float(node(t))
+        except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
             raise InvalidInputError(
                 f"profile expression {expr!r} fails at t={t!r}: {exc}"
             ) from exc

@@ -57,6 +57,9 @@ DEFAULT_MODE_CUTOFF = 20
 #: fraction of top basis levels counted as "tail" in recorded certificates
 TAIL_FRACTION = 0.1
 
+#: residual below which a state counts as an exact eigenstate or minimizer
+RESIDUAL_TOL = 1e-8
+
 #: largest dimension a basis of any kind may have; a cutoff, a spin or a
 #: per-mode cutoff that large is a bad input, not a request to allocate
 MAX_BASIS_DIM = 1 << 16
@@ -303,6 +306,19 @@ def mass_exceeds(mass, max_tail):
     if max_tail is not None and not max_tail >= 0.0:
         raise InvalidInputError(f"max_tail must be None or >= 0, got {max_tail!r}")
     return max_tail is not None and mass > max_tail
+
+
+def edge_mass(amp, levels=2):
+    """Probability on the top ``levels`` basis levels, where truncation bites."""
+    return float(np.sum(np.abs(amp[-levels:]) ** 2))
+
+
+def residual_bound(amp, basis, scale):
+    """max(RESIDUAL_TOL, 50 scale sqrt(N m)), m the `edge_mass` of ``amp`` on
+    its N levels, or 0 on an su(2) basis, which is the whole irrep: a state
+    with mass near the cutoff cannot solve its truncated eigen-equation better."""
+    mass = 0.0 if basis.kind == "su2" else edge_mass(amp)
+    return max(RESIDUAL_TOL, 50.0 * scale * math.sqrt(amp.size * mass))
 
 
 def basis_state(basis, n):

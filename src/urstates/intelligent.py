@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .hilbert import StateVector
+from .hilbert import StateVector, residual_bound
 # char_coeffs stays importable as intelligent.char_coeffs: bench/spans.py
 # wraps it under that name
 from .matrixkit import char_coeffs  # noqa: F401
@@ -30,8 +30,6 @@ __all__ = [
     "minimizer_certificate",
 ]
 
-#: pairwise residual below which a state counts as an exact minimizer
-RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PairCertificate:
@@ -53,16 +51,6 @@ def _gauge_fix(vec):
     return vec * phase
 
 
-def _edge_mass(state):
-    """Probability on the top two basis levels, where truncation bites.
-
-    An su(2) basis is the whole irrep, so nothing sits at a cutoff there.
-    """
-    if state.basis.kind == "su2":
-        return 0.0
-    return float(np.sum(np.abs(state.amplitudes[-2:]) ** 2))
-
-
 def minimizer_certificate(state, obs, max_tail=1e-8, report=None):
     """Per-pair best (beta, z) and residual, and the verdict.
 
@@ -72,12 +60,11 @@ def minimizer_certificate(state, obs, max_tail=1e-8, report=None):
     residual is || beta_0 dX_i psi + beta_1 dX_j psi ||, taken from the
     centered vectors of the moment report: it grows linearly with rounding,
     where sqrt(lambda_min) would turn 1e-16 into 1e-8.  Verdict is
-    "minimizer" when every pairwise residual clears ``RESIDUAL_TOL``,
-    widened to the truncation-aware floor
-    50 sqrt(max(1, tr R_pair)) sqrt(N * edge mass) that the state
-    constructors use.  ``report`` passes the moment report of ``state``
-    for ``obs`` when the caller already holds it; it is taken as is, so
-    ``max_tail`` is then not checked again, but a report of another
+    "minimizer" when every pairwise residual clears `hilbert.residual_bound`
+    at scale sqrt(max(1, tr R_pair)), the truncation-aware floor that the
+    state constructors gate on too.  ``report`` passes the moment report of
+    ``state`` for ``obs`` when the caller already holds it; it is taken as
+    is, so ``max_tail`` is then not checked again, but a report of another
     observable set is refused.
     """
     if not isinstance(state, StateVector):
@@ -89,7 +76,6 @@ def minimizer_certificate(state, obs, max_tail=1e-8, report=None):
     rep = report if report is not None else moment_report(obs, state, max_tail=max_tail)
     R = rep.robertson
     n = obs.n
-    trunc = state.dim * _edge_mass(state)
     pairs = {}
     minimizer = True
     for i in range(n):
@@ -99,8 +85,8 @@ def minimizer_certificate(state, obs, max_tail=1e-8, report=None):
             beta = _gauge_fix(vecs[:, 0])
             residual = float(np.linalg.norm(
                 beta[0] * rep.centered[i] + beta[1] * rep.centered[j]))
-            spread = max(1.0, float(np.trace(sub).real))
-            bound = max(RESIDUAL_TOL, 50.0 * np.sqrt(spread * trunc))
+            bound = residual_bound(state.amplitudes, state.basis,
+                                   np.sqrt(max(1.0, float(np.trace(sub).real))))
             z = complex(beta[0] * rep.means[i] + beta[1] * rep.means[j])
             pairs[(i, j)] = PairCertificate((obs.labels[i], obs.labels[j]), beta, z, residual)
             minimizer = minimizer and residual <= bound

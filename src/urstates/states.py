@@ -5,12 +5,10 @@ eigen-equation: a three-term recurrence from c_0 = 1, or a spectrum-raising
 operator on the discrete su(1,1) spectrum.  No special function is summed.
 
 Every constructor returns a normalized :class:`~urstates.hilbert.StateVector`
-and certifies itself on construction: families defined by an eigenvalue
-problem get an algebraic residual check, and truncation honesty is enforced
-through tail-mass gates.  Residual gates are truncation-aware — a strongly
-squeezed state stores real amplitude mass near the cutoff, and the residual
-of the truncated eigen-equation cannot beat that floor, so the gate widens
-with the certified top-level mass instead of failing spuriously.
+and certifies itself on construction: truncation honesty is enforced through
+tail-mass gates, and each family defined by an eigenvalue problem names its
+eigen-operator M by its bands and gates on the residual ||M psi - z psi||,
+against the truncation-aware `hilbert.residual_bound`.
 
 Conventions (hbar = 1): a = (q + ip)/sqrt(2); the squeeze parameters (u, v)
 always satisfy |u|^2 - |v|^2 = 1 after the internal rescale.
@@ -41,8 +39,10 @@ from .hilbert import (
     MAX_BASIS_DIM,
     StateVector,
     boson_ladder,
+    edge_mass,
     fock_basis,
     mass_exceeds,
+    residual_bound,
     su11_basis,
     su11_ladder,
     su2_basis,
@@ -109,21 +109,14 @@ def _coerce_squeeze(u, v):
     return SqueezeParams(complex(u), complex(v)).normalized()
 
 
-# ---------------------------------------------------------------------------
-# ladder actions on amplitude vectors
-# ---------------------------------------------------------------------------
-
-def _lower(amp, c):
-    """(L psi)_n = c_n psi_{n+1} for a lowering operator L with +1 band c."""
+def _apply(bands, amp):
+    """M amp for the operator M with ``bands`` {d: M[n, n+d]}, the layout of
+    `hilbert.Operator`: the sum over d of each band times amp shifted by d.
+    {1: c} is the lowering operator with ladder c, {-1: c} its adjoint."""
     out = np.zeros_like(amp)
-    out[:-1] = c * amp[1:]
-    return out
-
-
-def _raise(amp, c):
-    """(L^dag psi)_n = c_{n-1} psi_{n-1}, the adjoint of `_lower`."""
-    out = np.zeros_like(amp)
-    out[1:] = c * amp[:-1]
+    for d, band in bands.items():
+        lo, hi = max(0, -d), amp.size - max(0, d)
+        out[lo:hi] += band * amp[lo + d:hi + d]
     return out
 
 
@@ -182,19 +175,14 @@ def _step_amplitudes(x, ratio, dim, start=0, step=1):
     return amp / np.linalg.norm(amp)
 
 
-def _top_mass(amp, levels=2):
-    return float(np.sum(np.abs(amp[-levels:]) ** 2))
-
-
-def _certified(amp, basis, family, params, max_tail, residual, scale, discarded=None):
+def _certified(amp, basis, family, params, max_tail, bands, z, scale, discarded=None):
     """The StateVector of ``amp``, once it passes the tail gate and then the
-    eigen-equation residual gate.
+    residual gate of its eigen-equation M amp = z amp, M given by ``bands``.
 
     The tail gate holds the top-slice ``tail_mass`` to ``max_tail``, or the
     mass ``discarded`` beyond the cutoff where a family bounds it.  Only then
-    is ``residual()`` evaluated, and the gate on it is truncation-aware: it
-    may reach 50 scale sqrt(N m), m the mass on the top two levels, and 1e-8
-    at least.
+    is the residual ||M amp - z amp|| evaluated, and held to
+    `hilbert.residual_bound` at ``scale``.
     """
     state = StateVector(amp, basis, family=family, params=params)
     mass, what = (state.tail_mass, "tail") if discarded is None else (discarded, "discarded")
@@ -202,8 +190,8 @@ def _certified(amp, basis, family, params, max_tail, residual, scale, discarded=
         raise TruncationError(
             f"{family}: {what} mass {mass:.3e} exceeds {max_tail:.1e}; raise the cutoff N"
         )
-    res = float(residual())
-    bound = max(1e-8, 50.0 * scale * math.sqrt(amp.size * _top_mass(amp)))
+    res = float(np.linalg.norm(_apply(bands, amp) - z * amp))
+    bound = residual_bound(amp, basis, scale)
     # a NaN residual fails the gate, where res > bound would let it through
     if not res <= bound:
         raise NumericError(
@@ -239,8 +227,8 @@ def glauber(alpha, N=None, max_tail=1e-8):
     aa = abs(alpha)
     amp = _squeezed_amplitudes(alpha, 1.0, 0.0, N)
     return _certified(amp, fock_basis(N), "glauber", {"alpha": alpha}, max_tail,
-                      lambda: np.linalg.norm(_lower(amp, boson_ladder(N)) - alpha * amp),
-                      max(1.0, aa), discarded=_poisson_tail(aa * aa, N))
+                      {1: boson_ladder(N)}, alpha, max(1.0, aa),
+                      discarded=_poisson_tail(aa * aa, N))
 
 
 #: the eigen-equation recurrence rescales its prefix whenever an amplitude
@@ -304,8 +292,17 @@ def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
     c = boson_ladder(N)
     return _certified(amp, fock_basis(N), "canonical_ss",
                       {"alpha": alpha, "u": u, "v": v}, max_tail,
-                      lambda: np.linalg.norm(u * _lower(amp, c) + v * _raise(amp, c) - alpha * amp),
-                      abs(u) + abs(v) + abs(alpha))
+                      {1: u * c, -1: v * c}, alpha, abs(u) + abs(v) + abs(alpha))
+
+
+def _number_bands(u, v, N):
+    """Bands of A^dag A, A = u a + v a^dag, as the product of the truncated
+    A^dag and A, in which a a^dag = n + 1 loses its top-level entry."""
+    n = np.arange(N, dtype=float)
+    c = boson_ladder(N)
+    aa = c[:-1] * c[1:]
+    return {0: abs(u) ** 2 * n + abs(v) ** 2 * np.append(n[1:], 0.0),
+            2: np.conj(v) * u * aa, -2: np.conj(u) * v * aa}
 
 
 def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
@@ -329,17 +326,12 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
     c = boson_ladder(N)
     amp = _squeezed_amplitudes(0j, u, v, N)
     for _ in range(n):
-        amp = np.conj(u) * _raise(amp, c) + np.conj(v) * _lower(amp, c)
+        amp = np.conj(u) * _apply({-1: c}, amp) + np.conj(v) * _apply({1: c}, amp)
         amp /= np.linalg.norm(amp)
     amp *= (u / abs(u)) ** (n - 1)
-
-    def residual():
-        w = u * _lower(amp, c) + v * _raise(amp, c)
-        w = np.conj(u) * _raise(w, c) + np.conj(v) * _lower(w, c)
-        return np.linalg.norm(w - float(n) * amp)
-
     return _certified(amp, fock_basis(N), "squeezed_fock", {"n": n, "u": u, "v": v},
-                      max_tail, residual, (abs(u) + abs(v)) ** 2 * math.sqrt(N) + n)
+                      max_tail, _number_bands(u, v, N), n,
+                      (abs(u) + abs(v)) ** 2 * math.sqrt(N) + n)
 
 
 def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
@@ -359,7 +351,7 @@ def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
     c = boson_ladder(N)
     return _certified(amp, fock_basis(N), "even_odd_cs",
                       {"alpha": alpha, "parity": parity}, max_tail,
-                      lambda: np.linalg.norm(_lower(_lower(amp, c), c) - alpha * alpha * amp),
+                      {2: c[:-1] * c[1:]}, alpha * alpha,
                       max(1.0, abs(alpha) ** 2) * math.sqrt(N))
 
 
@@ -379,17 +371,11 @@ def bg_cs(z, k, N=None, max_tail=1e-8):
     _check_params("bg_cs", z=z, k=k)
     N = _cutoff(N, "bg_cs", DEFAULT_SU11_CUTOFF)
     amp = _step_amplitudes(z, lambda m: 1.0 / np.sqrt((m + 1.0) * (2.0 * k + m)), N)
-
-    def residual():
-        # the top-level check runs between the tail gate and the residual gate
-        if _top_mass(amp, 1) > 1e-14:
-            raise TruncationError(
-                f"bg_cs: top-level amplitude mass {_top_mass(amp, 1):.3e} > 1e-14"
-            )
-        return np.linalg.norm(_lower(amp, su11_ladder(k, N)) - z * amp)
-
+    top = edge_mass(amp, 1)
+    if top > 1e-14:
+        raise TruncationError(f"bg_cs: top-level amplitude mass {top:.3e} > 1e-14")
     return _certified(amp, su11_basis(k, N), "bg_cs", {"z": z, "k": k}, max_tail,
-                      residual, max(1.0, abs(z)))
+                      {1: su11_ladder(k, N)}, z, max(1.0, abs(z)))
 
 
 def _su11_cs_cutoff(abs_xi, k):
@@ -444,11 +430,9 @@ def su11_cs(xi, k, N=None, max_tail=1e-8):
     N = _cutoff(N, "su11_cs") or _su11_cs_cutoff(ax, k)
     amp = _su11_cs_amplitudes(xi, k, N)
     c = su11_ladder(k, N)
-    return _certified(
-        amp, su11_basis(k, N), "su11_cs", {"xi": xi, "k": k}, max_tail,
-        lambda: np.linalg.norm(_lower(amp, c) - xi * xi * _raise(amp, c) - 2.0 * k * xi * amp),
-        max(1.0, 2.0 * k * ax) * math.sqrt(N),
-    )
+    return _certified(amp, su11_basis(k, N), "su11_cs", {"xi": xi, "k": k}, max_tail,
+                      {1: c, -1: -xi * xi * c}, 2.0 * k * xi,
+                      max(1.0, 2.0 * k * ax) * math.sqrt(N))
 
 
 def su2_cs(tau, j):
@@ -489,7 +473,7 @@ def _raised_amplitudes(u, v, w, s, t_in, n0, k, N):
     c = su11_ladder(k, N)
     a, b, d = u * u, 0.5 * (w * w + s * w - 2.0 * u * v), u * (s + w) * (k + np.arange(N))
     for _ in range(n0):
-        amp = a * _lower(amp, c) + b * _raise(amp, c) + d * amp
+        amp = a * _apply({1: c}, amp) + b * _apply({-1: c}, amp) + d * amp
         amp /= np.linalg.norm(amp)
     return amp
 
@@ -579,7 +563,7 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
                 amp = _raised_amplitudes(u, v, w, s, t_in, n0, k, N)
             if not np.all(np.isfinite(amp)):
                 raise NumericError("intelligent family: amplitudes over/underflowed")
-            if not grow or _top_mass(amp) <= 1e-18:
+            if not grow or edge_mass(amp) <= 1e-18:
                 break
             if N >= MAX_ADAPTIVE_CUTOFF:
                 raise TruncationError(
@@ -591,14 +575,11 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     first = np.argmax(np.abs(amp) > 1e-8)
     amp = amp * (np.conj(amp[first]) / abs(amp[first]))
     c = su11_ladder(k, N)
-    return _certified(
-        amp, su11_basis(k, N), "su11_intelligent",
-        {**params, "k": k, "degenerate": degenerate}, max_tail,
-        lambda: np.linalg.norm(
-            u * _lower(amp, c) + v * _raise(amp, c) + w * (k + np.arange(N)) * amp - z * amp
-        ) / scale,
-        math.sqrt(N) * (1.0 + k + abs(z) / scale),
-    )
+    # M and z over scale, so the residual is relative to the largest of u, v, w
+    return _certified(amp, su11_basis(k, N), "su11_intelligent",
+                      {**params, "k": k, "degenerate": degenerate}, max_tail,
+                      {1: u / scale * c, -1: v / scale * c, 0: w / scale * (k + np.arange(N))},
+                      z / scale, math.sqrt(N) * (1.0 + k + abs(z) / scale))
 
 
 def su11_intelligent_spectrum(u, v, w, k, count=8):

@@ -653,6 +653,9 @@ def test_evolve_expression_and_sampled_profiles(tmp_path, capsys):
     {"kind": "omega", "omega": "sqrt(0.5 - t)"},
     {"kind": "omega", "omega": "1 + (0.5 - t) ** 0.5"},
     {"kind": "omega", "omega": "1 + 1e300 * 1e300 * t"},
+    # too deep for the parser: once a RecursionError traceback with exit 1
+    {"kind": "omega", "omega": "-" * 5000 + "t"},
+    {"kind": "omega", "omega": "2 + t // 2"},
     # not frequency form, though g1 reads 1/2 (to 1e-16) at every output time
     {"kind": "g123", "g1": "0.5 + 0.1*sin(4*pi*t)", "g2": 0, "g3": 1, "omega0": 1},
 ])
@@ -664,6 +667,26 @@ def test_evolve_rejects_bad_profiles(tmp_path, capsys, doc):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("expr", ["t + 3**3**15", "('a'*10**8) and t"])
+def test_evolve_refuses_an_expression_before_it_grows(tmp_path, capsys, expr):
+    # evaluated by eval, the first took 3.6 s on a huge exact int and the
+    # second allocated about 95 MB before either was refused
+    prof = _profile(tmp_path, {"kind": "omega", "omega": expr})
+    cli._build_parser()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "evolve", "--profile", prof,
+                                 "--t0", "0", "--t1", "1", "--samples", "5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidInputError"
+    assert peak < 2 ** 20
 
 
 def test_evolve_bare_g123_profile(tmp_path, capsys):

@@ -12,6 +12,7 @@ from urstates.errors import (
 )
 from urstates.hilbert import (
     MAX_BASIS_DIM,
+    RESIDUAL_TOL,
     BasisSpec,
     Operator,
     StateVector,
@@ -19,6 +20,7 @@ from urstates.hilbert import (
     boson_rep,
     fock_basis,
     multimode_basis,
+    residual_bound,
     su2_basis,
     su2_rep,
     su11_basis,
@@ -138,6 +140,17 @@ def test_tail_gate_bound():
     for bad in (math.nan, -1.0, -1e-300):
         with pytest.raises(InvalidInputError, match="max_tail"):
             top.tail_exceeds(bad)
+
+
+def test_residual_bound_widens_with_the_top_two_levels_except_on_su2():
+    amp = np.zeros(6, dtype=complex)
+    amp[-2:] = 0.6, 0.8j
+    assert residual_bound(amp, fock_basis(6), 2.0) == 50.0 * 2.0 * math.sqrt(6.0)
+    # su(2) is the whole irrep: its top levels are not a cutoff
+    assert residual_bound(amp, su2_basis(2.5), 2.0) == RESIDUAL_TOL
+    amp[-2:] = 0.0
+    amp[0] = 1.0
+    assert residual_bound(amp, fock_basis(6), 2.0) == RESIDUAL_TOL
 
 
 def test_basis_state():

@@ -56,7 +56,7 @@ def test_certificate_squeezed_state_is_minimizer():
 def test_certificate_verdict_on_exact_minimizer_grids():
     # every canonical squeezed state and every su(1,1) coherent state is an
     # exact minimizer; sqrt(lambda_min) once turned their rounding into
-    # residuals near RESIDUAL_TOL and failed about 40% of them
+    # residuals near hilbert.RESIDUAL_TOL and failed about 40% of them
     obs = observable_set("canonical", N=128)
     for r in np.linspace(0.05, 1.0, 12):
         for m in range(12):

@@ -17,11 +17,13 @@ from urstates.errors import (
     TruncationError,
 )
 from urstates import states
-from urstates.hilbert import basis_state, boson_rep, fock_basis, su11_rep
+from urstates.hilbert import Operator, basis_state, boson_rep, fock_basis, su11_rep
 from urstates.moments import moment_report, observable_set
 from urstates.states import (
     MAX_ADAPTIVE_CUTOFF,
     SqueezeParams,
+    _apply,
+    _number_bands,
     _poisson_tail,
     bg_cs,
     canonical_ss,
@@ -352,9 +354,32 @@ def test_canonical_ss_rejects_antinormalizable_pair():
         canonical_ss(0.0, 1.0, 1.2, N=64)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_banded_apply_is_the_operator_product(seed):
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(3, 40))
+    offsets = rng.choice([-2, -1, 0, 1, 2], size=int(rng.integers(1, 6)), replace=False)
+    bands = {int(d): rng.normal(size=N - abs(d)) + 1j * rng.normal(size=N - abs(d))
+             for d in offsets}
+    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
+    dense = Operator("M", bands, fock_basis(N)).matrix @ psi
+    np.testing.assert_allclose(_apply(bands, psi), dense, rtol=1e-13, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # squeezed Fock levels
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [3, 8, 33])
+def test_number_bands_are_the_truncated_product(N):
+    u, v = 1.3 * cmath.exp(0.4j), 0.8 * cmath.exp(-1.1j)
+    rep = boson_rep(N)
+    A = u * rep["a"].matrix + v * rep["adag"].matrix
+    expected = A.conj().T @ A
+    got = Operator("AdagA", _number_bands(u, v, N), fock_basis(N)).matrix
+    # the top level included, where a a^dag has no entry
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14)
+
 
 def test_squeezed_fock_ground_level_is_canonical_ss():
     u, v = math.cosh(0.7), math.sinh(0.7) * cmath.exp(0.4j)
@@ -469,6 +494,10 @@ def test_bg_cs_tail_gate_honours_max_tail():
     # the top-level check still refuses what a loose tail bound admits
     with pytest.raises(TruncationError, match="top-level"):
         bg_cs(12.0, 1.0, N=24, max_tail=1.0)
+    # at its own threshold of 1e-14: the top level holds 3.7e-13 and the
+    # tail 1.0e-11, which the bound of 1e-6 lets through
+    with pytest.raises(TruncationError, match="top-level amplitude mass"):
+        bg_cs(3.0, 1.0, N=16, max_tail=1e-6)
 
 
 def test_residual_gate_refuses_a_nan_residual():
