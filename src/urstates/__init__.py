@@ -4,7 +4,6 @@ and an observable-induced distance."""
 
 from .errors import (
     BasisMismatchError,
-    DegenerateParameterError,
     InvalidInputError,
     NormalizabilityError,
     NumericError,

@@ -2,8 +2,8 @@
 
 The split matters for the CLI: contract violations (bad parameters, basis
 mismatches, normalizability failures, insufficient cutoffs) map to exit
-code 2, internal numeric failures (non-converged series, integrator step
-collapse) map to exit code 1.
+code 2, internal numeric failures (over/underflowed amplitudes, eigen-residuals
+above their bound, integrator step collapse) map to exit code 1.
 """
 
 
@@ -21,10 +21,6 @@ class BasisMismatchError(InvalidInputError):
 
 class NormalizabilityError(InvalidInputError):
     """Requested state family member is not normalizable for these parameters."""
-
-
-class DegenerateParameterError(InvalidInputError):
-    """Parameters hit a removable-degeneracy of a closed form (use the solver route)."""
 
 
 class UnsupportedScaleError(InvalidInputError):

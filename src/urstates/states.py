@@ -26,7 +26,6 @@ import numpy as np
 from scipy.linalg import expm  # noqa: F401
 
 from .errors import (
-    DegenerateParameterError,
     InvalidInputError,
     NormalizabilityError,
     NumericError,
@@ -483,101 +482,77 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
 
     Normalizability requires a root of u t^2 + w t + v = 0 inside the unit
     disk; outside that region the constructor refuses.  With both roots
-    inside every z is an eigenvalue, and the amplitudes are the recurrence
+    inside, a double root w^2 = 4uv included, every z is an eigenvalue, and
+    the amplitudes are the recurrence
     u sqrt((n+1)(2k+n)) c_{n+1} = (z - w(k+n)) c_n - v sqrt(n(2k+n-1)) c_{n-1}
-    run forward from c_0 = 1.  With one root t_in inside, the spectrum is
+    run forward from c_0 = 1; at the double root xi = -w/(2u) and z = 0 that
+    is |xi; k> of `su11_cs`.  With one root t_in inside, the spectrum is
     z_n = s (k + n), s = w + 2 u t_in: an off-spectrum z is refused before
-    any amplitude is evaluated, and the state is `_raised_amplitudes`.  At
-    l = sqrt(w^2 - 4uv) = 0 the operator collapses onto the coherent ray
-    xi = -w/(2u) with eigenvalue 0, and the state is |xi; k> of `su11_cs`.
-    The first component above 1e-8 is made real and positive.
+    any amplitude is evaluated, and the state is `_raised_amplitudes`.  With
+    N omitted, the cutoff doubles from DEFAULT_SU11_CUTOFF until the top two
+    levels hold at most 1e-18 of the mass.  The first component above 1e-8
+    is made real and positive.
     """
     params = {"u": complex(u), "v": complex(v), "w": complex(w), "z": complex(z)}
     k = float(k)
     _check_params("su11_intelligent", **params, k=k)
-    N = _cutoff(N, "su11_intelligent")
+    grow = N is None
+    N = _cutoff(N, "su11_intelligent", DEFAULT_SU11_CUTOFF)
     # the eigen-equation only sees the ray through (u, v, w, z)
     u, v, w, z = _ray_scaled(*params.values())
     scale = max(abs(u), abs(v), abs(w))
     if scale == 0.0:
         raise InvalidInputError("intelligent family needs (u, v, w) != 0")
     if abs(u) <= 1e-12 * scale:
-        raise DegenerateParameterError(
+        raise NormalizabilityError(
             "intelligent family needs u != 0 (no lowering part, "
             "no normalizable eigenstates off the weight basis)"
         )
-    disc = w * w - 4.0 * u * v
-    # the discriminant is a difference of two order-|w^2|, |4uv| products, so
-    # it carries absolute rounding noise near 1e-16 of that scale; the square
-    # root amplifies the noise into a ~1e-8 floor on |l|, which is why the
-    # double-root classification happens on disc itself
-    disc_scale = max(abs(w * w), 4.0 * abs(u) * abs(v))
-    l = cmath.sqrt(disc)
-
-    degenerate = abs(disc) <= 1e-12 * disc_scale
-    if degenerate:
-        xi = -w / (2.0 * u)
-        if abs(xi) >= 1.0 - 1e-12:
+    l = cmath.sqrt(w * w - 4.0 * u * v)
+    roots = ((-w + l) / (2.0 * u), (-w - l) / (2.0 * u))
+    inside = [abs(t) < 1.0 - 1e-12 for t in roots]
+    if not any(inside):
+        raise NormalizabilityError(
+            f"intelligent family not normalizable: characteristic roots "
+            f"|t1|={abs(roots[0]):.6g}, |t2|={abs(roots[1]):.6g} both outside "
+            f"the unit disk"
+        )
+    n0 = None
+    if not all(inside):
+        # one root outside: the spectrum is discrete, z_n = s (k + n) with
+        # the step s = w + 2 u t_in = +-l set by the inside root t_in
+        t_in, s = (roots[0], l) if inside[0] else (roots[1], -l)
+        n0 = _is_nonpositive_int(k - z / s)
+        if n0 is None:
             raise NormalizabilityError(
-                f"degenerate intelligent family: coherent ray |xi|={abs(xi):.6g} "
-                f"outside the unit disk"
+                f"su11_intelligent: no normalizable eigenstate at z={z}: one "
+                f"characteristic root lies outside the unit disk, and z is "
+                f"not on the discrete spectrum"
             )
-        if abs(z) > 1e-8 * scale:
-            raise InvalidInputError(
-                f"degenerate intelligent family carries only eigenvalue 0, "
-                f"requested z={z}"
-            )
-        N = N or _su11_cs_cutoff(abs(xi), k)
-        # with v = u xi^2 and w = -2 u xi the operator is
-        # u (K- - 2 xi K3 + xi^2 K+), which annihilates |xi; k>
-        amp = _su11_cs_amplitudes(xi, k, N)
-    else:
-        roots = ((-w + l) / (2.0 * u), (-w - l) / (2.0 * u))
-        inside = [abs(t) < 1.0 - 1e-12 for t in roots]
-        if not any(inside):
-            raise NormalizabilityError(
-                f"intelligent family not normalizable: characteristic roots "
-                f"|t1|={abs(roots[0]):.6g}, |t2|={abs(roots[1]):.6g} both outside "
-                f"the unit disk"
-            )
-        n0 = None
-        if not all(inside):
-            # one root outside: the spectrum is discrete, z_n = s (k + n) with
-            # the step s = w + 2 u t_in = +-l set by the inside root t_in
-            t_in, s = (roots[0], l) if inside[0] else (roots[1], -l)
-            n0 = _is_nonpositive_int(k - z / s)
-            if n0 is None:
-                raise NormalizabilityError(
-                    f"su11_intelligent: no normalizable eigenstate at z={z}: one "
-                    f"characteristic root lies outside the unit disk, and z is "
-                    f"not on the discrete spectrum"
-                )
 
-        grow = N is None
-        N = N or _su11_cs_cutoff(min(min(abs(roots[0]), abs(roots[1])) + 0.05, 0.999), k)
-        while True:
-            if n0 is None:
-                amp = _recurrence_amplitudes(((z - w * (k + np.arange(N))) / u).tolist(),
-                                             v / u, su11_ladder(k, N))
-            else:
-                amp = _raised_amplitudes(u, v, w, s, t_in, n0, k, N)
-            if not np.all(np.isfinite(amp)):
-                raise NumericError("intelligent family: amplitudes over/underflowed")
-            if not grow or edge_mass(amp) <= 1e-18:
-                break
-            if N >= MAX_ADAPTIVE_CUTOFF:
-                raise TruncationError(
-                    f"su11_intelligent: amplitudes still carry mass at "
-                    f"N={N}; parameters sit too close to the normalizability edge"
-                )
-            N = min(2 * N, MAX_ADAPTIVE_CUTOFF)
+    while True:
+        if n0 is None:
+            amp = _recurrence_amplitudes(((z - w * (k + np.arange(N))) / u).tolist(),
+                                         v / u, su11_ladder(k, N))
+        else:
+            amp = _raised_amplitudes(u, v, w, s, t_in, n0, k, N)
+        if not np.all(np.isfinite(amp)):
+            raise NumericError("intelligent family: amplitudes over/underflowed")
+        if not grow or edge_mass(amp) <= 1e-18:
+            break
+        if N >= MAX_ADAPTIVE_CUTOFF:
+            raise TruncationError(
+                f"su11_intelligent: amplitudes still carry mass at "
+                f"N={N}; parameters sit too close to the normalizability edge"
+            )
+        N = min(2 * N, MAX_ADAPTIVE_CUTOFF)
 
     first = np.argmax(np.abs(amp) > 1e-8)
     amp = amp * (np.conj(amp[first]) / abs(amp[first]))
     c = su11_ladder(k, N)
     # M and z over scale, so the residual is relative to the largest of u, v, w
     return _certified(amp, su11_basis(k, N), "su11_intelligent",
-                      {**params, "k": k, "degenerate": degenerate}, max_tail,
+                      {**params, "k": k}, max_tail,
                       {1: u / scale * c, -1: v / scale * c, 0: w / scale * (k + np.arange(N))},
                       z / scale, math.sqrt(N) * (1.0 + k + abs(z) / scale))
 

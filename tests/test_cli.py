@@ -596,6 +596,61 @@ def test_distance_observable_gates(tmp_path, capsys):
     assert json.loads(err2)["error"] == "InvalidInputError"
 
 
+#: the families of the distance property test: the strategy of the point
+#: parameter, and of the parameters that fix the basis
+_DISTANCE_FAMILIES = {
+    "glauber": ({"alpha": st.complex_numbers(max_magnitude=1.5)},
+                {"N": st.sampled_from([40, 48])}),
+    "su11-cs": ({"xi": st.complex_numbers(max_magnitude=0.9)},
+                {"k": st.sampled_from([0.5, 1.0]), "N": st.sampled_from([None, 24, 48])}),
+    "su2-cs": ({"tau": st.complex_numbers(max_magnitude=3.0)},
+               {"j": st.sampled_from([1.0, 2.5])}),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_distance_ends_in_a_document_or_one_error_line(data):
+    # the second state shares the first one's basis parameters unless the
+    # draw asks for a mismatch, of family or of basis
+    mismatch = data.draw(st.booleans(), label="mismatch")
+    docs, basis = [], None
+    for label in ("state1", "state2"):
+        if basis is None or mismatch:
+            family = data.draw(st.sampled_from(sorted(_DISTANCE_FAMILIES)), label=label)
+            point, shape = _DISTANCE_FAMILIES[family]
+            basis = {p: data.draw(s, label=f"{label}.{p}") for p, s in shape.items()}
+        kwargs = {p: data.draw(s, label=f"{label}.{p}") for p, s in point.items()}
+        try:
+            docs.append(document_text(state_to_dict(FAMILIES[family][0](**kwargs, **basis))))
+        except UrstatesError:
+            assume(False)
+    observable = data.draw(st.sampled_from([None, "identity", "n+1", "k3", "banana"]),
+                           label="observable")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["distance"]
+        for i, text in enumerate(docs, 1):
+            path = os.path.join(tmp, f"s{i}.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            argv += [f"--state{i}", path]
+        if observable is not None:
+            argv += ["--observable", observable]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "NaN" not in out.getvalue()
+    if code == 0:
+        doc = json.loads(out.getvalue())
+        assert 0.0 <= doc["g"] <= 1.0
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
 # -- evolve -----------------------------------------------------------------
 
 def test_evolve_constant_profile(tmp_path, capsys):

@@ -17,7 +17,16 @@ from urstates.errors import (
     TruncationError,
 )
 from urstates import states
-from urstates.hilbert import Operator, basis_state, boson_rep, fock_basis, su11_rep
+from urstates.hilbert import (
+    DEFAULT_SU11_CUTOFF,
+    Operator,
+    basis_state,
+    boson_rep,
+    edge_mass,
+    fock_basis,
+    residual_bound,
+    su11_rep,
+)
 from urstates.moments import moment_report, observable_set
 from urstates.states import (
     MAX_ADAPTIVE_CUTOFF,
@@ -690,7 +699,6 @@ def test_su11_intelligent_degenerate_case_is_coherent_ray():
     st = su11_intelligent(u, v, w, 0.0, k)
     ray = su11_cs(-math.tanh(r0) * cmath.exp(1j * theta), k, N=st.basis.N)
     assert overlap(st, ray) == pytest.approx(1.0, abs=1e-8)
-    assert st.params["degenerate"] is True
 
 
 def _degenerate_set(r0, theta):
@@ -787,6 +795,86 @@ def test_su11_intelligent_degenerate_state_allocates_no_dense_matrix():
     assert peak < 5 * 2 ** 20
 
 
+@pytest.mark.parametrize("z", [0.5, 1 + 1j])
+def test_su11_intelligent_double_root_takes_every_z(z):
+    # w^2 = 4uv with the double root xi = 0.3 inside the disk: every z is an
+    # eigenvalue, as in the both-inside family it is the limit of; a separate
+    # double-root branch once refused every z != 0
+    st = su11_intelligent(1.0, 0.09, -0.6, z, 1.0)
+    np.testing.assert_allclose(st.amplitudes,
+                               _svd_null_vector(1.0, 0.09, -0.6, z, 1.0, st.basis.N),
+                               rtol=0, atol=1e-11)
+
+
+def _relative_banded_residual(st, u, v, w, z, k):
+    """||(u K- + v K+ + w K3 - z) psi|| / max(|u|, |v|, |w|), from the
+    generator bands, and the `residual_bound` the constructor holds it to."""
+    N = st.basis.N
+    rep = su11_rep(k, N)
+    psi = st.amplitudes
+    scale = max(abs(u), abs(v), abs(w))
+    Mpsi = (u * rep["kminus"].apply(psi) + v * rep["kplus"].apply(psi)
+            + w * rep["k3"].apply(psi))
+    res = float(np.linalg.norm(Mpsi - z * psi)) / scale
+    return res, residual_bound(psi, st.basis, math.sqrt(N) * (1.0 + k + abs(z) / scale))
+
+
+def test_su11_intelligent_default_cutoff_follows_the_slower_root():
+    # roots 0.945 and 0.988: a starting cutoff guessed from the smaller root
+    # once refused this state as needing more than 4096 levels
+    u, v, w = 0.9318 - 2.1218j, -2.0887 - 0.5660j, 0.8723 + 1.6120j
+    z, k = -4.9597 - 1.3071j, 0.25
+    st = su11_intelligent(u, v, w, z, k)
+    assert st.basis.N == 3072
+    assert edge_mass(st.amplitudes) <= 1e-18
+    res, bound = _relative_banded_residual(st, u, v, w, z, k)
+    assert res <= bound
+
+
+def _default_cutoff_sweep(count=24, seed=11):
+    """Seeded (u, v, w, z, k) over both spectra: a third with both roots
+    inside the disk and a random z, a third with one root inside and z on
+    the discrete spectrum s (k + n0), n0 = 0..3, and a third with a double
+    root xi, |xi| <= 0.97, and a random z.  k is drawn from {1/4, 1/2, 1, 2}."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    while len(sets) < count:
+        kind = len(sets) % 3
+        k = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+        u = complex(*rng.normal(0.0, 1.0, 2))
+        if kind == 2:
+            xi = 0.97 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
+            sets.append((u, u * xi * xi, -2.0 * u * xi, complex(*rng.normal(0.0, 2.0, 2)), k))
+            continue
+        v, w = (complex(*rng.normal(0.0, s, 2)) for s in (1.0, 2.0))
+        l = cmath.sqrt(w * w - 4.0 * u * v)
+        r = [abs((-w + l) / (2.0 * u)), abs((-w - l) / (2.0 * u))]
+        if kind == 0 and max(r) < 0.99:
+            sets.append((u, v, w, complex(*rng.normal(0.0, 2.0, 2)), k))
+        elif kind == 1 and min(r) < 0.99 and max(r) > 1.0:
+            s = l if r[0] < r[1] else -l
+            sets.append((u, v, w, s * (k + int(rng.integers(0, 4))), k))
+    return sets
+
+
+def test_su11_intelligent_default_cutoff_is_the_growth_loop():
+    # with N omitted the cutoff doubles from DEFAULT_SU11_CUTOFF, capped at
+    # MAX_ADAPTIVE_CUTOFF, until the top two levels carry at most 1e-18
+    cutoffs = {DEFAULT_SU11_CUTOFF << j for j in range(6)} | {MAX_ADAPTIVE_CUTOFF}
+    built = 0
+    for u, v, w, z, k in _default_cutoff_sweep():
+        try:
+            st = su11_intelligent(u, v, w, z, k)
+        except TruncationError:
+            continue
+        built += 1
+        assert st.basis.N in cutoffs
+        assert edge_mass(st.amplitudes) <= 1e-18
+        res, bound = _relative_banded_residual(st, u, v, w, z, k)
+        assert res <= bound, (u, v, w, z, k)
+    assert built >= 20
+
+
 def test_su11_intelligent_refuses_unphysical_parameters():
     u = 0.8 * cmath.exp(0.3j)
     with pytest.raises(NormalizabilityError):
@@ -796,7 +884,8 @@ def test_su11_intelligent_refuses_unphysical_parameters():
     with pytest.raises(NormalizabilityError):
         # off-spectrum eigenvalue in the discrete family
         su11_intelligent(0.3, 0.3, 0.75, 0.2 + 0.11j, 0.5)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(NormalizabilityError):
+        # u = 0: no lowering part
         su11_intelligent(0.0, 0.5, 1.0, 0.0, 0.5)
 
 
