@@ -142,8 +142,8 @@ def _integrate(rhs, t_grid, y0, what):
     """Adaptive RK45 solution of y' = rhs(t, y) from y0, sampled on an
     increasing time grid; returns (t, y) with y shaped (len(y0), len(t)).
 
-    More than MAX_RHS_EVALS right-hand-side calls raise NumericError, so a
-    step size shrinking toward a pole cannot run forever.
+    More than MAX_RHS_EVALS right-hand-side calls, a non-finite one or an
+    overflow raise NumericError, so no integration can run forever.
     """
     t = np.asarray(t_grid, dtype=float)
     if (t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t))
@@ -159,14 +159,21 @@ def _integrate(rhs, t_grid, y0, what):
                 f"{what} integration stopped at t = {tt:.6g} after "
                 f"{MAX_RHS_EVALS} right-hand-side evaluations"
             )
-        return rhs(tt, y)
+        dy = rhs(tt, y)
+        if not all(map(math.isfinite, dy)):
+            raise NumericError(f"{what} right-hand side is not finite at t = {tt:.6g}")
+        return dy
 
     # scipy.integrate loads scipy.optimize with it, together slower to import
     # than the rest of the package: only the calls that integrate pay for it
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(counted, (t[0], t[-1]), y0, t_eval=t, method="RK45",
-                    rtol=1e-11, atol=1e-13)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = solve_ivp(counted, (t[0], t[-1]), y0, t_eval=t, method="RK45",
+                            rtol=1e-11, atol=1e-13)
+    except FloatingPointError as exc:
+        raise NumericError(f"{what} integration overflowed: {exc}") from exc
     if not sol.success:
         raise NumericError(f"{what} integration failed: {sol.message}")
     return t, sol.y

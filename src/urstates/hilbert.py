@@ -31,6 +31,7 @@ from .errors import (
 __all__ = [
     "BasisSpec",
     "Operator",
+    "apply_bands",
     "StateVector",
     "mass_exceeds",
     "boson_ladder",
@@ -180,24 +181,16 @@ def multimode_basis(s, N=DEFAULT_MODE_CUTOFF):
     return BasisSpec(kind="multimode", s=s, N=N)
 
 
-def pad_bands(band_dicts, dim):
-    """Lay out the bands of one or more operators for a vectorized product.
-
-    Returns (offsets, rows, src).  rows[k, r, i] holds M_r[i, i + d_k], zero
-    where i + d_k falls off the basis, and src[k, i] is i + d_k clipped into
-    range, so M_r psi = sum_k rows[k, r] * psi[src[k]]: one multiply and one
-    sum for any number of operators sharing the layout.
-    """
-    offsets = sorted({d for bands in band_dicts for d in bands})
-    dtype = np.result_type(np.float64, *(b for bands in band_dicts for b in bands.values()))
-    rows = np.zeros((len(offsets), len(band_dicts), dim), dtype)
-    for k, d in enumerate(offsets):
-        lo = max(0, -d)
-        for r, bands in enumerate(band_dicts):
-            if d in bands:
-                rows[k, r, lo:lo + dim - abs(d)] = bands[d]
-    src = np.clip(np.arange(dim) + np.array(offsets, dtype=int)[:, None], 0, dim - 1)
-    return offsets, rows, src
+def apply_bands(bands, psi):
+    """M psi for the operator M with ``bands`` {d: M[n, n+d]}: the sum over d
+    of each band times psi shifted by d, on slices.  {1: c} is the lowering
+    operator with ladder c, {-1: c} its adjoint.  The one banded product of
+    single operators and of the eigen-operators of `states`."""
+    out = np.zeros(psi.shape, np.result_type(psi, *bands.values()))
+    for d, band in bands.items():
+        lo, hi = max(0, -d), psi.size - max(0, d)
+        out[lo:hi] += band * psi[lo + d:hi + d]
+    return out
 
 
 class Operator:
@@ -211,26 +204,18 @@ class Operator:
 
     def __init__(self, label, bands, basis):
         dim = basis.dim
+        self.label, self.basis, self.bands, self._matrix = label, basis, {}, None
         for d, band in bands.items():
-            if abs(d) >= dim or np.shape(band) != (dim - abs(d),):
-                raise BasisMismatchError(
-                    f"operator {label!r}: band {d} has shape {np.shape(band)}, "
-                    f"basis dim {dim}"
-                )
-            if not np.all(np.isfinite(band)):
+            band = np.asarray(band)
+            if abs(d) >= dim or band.shape != (dim - abs(d),):
+                raise BasisMismatchError(f"operator {label!r}: band {d} has shape "
+                                         f"{band.shape}, basis dim {dim}")
+            # a float copy of its own: a caller that later changes its array
+            # leaves the operator alone
+            band = band.astype(np.result_type(np.float64, band))
+            if not np.isfinite(band).all():
                 raise InvalidInputError(f"operator {label!r} has non-finite entries")
-        self.label = label
-        self.basis = basis
-        self.offsets, rows, self._src = pad_bands([bands], dim)
-        self._rows = rows[:, 0]
-        self._matrix = None
-
-    @property
-    def bands(self):
-        """``{d: entries M[i, i+d]}``, as views into the stored layout."""
-        dim = self.basis.dim
-        return {d: row[max(0, -d):max(0, -d) + dim - abs(d)]
-                for d, row in zip(self.offsets, self._rows)}
+            self.bands[d] = band
 
     # no caller in the package: bench/test_oracles.py compares against it
     @property
@@ -238,7 +223,7 @@ class Operator:
         """The dense dim x dim matrix, built once from the bands."""
         if self._matrix is None:
             dim = self.basis.dim
-            mat = np.zeros((dim, dim), dtype=self._rows.dtype)
+            mat = np.zeros((dim, dim), np.result_type(np.float64, *self.bands.values()))
             for d, band in self.bands.items():
                 i = np.arange(dim - abs(d))
                 if d >= 0:
@@ -252,16 +237,14 @@ class Operator:
         """The product M psi, in O(dim x number of bands)."""
         psi = np.asarray(psi)
         if psi.shape != (self.basis.dim,):
-            raise BasisMismatchError(
-                f"operator {self.label!r}: vector shape {psi.shape} does not "
-                f"match basis dim {self.basis.dim}"
-            )
-        return (self._rows * psi[self._src]).sum(axis=0)
+            raise BasisMismatchError(f"operator {self.label!r}: vector shape {psi.shape} "
+                                     f"does not match basis dim {self.basis.dim}")
+        return apply_bands(self.bands, psi)
 
     def is_hermitian(self, tol=1e-12):
         """Band -d equals the conjugate of band +d, relative to the largest entry."""
         bands = self.bands
-        scale = max(1.0, float(np.abs(self._rows).max(initial=0.0)))
+        scale = max([1.0] + [float(np.abs(band).max(initial=0.0)) for band in bands.values()])
         return all(np.abs(band - np.conj(bands.get(-d, 0.0))).max() <= tol * scale
                    for d, band in bands.items())
 

@@ -28,7 +28,6 @@ from .hilbert import (
     boson_rep,
     fock_basis,
     hermitian_parts,
-    pad_bands,
     su11_rep,
     su2_rep,
     tensor_rep,
@@ -43,6 +42,22 @@ __all__ = [
     "moment_report",
     "uv_moments",
 ]
+
+
+def pad_bands(band_dicts, dim):
+    """(rows, src) for one stacked product of several operators: rows[k, r, i]
+    holds M_r[i, i + d_k], zero off the basis, and src[k, i] is i + d_k clipped
+    into range, so M_r psi = sum_k rows[k, r] * psi[src[k]] for every r."""
+    offsets = sorted({d for bands in band_dicts for d in bands})
+    dtype = np.result_type(np.float64, *(b for bands in band_dicts for b in bands.values()))
+    rows = np.zeros((len(offsets), len(band_dicts), dim), dtype)
+    for k, d in enumerate(offsets):
+        lo = max(0, -d)
+        for r, bands in enumerate(band_dicts):
+            if d in bands:
+                rows[k, r, lo:lo + dim - abs(d)] = bands[d]
+    src = np.clip(np.arange(dim) + np.array(offsets, dtype=int)[:, None], 0, dim - 1)
+    return rows, src
 
 
 @dataclass
@@ -86,8 +101,7 @@ class ObservableSet:
         use, so a stack costs one multiply and one sum for the whole set.
         """
         if self._padded is None:
-            _offsets, rows, src = pad_bands([op.bands for op in self.ops], self.basis.dim)
-            self._padded = rows, src
+            self._padded = pad_bands([op.bands for op in self.ops], self.basis.dim)
         rows, src = self._padded
         return (rows * psi[..., src][..., :, None, :]).sum(axis=-3)
 

@@ -37,6 +37,7 @@ from .hilbert import (
     DEFAULT_SU11_CUTOFF,
     MAX_BASIS_DIM,
     StateVector,
+    apply_bands,
     boson_ladder,
     edge_mass,
     fock_basis,
@@ -106,17 +107,6 @@ class SqueezeParams:
 
 def _coerce_squeeze(u, v):
     return SqueezeParams(complex(u), complex(v)).normalized()
-
-
-def _apply(bands, amp):
-    """M amp for the operator M with ``bands`` {d: M[n, n+d]}, the layout of
-    `hilbert.Operator`: the sum over d of each band times amp shifted by d.
-    {1: c} is the lowering operator with ladder c, {-1: c} its adjoint."""
-    out = np.zeros_like(amp)
-    for d, band in bands.items():
-        lo, hi = max(0, -d), amp.size - max(0, d)
-        out[lo:hi] += band * amp[lo + d:hi + d]
-    return out
 
 
 def _check_params(family, **params):
@@ -189,7 +179,7 @@ def _certified(amp, basis, family, params, max_tail, bands, z, scale, discarded=
         raise TruncationError(
             f"{family}: {what} mass {mass:.3e} exceeds {max_tail:.1e}; raise the cutoff N"
         )
-    res = float(np.linalg.norm(_apply(bands, amp) - z * amp))
+    res = float(np.linalg.norm(apply_bands(bands, amp) - z * amp))
     bound = residual_bound(amp, basis, scale)
     # a NaN residual fails the gate, where res > bound would let it through
     if not res <= bound:
@@ -325,7 +315,7 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
     c = boson_ladder(N)
     amp = _squeezed_amplitudes(0j, u, v, N)
     for _ in range(n):
-        amp = np.conj(u) * _apply({-1: c}, amp) + np.conj(v) * _apply({1: c}, amp)
+        amp = np.conj(u) * apply_bands({-1: c}, amp) + np.conj(v) * apply_bands({1: c}, amp)
         amp /= np.linalg.norm(amp)
     amp *= (u / abs(u)) ** (n - 1)
     return _certified(amp, fock_basis(N), "squeezed_fock", {"n": n, "u": u, "v": v},
@@ -472,7 +462,7 @@ def _raised_amplitudes(u, v, w, s, t_in, n0, k, N):
     c = su11_ladder(k, N)
     a, b, d = u * u, 0.5 * (w * w + s * w - 2.0 * u * v), u * (s + w) * (k + np.arange(N))
     for _ in range(n0):
-        amp = a * _apply({1: c}, amp) + b * _apply({-1: c}, amp) + d * amp
+        amp = a * apply_bands({1: c}, amp) + b * apply_bands({-1: c}, amp) + d * amp
         amp /= np.linalg.norm(amp)
     return amp
 

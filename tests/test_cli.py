@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from urstates import acceptance, cli, dynamics
 from urstates.cli import main
@@ -799,6 +799,84 @@ def test_evolve_refuses_a_bad_time_grid_before_integrating(tmp_path, capsys, arg
     assert json.loads(err)["error"] == "InvalidInputError"
 
 
+def _run_main(argv):
+    """Exit code, stdout and stderr of one in-process run; a grammar error
+    gives the code of its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_table_or_one_error_line(argv, code, out, err):
+    """A CSV verb exits 0/1/2/64, writes no NaN or infinite cell, and on a
+    domain or numeric failure writes one JSON error line and no table."""
+    assert code in (0, 1, 2, 64), (argv, err)
+    cells = {cell.lstrip("+-").lower() for line in out.splitlines() for cell in line.split(",")}
+    assert not cells & {"nan", "inf", "infinity"}, argv
+    if code in (1, 2):
+        assert out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+#: hostile profile values: NaN, the infinities, zero, negative and huge
+#: constants, whitelisted expressions that fail at some t, and expressions
+#: the whitelist refuses
+_HOSTILE_PROFILE_VALUES = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -1.0, -1e300, 1e300,
+    "log(t)", "t ** 0.5", "1e400", "10**400", "1e300 * t",
+    "__import__('os')", "t.real", "[t]", "t if t else 1", "x + t", "2 + t // 2", "'t'", "(",
+])
+#: frequencies small enough that no run integrates for long
+_SMALL_FREQUENCIES = st.floats(0.05, 3.0) | st.sampled_from(
+    ["1 + 0.5*sin(t)", "sqrt(2 + t)", "exp(-t) + 0.5", "2 - t", "cosh(t)", "pi/2 + t*t"])
+
+
+def _mostly(data, good, bad, label):
+    """A draw from ``good`` three times in four, else from ``bad``."""
+    return data.draw(good if data.draw(st.integers(0, 3), label=f"{label} good") else bad,
+                     label=label)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_evolve_ends_in_a_table_or_one_error_line(data):
+    if data.draw(st.booleans(), label="omega kind"):
+        doc = {"kind": "omega",
+               "omega": _mostly(data, _SMALL_FREQUENCIES, _HOSTILE_PROFILE_VALUES, "omega")}
+    else:
+        doc = {"kind": "g123",
+               "g1": _mostly(data, st.just(0.5), _HOSTILE_PROFILE_VALUES, "g1"),
+               "g2": _mostly(data, st.just(0.0), _HOSTILE_PROFILE_VALUES, "g2"),
+               "g3": _mostly(data, st.floats(-1.0, 3.0) | _SMALL_FREQUENCIES,
+                             _HOSTILE_PROFILE_VALUES, "g3")}
+    omega0 = _mostly(data, st.none() | st.floats(0.05, 3.0), _HOSTILE_PROFILE_VALUES, "omega0")
+    if omega0 is not None:
+        doc["omega0"] = omega0
+    t0 = _mostly(data, st.floats(-1.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+                 "t0")
+    t1 = t0 + _mostly(data, st.floats(0.01, 1.0), st.sampled_from([0.0, -0.5]), "t1 - t0")
+    # --samples at MAX_SAMPLES is valid but tabulates for seconds; 1 and
+    # MAX_SAMPLES + 1 are the refused values next to the bounds
+    samples = _mostly(data, st.integers(2, 12), st.sampled_from([-1, 0, 1, cli.MAX_SAMPLES + 1]),
+                      "samples")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profile.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = ["evolve", "--profile", path, f"--t0={t0!r}", f"--t1={t1!r}",
+                f"--samples={samples}"]
+        code, out, err = _run_main(argv)
+    _assert_table_or_one_error_line((doc, argv), code, out, err)
+    if code == 0:
+        assert len(out.splitlines()) == samples + 1
+
+
 def test_evolve_missing_profile_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evolve", "--profile",
                            str(tmp_path / "ghost.json"))
@@ -820,6 +898,20 @@ def test_non_finite_document_exits_1(tmp_path, capsys, monkeypatch, out):
 
 
 # -- scan -------------------------------------------------------------------
+
+@pytest.mark.parametrize("suite", sorted(acceptance.SUITES))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(-2 ** 70, 2 ** 70) | st.sampled_from([0, 2 ** 63, 10 ** 30]))
+@example(seed=-1)
+@example(seed=2 ** 70)
+def test_scan_ends_in_a_table_or_one_error_line(suite, seed):
+    argv = ["scan", "--suite", suite, f"--seed={seed}"]
+    code, out, err = _run_main(argv)
+    _assert_table_or_one_error_line(argv, code, out, err)
+    assert code == (0 if seed >= 0 else 2), (argv, err)
+    if code == 0:
+        assert len(out.splitlines()) == 1 + len(acceptance.SUITES[suite][0]())
+
 
 @pytest.mark.parametrize("suite", sorted(acceptance.SUITES))
 def test_scan_parallel_determinism(tmp_path, capsys, suite):

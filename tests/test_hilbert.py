@@ -27,6 +27,7 @@ from urstates.hilbert import (
     su11_rep,
     tensor_rep,
 )
+from urstates.moments import observable_set
 
 
 def dense_operator(label, mat, basis):
@@ -210,6 +211,32 @@ def test_hermiticity_is_checked_band_against_mirrored_band():
     assert not Operator("im-diag", {0: 1j * np.ones(5)}, b).is_hermitian()
     # deviations are judged relative to the largest entry, as before
     assert Operator("x", {1: 1e6 * c, -1: 1e6 * c + 1e-9}, b).is_hermitian()
+
+
+def test_operator_keeps_its_own_copy_of_each_band():
+    # su11_rep hands one ladder array to both K- and K+; a caller that
+    # changes its array afterwards must not change a built operator
+    b = fock_basis(5)
+    c = np.arange(1.0, 5.0)
+    op = Operator("x", {1: c, -1: c}, b)
+    psi = np.arange(5) + 1j
+    before = op.apply(psi)
+    c[:] = 99.0
+    np.testing.assert_array_equal(op.bands[1], np.arange(1.0, 5.0))
+    np.testing.assert_array_equal(op.bands[-1], np.arange(1.0, 5.0))
+    np.testing.assert_array_equal(op.apply(psi), before)
+
+
+@pytest.mark.parametrize("name", ["canonical", "canonical:2", "su11:0.5", "su2:1",
+                                  "a2-quadratures"])
+@pytest.mark.parametrize("seed", range(3))
+def test_set_images_are_the_operator_products(name, seed):
+    # the stacked product of a padded set and the one banded product of a
+    # single operator give the same vectors, bit for bit
+    obs = observable_set(name)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=obs.basis.dim) + 1j * rng.normal(size=obs.basis.dim)
+    assert np.array_equal(np.stack([op.apply(psi) for op in obs.ops]), obs.images(psi))
 
 
 def test_boson_rep_algebra():

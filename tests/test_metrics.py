@@ -91,7 +91,7 @@ def test_rejects_non_positive_observable():
 
 def test_number_plus_one_is_one_band():
     X = number_plus_one(fock_basis(24))
-    assert X.offsets == [0]
+    assert list(X.bands) == [0]
     np.testing.assert_array_equal(X.matrix, n_plus_one(24).matrix)
     with pytest.raises(BasisMismatchError):
         number_plus_one(su11_basis(0.5, 24))

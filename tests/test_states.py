@@ -20,6 +20,7 @@ from urstates import states
 from urstates.hilbert import (
     DEFAULT_SU11_CUTOFF,
     Operator,
+    apply_bands,
     basis_state,
     boson_rep,
     edge_mass,
@@ -31,7 +32,6 @@ from urstates.moments import moment_report, observable_set
 from urstates.states import (
     MAX_ADAPTIVE_CUTOFF,
     SqueezeParams,
-    _apply,
     _number_bands,
     _poisson_tail,
     bg_cs,
@@ -372,7 +372,7 @@ def test_banded_apply_is_the_operator_product(seed):
              for d in offsets}
     psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     dense = Operator("M", bands, fock_basis(N)).matrix @ psi
-    np.testing.assert_allclose(_apply(bands, psi), dense, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(apply_bands(bands, psi), dense, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
