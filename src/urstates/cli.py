@@ -344,11 +344,9 @@ def _expr_callable(expr):
     return fn
 
 
-def _profile_field(doc, key, required=True):
+def _profile_field(doc, key):
     if key not in doc:
-        if required:
-            raise InvalidInputError(f"profile document is missing {key!r}")
-        return None
+        raise InvalidInputError(f"profile document is missing {key!r}")
     value = doc[key]
     if isinstance(value, (int, float)):
         return float(value)
@@ -398,9 +396,6 @@ def _profile_from_dict(doc):
             _profile_field(doc, "g2"),
             _profile_field(doc, "g3"),
             float(doc["omega0"]),
-            dg1=_profile_field(doc, "dg1", required=False),
-            ddg1=_profile_field(doc, "ddg1", required=False),
-            dg2=_profile_field(doc, "dg2", required=False),
         )
     raise InvalidInputError(f"profile kind must be 'omega' or 'g123', got {kind!r}")
 

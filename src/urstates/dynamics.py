@@ -7,7 +7,10 @@ time dependence of the squeezed family rides in the Bogoliubov pair
     eps'' + Omega^2(t) eps = 0,   Wronskian conj(eps) eps' - eps conj(eps') = 2i
 
 with Omega^2 the effective frequency of the general quadratic profile
-H = omega0 [g1 p^2 + g2 (pq + qp) + g3 q^2].  The classical Hamilton flow
+H = omega0 [g1 p^2 + g2 (pq + qp) + g3 q^2], with central differences for
+the derivatives of g1 and g2, from the canonical initial data
+eps(t0) = 1/sqrt(omega0), eps'(t0) = i sqrt(omega0).  An arithmetic
+failure on the way raises NumericError.  The classical Hamilton flow
 for (<p>, <q>) and the squeeze pair (p~, q~) = (Dpq/Dq, Dq) provides an
 independent integration route used for cross-checks.
 """
@@ -32,7 +35,7 @@ __all__ = [
     "classical_flow",
 ]
 
-#: central-difference step for profile derivatives without closed forms
+#: central-difference step of the derivatives of g1 and g2
 DIFF_STEP = 1e-5
 
 #: maximum tolerated Wronskian drift over an integration window
@@ -52,10 +55,6 @@ def _as_callable(f):
     return lambda t: val
 
 
-def _zero(t):
-    return 0.0
-
-
 @dataclass
 class OscillatorProfile:
     """Time-dependent quadratic oscillator: coefficient functions g1, g2, g3
@@ -67,9 +66,6 @@ class OscillatorProfile:
     g1: object
     g2: object
     g3: object
-    dg1: object = None
-    ddg1: object = None
-    dg2: object = None
 
     @classmethod
     def from_omega(cls, omega, omega0=None):
@@ -83,11 +79,10 @@ class OscillatorProfile:
                 f"got omega(0)={om(0.0)}, omega0={omega0}"
             )
         g3 = lambda t, _om=om, _w0=omega0: _om(t) ** 2 / (2.0 * _w0 * _w0)
-        return cls(kind="omega", omega0=omega0, g1=lambda t: 0.5, g2=_zero,
-                   g3=g3, dg1=_zero, ddg1=_zero, dg2=_zero)
+        return cls(kind="omega", omega0=omega0, g1=lambda t: 0.5, g2=lambda t: 0.0, g3=g3)
 
     @classmethod
-    def from_g123(cls, g1, g2, g3, omega0, dg1=None, ddg1=None, dg2=None):
+    def from_g123(cls, g1, g2, g3, omega0):
         """A g123 profile; g1 and g2 given as the numbers 1/2 and 0 make it
         a bare-frequency one (kind "omega")."""
         omega0 = float(omega0)
@@ -95,10 +90,7 @@ class OscillatorProfile:
             raise InvalidInputError(f"omega0 must be positive and finite, got {omega0}")
         bare = not (callable(g1) or callable(g2)) and (float(g1), float(g2)) == (0.5, 0.0)
         return cls(kind="omega" if bare else "g123", omega0=omega0,
-                   g1=_as_callable(g1), g2=_as_callable(g2), g3=_as_callable(g3),
-                   dg1=None if dg1 is None else _as_callable(dg1),
-                   ddg1=None if ddg1 is None else _as_callable(ddg1),
-                   dg2=None if dg2 is None else _as_callable(dg2))
+                   g1=_as_callable(g1), g2=_as_callable(g2), g3=_as_callable(g3))
 
     def g_values(self, t):
         return self.g1(t), self.g2(t), self.g3(t)
@@ -118,17 +110,17 @@ def effective_frequency(profile, t):
     Omega^2 = 4 w0^2 g1 g3 + 2 w0 g2 g1'/g1 + g1''/(2 g1) - 3 g1'^2/(4 g1^2)
               - 4 w0^2 g2^2 - 2 w0 g2'
 
-    Derivatives use supplied closed forms when available, otherwise central
-    differences with step 1e-5.
+    The derivatives of g1 and g2 are central differences with step
+    DIFF_STEP = 1e-5, exactly 0 for constant g1 and g2.
     """
     g1 = profile.g1(t)
     if abs(g1) < 1e-12:
         raise SingularProfileError(f"g1({t}) = {g1}: effective frequency undefined")
     g2 = profile.g2(t)
     g3 = profile.g3(t)
-    dg1 = profile.dg1(t) if profile.dg1 is not None else _d1(profile.g1, t)
-    ddg1 = profile.ddg1(t) if profile.ddg1 is not None else _d2(profile.g1, t)
-    dg2 = profile.dg2(t) if profile.dg2 is not None else _d1(profile.g2, t)
+    dg1 = _d1(profile.g1, t)
+    ddg1 = _d2(profile.g1, t)
+    dg2 = _d1(profile.g2, t)
     w0 = profile.omega0
     return (4.0 * w0 * w0 * g1 * g3
             + 2.0 * w0 * g2 * dg1 / g1
@@ -142,8 +134,9 @@ def _integrate(rhs, t_grid, y0, what):
     """Adaptive RK45 solution of y' = rhs(t, y) from y0, sampled on an
     increasing time grid; returns (t, y) with y shaped (len(y0), len(t)).
 
-    More than MAX_RHS_EVALS right-hand-side calls, a non-finite one or an
-    overflow raise NumericError, so no integration can run forever.
+    More than MAX_RHS_EVALS right-hand-side calls, a right-hand side that is
+    not finite or raises an ArithmeticError, or an overflow raise
+    NumericError, so no integration can run forever.
     """
     t = np.asarray(t_grid, dtype=float)
     if (t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t))
@@ -159,7 +152,10 @@ def _integrate(rhs, t_grid, y0, what):
                 f"{what} integration stopped at t = {tt:.6g} after "
                 f"{MAX_RHS_EVALS} right-hand-side evaluations"
             )
-        dy = rhs(tt, y)
+        try:
+            dy = rhs(tt, y)
+        except ArithmeticError as exc:
+            raise NumericError(f"{what} right-hand side fails at t = {tt:.6g}: {exc}") from exc
         if not all(map(math.isfinite, dy)):
             raise NumericError(f"{what} right-hand side is not finite at t = {tt:.6g}")
         return dy
@@ -190,33 +186,21 @@ class EpsilonTrajectory:
     wronskian_drift: float
 
 
-def integrate_epsilon(profile, t_grid, eps0=None, deps0=None):
-    """Integrate eps'' + Omega^2(t) eps = 0 over an increasing time grid.
-
-    Defaults to the canonical initial data eps(t0) = 1/sqrt(omega0),
-    eps'(t0) = i sqrt(omega0); any initial data must carry Wronskian 2i
-    within 1e-12.  Adaptive 4th/5th-order integration; a Wronskian drift
-    beyond 1e-8 over the window raises a step-size failure.
+def integrate_epsilon(profile, t_grid):
+    """Integrate eps'' + Omega^2(t) eps = 0 over an increasing time grid
+    from the canonical initial data eps(t0) = 1/sqrt(omega0),
+    eps'(t0) = i sqrt(omega0), which carry Wronskian 2i.  Adaptive
+    4th/5th-order integration; a Wronskian drift beyond 1e-8 over the
+    window raises a step-size failure.
     """
-    w0 = profile.omega0
-    if eps0 is None:
-        eps0 = 1.0 / math.sqrt(w0)
-    if deps0 is None:
-        deps0 = 1j * math.sqrt(w0)
-    eps0 = complex(eps0)
-    deps0 = complex(deps0)
-    wr = np.conj(eps0) * deps0 - eps0 * np.conj(deps0)
-    if abs(wr - 2j) > 1e-12:
-        raise InvalidInputError(
-            f"initial data must carry Wronskian 2i, got {wr:.6g}"
-        )
+    rw = math.sqrt(profile.omega0)
 
     def rhs(tt, y):
         om2 = effective_frequency(profile, tt)
         return [y[2], y[3], -om2 * y[0], -om2 * y[1]]
 
-    t, y = _integrate(rhs, t_grid, [eps0.real, eps0.imag, deps0.real, deps0.imag],
-                      "oscillator")
+    # (Re eps, Im eps, Re eps', Im eps') at t0
+    t, y = _integrate(rhs, t_grid, [1.0 / rw, 0.0, 0.0, rw], "oscillator")
     eps = y[0] + 1j * y[1]
     deps = y[2] + 1j * y[3]
     drift = float(np.max(np.abs(np.conj(eps) * deps - eps * np.conj(deps) - 2j)))
@@ -262,7 +246,13 @@ def trajectory_table(profile, t_grid):
 
     rows = []
     for i in range(t.size):
-        dq2, dp2, dpq = uv_moments(u[i], v[i])
+        try:
+            dq2, dp2, dpq = uv_moments(u[i], v[i])
+        except InvalidInputError as exc:
+            # the Wronskian gate holds |u|^2 - |v|^2 = 1 to 1e-8, so a pair
+            # the shell normalization refuses has lost its precision
+            raise NumericError(f"(u, v) at t = {t[i]:.6g} lost the shell "
+                               f"|u|^2 - |v|^2 = 1: {exc}") from exc
         rows.append((t[i], traj.eps[i], u[i], v[i], dq2, dp2, dpq))
     return traj, u, v, rows
 

@@ -241,11 +241,11 @@ class Operator:
                                      f"does not match basis dim {self.basis.dim}")
         return apply_bands(self.bands, psi)
 
-    def is_hermitian(self, tol=1e-12):
-        """Band -d equals the conjugate of band +d, relative to the largest entry."""
+    def is_hermitian(self):
+        """Band -d equals the conjugate of band +d to 1e-12 of the largest entry."""
         bands = self.bands
         scale = max([1.0] + [float(np.abs(band).max(initial=0.0)) for band in bands.values()])
-        return all(np.abs(band - np.conj(bands.get(-d, 0.0))).max() <= tol * scale
+        return all(np.abs(band - np.conj(bands.get(-d, 0.0))).max() <= 1e-12 * scale
                    for d, band in bands.items())
 
 
@@ -377,17 +377,12 @@ def su2_rep(j):
     return {"jplus": jp, "jminus": jm, "j1": j1, "j2": j2, "j3": j3}
 
 
-def tensor_rep(s, N=DEFAULT_MODE_CUTOFF):
-    """Mode-wise boson operators for s modes (s = 1 or 2).
-
-    For s = 2 each entry is a list [op_mode1, op_mode2] on the N^2-dim
-    product basis, ordered with mode 1 as the slow (left) kron factor: a1
-    sits on band +N and a2 on band +1, so storage stays O(N^2).
+def tensor_rep(N=DEFAULT_MODE_CUTOFF):
+    """Mode-wise boson operators of two modes, each entry a list
+    [op_mode1, op_mode2] on the N^2-dim product basis, ordered with mode 1
+    as the slow (left) kron factor: a1 sits on band +N and a2 on band +1,
+    so storage stays O(N^2).
     """
-    if s == 1:
-        return boson_rep(N)
-    if s != 2:
-        raise UnsupportedScaleError(f"tensor_rep supports s in {{1,2}}, got s={s}")
     basis = multimode_basis(2, N)
     c = boson_ladder(N)
     levels = np.arange(N, dtype=float)

@@ -51,7 +51,7 @@ def _gauge_fix(vec):
     return vec * phase
 
 
-def minimizer_certificate(state, obs, max_tail=1e-8, report=None):
+def minimizer_certificate(state, obs, report=None):
     """Per-pair best (beta, z) and residual, and the verdict.
 
     For each observable pair the bottom eigenvector of the 2x2 restriction
@@ -64,8 +64,9 @@ def minimizer_certificate(state, obs, max_tail=1e-8, report=None):
     at scale sqrt(max(1, tr R_pair)), the truncation-aware floor that the
     state constructors gate on too.  ``report`` passes the moment report of
     ``state`` for ``obs`` when the caller already holds it; it is taken as
-    is, so ``max_tail`` is then not checked again, but a report of another
-    observable set is refused.
+    is, so the tail gate of `moments.moment_report` is not checked again,
+    but a report of another observable set, or one without centered
+    vectors, is refused.
     """
     if not isinstance(state, StateVector):
         raise InvalidInputError(f"expected a StateVector, got {type(state).__name__}")
@@ -73,7 +74,9 @@ def minimizer_certificate(state, obs, max_tail=1e-8, report=None):
         raise InvalidInputError(
             f"report of observables {report.labels} given for {obs.labels}"
         )
-    rep = report if report is not None else moment_report(obs, state, max_tail=max_tail)
+    if report is not None and report.centered is None:
+        raise InvalidInputError("report carries no centered vectors (X_i - <X_i>) psi")
+    rep = report if report is not None else moment_report(obs, state)
     R = rep.robertson
     n = obs.n
     pairs = {}

@@ -163,10 +163,10 @@ def principal_minor_sum(M, r):
     return total
 
 
-def psd_min_eig(H, tol=HERMITICITY_TOL):
+def psd_min_eig(H):
     """Minimum eigenvalue of a Hermitian matrix (PSD certificate helper).
 
-    Refuses input that is not Hermitian within `tol` relative to the
+    Refuses input that is not Hermitian within HERMITICITY_TOL relative to the
     entrywise max-norm, then delegates to a symmetric eigensolver so the
     result is real by construction.  A stack shaped (..., n, n) is checked
     matrix by matrix, each against its own max-norm, and solved in one
@@ -175,12 +175,12 @@ def psd_min_eig(H, tol=HERMITICITY_TOL):
     A = _as_square(H, stack=True)
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     dev = np.abs(A - np.swapaxes(A, -2, -1).conj()).max(axis=(-2, -1))
-    bad = dev > tol * scale
+    bad = dev > HERMITICITY_TOL * scale
     if np.any(bad):
         k = np.argmax(bad)
         raise InvalidInputError(
             f"matrix is not Hermitian within tolerance: max deviation "
-            f"{np.ravel(dev)[k]:.3e} (allowed {tol * np.ravel(scale)[k]:.3e})"
+            f"{np.ravel(dev)[k]:.3e} (allowed {HERMITICITY_TOL * np.ravel(scale)[k]:.3e})"
         )
     lam = np.linalg.eigvalsh(A)[..., 0]
     return float(lam) if A.ndim == 2 else lam

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, InvalidInputError
+from .errors import BasisMismatchError, InvalidInputError, TruncationError
 from .hilbert import Operator, StateVector
 
 __all__ = ["DistanceResult", "g_overlap", "number_plus_one"]
@@ -57,13 +57,14 @@ def g_overlap(state1, state2, X=None, max_tail=1e-8):
 
     ``X = None`` means the identity (plain ray overlap).  Otherwise X must
     be Hermitian with smallest eigenvalue above 1e-10 on the truncated
-    space, so the X^2-norms in the denominator cannot vanish.
+    space, so the X^2-norms in the denominator cannot vanish.  A state
+    whose tail mass exceeds ``max_tail`` raises TruncationError.
     """
     for st in (state1, state2):
         if not isinstance(st, StateVector):
             raise InvalidInputError("g_overlap compares pure states")
         if st.tail_exceeds(max_tail):
-            raise InvalidInputError(
+            raise TruncationError(
                 f"state tail mass {st.tail_mass:.3e} exceeds {max_tail:.1e}"
             )
     if state1.basis != state2.basis:

@@ -147,7 +147,7 @@ def observable_set(name, N=None):
             rep = boson_rep(N if N else DEFAULT_FOCK_CUTOFF)
             return ObservableSet([rep["q"], rep["p"]], name="canonical")
         if arg == 2:
-            rep = tensor_rep(2, N if N else DEFAULT_MODE_CUTOFF)
+            rep = tensor_rep(N if N else DEFAULT_MODE_CUTOFF)
             return ObservableSet(rep["q"] + rep["p"], name="canonical:2")
         raise InvalidInputError(f"canonical quadratures support s in {{1,2}}, got s={arg:g}")
 

@@ -442,12 +442,12 @@ def su2_cs(tau, j):
 # su(1,1) intelligent states: eigenstates of u K- + v K+ + w K3
 # ---------------------------------------------------------------------------
 
-def _is_nonpositive_int(x, tol=1e-9):
-    """Return n >= 0 with x ~ -n, or None."""
-    if abs(x.imag) > tol:
+def _is_nonpositive_int(x):
+    """Return n >= 0 with x within 1e-9 of -n, or None."""
+    if abs(x.imag) > 1e-9:
         return None
     r = round(x.real)
-    if r > 0 or abs(x.real - r) > tol:
+    if r > 0 or abs(x.real - r) > 1e-9:
         return None
     return int(-r)
 

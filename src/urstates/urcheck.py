@@ -142,7 +142,7 @@ def _ur_from_moments(labels, sigma_sum, comm_sum, n_states):
     return URReport(list(labels), order_gaps, pair_gaps, n_states)
 
 
-def two_state_schrodinger(X, Y, state1, state2, max_tail=1e-8):
+def two_state_schrodinger(X, Y, state1, state2):
     """Two-state precise relation: signed gap of
 
     (1/2)[DXX(1) DYY(2) + DXX(2) DYY(1)] >= DXY(1) DXY(2) + C12(1) C12(2)
@@ -151,8 +151,8 @@ def two_state_schrodinger(X, Y, state1, state2, max_tail=1e-8):
     coincide.
     """
     obs = ObservableSet([X, Y])
-    r1 = moment_report(obs, state1, max_tail=max_tail)
-    r2 = moment_report(obs, state2, max_tail=max_tail)
+    r1 = moment_report(obs, state1)
+    r2 = moment_report(obs, state2)
     lhs = 0.5 * (r1.sigma[0, 0] * r2.sigma[1, 1] + r2.sigma[0, 0] * r1.sigma[1, 1])
     rhs = r1.sigma[0, 1] * r2.sigma[0, 1] + r1.commut[0, 1] * r2.commut[0, 1]
     return float(lhs - rhs)

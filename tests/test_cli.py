@@ -24,7 +24,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from urstates import acceptance, cli, dynamics
 from urstates.cli import main
 from urstates.errors import UrstatesError
-from urstates.hilbert import MAX_BASIS_DIM, StateVector, multimode_basis
+from urstates.hilbert import MAX_BASIS_DIM, StateVector, fock_basis, multimode_basis
 from urstates.stateio import document_text, load_state, state_to_dict
 from urstates.states import FAMILIES, canonical_ss
 
@@ -596,6 +596,23 @@ def test_distance_observable_gates(tmp_path, capsys):
     assert json.loads(err2)["error"] == "InvalidInputError"
 
 
+def test_distance_tail_gate_is_a_truncation_error(tmp_path, capsys):
+    # the top level of 32 holds 1/8 of the mass, above the 1e-8 bound
+    amp = np.zeros(32)
+    amp[0], amp[31] = math.sqrt(7.0 / 8.0), math.sqrt(1.0 / 8.0)
+    path = tmp_path / "top.json"
+    path.write_text(document_text(state_to_dict(StateVector(amp, fock_basis(32)))))
+    s2 = _write_state(tmp_path, capsys, "b.json", "--family", "glauber",
+                      "--alpha", "0.1", "--cutoff", "32")
+    for argv in (["--state1", str(path), "--state2", s2],
+                 ["--state1", s2, "--state2", str(path), "--observable", "n+1"]):
+        code, out, err = run_cli(capsys, "distance", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "TruncationError"
+
+
 #: the families of the distance property test: the strategy of the point
 #: parameter, and of the parameters that fix the basis
 _DISTANCE_FAMILIES = {
@@ -769,6 +786,40 @@ def test_evolve_pole_profile_exits_1(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "NumericError"
+
+
+@pytest.mark.parametrize("doc", [
+    # omega^2 overflows a Python float: once an OverflowError naming no field
+    {"kind": "omega", "omega": 1e300},
+    # omega0^2 underflows to 0 under the division: once a ZeroDivisionError
+    {"kind": "omega", "omega": 1.0, "omega0": 1e-300},
+    # |u| and |v| near 6e28 and 6e98 agree to every digit: once reported as
+    # the domain error "squeeze pair needs |u| > |v|" with exit 2
+    {"kind": "omega", "omega": 1.0, "omega0": 1e30},
+    {"kind": "omega", "omega": 1.0, "omega0": 1e100},
+])
+def test_evolve_extreme_constant_is_a_numeric_error(tmp_path, capsys, doc):
+    prof = _profile(tmp_path, doc)
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof,
+                             "--t0", "0", "--t1", "0.5", "--samples", "5")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NumericError"
+
+
+def test_evolve_ignores_derivative_fields(tmp_path, capsys):
+    # derivatives are central differences of g1 and g2: a dg1, ddg1 or dg2
+    # field once replaced them and gave a bare profile a wrong Omega^2
+    doc = {"kind": "g123", "g1": 0.5, "g2": 0.0, "g3": "2.0 + t", "omega0": 1.5}
+    grid = ("--t0", "0", "--t1", "1", "--samples", "5")
+    code, bare, _ = run_cli(capsys, "evolve", "--profile", _profile(tmp_path, doc), *grid)
+    assert code == 0
+    derivs = _profile(tmp_path, {**doc, "dg1": "0.1*t", "ddg1": 0.3, "dg2": 0.2},
+                      name="derivs.json")
+    code, out, _ = run_cli(capsys, "evolve", "--profile", derivs, *grid)
+    assert code == 0
+    assert out == bare
 
 
 def test_evolve_profile_directory_exits_2(tmp_path, capsys):

@@ -82,21 +82,18 @@ def test_effective_frequency_of_bare_profile():
                                                              rel=1e-14)
 
 
-def test_effective_frequency_supplied_vs_differenced():
-    kw = dict(
-        g1=lambda t: 0.5 + 0.1 * t * t,
-        g2=lambda t: 0.2 * t,
-        g3=lambda t: 1.0 + 0.05 * t,
-        omega0=1.5,
-    )
-    closed = OscillatorProfile.from_g123(
-        dg1=lambda t: 0.2 * t, ddg1=lambda t: 0.2, dg2=lambda t: 0.2, **kw)
-    differenced = OscillatorProfile.from_g123(**kw)
+def test_effective_frequency_of_generic_profile():
+    # the central differences of g1 and g2 against their closed forms
+    w0 = 1.5
+    prof = OscillatorProfile.from_g123(lambda t: 0.5 + 0.1 * t * t, lambda t: 0.2 * t,
+                                       lambda t: 1.0 + 0.05 * t, omega0=w0)
     for t in (0.0, 0.7, 2.3):
-        a = effective_frequency(closed, t)
-        b = effective_frequency(differenced, t)
+        g1, g2, g3 = prof.g_values(t)
+        dg1, ddg1, dg2 = 0.2 * t, 0.2, 0.2
+        closed = (4 * w0 * w0 * g1 * g3 + 2 * w0 * g2 * dg1 / g1 + ddg1 / (2 * g1)
+                  - 3 * dg1 * dg1 / (4 * g1 * g1) - 4 * w0 * w0 * g2 * g2 - 2 * w0 * dg2)
         # the second central difference carries ~eps/h^2 roundoff
-        assert b == pytest.approx(a, abs=1e-4)
+        assert effective_frequency(prof, t) == pytest.approx(closed, abs=1e-4)
 
 
 def test_effective_frequency_singular_profile():
@@ -137,12 +134,6 @@ def test_epsilon_initial_data_validation():
     for grid in ([math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0]):
         with pytest.raises(InvalidInputError, match="finite"):
             integrate_epsilon(CONST2, grid)
-    # Wronskian of (1, 2i) is 4i, not 2i
-    with pytest.raises(InvalidInputError):
-        integrate_epsilon(CONST2, [0.0, 1.0], eps0=1.0, deps0=2j)
-    # a rescaled admissible pair: (2, i/2) carries exactly 2i
-    traj = integrate_epsilon(CONST2, [0.0, 0.5, 1.0], eps0=2.0, deps0=0.5j)
-    assert traj.wronskian_drift < 1e-8
 
 
 def test_trajectory_table_rows():

@@ -277,7 +277,7 @@ def test_su2_rep_algebra():
 
 
 def test_tensor_rep_two_modes():
-    rep = tensor_rep(2, 6)
+    rep = tensor_rep(6)
     a1, a2 = rep["a"][0].matrix, rep["a"][1].matrix
     assert a1.shape == (36, 36)
     # different modes commute
@@ -285,13 +285,11 @@ def test_tensor_rep_two_modes():
     q1, p2 = rep["q"][0].matrix, rep["p"][1].matrix
     np.testing.assert_allclose(q1 @ p2 - p2 @ q1, np.zeros((36, 36)),
                                atol=1e-12)
-    with pytest.raises(UnsupportedScaleError):
-        tensor_rep(3, 4)
 
 
 def test_tensor_rep_matches_kron_and_stays_banded():
     N = 5
-    rep = tensor_rep(2, N)
+    rep = tensor_rep(N)
     a = boson_rep(N)["a"].matrix
     eye = np.eye(N)
     np.testing.assert_array_equal(rep["a"][0].matrix, np.kron(a, eye))
@@ -299,6 +297,6 @@ def test_tensor_rep_matches_kron_and_stays_banded():
     np.testing.assert_allclose(rep["n"][0].matrix,
                                np.kron(np.diag(np.arange(N)), eye), atol=1e-12)
     # the N^2-dimensional modes keep O(N^2) entries: two bands per quadrature
-    wide = tensor_rep(2, 40)
+    wide = tensor_rep(40)
     assert sorted(wide["q"][0].bands) == [-40, 40]
     assert sorted(wide["p"][1].bands) == [-1, 1]

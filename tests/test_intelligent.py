@@ -10,7 +10,7 @@ from urstates.cli import _report_document
 from urstates.errors import InvalidInputError
 from urstates.hilbert import basis_state, fock_basis, su2_basis
 from urstates.intelligent import minimizer_certificate
-from urstates.moments import ObservableSet, moment_report, observable_set
+from urstates.moments import MomentReport, ObservableSet, moment_report, observable_set
 from urstates.states import (
     canonical_ss,
     glauber,
@@ -167,6 +167,16 @@ def test_certificate_refuses_a_report_of_another_observable_set():
     pair = ObservableSet(obs.ops[:2])
     with pytest.raises(InvalidInputError, match="report of observables"):
         minimizer_certificate(st, obs, report=moment_report(pair, st))
+
+
+def test_certificate_refuses_a_report_without_centered_vectors():
+    # once a TypeError from indexing the missing centered vectors
+    st = su11_cs(0.4, 1.0, N=64)
+    obs = observable_set("su11:1", N=64)
+    rep = moment_report(obs, st)
+    bare = MomentReport(rep.labels, rep.means, rep.sigma, rep.commut)
+    with pytest.raises(InvalidInputError, match="centered vectors"):
+        minimizer_certificate(st, obs, report=bare)
 
 
 @pytest.mark.parametrize("bad", ["not a state", np.ones(16, dtype=complex)])

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from urstates.errors import BasisMismatchError, InvalidInputError
+from urstates.errors import BasisMismatchError, InvalidInputError, TruncationError
 from urstates.hilbert import (
     Operator,
+    StateVector,
     basis_state,
     boson_rep,
     fock_basis,
@@ -121,7 +122,7 @@ def test_input_gates():
     with pytest.raises(InvalidInputError):
         g_overlap(np.ones(4) / 2.0, glauber(0.2, N=32))
     top = basis_state(fock_basis(32), 31)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(TruncationError):
         g_overlap(top, glauber(0.2, N=32))
     # the gate is advisory: max_tail=None admits the same pair
     res = g_overlap(top, basis_state(fock_basis(32), 31), max_tail=None)
@@ -129,6 +130,18 @@ def test_input_gates():
     for bad in (math.nan, -1.0):
         with pytest.raises(InvalidInputError, match="max_tail"):
             g_overlap(glauber(0.2, N=32), glauber(0.3, N=32), max_tail=bad)
+
+
+def test_tail_gate_is_a_truncation_error():
+    # uniform over 8 levels: the top slice (level 7) holds 1/8 of the mass
+    flat = StateVector(np.ones(8) / np.sqrt(8.0), fock_basis(8))
+    assert flat.tail_mass == pytest.approx(0.125)
+    for pair in ((flat, basis_state(fock_basis(8), 0)), (basis_state(fock_basis(8), 0), flat)):
+        with pytest.raises(TruncationError, match="tail mass 1.250e-01"):
+            g_overlap(*pair)
+        with pytest.raises(TruncationError):
+            g_overlap(*pair, number_plus_one(fock_basis(8)))
+    assert g_overlap(flat, flat, max_tail=0.125).g == pytest.approx(1.0)
 
 
 def test_json_shape():
