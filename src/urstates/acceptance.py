@@ -22,7 +22,7 @@ from .errors import InvalidInputError, NormalizabilityError
 from .hilbert import StateVector, basis_state, boson_ladder, fock_basis, su11_rep
 from .matrixkit import _small_char_coeffs, char_coeffs, principal_minor_sum
 from .metrics import g_overlap, number_plus_one
-from .moments import moment_report, observable_set, uv_moments
+from .moments import moment_report, observable_set
 from .states import (
     bg_cs,
     canonical_ss,
@@ -37,8 +37,7 @@ from .dynamics import (
     ClassicalPhasePoint,
     OscillatorProfile,
     classical_flow,
-    integrate_epsilon,
-    uv_trajectory,
+    trajectory_table,
 )
 from .urcheck import _ur_from_moments, char_ur_report, complementary, \
     one_observable_two_state, two_state_schrodinger
@@ -443,17 +442,11 @@ def criterion_8():
     """Frequency-step dynamics: Wronskian, shell, saturation, classical route."""
     profile = OscillatorProfile.from_omega(2.0, omega0=1.0)
     t = np.linspace(0.0, 10.0, 401)
-    traj = integrate_epsilon(profile, t)
-    u, v = uv_trajectory(traj, profile.omega0)
+    traj, u, v, rows = trajectory_table(profile, t)
     shell = float(np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0)))
-    worst_sat = 0.0
-    dq = np.empty(t.size)
-    dpq = np.empty(t.size)
-    for i in range(t.size):
-        dq2, dp2, pq = uv_moments(u[i], v[i])
-        worst_sat = max(worst_sat, abs(dq2 * dp2 - pq * pq - 0.25))
-        dq[i] = math.sqrt(dq2)
-        dpq[i] = pq
+    *_, dq2, dp2, dpq = np.array(rows).T
+    worst_sat = float(np.max(np.abs(dq2 * dp2 - dpq * dpq - 0.25)))
+    dq = np.sqrt(dq2)
 
     init = ClassicalPhasePoint(0.0, 0.0, 0.0, 1.0 / math.sqrt(2.0))
     flow = classical_flow(profile, init, t)

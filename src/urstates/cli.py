@@ -16,6 +16,7 @@ serialized through repr, so a dump/parse cycle is value-exact.
 
 import argparse
 import ast
+import contextlib
 import csv
 import functools
 import json
@@ -27,7 +28,7 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .dynamics import OscillatorProfile, trajectory_table
+from .dynamics import TABLE_HEADER, OscillatorProfile, trajectory_table
 from .errors import (
     BasisMismatchError,
     InvalidInputError,
@@ -76,9 +77,12 @@ def _complex_arg(text):
 
 def _int_list(text):
     try:
-        return [int(piece) for piece in text.split(",") if piece.strip()]
+        values = [int(piece) for piece in text.split(",") if piece.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a non-empty comma-separated int list: {text!r}")
+    return values
 
 
 def _emit_error(exc):
@@ -95,26 +99,13 @@ def _write_json(doc, out):
         sys.stdout.write(text)
 
 
-def _fmt_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(header, rows, out):
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
+    """Write the header and the rows as CSV to ``out``, or stdout when None;
+    csv writes each cell as its str, which is repr for a Python or numpy float."""
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
-    finally:
-        if out:
-            fh.close()
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +354,15 @@ def _profile_field(doc, key):
                 f"sampled profile field {key!r} needs matching increasing "
                 f"arrays of length >= 4"
             )
-        spline = CubicSpline(t, vals)
-        return lambda tt: float(spline(tt))
+        spline, lo, hi = CubicSpline(t, vals), float(t[0]), float(t[-1])
+
+        def sampled(tt):
+            if not lo <= tt <= hi:
+                raise InvalidInputError(f"sampled profile field {key!r} is sampled on "
+                                        f"[{lo!r}, {hi!r}] only, not at t={float(tt)!r}")
+            return float(spline(tt))
+
+        return sampled
     raise InvalidInputError(
         f"profile field {key!r} must be a number, an expression string, or "
         f"a {{t, values}} sample table"
@@ -409,15 +407,12 @@ def _cmd_evolve(args):
             and math.isfinite(args.t0) and math.isfinite(args.t1)):
         raise InvalidInputError(f"evolve needs finite --t0, --t1 and 2 <= --samples <= "
                                 f"{MAX_SAMPLES}, got {args.t0}, {args.t1}, {args.samples}")
-    profile = _load_profile(args.profile)
+    # an overflowing sample table is refused; a numpy warning would only add a line
+    with np.errstate(all="ignore"):
+        profile = _load_profile(args.profile)
     t = np.linspace(args.t0, args.t1, args.samples)
     _traj, _u, _v, rows = trajectory_table(profile, t)
-    header = ["t", "re_eps", "im_eps", "re_u", "im_u", "re_v", "im_v",
-              "dq2", "dp2", "dpq"]
-    table = [[ti, eps.real, eps.imag, uu.real, uu.imag, vv.real, vv.imag,
-              dq2, dp2, dpq]
-             for ti, eps, uu, vv, dq2, dp2, dpq in rows]
-    _write_csv(header, table, args.out)
+    _write_csv(TABLE_HEADER, rows, args.out)
     return EX_OK
 
 

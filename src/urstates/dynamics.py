@@ -32,6 +32,7 @@ __all__ = [
     "integrate_epsilon",
     "uv_trajectory",
     "trajectory_table",
+    "TABLE_HEADER",
     "classical_flow",
 ]
 
@@ -69,14 +70,14 @@ class OscillatorProfile:
 
     @classmethod
     def from_omega(cls, omega, omega0=None):
+        """A bare-frequency profile; omega(0) is read only as the default
+        omega0, so a window away from t = 0 never needs it."""
         om = _as_callable(omega)
-        if omega0 is None:
-            omega0 = om(0.0)
-        omega0 = float(omega0)
-        if not (0.0 < omega0 < math.inf and 0.0 < om(0.0) < math.inf):
+        omega0 = float(om(0.0) if omega0 is None else omega0)
+        if not 0.0 < omega0 < math.inf:
             raise InvalidInputError(
-                f"frequency profile needs finite omega(0) > 0 and omega0 > 0, "
-                f"got omega(0)={om(0.0)}, omega0={omega0}"
+                f"frequency profile needs a finite omega0 > 0 (omega(0) when omega0 "
+                f"is not given), got {omega0}"
             )
         g3 = lambda t, _om=om, _w0=omega0: _om(t) ** 2 / (2.0 * _w0 * _w0)
         return cls(kind="omega", omega0=omega0, g1=lambda t: 0.5, g2=lambda t: 0.0, g3=g3)
@@ -226,34 +227,41 @@ def uv_trajectory(traj, omega0):
     return u, v
 
 
+#: the columns of a `trajectory_table` row, the header of an ``evolve`` table
+TABLE_HEADER = ("t", "re_eps", "im_eps", "re_u", "im_u", "re_v", "im_v",
+                "dq2", "dp2", "dpq")
+
+
 def trajectory_table(profile, t_grid):
-    """Integrate and tabulate: rows of (t, eps, u, v, dq2, dp2, dpq).
+    """Integrate and tabulate: (traj, u, v, rows), one row of TABLE_HEADER
+    cells per grid time, each a Python float, so the rows are the ``evolve``
+    table as written.  The moments are `uv_moments` of each (u, v) pair.
 
     Only bare-frequency profiles (kind "omega") map onto (u, v) literally;
     any other g123 profile carries its squeezing in a transformed frame and
     is refused here rather than silently mislabeled.
     """
-    t = np.asarray(t_grid, dtype=float)
     if profile.kind != "omega":
         raise InvalidInputError(
             "u/v extraction applies to bare-frequency profiles "
             "(g1 = 1/2, g2 = 0); evolve the generic profile through "
             "classical_flow instead"
         )
-    traj = integrate_epsilon(profile, t)
+    traj = integrate_epsilon(profile, t_grid)
     u, v = uv_trajectory(traj, profile.omega0)
     from .moments import uv_moments
 
     rows = []
-    for i in range(t.size):
+    for ti, eps, ui, vi in zip(traj.t.tolist(), traj.eps.tolist(), u.tolist(), v.tolist()):
         try:
-            dq2, dp2, dpq = uv_moments(u[i], v[i])
+            dq2, dp2, dpq = uv_moments(ui, vi)
         except InvalidInputError as exc:
             # the Wronskian gate holds |u|^2 - |v|^2 = 1 to 1e-8, so a pair
             # the shell normalization refuses has lost its precision
-            raise NumericError(f"(u, v) at t = {t[i]:.6g} lost the shell "
+            raise NumericError(f"(u, v) at t = {ti:.6g} lost the shell "
                                f"|u|^2 - |v|^2 = 1: {exc}") from exc
-        rows.append((t[i], traj.eps[i], u[i], v[i], dq2, dp2, dpq))
+        rows.append([ti, eps.real, eps.imag, ui.real, ui.imag, vi.real, vi.imag,
+                     dq2, dp2, float(dpq)])
     return traj, u, v, rows
 
 

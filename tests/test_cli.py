@@ -6,6 +6,7 @@ and strings, floats to tight tolerance) rather than byte-for-byte.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -354,6 +355,11 @@ def test_state_max_tail_still_gates(capsys):
     ["scan", "--suite", "nope"],
     # scan runs serially and takes no worker count
     ["scan", "--suite", "even-odd", "--jobs", "2"],
+    # an empty list once ran no criterion and printed "0/0 criteria passed"
+    ["selftest", "--criteria", ""],
+    ["selftest", "--criteria", " , "],
+    # and once wrote "orders": {}
+    ["report", "--state", "st.json", "--observables", "canonical", "--orders", ""],
 ])
 def test_grammar_errors_exit_64(argv):
     with pytest.raises(SystemExit) as exc:
@@ -709,6 +715,34 @@ def test_evolve_expression_and_sampled_profiles(tmp_path, capsys):
     assert len(out2.strip().split("\n")) == 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["--t0", "0", "--t1", "8"],
+    ["--t0=-1", "--t1", "2"],
+])
+def test_evolve_refuses_a_time_outside_the_samples(tmp_path, capsys, argv):
+    # a cubic continued five time units past the last sample once gave the
+    # t = 8 row dp2 = 306.13 with exit 0
+    prof = _profile(tmp_path, {"kind": "omega",
+                               "omega": {"t": [0, 1, 2, 3], "values": [1.0, 2.0, 1.0, 2.0]}})
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof, *argv, "--samples", "3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "InvalidInputError"
+    assert "'omega'" in doc["message"] and "[0.0, 3.0]" in doc["message"]
+
+
+def test_evolve_reads_omega_at_zero_only_without_omega0(tmp_path, capsys):
+    # samples on [1, 4] serve the window [1, 2] once omega0 is given
+    prof = _profile(tmp_path, {"kind": "omega", "omega0": 2.0,
+                               "omega": {"t": [1, 2, 3, 4], "values": [2.0, 2.1, 2.0, 1.9]}})
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof,
+                             "--t0", "1", "--t1", "2", "--samples", "3")
+    assert code == 0, err
+    assert len(out.splitlines()) == 4
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "banana", "omega": 2.0},
     {"kind": "omega"},
@@ -730,6 +764,12 @@ def test_evolve_expression_and_sampled_profiles(tmp_path, capsys):
     {"kind": "omega", "omega": "2 + t // 2"},
     # not frequency form, though g1 reads 1/2 (to 1e-16) at every output time
     {"kind": "g123", "g1": "0.5 + 0.1*sin(4*pi*t)", "g2": 0, "g3": 1, "omega0": 1},
+    # the spline overflows while it is built: once two numpy RuntimeWarning
+    # lines before the error line
+    {"kind": "omega", "omega": {"t": [0, 1, 2, 3], "values": [1.0, 1.1, 1.2, 1e308]}},
+    # samples that miss t = 0, where omega0 is read, or the end of the window
+    {"kind": "omega", "omega": {"t": [0.5, 1, 1.5, 2], "values": [2.0, 2.1, 2.0, 1.9]}},
+    {"kind": "omega", "omega": {"t": [0, 0.2, 0.4, 0.6], "values": [2.0, 2.1, 2.0, 1.9]}},
 ])
 def test_evolve_rejects_bad_profiles(tmp_path, capsys, doc):
     prof = _profile(tmp_path, doc)
@@ -883,8 +923,16 @@ _HOSTILE_PROFILE_VALUES = st.sampled_from([
     "log(t)", "t ** 0.5", "1e400", "10**400", "1e300 * t",
     "__import__('os')", "t.real", "[t]", "t if t else 1", "x + t", "2 + t // 2", "'t'", "(",
 ])
+#: sample tables over [lo, lo + 3]: lo = -1 covers every drawn window, 0 misses
+#: those that start before 0, 1/2 misses t = 0 as well; some hold a 1e308
+#: whose spline overflows
+_SAMPLE_TABLES = st.builds(
+    lambda lo, values: {"t": np.linspace(lo, lo + 3.0, len(values)).tolist(), "values": values},
+    st.sampled_from([-1.0, 0.0, 0.5]),
+    st.lists(st.floats(0.5, 2.0), min_size=4, max_size=8)
+    | st.lists(st.floats(0.5, 2.0) | st.just(1e308), min_size=4, max_size=8))
 #: frequencies small enough that no run integrates for long
-_SMALL_FREQUENCIES = st.floats(0.05, 3.0) | st.sampled_from(
+_SMALL_FREQUENCIES = st.floats(0.05, 3.0) | _SAMPLE_TABLES | st.sampled_from(
     ["1 + 0.5*sin(t)", "sqrt(2 + t)", "exp(-t) + 0.5", "2 - t", "cosh(t)", "pi/2 + t*t"])
 
 
@@ -1157,12 +1205,48 @@ def test_golden_distance_document(tmp_path, capsys):
     assert_json_matches(json.loads(out), expected)
 
 
+#: golden evolve tables: name -> (profile, evolve flags); the CI console-script
+#: step runs the same commands
+_GOLDEN_EVOLVE = {
+    "const": ({"kind": "omega", "omega": 2.0, "omega0": 1.0},
+              ["--t0", "0", "--t1", "1", "--samples", "5"]),
+    "expr": ({"kind": "omega", "omega": "1 + 0.5*sin(t)"},
+             ["--t0", "0", "--t1", "10", "--samples", "401"]),
+    "sampled": ({"kind": "omega", "omega": {"t": [0, 2, 4, 6, 8, 10],
+                                            "values": [1.0, 1.3, 0.8, 1.2, 0.9, 1.1]},
+                 "omega0": 1.0},
+                ["--t0", "0", "--t1", "10", "--samples", "401"]),
+}
+
+
 def test_golden_evolve_table(tmp_path, capsys):
-    prof = _profile(tmp_path, {"kind": "omega", "omega": 2.0, "omega0": 1.0})
-    code, out, _ = run_cli(capsys, "evolve", "--profile", prof,
-                           "--t0", "0", "--t1", "1", "--samples", "5")
-    assert code == 0
-    assert_csv_matches(out, (GOLDEN / "evolve_const.csv").read_text())
+    for golden, (doc, flags) in _GOLDEN_EVOLVE.items():
+        code, out, _ = run_cli(capsys, "evolve", "--profile", _profile(tmp_path, doc), *flags)
+        assert code == 0, golden
+        assert_csv_matches(out, (GOLDEN / f"evolve_{golden}.csv").read_text())
+
+
+def test_write_csv_writes_each_cell_as_its_str(tmp_path):
+    # csv.writer stringifies the cells itself: each float as repr, each int as
+    # its digits, each str as itself, for Python and numpy scalars alike
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2 ** 64, size=500, dtype=np.uint64).view(np.float64)
+    floats = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 1e300, -1e300,
+              *rng.standard_normal(200), *bits[np.isfinite(bits)]]
+    ints = [0, -1, 7, 2 ** 62, -2 ** 63]
+    strs = ["even", "odd", "su11:0.5", "a2-quadratures"]
+    rows = ([[np.float64(x), float(x)] for x in floats]
+            + [[np.int64(i), int(i)] for i in ints]
+            + [[text, text] for text in strs])
+    path = tmp_path / "cells.csv"
+    cli._write_csv(["a", "b"], rows, str(path))
+    with open(path, newline="") as fh:
+        written = list(csv.reader(fh))
+    assert written[0] == ["a", "b"]
+    expected = ([[repr(float(x))] * 2 for x in floats]
+                + [[str(int(i))] * 2 for i in ints]
+                + [[text] * 2 for text in strs])
+    assert written[1:] == expected
 
 
 @pytest.mark.parametrize("suite", ["bg-cs", "even-odd", "random-psd", "squeeze-shell", "su11-cs"])

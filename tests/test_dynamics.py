@@ -140,9 +140,14 @@ def test_trajectory_table_rows():
     t = np.linspace(0.0, 1.0, 11)
     traj, u, v, rows = trajectory_table(CONST2, t)
     assert len(rows) == 11
-    t5, eps5, u5, v5, dq2, dp2, dpq = rows[5]
+    # one Python float per TABLE_HEADER column, the evolve table as written
+    assert all(len(row) == len(dynamics.TABLE_HEADER) for row in rows)
+    assert all(type(cell) is float for row in rows for cell in row)
+    t5, re_eps, im_eps, re_u, im_u, re_v, im_v, dq2, dp2, dpq = rows[5]
     assert t5 == pytest.approx(0.5)
-    assert dq2 == pytest.approx(abs(u5 - v5) ** 2 / 2.0, rel=1e-12)
+    assert complex(re_eps, im_eps) == traj.eps[5]
+    assert (complex(re_u, im_u), complex(re_v, im_v)) == (u[5], v[5])
+    assert dq2 == pytest.approx(abs(u[5] - v[5]) ** 2 / 2.0, rel=1e-12)
     # Schrodinger equality holds along the whole trajectory
     assert dq2 * dp2 - dpq ** 2 == pytest.approx(0.25, rel=1e-8)
 
