@@ -84,12 +84,18 @@ class BasisSpec:
     def __post_init__(self):
         if self.kind not in ("fock", "su11", "su2", "multimode"):
             raise InvalidInputError(f"unknown basis kind {self.kind!r}")
+        for name in ("N", "s"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, np.integer))):
+                raise InvalidInputError(f"basis field {name!r} must be an integer, got {value!r}")
         if self.kind in ("fock", "su11", "multimode"):
             if self.N is None or self.N < 2:
                 raise InvalidInputError(f"basis {self.kind!r} needs N >= 2, got {self.N}")
         if self.kind == "su11":
-            if self.k is None or self.k <= 0:
-                raise InvalidInputError(f"su11 basis needs Bargmann index k > 0, got {self.k}")
+            if self.k is None or not math.isfinite(self.k) or self.k <= 0:
+                raise InvalidInputError(
+                    f"su11 basis field 'k' needs a finite Bargmann index k > 0, got {self.k}")
         if self.kind == "su2":
             if (self.j is None or not np.isfinite(self.j) or self.j <= 0
                     or round(2 * self.j) != 2 * self.j):
@@ -155,13 +161,13 @@ class BasisSpec:
             )
         kind = d.get("kind")
         if kind == "fock":
-            return fock_basis(int(d["N"]))
+            return fock_basis(d["N"])
         if kind == "su11":
-            return su11_basis(float(d["k"]), int(d["N"]))
+            return su11_basis(float(d["k"]), d["N"])
         if kind == "su2":
             return su2_basis(float(d["j"]))
         if kind == "multimode":
-            return multimode_basis(int(d.get("s", 2)), int(d["N"]))
+            return multimode_basis(d.get("s", 2), d["N"])
         raise InvalidInputError(f"unknown basis kind {kind!r}")
 
 
@@ -184,8 +190,9 @@ def multimode_basis(s, N=DEFAULT_MODE_CUTOFF):
 def apply_bands(bands, psi):
     """M psi for the operator M with ``bands`` {d: M[n, n+d]}: the sum over d
     of each band times psi shifted by d, on slices.  {1: c} is the lowering
-    operator with ladder c, {-1: c} its adjoint.  The one banded product of
-    single operators and of the eigen-operators of `states`."""
+    operator with ladder c, {-1: c} its adjoint.  The banded product of
+    single operators and of the eigen-operators of `states`; the stacked
+    product of an observable set is `moments.pad_bands`."""
     out = np.zeros(psi.shape, np.result_type(psi, *bands.values()))
     for d, band in bands.items():
         lo, hi = max(0, -d), psi.size - max(0, d)

@@ -47,7 +47,14 @@ __all__ = [
 def pad_bands(band_dicts, dim):
     """(rows, src) for one stacked product of several operators: rows[k, r, i]
     holds M_r[i, i + d_k], zero off the basis, and src[k, i] is i + d_k clipped
-    into range, so M_r psi = sum_k rows[k, r] * psi[src[k]] for every r."""
+    into range, so M_r psi = sum_k rows[k, r] * psi[src[k]] for every r.
+
+    `ObservableSet.images` keeps this product apart from
+    `hilbert.apply_bands`: with apply_bands' slices, one operator at a time,
+    the moment-batch benchmark ran about 22% fewer ops per second (43-46
+    against 58-61 per reference second, four alternating 5 s pairs on a
+    2-vCPU VM), and about 11% fewer with the slices on the stacked bands of
+    the whole set (53-54 against 58-62)."""
     offsets = sorted({d for bands in band_dicts for d in bands})
     dtype = np.result_type(np.float64, *(b for bands in band_dicts for b in bands.values()))
     rows = np.zeros((len(offsets), len(band_dicts), dim), dtype)

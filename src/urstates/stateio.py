@@ -47,7 +47,11 @@ def state_from_dict(doc):
     try:
         basis = BasisSpec.from_dict(doc["basis"])
         family = doc.get("family")
-        params = {k: _decode_param(v) for k, v in doc.get("params", {}).items()}
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidInputError(f"state document 'params' must be an object, "
+                                    f"got {type(params).__name__}")
+        params = {k: _decode_param(v) for k, v in params.items()}
         amp = np.array([complex(re, im) for re, im in doc["amplitudes"]],
                        dtype=np.complex128)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

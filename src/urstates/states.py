@@ -106,7 +106,8 @@ class SqueezeParams:
 
 
 def _coerce_squeeze(u, v):
-    return SqueezeParams(complex(u), complex(v)).normalized()
+    sq = SqueezeParams(complex(u), complex(v)).normalized()
+    return sq.u, sq.v
 
 
 def _check_params(family, **params):
@@ -205,8 +206,8 @@ def _poisson_tail(x, N):
 def glauber(alpha, N=None, max_tail=1e-8):
     """Coherent state |alpha>: eigenstate of a, minimal and isotropic spread.
 
-    Amplitudes follow c_{n+1} = c_n alpha/sqrt(n+1), the v = 0 case of the
-    squeeze recurrence, which rescales as it goes so large |alpha| cannot
+    Amplitudes follow c_{n+1} = c_n alpha/sqrt(n+1), the eigen-equation
+    recurrence of a, which rescales as it goes so large |alpha| cannot
     overflow before normalization.  The tail gate holds the Poisson mass the
     cutoff discards (`_poisson_tail`) to ``max_tail``.
     """
@@ -214,10 +215,11 @@ def glauber(alpha, N=None, max_tail=1e-8):
     _check_params("glauber", alpha=alpha)
     N = _fock_cutoff(N, alpha, "glauber")
     aa = abs(alpha)
-    amp = _squeezed_amplitudes(alpha, 1.0, 0.0, N)
+    bands = {1: boson_ladder(N)}
+    # times 1 + 0j, which turns the -0.0 parts a real or imaginary alpha leaves into 0.0
+    amp = _recurrence_amplitudes(bands, alpha) * (1.0 + 0.0j)
     return _certified(amp, fock_basis(N), "glauber", {"alpha": alpha}, max_tail,
-                      {1: boson_ladder(N)}, alpha, max(1.0, aa),
-                      discarded=_poisson_tail(aa * aa, N))
+                      bands, alpha, max(1.0, aa), discarded=_poisson_tail(aa * aa, N))
 
 
 #: the eigen-equation recurrence rescales its prefix whenever an amplitude
@@ -225,17 +227,17 @@ def glauber(alpha, N=None, max_tail=1e-8):
 _RESCALE_AT = 1e150
 
 
-def _recurrence_amplitudes(diag, off, lad):
-    """Normalized solution of lad[n] c_{n+1} = diag[n] c_n - off lad[n-1] c_{n-1}
-    from c_0 = 1 on the len(lad) + 1 levels, in O(N): the eigen-equation
-    (u L + v L^dag + D - z) psi = 0 over u, L the lowering operator with +1
-    band ``lad``, off = v/u and the list diag[n] = (z - D_n)/u."""
-    lad = [0.0] + lad.tolist()
-    c = [0j] * len(lad)
+def _recurrence_amplitudes(bands, z):
+    """Normalized solution of (M - z) psi = 0 from c_0 = 1 in O(N), M given by
+    its ``bands`` (an absent band is zero; the +1 band has no zeros): row n is
+    M[n, n+1] c_{n+1} = (z - M[n, n]) c_n - M[n, n-1] c_{n-1}."""
+    up = bands[1].tolist()
+    diag = (z - bands[0]).tolist() if 0 in bands else [z] * (len(up) + 1)
+    low = [0.0] + (bands[-1].tolist() if -1 in bands else [0.0] * len(up))
     c_prev, c_cur = 0j, 1.0 + 0.0j
-    c[0] = c_cur
-    for n in range(len(lad) - 1):
-        c_next = (diag[n] * c_cur - off * lad[n] * c_prev) / lad[n + 1]
+    c = [c_cur] + [0j] * len(up)
+    for n in range(len(up)):
+        c_next = (diag[n] * c_cur - low[n] * c_prev) / up[n]
         if abs(c_next) > _RESCALE_AT:
             c[:n + 1] = [x / _RESCALE_AT for x in c[:n + 1]]
             c_cur /= _RESCALE_AT
@@ -247,7 +249,8 @@ def _recurrence_amplitudes(diag, off, lad):
 
 
 def _squeezed_amplitudes(alpha, u, v, N):
-    """Normalized eigenvector of u a + v a^dag at eigenvalue alpha, on shell.
+    """Normalized eigenvector of u a + v a^dag at eigenvalue alpha, on shell,
+    and the bands {1: c, -1: (v/u) c} of (u a + v a^dag)/u it solves at alpha/u.
 
     The Fock components follow from the eigen-equation itself,
     u sqrt(n+1) c_{n+1} = alpha c_n - v sqrt(n) c_{n-1} with c_{-1} = 0 and
@@ -257,11 +260,12 @@ def _squeezed_amplitudes(alpha, u, v, N):
     and zeta = arccosh|u| e^{i(arg v - arg u + pi)}: the vacuum component
     then carries the phase of e^{i arg u} exp(i Im(conj(v/u) beta^2) / 2).
     """
-    a_u, v_u = alpha / u, v / u
-    amp = _recurrence_amplitudes([a_u] * N, v_u, boson_ladder(N))
+    c = boson_ladder(N)
+    bands = {1: c, -1: v / u * c}
+    amp = _recurrence_amplitudes(bands, alpha / u)
     phase_u = u / abs(u)
     beta = alpha / phase_u
-    return amp * (phase_u * cmath.exp(0.5j * (v_u.conjugate() * beta * beta).imag))
+    return amp * (phase_u * cmath.exp(0.5j * ((v / u).conjugate() * beta * beta).imag)), bands
 
 
 def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
@@ -269,19 +273,17 @@ def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
 
     (u, v) are rescaled to the shell |u|^2 - |v|^2 = 1 first; the amplitudes
     come from the eigen-equation recurrence of `_squeezed_amplitudes`, in the
-    phase of e^{i arg u} S(zeta) D(alpha e^{-i arg u}) |0>.  Raises a
-    truncation error when the certified tail mass exceeds ``max_tail``.
+    phase of e^{i arg u} S(zeta) D(alpha e^{-i arg u}) |0>, and gated on M/u.
+    Raises a truncation error when the certified tail mass exceeds ``max_tail``.
     """
     alpha = complex(alpha)
     _check_params("canonical_ss", alpha=alpha)
-    sq = _coerce_squeeze(u, v)
-    u, v = sq.u, sq.v
+    u, v = _coerce_squeeze(u, v)
     N = _fock_cutoff(N, alpha, "canonical_ss")
-    amp = _squeezed_amplitudes(alpha, u, v, N)
-    c = boson_ladder(N)
+    amp, bands = _squeezed_amplitudes(alpha, u, v, N)
     return _certified(amp, fock_basis(N), "canonical_ss",
                       {"alpha": alpha, "u": u, "v": v}, max_tail,
-                      {1: u * c, -1: v * c}, alpha, abs(u) + abs(v) + abs(alpha))
+                      bands, alpha / u, (abs(u) + abs(v) + abs(alpha)) / abs(u))
 
 
 def _number_bands(u, v, N):
@@ -307,13 +309,12 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
     n = int(n)
     if n < 0:
         raise InvalidInputError(f"squeezed_fock needs n >= 0, got {n}")
-    sq = _coerce_squeeze(u, v)
-    u, v = sq.u, sq.v
+    u, v = _coerce_squeeze(u, v)
     N = _cutoff(N, "squeezed_fock", DEFAULT_FOCK_CUTOFF)
     if n >= N // 2:
         raise TruncationError(f"squeezed_fock: level n={n} too close to cutoff N={N}")
-    c = boson_ladder(N)
-    amp = _squeezed_amplitudes(0j, u, v, N)
+    amp, bands = _squeezed_amplitudes(0j, u, v, N)
+    c = bands[1]
     for _ in range(n):
         amp = np.conj(u) * apply_bands({-1: c}, amp) + np.conj(v) * apply_bands({1: c}, amp)
         amp /= np.linalg.norm(amp)
@@ -521,9 +522,11 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
             )
 
     while True:
+        # M over scale, so the residual is relative to the largest of u, v, w
+        c = su11_ladder(k, N)
+        bands = {1: u / scale * c, -1: v / scale * c, 0: w / scale * (k + np.arange(N))}
         if n0 is None:
-            amp = _recurrence_amplitudes(((z - w * (k + np.arange(N))) / u).tolist(),
-                                         v / u, su11_ladder(k, N))
+            amp = _recurrence_amplitudes(bands, z / scale)
         else:
             amp = _raised_amplitudes(u, v, w, s, t_in, n0, k, N)
         if not np.all(np.isfinite(amp)):
@@ -539,12 +542,9 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
 
     first = np.argmax(np.abs(amp) > 1e-8)
     amp = amp * (np.conj(amp[first]) / abs(amp[first]))
-    c = su11_ladder(k, N)
-    # M and z over scale, so the residual is relative to the largest of u, v, w
-    return _certified(amp, su11_basis(k, N), "su11_intelligent",
-                      {**params, "k": k}, max_tail,
-                      {1: u / scale * c, -1: v / scale * c, 0: w / scale * (k + np.arange(N))},
-                      z / scale, math.sqrt(N) * (1.0 + k + abs(z) / scale))
+    return _certified(amp, su11_basis(k, N), "su11_intelligent", {**params, "k": k},
+                      max_tail, bands, z / scale,
+                      math.sqrt(N) * (1.0 + k + abs(z) / scale))
 
 
 def su11_intelligent_spectrum(u, v, w, k, count=8):

@@ -33,7 +33,8 @@ __all__ = [
     "complementary",
 ]
 
-#: relative saturation tolerance (matches dense-eigensolve accuracy at N <= 128)
+#: relative tolerance at which the two sides of a relation count as equal
+#: (saturated); the moments behind them come from banded products
 SATURATION_RTOL = 1e-9
 
 #: extended relations accept this many states at most

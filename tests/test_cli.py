@@ -497,6 +497,60 @@ def test_report_malformed_state_document_exits_2(tmp_path, capsys, defect):
     assert json.loads(lines[0])["error"] == "InvalidInputError"
 
 
+def _params_list(doc):
+    doc["params"] = []
+
+
+def _basis_n_fraction(doc):
+    doc["basis"]["N"] = 4.9
+
+
+def _basis_k_nan(doc):
+    doc["basis"] = {"kind": "su11", "k": float("nan"), "N": doc["basis"]["N"]}
+
+
+_FIELD_DEFECTS = {"params-list": (_params_list, "params"),
+                  "basis-N-fraction": (_basis_n_fraction, "'N'"),
+                  "basis-k-nan": (_basis_k_nan, "'k'")}
+
+
+def _defective_state(tmp_path, capsys, defect, name="s.json"):
+    path = _write_state(tmp_path, capsys, name, "--family", "glauber",
+                        "--alpha", "0.3", "--cutoff", "32")
+    doc = json.loads(pathlib.Path(path).read_text())
+    _FIELD_DEFECTS[defect][0](doc)
+    # json.dumps writes a NaN k as the NaN literal, which json.load reads back
+    pathlib.Path(path).write_text(json.dumps(doc))
+    return path
+
+
+def _assert_one_invalid_input_line(code, out, err, field):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "InvalidInputError"
+    assert field in doc["message"]
+
+
+@pytest.mark.parametrize("defect", sorted(_FIELD_DEFECTS))
+def test_report_refuses_a_malformed_field_by_name(tmp_path, capsys, defect):
+    path = _defective_state(tmp_path, capsys, defect)
+    code, out, err = run_cli(capsys, "report", "--state", path, "--observables", "canonical")
+    _assert_one_invalid_input_line(code, out, err, _FIELD_DEFECTS[defect][1])
+
+
+@pytest.mark.parametrize("defect", sorted(_FIELD_DEFECTS))
+def test_distance_refuses_a_malformed_field_by_name(tmp_path, capsys, defect):
+    bad = _defective_state(tmp_path, capsys, defect)
+    good = _write_state(tmp_path, capsys, "good.json", "--family", "glauber",
+                        "--alpha", "0.1", "--cutoff", "32")
+    for argv in (["--state1", bad, "--state2", good], ["--state1", good, "--state2", bad]):
+        code, out, err = run_cli(capsys, "distance", *argv)
+        _assert_one_invalid_input_line(code, out, err, _FIELD_DEFECTS[defect][1])
+
+
 #: family parameters at modest values, so that most draws build a state
 _REPORT_PARAMS = {
     "alpha": st.complex_numbers(max_magnitude=1.5),

@@ -59,6 +59,29 @@ def test_basis_validation():
             su2_basis(bad_j)
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "fock", "N": 4.9}, "'N'"),
+    ({"kind": "fock", "N": 32.0}, "'N'"),
+    ({"kind": "fock", "N": "32"}, "'N'"),
+    ({"kind": "su11", "k": 0.5, "N": 1e999}, "'N'"),
+    ({"kind": "multimode", "s": 1.5, "N": 8}, "'s'"),
+    ({"kind": "multimode", "s": True, "N": 8}, "'s'"),
+    ({"kind": "su11", "k": math.nan, "N": 32}, "'k'"),
+    ({"kind": "su11", "k": math.inf, "N": 32}, "'k'"),
+    ({"kind": "su11", "k": -math.inf, "N": 32}, "'k'"),
+])
+def test_basis_document_refuses_a_bad_field_by_name(doc, field):
+    # a fractional size is not truncated, and a non-finite k is refused here,
+    # not later under the name of an observable set
+    with pytest.raises(InvalidInputError, match=field):
+        BasisSpec.from_dict(doc)
+
+
+def test_basis_sizes_take_any_integer_type():
+    assert fock_basis(np.int64(32)) == fock_basis(32)
+    assert multimode_basis(np.int32(2), np.int64(8)).dim == 64
+
+
 def test_basis_dimension_is_capped():
     assert su2_basis((MAX_BASIS_DIM - 1) / 2).dim == MAX_BASIS_DIM
     assert multimode_basis(2, 256).dim == MAX_BASIS_DIM

@@ -185,6 +185,15 @@ def test_glauber_large_amplitude_matches_recurrence():
     np.testing.assert_allclose(st.amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0.5j, -1.2j, complex(-0.0, 0.7)])
+def test_glauber_on_an_axis_has_no_negative_zero_parts(alpha):
+    # one part of every amplitude is an exact zero here, and a state
+    # document writes a -0.0 as such
+    amp = glauber(alpha, N=64).amplitudes
+    parts = np.concatenate([amp.real, amp.imag])
+    assert not np.any(np.signbit(parts) & (parts == 0.0))
+
+
 def test_glauber_cutoff_gate():
     with pytest.raises(TruncationError):
         glauber(3.0, N=32)
@@ -301,6 +310,62 @@ def test_canonical_ss_recurrence_matches_exponential_route(alpha, u, v):
     st = canonical_ss(alpha, u, v, N=128)
     np.testing.assert_allclose(st.amplitudes, ss_oracle(alpha, u, v, 128),
                                rtol=0, atol=1e-13)
+
+
+def _rows_solve(bands, z, amp, rtol=1e-12):
+    """Rows 0..N-2 of (M - z) amp vanish, each relative to the sum of the
+    magnitudes of its terms; the last row needs the level above the cutoff."""
+    res = apply_bands(bands, amp) - z * amp
+    terms = apply_bands({d: np.abs(b) for d, b in bands.items()}, np.abs(amp)) \
+        + abs(z) * np.abs(amp)
+    return bool(np.all(np.abs(res[:-1]) <= rtol * terms[:-1]))
+
+
+@pytest.mark.parametrize("with_low", [True, False])
+@pytest.mark.parametrize("with_diag", [True, False])
+def test_recurrence_solves_every_row_but_the_last_of_its_bands(with_low, with_diag):
+    rng = np.random.default_rng(22)
+
+    def cplx(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    for _ in range(25):
+        N = int(rng.integers(8, 65))
+        bands = {1: cplx(N - 1)}
+        if with_low:
+            bands[-1] = cplx(N - 1)
+        if with_diag:
+            bands[0] = cplx(N)
+        z = complex(*rng.normal(0.0, 2.0, 2))
+        amp = states._recurrence_amplitudes(bands, z)
+        assert amp.shape == (N,) and amp[0] != 0.0
+        assert math.isclose(np.linalg.norm(amp), 1.0, rel_tol=1e-14)
+        assert _rows_solve(bands, z, amp), (N, z)
+
+
+@pytest.mark.parametrize("family, args", [
+    ("glauber", (0.7 - 0.4j,)),
+    ("glauber", (-1.5,)),
+    ("canonical_ss", (0.3 + 0.2j, 1.1, 0.3j)),
+    ("canonical_ss", (-0.5 + 1.3j, math.cosh(1.0) * cmath.exp(2.0j), math.sinh(1.0))),
+    # both characteristic roots inside the disk: the recurrence route
+    ("su11_intelligent", (1.0, -0.36, 0.0, 0.0, 1.0)),
+    ("su11_intelligent", (1.0, -0.16 + 0.05j, 0.1, 1.6, 1.0)),
+    ("su11_intelligent", (0.9318 - 2.1218j, -2.0887 - 0.5660j, 0.8723 + 1.6120j,
+                          -4.9597 - 1.3071j, 0.25)),
+])
+def test_recurrence_solves_the_operator_its_gate_reads(monkeypatch, family, args):
+    gated = []
+
+    def recording(amp, basis, family, params, max_tail, bands, z, *rest, **kw):
+        gated.append((bands, z))
+        return certified(amp, basis, family, params, max_tail, bands, z, *rest, **kw)
+
+    certified = states._certified
+    monkeypatch.setattr(states, "_certified", recording)
+    amp = getattr(states, family)(*args).amplitudes
+    (bands, z), = gated
+    assert _rows_solve(bands, z, amp)
 
 
 def test_canonical_ss_matches_hermite_closed_form():
