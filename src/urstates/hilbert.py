@@ -89,6 +89,14 @@ class BasisSpec:
             if value is not None and (isinstance(value, bool)
                                       or not isinstance(value, (int, np.integer))):
                 raise InvalidInputError(f"basis field {name!r} must be an integer, got {value!r}")
+        for name in ("k", "j"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating))):
+                raise InvalidInputError(f"basis field {name!r} must be a real number, "
+                                        f"got {value!r}")
+            # a plain float, so that repr names the index the same way for any input type
+            object.__setattr__(self, name, None if value is None else float(value))
         if self.kind in ("fock", "su11", "multimode"):
             if self.N is None or self.N < 2:
                 raise InvalidInputError(f"basis {self.kind!r} needs N >= 2, got {self.N}")
@@ -163,9 +171,9 @@ class BasisSpec:
         if kind == "fock":
             return fock_basis(d["N"])
         if kind == "su11":
-            return su11_basis(float(d["k"]), d["N"])
+            return su11_basis(d["k"], d["N"])
         if kind == "su2":
-            return su2_basis(float(d["j"]))
+            return su2_basis(d["j"])
         if kind == "multimode":
             return multimode_basis(d.get("s", 2), d["N"])
         raise InvalidInputError(f"unknown basis kind {kind!r}")

@@ -248,6 +248,15 @@ def _recurrence_amplitudes(bands, z):
     return amp / np.linalg.norm(amp)
 
 
+def _raised(amp, bands, n):
+    """``amp`` after n applications of the operator with ``bands``, each
+    followed by a normalization: a raising operator climbs n levels."""
+    for _ in range(n):
+        amp = apply_bands(bands, amp)
+        amp /= np.linalg.norm(amp)
+    return amp
+
+
 def _squeezed_amplitudes(alpha, u, v, N):
     """Normalized eigenvector of u a + v a^dag at eigenvalue alpha, on shell,
     and the bands {1: c, -1: (v/u) c} of (u a + v a^dag)/u it solves at alpha/u.
@@ -300,11 +309,11 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
     """Squeezed Fock level S(zeta)|n>: eigenstate of A^dag A, A = u a + v a^dag.
 
     Built as (e^{i arg u})^(n-1) (A^dag)^n canonical_ss(0, u, v), normalized,
-    with A^dag = conj(u) a^dag + conj(v) a applied n times in O(nN); that is
-    S(zeta)|n> in the phase convention of `_squeezed_amplitudes`.  These
-    carry the same second moments in (q, p) direction structure as the
-    eigenstates of A itself but saturate nothing beyond the Robertson floor
-    for n > 0.
+    with A^dag = conj(u) a^dag + conj(v) a applied n times in O(nN)
+    (`_raised`); that is S(zeta)|n> in the phase convention of
+    `_squeezed_amplitudes`.  These carry the same second moments in (q, p)
+    direction structure as the eigenstates of A itself but saturate nothing
+    beyond the Robertson floor for n > 0.
     """
     n = int(n)
     if n < 0:
@@ -315,9 +324,7 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
         raise TruncationError(f"squeezed_fock: level n={n} too close to cutoff N={N}")
     amp, bands = _squeezed_amplitudes(0j, u, v, N)
     c = bands[1]
-    for _ in range(n):
-        amp = np.conj(u) * apply_bands({-1: c}, amp) + np.conj(v) * apply_bands({1: c}, amp)
-        amp /= np.linalg.norm(amp)
+    amp = _raised(amp, {-1: np.conj(u) * c, 1: np.conj(v) * c}, n)
     amp *= (u / abs(u)) ** (n - 1)
     return _certified(amp, fock_basis(N), "squeezed_fock", {"n": n, "u": u, "v": v},
                       max_tail, _number_bands(u, v, N), n,
@@ -369,27 +376,18 @@ def bg_cs(z, k, N=None, max_tail=1e-8):
 
 
 def _su11_cs_cutoff(abs_xi, k):
-    """Adaptive weight-basis size for |xi| < 1: grow until the level weights
-    drop 50 e-folds below their peak (tail mass << 1e-16)."""
+    """Adaptive weight-basis size for |xi| < 1: ten levels past the first
+    weight 50 e-folds below the peak (tail mass << 1e-16), refused when no
+    weight up to level MAX_ADAPTIVE_CUTOFF - 2 lies that low.  The weights
+    have a single peak, so every later level lies further below it."""
     x2 = abs_xi * abs_xi
     if x2 == 0.0:
         return DEFAULT_SU11_CUTOFF
-    lw = 0.0
-    lw_max = 0.0
-    low = 0
-    n = 0
-    while n < MAX_ADAPTIVE_CUTOFF:
-        lw += math.log(x2) + math.log((2.0 * k + n) / (n + 1.0))
-        n += 1
-        if lw > lw_max:
-            lw_max = lw
-            low = 0
-        elif lw < lw_max - 50.0:
-            low += 1
-            if low >= 3:
-                return max(DEFAULT_SU11_CUTOFF, n + 8)
-        else:
-            low = 0
+    m = np.arange(MAX_ADAPTIVE_CUTOFF - 2)
+    lw = np.concatenate(([0.0], np.cumsum(math.log(x2) + np.log((2.0 * k + m) / (m + 1.0)))))
+    below = np.flatnonzero(lw < np.maximum.accumulate(lw) - 50.0)
+    if below.size:
+        return max(DEFAULT_SU11_CUTOFF, int(below[0]) + 10)
     raise TruncationError(
         f"su11_cs: |xi|={abs_xi:.6g}, k={k:.3g} needs more than "
         f"{MAX_ADAPTIVE_CUTOFF} levels"
@@ -453,21 +451,6 @@ def _is_nonpositive_int(x):
     return int(-r)
 
 
-def _raised_amplitudes(u, v, w, s, t_in, n0, k, N):
-    """E^n0 |t_in; k>, the eigenstate of M = u K- + v K+ + w K3 at z = s (k + n0).
-
-    |t_in; k> is the M eigenstate at s k, and E = u^2 K- + (w^2 + s w - 2uv)/2 K+
-    + u (s + w) K3 obeys [M, E] = s E: each application, normalized, climbs
-    one level."""
-    amp = _su11_cs_amplitudes(t_in, k, N)
-    c = su11_ladder(k, N)
-    a, b, d = u * u, 0.5 * (w * w + s * w - 2.0 * u * v), u * (s + w) * (k + np.arange(N))
-    for _ in range(n0):
-        amp = a * apply_bands({1: c}, amp) + b * apply_bands({-1: c}, amp) + d * amp
-        amp /= np.linalg.norm(amp)
-    return amp
-
-
 def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     """Eigenstate of u K- + v K+ + w K3 with eigenvalue z.
 
@@ -479,10 +462,12 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     run forward from c_0 = 1; at the double root xi = -w/(2u) and z = 0 that
     is |xi; k> of `su11_cs`.  With one root t_in inside, the spectrum is
     z_n = s (k + n), s = w + 2 u t_in: an off-spectrum z is refused before
-    any amplitude is evaluated, and the state is `_raised_amplitudes`.  With
-    N omitted, the cutoff doubles from DEFAULT_SU11_CUTOFF until the top two
-    levels hold at most 1e-18 of the mass.  The first component above 1e-8
-    is made real and positive.
+    any amplitude is evaluated, and the state is E^n0 |t_in; k>, n0 = z/s - k,
+    with E = u^2 K- + (w^2 + s w - 2uv)/2 K+ + u (s + w) K3, [M, E] = s E,
+    normalized after each step (`_raised`).  With N omitted, the cutoff
+    doubles from DEFAULT_SU11_CUTOFF until the top two levels hold at most
+    1e-18 of the mass.  The first component above 1e-8 is made real and
+    positive.
     """
     params = {"u": complex(u), "v": complex(v), "w": complex(w), "z": complex(z)}
     k = float(k)
@@ -523,12 +508,15 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
 
     while True:
         # M over scale, so the residual is relative to the largest of u, v, w
-        c = su11_ladder(k, N)
-        bands = {1: u / scale * c, -1: v / scale * c, 0: w / scale * (k + np.arange(N))}
+        c, kn = su11_ladder(k, N), k + np.arange(N)
+        bands = {1: u / scale * c, -1: v / scale * c, 0: w / scale * kn}
         if n0 is None:
             amp = _recurrence_amplitudes(bands, z / scale)
         else:
-            amp = _raised_amplitudes(u, v, w, s, t_in, n0, k, N)
+            # |t_in; k> is the M eigenstate at s k, and E obeys [M, E] = s E
+            raising = {1: u * u * c, -1: 0.5 * (w * w + s * w - 2.0 * u * v) * c,
+                       0: u * (s + w) * kn}
+            amp = _raised(_su11_cs_amplitudes(t_in, k, N), raising, n0)
         if not np.all(np.isfinite(amp)):
             raise NumericError("intelligent family: amplitudes over/underflowed")
         if not grow or edge_mass(amp) <= 1e-18:

@@ -509,9 +509,19 @@ def _basis_k_nan(doc):
     doc["basis"] = {"kind": "su11", "k": float("nan"), "N": doc["basis"]["N"]}
 
 
+def _basis_k_string(doc):
+    doc["basis"] = {"kind": "su11", "k": "0.5", "N": doc["basis"]["N"]}
+
+
+def _basis_j_bool(doc):
+    doc["basis"] = {"kind": "su2", "j": True}
+
+
 _FIELD_DEFECTS = {"params-list": (_params_list, "params"),
                   "basis-N-fraction": (_basis_n_fraction, "'N'"),
-                  "basis-k-nan": (_basis_k_nan, "'k'")}
+                  "basis-k-nan": (_basis_k_nan, "'k'"),
+                  "basis-k-string": (_basis_k_string, "'k'"),
+                  "basis-j-bool": (_basis_j_bool, "'j'")}
 
 
 def _defective_state(tmp_path, capsys, defect, name="s.json"):

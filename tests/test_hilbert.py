@@ -69,6 +69,13 @@ def test_basis_validation():
     ({"kind": "su11", "k": math.nan, "N": 32}, "'k'"),
     ({"kind": "su11", "k": math.inf, "N": 32}, "'k'"),
     ({"kind": "su11", "k": -math.inf, "N": 32}, "'k'"),
+    ({"kind": "su11", "k": "0.5", "N": 8}, "'k'"),
+    ({"kind": "su11", "k": True, "N": 8}, "'k'"),
+    ({"kind": "su11", "k": [0.5], "N": 8}, "'k'"),
+    ({"kind": "su11", "k": None, "N": 8}, "'k'"),
+    ({"kind": "su2", "j": True}, "'j'"),
+    ({"kind": "su2", "j": "2.5"}, "'j'"),
+    ({"kind": "su2", "j": {"value": 2.5}}, "'j'"),
 ])
 def test_basis_document_refuses_a_bad_field_by_name(doc, field):
     # a fractional size is not truncated, and a non-finite k is refused here,
@@ -80,6 +87,17 @@ def test_basis_document_refuses_a_bad_field_by_name(doc, field):
 def test_basis_sizes_take_any_integer_type():
     assert fock_basis(np.int64(32)) == fock_basis(32)
     assert multimode_basis(np.int32(2), np.int64(8)).dim == 64
+
+
+def test_basis_indices_take_any_real_number_type_as_a_float():
+    # an integer or numpy index is stored as the plain float it equals, so
+    # its repr, which names an observable set, is the same for every type
+    for k in (1, np.int64(1), np.float32(1.0), np.float64(1.0), 1.0):
+        basis = BasisSpec.from_dict({"kind": "su11", "k": k, "N": 8})
+        assert type(basis.k) is float and repr(basis.k) == "1.0"
+        assert basis == su11_basis(1.0, 8)
+    for j in (2, np.int32(2), np.float64(2.0)):
+        assert type(su2_basis(j).j) is float and su2_basis(j) == su2_basis(2.0)
 
 
 def test_basis_dimension_is_capped():

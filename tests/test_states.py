@@ -653,6 +653,66 @@ def test_su11_cs_adaptive_cutoff_grows_with_xi():
     assert near.tail_mass < 1e-12
 
 
+def _reference_su11_cs_cutoff(abs_xi, k):
+    """The default su11_cs cutoff as a level-by-level scan: ten levels past
+    the first weight that lies 50 e-folds below the running peak, confirmed
+    by the two levels after it."""
+    x2 = abs_xi * abs_xi
+    if x2 == 0.0:
+        return DEFAULT_SU11_CUTOFF
+    lw = 0.0
+    lw_max = 0.0
+    low = 0
+    n = 0
+    while n < MAX_ADAPTIVE_CUTOFF:
+        lw += math.log(x2) + math.log((2.0 * k + n) / (n + 1.0))
+        n += 1
+        if lw > lw_max:
+            lw_max = lw
+            low = 0
+        elif lw < lw_max - 50.0:
+            low += 1
+            if low >= 3:
+                return max(DEFAULT_SU11_CUTOFF, n + 8)
+        else:
+            low = 0
+    raise TruncationError(
+        f"su11_cs: |xi|={abs_xi:.6g}, k={k:.3g} needs more than "
+        f"{MAX_ADAPTIVE_CUTOFF} levels"
+    )
+
+
+def _cutoff_or_refusal(cutoff, abs_xi, k):
+    try:
+        return cutoff(abs_xi, k)
+    except TruncationError as exc:
+        return str(exc)
+
+
+def test_su11_cs_default_cutoff_matches_the_level_scan():
+    rng = np.random.default_rng(20001207)
+    ks = [0.05, 0.25, 0.4999, 0.5, 0.5001, 0.75, 1.0, 2.0, 7.5]
+    cases = [(0.0, k) for k in ks] + [(1e-170, 1.0), (1e-300, 0.5)]
+    cases += [(float(a), k) for a in np.linspace(0.0, 0.999, 40) for k in ks]
+    # wide-report's band at its k = 1 and at random k
+    cases += [(float(rng.uniform(0.965, 0.975)), k)
+              for k in [1.0] * 60 + list(rng.uniform(0.01, 10.0, 60))]
+    # near |xi| = 1, where the cutoff passes MAX_ADAPTIVE_CUTOFF and is refused
+    cases += [(float(1.0 - 10.0 ** rng.uniform(-9, -1.5)), float(10.0 ** rng.uniform(-2, 1.5)))
+              for _ in range(120)]
+    # the last radius at which the scan still ends, and the next float up
+    for a, k in ((0.9943643979418023, 0.3), (0.9939121094482645, 0.5),
+                 (0.9933060838397677, 1.0), (0.9917290000147948, 3.0)):
+        cases += [(a, k), (float(np.nextafter(a, 2.0)), k)]
+    refused = 0
+    for a, k in cases:
+        expected = _cutoff_or_refusal(_reference_su11_cs_cutoff, a, k)
+        assert _cutoff_or_refusal(states._su11_cs_cutoff, a, k) == expected, (a, k)
+        refused += isinstance(expected, str)
+    assert 60 < refused < len(cases) - 200
+    assert _reference_su11_cs_cutoff(0.9933060838397677, 1.0) == MAX_ADAPTIVE_CUTOFF + 8
+
+
 # ---------------------------------------------------------------------------
 # spin coherent states
 # ---------------------------------------------------------------------------
@@ -969,7 +1029,7 @@ def test_su11_intelligent_refuses_z_off_the_discrete_spectrum_before_evaluating(
     def unreachable(*args):
         raise AssertionError("amplitudes evaluated for a refused z")
 
-    for helper in ("_recurrence_amplitudes", "_raised_amplitudes", "_su11_cs_amplitudes"):
+    for helper in ("_recurrence_amplitudes", "_raised", "_su11_cs_amplitudes"):
         monkeypatch.setattr(states, helper, unreachable)
     rng = np.random.default_rng(3)
     draws = [(u, v, w, 0.5)]
@@ -981,6 +1041,77 @@ def test_su11_intelligent_refuses_z_off_the_discrete_spectrum_before_evaluating(
     for uu, vv, ww, zz in draws:
         with pytest.raises(NormalizabilityError):
             su11_intelligent(uu, vv, ww, zz, k)
+
+
+def _recorded_raisings(monkeypatch):
+    """The (bands, n) of every `_raised` call, which still runs."""
+    calls, raised = [], states._raised
+
+    def record(amp, bands, n):
+        calls.append((bands, n))
+        return raised(amp, bands, n)
+
+    monkeypatch.setattr(states, "_raised", record)
+    return calls
+
+
+def _low_vectors(rng, N, count=4):
+    """Random vectors on the lowest N/4 of N levels, whose mass stays away
+    from the cutoff under a few band products."""
+    psi = np.zeros((count, N), dtype=complex)
+    psi[:, :N // 4] = rng.normal(size=(count, N // 4)) + 1j * rng.normal(size=(count, N // 4))
+    return psi
+
+
+def _commutator(X, Y, psi):
+    """[X, Y] psi for the operators with bands X and Y."""
+    return apply_bands(X, apply_bands(Y, psi)) - apply_bands(Y, apply_bands(X, psi))
+
+
+def test_su11_intelligent_raising_bands_obey_the_commutator(monkeypatch):
+    # [M, E] psi = s E psi for the E that raises |t_in; k> up the discrete
+    # spectrum z = s (k + n), M = u K- + v K+ + w K3
+    calls = _recorded_raisings(monkeypatch)
+    rng = np.random.default_rng(20001207)
+    draws = [(1.0, 0.2, 3.0, 1.0, 2), (0.3, 0.3, 0.75, 0.5, 2)]
+    while len(draws) < 12:
+        u, v, w = (complex(*rng.normal(0.0, sd, 2)) for sd in (1.0, 1.0, 2.0))
+        l = cmath.sqrt(w * w - 4.0 * u * v)
+        radii = sorted(abs((-w + sl) / (2.0 * u)) for sl in (l, -l))
+        if radii[0] < 0.9 and radii[1] > 1.1:
+            draws.append((u, v, w, float(rng.choice([0.25, 0.5, 1.0, 2.0])),
+                          int(rng.integers(0, 4))))
+    for u, v, w, k, n0 in draws:
+        l = cmath.sqrt(w * w - 4.0 * u * v)
+        s = l if abs((-w + l) / (2.0 * u)) < 1.0 else -l
+        N = su11_intelligent(u, v, w, s * (k + n0), k).basis.N
+        E, n = calls[-1]
+        assert n == n0
+        c = states.su11_ladder(k, N)
+        M = {1: u * c, -1: v * c, 0: w * (k + np.arange(N))}
+        for psi in _low_vectors(rng, N):
+            sE = s * apply_bands(E, psi)
+            assert np.linalg.norm(_commutator(M, E, psi) - sE) <= 1e-12 * np.linalg.norm(sE)
+
+
+def test_squeezed_fock_raises_with_the_adjoint_of_a(monkeypatch):
+    # A^dag = conj(u) a^dag + conj(v) a on shell: [A, A^dag] = 1, and
+    # [A^dag A, A^dag] = A^dag, so each step climbs one level of A^dag A
+    calls = _recorded_raisings(monkeypatch)
+    rng = np.random.default_rng(20001207)
+    u, v = math.cosh(0.6) * cmath.exp(0.3j), math.sinh(0.6) * cmath.exp(-1.1j)
+    squeezed_fock(3, u, v, N=64)
+    (A_dag, n), = calls
+    assert n == 3
+    c = states.boson_ladder(64)
+    A = {1: u * c, -1: v * c}
+    number = _number_bands(u, v, 64)
+    for psi in _low_vectors(rng, 64):
+        np.testing.assert_allclose(_commutator(A, A_dag, psi), psi,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(psi))
+        up = apply_bands(A_dag, psi)
+        np.testing.assert_allclose(_commutator(number, A_dag, psi), up,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(up))
 
 
 def test_su11_intelligent_spectrum_contract():
