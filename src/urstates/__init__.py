@@ -32,16 +32,17 @@ from .matrixkit import (
     psd_min_eig,
 )
 from .states import (
-    SqueezeParams,
     bg_cs,
     canonical_ss,
     even_odd_cs,
     glauber,
+    squeeze_pair,
     squeezed_fock,
     su2_cs,
     su11_cs,
     su11_intelligent,
     su11_intelligent_spectrum,
+    uv_moments,
 )
 from .stateio import load_state, state_from_dict, state_to_dict
 from .moments import (
@@ -49,7 +50,6 @@ from .moments import (
     ObservableSet,
     moment_report,
     observable_set,
-    uv_moments,
 )
 from .urcheck import (
     OrderGapRecord,

@@ -35,7 +35,6 @@ from .errors import (
     NumericError,
     TruncationError,
 )
-from .hilbert import su11_rep
 from .intelligent import minimizer_certificate
 from .metrics import g_overlap, number_plus_one
 from .moments import _parse_set_name, moment_report, observable_set
@@ -163,36 +162,29 @@ def _cmd_state(args):
 # report
 # ---------------------------------------------------------------------------
 
-_SET_BASIS = {"canonical": "fock", "a2-quadratures": "fock", "su11": "su11", "su2": "su2"}
-_BASIS_WORDS = {"multimode": "a two-mode", "fock": "a Fock-basis",
-                "su11": "an su11-basis", "su2": "an su2-basis"}
-
-
 def _resolve_observables(name, basis):
     """Build a registry observable set on the basis the state lives in.
 
-    A bare family name picks up the state's own parameters (k, j, cutoff);
-    an explicit ``:x`` suffix must agree with them.
+    A bare ``su11`` or ``su2`` takes the state's own k or j, and every set
+    takes the state's cutoff; an explicit ``:x`` suffix must agree with the
+    state.  The set is built first and then must live on the state's basis.
     """
     head, arg = _parse_set_name(name)
-    if head not in _SET_BASIS:
-        raise InvalidInputError(f"unknown observable set {name!r}")
-    kind = "multimode" if (head, arg) == ("canonical", 2) else _SET_BASIS[head]
-    if basis.kind != kind:
+    letter = {"su11": "k", "su2": "j"}.get(head)
+    value = getattr(basis, letter) if letter else None
+    if value is not None:
+        if arg is not None and abs(arg - value) > 1e-12:
+            raise BasisMismatchError(
+                f"requested {letter}={arg!r} but the state carries {letter}={value!r}"
+            )
+        # the set is built at the state's exact index: repr round-trips the float
+        name = f"{head}:{value!r}"
+    obs = observable_set(name, N=basis.N)
+    if obs.basis != basis:
         raise BasisMismatchError(
-            f"observable set {name!r} needs {_BASIS_WORDS[kind]} state, got basis "
-            f"{basis.kind!r}"
+            f"observable set {obs.name!r} lives in basis {obs.basis}, the state in {basis}"
         )
-    if head not in ("su11", "su2"):
-        return observable_set(name, N=basis.N)
-    # the set is built at the state's exact index: repr round-trips the float
-    letter = "k" if head == "su11" else "j"
-    value = getattr(basis, letter)
-    if arg is not None and abs(arg - value) > 1e-12:
-        raise BasisMismatchError(
-            f"requested {letter}={arg!r} but the state carries {letter}={value!r}"
-        )
-    return observable_set(f"{head}:{value!r}", N=basis.N)
+    return obs
 
 
 def _report_document(state, obs, rep, ur, cert, orders):
@@ -424,9 +416,7 @@ def _distance_observable(name, basis):
     if name == "n+1":
         return number_plus_one(basis)
     if name == "k3":
-        if basis.kind != "su11":
-            raise BasisMismatchError("observable 'k3' needs an su11-basis state")
-        return su11_rep(basis.k, basis.N)["k3"]
+        return _resolve_observables("su11", basis).ops[2]
     raise InvalidInputError(
         f"unknown distance observable {name!r} (choose identity, n+1, k3)"
     )

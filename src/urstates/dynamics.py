@@ -249,7 +249,7 @@ def trajectory_table(profile, t_grid):
         )
     traj = integrate_epsilon(profile, t_grid)
     u, v = uv_trajectory(traj, profile.omega0)
-    from .moments import uv_moments
+    from .states import uv_moments
 
     rows = []
     for ti, eps, ui, vi in zip(traj.t.tolist(), traj.eps.tolist(), u.tolist(), v.tolist()):

@@ -9,6 +9,8 @@ which is phase-free, symmetric, and reduces to the fidelity-overlap
 distance at X = identity.
 """
 
+import math
+
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,12 @@ def _min_eig(X):
     return float(eigvals_banded(a_band, select="i", select_range=(0, 0))[0])
 
 
+def _pow2_scaled(y):
+    """``y`` times the exact power of two that brings its largest magnitude
+    into [1/2, 1)."""
+    return y * math.ldexp(1.0, -math.frexp(float(np.max(np.abs(y))))[1])
+
+
 def g_overlap(state1, state2, X=None, max_tail=1e-8):
     """Overlap functional g and distance D^2 = 2(1-g) under observable X.
 
@@ -89,6 +97,8 @@ def g_overlap(state1, state2, X=None, max_tail=1e-8):
         y2 = X.apply(state2.amplitudes)
         label = X.label
 
+    # a power of two changes no bit of g, and keeps n1 * n2 finite
+    y1, y2 = _pow2_scaled(y1), _pow2_scaled(y2)
     n1 = float(np.vdot(y1, y1).real)
     n2 = float(np.vdot(y2, y2).real)
     g = abs(np.vdot(y2, y1)) / np.sqrt(n1 * n2)

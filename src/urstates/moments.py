@@ -1,4 +1,4 @@
-"""First and second moments of observable sets, and the closed-form Gaussian moments.
+"""Observable sets, and the first and second moments of a state under them.
 
 The covariance matrix sigma and commutator matrix C are defined through the
 ordered second-moment Gram matrix G_ij = <X_i X_j>:
@@ -40,7 +40,6 @@ __all__ = [
     "observable_set",
     "MomentReport",
     "moment_report",
-    "uv_moments",
 ]
 
 
@@ -272,25 +271,3 @@ def _pure_moments(obs, psi):
     comm = (gram.imag - gram_t.imag) / 2.0
     return means, sigma, comm, centered
 
-
-# ---------------------------------------------------------------------------
-# Gaussian covariance from Bogoliubov data
-# ---------------------------------------------------------------------------
-
-def uv_moments(u, v):
-    """Second moments (dq^2, dp^2, dpq) of the u a + v a^dag eigenstate.
-
-    (u, v) are rescaled to the shell |u|^2 - |v|^2 = 1 first; on shell
-
-        dq^2 = |u - v|^2 / 2,  dp^2 = |u + v|^2 / 2,  dpq = Im(u conj(v))
-
-    and the Schrodinger equality dq^2 dp^2 - dpq^2 = 1/4 holds identically.
-    """
-    from .states import SqueezeParams
-
-    sq = SqueezeParams(complex(u), complex(v)).normalized()
-    u, v = sq.u, sq.v
-    dq2 = abs(u - v) ** 2 / 2.0
-    dp2 = abs(u + v) ** 2 / 2.0
-    dpq = (u * np.conj(v)).imag
-    return dq2, dp2, dpq

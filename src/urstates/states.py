@@ -10,15 +10,14 @@ tail-mass gates, and each family defined by an eigenvalue problem names its
 eigen-operator M by its bands and gates on the residual ||M psi - z psi||,
 against the truncation-aware `hilbert.residual_bound`.
 
-Conventions (hbar = 1): a = (q + ip)/sqrt(2); the squeeze parameters (u, v)
-always satisfy |u|^2 - |v|^2 = 1 after the internal rescale.
+Conventions (hbar = 1): a = (q + ip)/sqrt(2).  `squeeze_pair` puts the
+squeeze parameters (u, v) on the shell |u|^2 - |v|^2 = 1, and `uv_moments`
+gives the closed-form (q, p) second moments of the u a + v a^dag eigenstate.
 """
 
 import cmath
 import functools
 import math
-
-from dataclasses import dataclass
 
 import numpy as np
 # no caller in the package: bench/spans.py wraps states.expm, and reads
@@ -49,7 +48,8 @@ from .hilbert import (
 )
 
 __all__ = [
-    "SqueezeParams",
+    "squeeze_pair",
+    "uv_moments",
     "glauber",
     "canonical_ss",
     "squeezed_fock",
@@ -78,36 +78,41 @@ def _ray_scaled(*xs):
     return [complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)) for x in xs]
 
 
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Bogoliubov pair (u, v) defining A = u a + v a^dag.
+def squeeze_pair(u, v):
+    """The Bogoliubov pair (u, v) of A = u a + v a^dag on the shell
+    |u|^2 - |v|^2 = 1.
 
     The eigenvalue problem only sees the ray through (u, v), so any overall
-    complex rescale is allowed on input; ``normalized()`` maps onto the
-    canonical shell |u|^2 - |v|^2 = 1.
+    complex rescale is allowed on input; a pair with |u| <= |v| has no
+    normalizable eigenstate and is refused.
     """
-
-    u: complex
-    v: complex
-
-    def normalized(self):
-        u = complex(self.u)
-        v = complex(self.v)
-        _check_params("squeeze pair", u=u, v=v)
-        su, sv = _ray_scaled(u, v)
-        s = abs(su) ** 2 - abs(sv) ** 2
-        if not s > 0.0:
-            raise InvalidInputError(
-                f"squeeze pair needs |u| > |v| for a normalizable eigenstate, "
-                f"got |u|={abs(u):.6g}, |v|={abs(v):.6g}"
-            )
-        root = math.sqrt(s)
-        return SqueezeParams(su / root, sv / root)
+    u, v = complex(u), complex(v)
+    _check_params("squeeze pair", u=u, v=v)
+    su, sv = _ray_scaled(u, v)
+    s = abs(su) ** 2 - abs(sv) ** 2
+    if not s > 0.0:
+        raise InvalidInputError(
+            f"squeeze pair needs |u| > |v| for a normalizable eigenstate, "
+            f"got |u|={abs(u):.6g}, |v|={abs(v):.6g}"
+        )
+    root = math.sqrt(s)
+    return su / root, sv / root
 
 
-def _coerce_squeeze(u, v):
-    sq = SqueezeParams(complex(u), complex(v)).normalized()
-    return sq.u, sq.v
+def uv_moments(u, v):
+    """Second moments (dq^2, dp^2, dpq) of the u a + v a^dag eigenstate.
+
+    (u, v) are rescaled to the shell |u|^2 - |v|^2 = 1 first; on shell
+
+        dq^2 = |u - v|^2 / 2,  dp^2 = |u + v|^2 / 2,  dpq = Im(u conj(v))
+
+    and the Schrodinger equality dq^2 dp^2 - dpq^2 = 1/4 holds identically.
+    """
+    u, v = squeeze_pair(u, v)
+    dq2 = abs(u - v) ** 2 / 2.0
+    dp2 = abs(u + v) ** 2 / 2.0
+    dpq = (u * np.conj(v)).imag
+    return dq2, dp2, dpq
 
 
 def _check_params(family, **params):
@@ -143,22 +148,22 @@ def _fock_cutoff(N, alpha, family):
     return N
 
 
-def _step_amplitudes(x, ratio, dim, start=0, step=1):
+def _step_amplitudes(x, ratios, start=0, step=1):
     """Normalized amplitudes c_n ~ x^n w_n on the levels n = start,
-    start + step, ... below ``dim``, zero elsewhere.
+    start + step, ... below ``len(ratios) + step``, zero elsewhere.
 
-    ``ratio(m)`` gives the weight ratios w_{m+step} / w_m > 0 on every kept
-    level m but the last.  |x|^step enters them through its log, and the
-    phase as e^{i n arg x} (atan2, which gives 0 where the angle underflows
-    and cmath.phase raises); x = 0 leaves the lowest kept level alone.
+    ``ratios[m]`` is the weight ratio w_{m+step} / w_m > 0 of level m.
+    |x|^step enters them through its log, and the phase as e^{i n arg x}
+    (atan2, which gives 0 where the angle underflows and cmath.phase
+    raises); x = 0 leaves the lowest kept level alone.
     """
-    amp = np.zeros(dim, dtype=np.complex128)
+    amp = np.zeros(len(ratios) + step, dtype=np.complex128)
     if x == 0.0:
         amp[start] = 1.0
         return amp
-    levels = np.arange(start, dim, step)
+    levels = np.arange(start, amp.size, step)
     # log|c_n / c_start| as one running sum of the log step ratios
-    log_steps = step * math.log(abs(x)) + np.log(ratio(levels[:-1]))
+    log_steps = step * math.log(abs(x)) + np.log(ratios[start::step])
     logs = np.concatenate(([0.0], np.cumsum(log_steps)))
     logs -= logs.max()
     amp[levels] = np.exp(logs) * np.exp(1j * math.atan2(x.imag, x.real) * levels)
@@ -287,7 +292,7 @@ def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
     """
     alpha = complex(alpha)
     _check_params("canonical_ss", alpha=alpha)
-    u, v = _coerce_squeeze(u, v)
+    u, v = squeeze_pair(u, v)
     N = _fock_cutoff(N, alpha, "canonical_ss")
     amp, bands = _squeezed_amplitudes(alpha, u, v, N)
     return _certified(amp, fock_basis(N), "canonical_ss",
@@ -318,7 +323,7 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
     n = int(n)
     if n < 0:
         raise InvalidInputError(f"squeezed_fock needs n >= 0, got {n}")
-    u, v = _coerce_squeeze(u, v)
+    u, v = squeeze_pair(u, v)
     N = _cutoff(N, "squeezed_fock", DEFAULT_FOCK_CUTOFF)
     if n >= N // 2:
         raise TruncationError(f"squeezed_fock: level n={n} too close to cutoff N={N}")
@@ -343,12 +348,13 @@ def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
     if parity == "odd" and alpha == 0.0:
         raise InvalidInputError("odd projection of the vacuum vanishes identically")
     N = _fock_cutoff(N, alpha, "even_odd_cs")
-    amp = _step_amplitudes(alpha, lambda m: 1.0 / np.sqrt((m + 1.0) * (m + 2.0)), N,
-                           start=0 if parity == "even" else 1, step=2)
-    c = boson_ladder(N)
+    # a^2 carries sqrt((n+1)(n+2)) on band +2
+    n = np.arange(N - 2, dtype=float)
+    band = np.sqrt((n + 1.0) * (n + 2.0))
+    amp = _step_amplitudes(alpha, 1.0 / band, start=0 if parity == "even" else 1, step=2)
     return _certified(amp, fock_basis(N), "even_odd_cs",
                       {"alpha": alpha, "parity": parity}, max_tail,
-                      {2: c[:-1] * c[1:]}, alpha * alpha,
+                      {2: band}, alpha * alpha,
                       max(1.0, abs(alpha) ** 2) * math.sqrt(N))
 
 
@@ -367,12 +373,13 @@ def bg_cs(z, k, N=None, max_tail=1e-8):
     k = float(k)
     _check_params("bg_cs", z=z, k=k)
     N = _cutoff(N, "bg_cs", DEFAULT_SU11_CUTOFF)
-    amp = _step_amplitudes(z, lambda m: 1.0 / np.sqrt((m + 1.0) * (2.0 * k + m)), N)
+    band = su11_ladder(k, N)
+    amp = _step_amplitudes(z, 1.0 / band)
     top = edge_mass(amp, 1)
     if top > 1e-14:
         raise TruncationError(f"bg_cs: top-level amplitude mass {top:.3e} > 1e-14")
     return _certified(amp, su11_basis(k, N), "bg_cs", {"z": z, "k": k}, max_tail,
-                      {1: su11_ladder(k, N)}, z, max(1.0, abs(z)))
+                      {1: band}, z, max(1.0, abs(z)))
 
 
 def _su11_cs_cutoff(abs_xi, k):
@@ -397,7 +404,8 @@ def _su11_cs_cutoff(abs_xi, k):
 def _su11_cs_amplitudes(xi, k, N):
     """Normalized amplitudes c_n ~ xi^n sqrt((2k)_n / n!) of |xi; k> on the
     lowest N weight levels."""
-    return _step_amplitudes(xi, lambda m: np.sqrt((2.0 * k + m) / (m + 1.0)), N)
+    m = np.arange(N - 1)
+    return _step_amplitudes(xi, np.sqrt((2.0 * k + m) / (m + 1.0)))
 
 
 def su11_cs(xi, k, N=None, max_tail=1e-8):
@@ -433,7 +441,8 @@ def su2_cs(tau, j):
     j = float(j)
     _check_params("su2_cs", tau=tau, j=j)
     basis = su2_basis(j)
-    amp = _step_amplitudes(tau, lambda m: np.sqrt((2.0 * j - m) / (m + 1.0)), basis.dim)
+    m = np.arange(basis.dim - 1)
+    amp = _step_amplitudes(tau, np.sqrt((2.0 * j - m) / (m + 1.0)))
     return StateVector(amp, basis, family="su2_cs", params={"tau": tau, "j": j})
 
 

@@ -15,7 +15,7 @@ is what makes them genuinely new constraints.
 """
 
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb, inf, isfinite
 
 import numpy as np
 
@@ -78,6 +78,9 @@ class OrderGapRecord:
     def __init__(self, r, c_sigma, c_comm, n, mean_var):
         self.r, self.c_sigma, self.c_comm, self.gap = r, c_sigma, c_comm, c_sigma - c_comm
         self._n, self._mean_var = n, mean_var
+        if not isfinite(self.gap):
+            raise NumericError(f"order-{r} gap C_{r}(sigma) - C_{r}(C) is {self.gap!r}: "
+                               f"its products of moments overflow")
 
     @property
     def saturated(self):

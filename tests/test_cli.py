@@ -1,8 +1,8 @@
 """End-to-end CLI behavior: exit codes, JSON/CSV payloads, golden documents.
 
 All invocations run in-process through ``main`` so coverage and debuggers
-see straight through them; goldens are compared structurally (exact keys
-and strings, floats to tight tolerance) rather than byte-for-byte.
+see straight through them; each golden is compared with the output of its
+command byte for byte.
 """
 
 import contextlib
@@ -25,7 +25,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from urstates import acceptance, cli, dynamics
 from urstates.cli import main
 from urstates.errors import UrstatesError
-from urstates.hilbert import MAX_BASIS_DIM, StateVector, fock_basis, multimode_basis
+from urstates.hilbert import (MAX_BASIS_DIM, Operator, StateVector, fock_basis, multimode_basis,
+                              su11_basis)
+from urstates.metrics import g_overlap
 from urstates.stateio import document_text, load_state, state_to_dict
 from urstates.states import FAMILIES, canonical_ss
 
@@ -49,44 +51,6 @@ def _profile(tmp_path, doc, name="profile.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def assert_json_matches(actual, expected, path="$"):
-    if isinstance(expected, dict):
-        assert isinstance(actual, dict), path
-        assert set(actual) == set(expected), path
-        for key in expected:
-            assert_json_matches(actual[key], expected[key], f"{path}.{key}")
-    elif isinstance(expected, list):
-        assert isinstance(actual, list), path
-        assert len(actual) == len(expected), path
-        for i, (a, e) in enumerate(zip(actual, expected)):
-            assert_json_matches(a, e, f"{path}[{i}]")
-    elif isinstance(expected, bool):
-        assert actual is expected, path
-    elif isinstance(expected, float) or isinstance(actual, float):
-        assert actual == pytest.approx(expected, rel=1e-9, abs=1e-12), path
-    else:
-        assert actual == expected, path
-
-
-def assert_csv_matches(actual_text, expected_text):
-    actual = actual_text.strip().split("\n")
-    expected = expected_text.strip().split("\n")
-    assert actual[0] == expected[0]
-    assert len(actual) == len(expected)
-    for row, (a_line, e_line) in enumerate(zip(actual[1:], expected[1:]), 1):
-        a_cells = a_line.split(",")
-        e_cells = e_line.split(",")
-        assert len(a_cells) == len(e_cells), f"row {row}"
-        for col, (a, e) in enumerate(zip(a_cells, e_cells)):
-            try:
-                ev = float(e)
-            except ValueError:
-                assert a == e, f"row {row} col {col}"
-            else:
-                assert float(a) == pytest.approx(ev, rel=1e-9, abs=1e-12), \
-                    f"row {row} col {col}"
 
 
 # -- state ------------------------------------------------------------------
@@ -450,6 +414,42 @@ def test_report_su11_index_must_agree(tmp_path, capsys):
         assert json.loads(err)["error"] == "BasisMismatchError"
 
 
+#: state commands, each with observable sets that live on another basis
+_FOREIGN_SETS = {
+    "fock": (["--family", "glauber", "--alpha", "0.3", "--cutoff", "32"],
+             ["su11", "su2", "canonical:2"]),
+    "su11": (["--family", "su11-cs", "--xi", "0.3", "--k", "1", "--cutoff", "64"],
+             ["canonical", "a2-quadratures", "su2"]),
+    "su2": (["--family", "su2-cs", "--tau", "0.3", "--j", "1.5"],
+            ["canonical", "su11:0.5"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FOREIGN_SETS))
+def test_report_refuses_a_set_of_another_basis(tmp_path, capsys, kind):
+    state_args, names = _FOREIGN_SETS[kind]
+    st = _write_state(tmp_path, capsys, "st.json", *state_args)
+    for name in names:
+        code, out, err = run_cli(capsys, "report", "--state", st, "--observables", name)
+        assert code == 2, (name, err)
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "BasisMismatchError", name
+
+
+def test_report_with_overflowing_gaps_is_a_numeric_error(tmp_path, capsys):
+    # K1 and K2 carry variances near k/2, so C_2(sigma) overflows at k = 1e200
+    st = _write_state(tmp_path, capsys, "bg.json", "--family", "bg-cs", "--z", "0.5",
+                      "--k", "1e200", "--cutoff", "8")
+    code, out, err = run_cli(capsys, "report", "--state", st, "--observables", "su11")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "NumericError"
+    assert "order-2 gap" in payload["message"]
+
+
 def test_report_missing_state_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--state",
                            str(tmp_path / "ghost.json"),
@@ -664,6 +664,37 @@ def test_distance_observable_gates(tmp_path, capsys):
                              "--state2", s2, "--observable", "banana")
     assert code2 == 2
     assert json.loads(err2)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("k", [1e80, 1e200, 1e300])
+def test_distance_under_k3_at_a_huge_index(tmp_path, capsys, k):
+    # |K3 psi|^2 is near k^2, so the product of the two norms overflows
+    s1 = _write_state(tmp_path, capsys, "a.json", "--family", "bg-cs", "--z", "0.5",
+                      "--k", repr(k), "--cutoff", "8")
+    # the bg-cs states at such k are all near |k, k>: two decaying random rays
+    rng = np.random.default_rng(24)
+    basis = su11_basis(k, 8)
+    rays = [(rng.normal(size=8) + 1j * rng.normal(size=8)) * 0.2 ** np.arange(8)
+            for _ in range(2)]
+    pair = [StateVector(ray / np.linalg.norm(ray), basis) for ray in rays]
+    paths = [str(tmp_path / f"r{i}.json") for i in range(2)]
+    for path, st in zip(paths, pair):
+        pathlib.Path(path).write_text(document_text(state_to_dict(st)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "distance", "--state1", s1, "--state2", s1,
+                                 "--observable", "k3")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["g"], doc["D2"]) == (1.0, 0.0)
+        code, out, err = run_cli(capsys, "distance", "--state1", paths[0],
+                                 "--state2", paths[1], "--observable", "k3")
+        assert (code, err) == (0, "")
+    # g does not change when X is scaled: K3 / k has the band (k + n) / k
+    scaled = Operator("K3/k", {0: (k + np.arange(8.0)) / k}, basis)
+    g = json.loads(out)["g"]
+    assert 0.0 < g < 0.99
+    assert g == pytest.approx(g_overlap(*pair, scaled).g, rel=1e-12, abs=0)
 
 
 def test_distance_tail_gate_is_a_truncation_error(tmp_path, capsys):
@@ -1156,8 +1187,7 @@ def test_golden_state_document(capsys):
     code, out, _ = run_cli(capsys, "state", "--family", "glauber",
                            "--alpha", "0.3+0.4j", "--cutoff", "32")
     assert code == 0
-    expected = json.loads((GOLDEN / "state_glauber.json").read_text())
-    assert_json_matches(json.loads(out), expected)
+    assert out == (GOLDEN / "state_glauber.json").read_text()
 
 
 #: the other families, each with a golden document made by the same command
@@ -1182,8 +1212,7 @@ def test_golden_states_cover_every_family():
 def test_golden_state_document_of_every_family(capsys, family):
     code, out, _ = run_cli(capsys, "state", "--family", family, *_GOLDEN_STATES[family])
     assert code == 0
-    expected = json.loads((GOLDEN / f"state_{family}.json").read_text())
-    assert_json_matches(json.loads(out), expected)
+    assert out == (GOLDEN / f"state_{family}.json").read_text()
 
 
 def test_golden_report_document(tmp_path, capsys):
@@ -1192,8 +1221,7 @@ def test_golden_report_document(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "report", "--state", st,
                            "--observables", "su11", "--certificate")
     assert code == 0
-    expected = json.loads((GOLDEN / "report_su11_cs.json").read_text())
-    assert_json_matches(json.loads(out), expected)
+    assert out == (GOLDEN / "report_su11_cs.json").read_text()
 
 
 def _two_mode_state(tmp_path):
@@ -1234,8 +1262,7 @@ def test_golden_report_of_other_observable_sets(tmp_path, capsys, golden):
     st = _golden_report_state(tmp_path, capsys, golden)
     code, out, err = run_cli(capsys, "report", "--state", st, *_GOLDEN_REPORTS[golden][1])
     assert code == 0, err
-    expected = json.loads((GOLDEN / golden).read_text())
-    assert_json_matches(json.loads(out), expected)
+    assert out == (GOLDEN / golden).read_text()
 
 
 def _assert_certificate_gaps_are_the_ur_gaps(doc):
@@ -1265,12 +1292,10 @@ def test_golden_distance_document(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "distance", "--state1", s1, "--state2", s2,
                            "--observable", "n+1")
     assert code == 0
-    expected = json.loads((GOLDEN / "distance_glauber.json").read_text())
-    assert_json_matches(json.loads(out), expected)
+    assert out == (GOLDEN / "distance_glauber.json").read_text()
 
 
-#: golden evolve tables: name -> (profile, evolve flags); the CI console-script
-#: step runs the same commands
+#: golden evolve tables: name -> (profile, evolve flags)
 _GOLDEN_EVOLVE = {
     "const": ({"kind": "omega", "omega": 2.0, "omega0": 1.0},
               ["--t0", "0", "--t1", "1", "--samples", "5"]),
@@ -1287,7 +1312,7 @@ def test_golden_evolve_table(tmp_path, capsys):
     for golden, (doc, flags) in _GOLDEN_EVOLVE.items():
         code, out, _ = run_cli(capsys, "evolve", "--profile", _profile(tmp_path, doc), *flags)
         assert code == 0, golden
-        assert_csv_matches(out, (GOLDEN / f"evolve_{golden}.csv").read_text())
+        assert out == (GOLDEN / f"evolve_{golden}.csv").read_text(), golden
 
 
 def test_write_csv_writes_each_cell_as_its_str(tmp_path):
@@ -1317,7 +1342,7 @@ def test_write_csv_writes_each_cell_as_its_str(tmp_path):
 def test_golden_scan_table(capsys, suite):
     code, out, _ = run_cli(capsys, "scan", "--suite", suite, "--seed", "42")
     assert code == 0
-    assert_csv_matches(out, (GOLDEN / f"scan_{suite}.csv").read_text())
+    assert out == (GOLDEN / f"scan_{suite}.csv").read_text()
 
 
 # -- cold start ---------------------------------------------------------------

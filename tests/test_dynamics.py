@@ -18,7 +18,7 @@ from urstates.dynamics import (
 )
 from urstates.errors import InvalidInputError, NumericError, SingularProfileError
 from urstates.hilbert import basis_state, fock_basis
-from urstates.states import SqueezeParams, canonical_ss
+from urstates.states import canonical_ss, squeeze_pair
 
 # constant omega = 2 with omega0 = 1: the canonical solution is
 # eps = cos 2t + (i/2) sin 2t, u = cos 2t + (5i/4) sin 2t, v = (3i/4) sin 2t
@@ -163,8 +163,7 @@ def test_wavefunction_normalization_and_dual_route():
     u = math.cosh(0.6)
     v = math.sinh(0.6) * np.exp(0.9j)
     x = np.linspace(-8.0, 8.0, 1601)
-    sq = SqueezeParams(u, v).normalized()
-    psi = gaussian_wavefunction(alpha, sq.u, sq.v, x)
+    psi = gaussian_wavefunction(alpha, *squeeze_pair(u, v), x)
     norm = np.trapezoid(np.abs(psi) ** 2, x)
     assert norm == pytest.approx(1.0, rel=1e-9)
     # independent route: synthesize the same state from Fock amplitudes

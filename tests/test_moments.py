@@ -24,10 +24,9 @@ from urstates.moments import (
     ObservableSet,
     moment_report,
     observable_set,
-    uv_moments,
 )
 from urstates.matrixkit import psd_min_eig
-from urstates.states import canonical_ss, glauber, su11_cs
+from urstates.states import canonical_ss, su11_cs, uv_moments
 from urstates.urcheck import _ur_from_moments, char_ur_report
 
 
