@@ -11,8 +11,10 @@ su(1,1) discrete series D+(k), basis |k, k+n>, n = 0, 1, ...:
 su(2) spin j, basis |j,m>, m = -j..j (index 0 is m = -j):
     J+|j,m> = sqrt((j-m)(j+m+1)) |j,m+1>,  [J1, J2] = i J3
 
-Truncation honesty is tracked through tail-mass certificates: the recorded
-tail of a state is the probability sitting in the top 10% of basis levels.
+A basis is one of the four kinds in `_KIND_FIELDS`, which lists the fields
+that define each.  Truncation honesty is tracked through tail-mass
+certificates: the recorded tail of a state is the probability in the top
+10% of the levels of each mode, and `check_tail` is the one gate on it.
 """
 
 import math
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import (
     BasisMismatchError,
     InvalidInputError,
+    TruncationError,
     UnsupportedScaleError,
 )
 
@@ -33,7 +36,7 @@ __all__ = [
     "Operator",
     "apply_bands",
     "StateVector",
-    "mass_exceeds",
+    "check_tail",
     "boson_ladder",
     "su11_ladder",
     "hermitian_parts",
@@ -66,13 +69,18 @@ RESIDUAL_TOL = 1e-8
 MAX_BASIS_DIM = 1 << 16
 
 
+#: the fields that define each basis kind, in the order its document lists
+#: them after "kind"; N >= 2 wherever it is listed
+_KIND_FIELDS = {"fock": ("N",), "su11": ("N", "k"), "su2": ("j",), "multimode": ("N", "s")}
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Identifies the ordered basis a matrix or amplitude vector lives in.
 
-    kind is one of 'fock', 'su11', 'su2', 'multimode'.  N is the per-mode
-    level count (fock/su11/multimode), k the Bargmann index (su11), j the
-    spin (su2), s the mode count (multimode).
+    kind is a key of `_KIND_FIELDS`.  N is the per-mode level count
+    (fock/su11/multimode), k the Bargmann index (su11), j the spin (su2),
+    s the mode count (multimode, always 2).
     """
 
     kind: str
@@ -82,13 +90,15 @@ class BasisSpec:
     s: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("fock", "su11", "su2", "multimode"):
+        if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
             raise InvalidInputError(f"unknown basis kind {self.kind!r}")
         for name in ("N", "s"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool)
                                       or not isinstance(value, (int, np.integer))):
                 raise InvalidInputError(f"basis field {name!r} must be an integer, got {value!r}")
+            # a plain int, which to_dict writes as it is
+            object.__setattr__(self, name, None if value is None else int(value))
         for name in ("k", "j"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(
@@ -97,19 +107,20 @@ class BasisSpec:
                                         f"got {value!r}")
             # a plain float, so that repr names the index the same way for any input type
             object.__setattr__(self, name, None if value is None else float(value))
-        if self.kind in ("fock", "su11", "multimode"):
-            if self.N is None or self.N < 2:
-                raise InvalidInputError(f"basis {self.kind!r} needs N >= 2, got {self.N}")
-        if self.kind == "su11":
-            if self.k is None or not math.isfinite(self.k) or self.k <= 0:
-                raise InvalidInputError(
-                    f"su11 basis field 'k' needs a finite Bargmann index k > 0, got {self.k}")
-        if self.kind == "su2":
-            if (self.j is None or not np.isfinite(self.j) or self.j <= 0
-                    or round(2 * self.j) != 2 * self.j):
-                raise InvalidInputError(f"su2 basis needs half-integer j > 0, got {self.j}")
-        if self.kind == "multimode" and self.s not in (1, 2):
-            raise UnsupportedScaleError(f"multimode basis supports s in {{1,2}}, got s={self.s}")
+        for name in _KIND_FIELDS[self.kind]:
+            if getattr(self, name) is None:
+                raise InvalidInputError(f"{self.kind} basis has no field {name!r}")
+        if "N" in _KIND_FIELDS[self.kind] and self.N < 2:
+            raise InvalidInputError(f"basis {self.kind!r} needs N >= 2, got {self.N}")
+        if self.kind == "su11" and not 0.0 < self.k < math.inf:
+            raise InvalidInputError(
+                f"su11 basis field 'k' needs a finite Bargmann index k > 0, got {self.k}")
+        if self.kind == "su2" and not (0.0 < self.j < math.inf
+                                       and round(2 * self.j) == 2 * self.j):
+            raise InvalidInputError(f"su2 basis needs half-integer j > 0, got {self.j}")
+        # s = 1 would be the Fock space under another name
+        if self.kind == "multimode" and self.s != 2:
+            raise UnsupportedScaleError(f"multimode basis supports s = 2 only, got s={self.s}")
         if self.dim > MAX_BASIS_DIM:
             raise UnsupportedScaleError(
                 f"{self.kind} basis dimension {self.dim} exceeds MAX_BASIS_DIM={MAX_BASIS_DIM}"
@@ -121,45 +132,26 @@ class BasisSpec:
             return int(round(2 * self.j)) + 1
         return self.N ** self.s if self.kind == "multimode" else self.N
 
-    def tail_start(self):
-        """First flat index counted as tail (per mode for multimode).
-
-        An su(2) basis is the complete (2j+1)-dimensional irrep — nothing is
-        truncated — so its tail window is empty and tail mass is identically
-        zero.
-        """
-        return self.dim if self.kind == "su2" else int((1.0 - TAIL_FRACTION) * self.N)
-
-    def tail_index_mask(self):
-        """Boolean mask over flat indices marking the recorded tail region."""
-        if self.kind != "multimode":
-            return np.arange(self.dim) >= self.tail_start()
-        per_mode = mask = np.arange(self.N) >= self.tail_start()
-        for _ in range(self.s - 1):
-            mask = np.logical_or.outer(mask, per_mode).ravel()
-        return mask
-
     @cached_property
     def _tail(self):
-        """The recorded tail region as an index into flat amplitudes, built once."""
-        return (self.tail_index_mask() if self.kind == "multimode"
-                else slice(self.tail_start(), None))
+        """The recorded tail region as an index into flat amplitudes, built
+        once: the top TAIL_FRACTION of each mode's levels, and none on su2,
+        the complete (2j+1)-dimensional irrep, where nothing is truncated."""
+        if self.kind == "su2":
+            return slice(self.dim, None)
+        start = int((1.0 - TAIL_FRACTION) * self.N)
+        if self.kind != "multimode":
+            return slice(start, None)
+        per_mode = np.arange(self.N) >= start
+        return np.logical_or.outer(per_mode, per_mode).ravel()
 
     def tail_sum(self, prob):
         """Sum of the per-index weights ``prob`` over the recorded tail region."""
         return float(prob[self._tail].sum())
 
     def to_dict(self):
-        d = {"kind": self.kind}
-        if self.kind in ("fock", "su11", "multimode"):
-            d["N"] = int(self.N)
-        if self.kind == "su11":
-            d["k"] = float(self.k)
-        if self.kind == "su2":
-            d["j"] = float(self.j)
-        if self.kind == "multimode":
-            d["s"] = int(self.s)
-        return d
+        return {"kind": self.kind,
+                **{name: getattr(self, name) for name in _KIND_FIELDS[self.kind]}}
 
     @staticmethod
     def from_dict(d):
@@ -168,15 +160,8 @@ class BasisSpec:
                 f"basis document must be an object, got {type(d).__name__}"
             )
         kind = d.get("kind")
-        if kind == "fock":
-            return fock_basis(d["N"])
-        if kind == "su11":
-            return su11_basis(d["k"], d["N"])
-        if kind == "su2":
-            return su2_basis(d["j"])
-        if kind == "multimode":
-            return multimode_basis(d.get("s", 2), d["N"])
-        raise InvalidInputError(f"unknown basis kind {kind!r}")
+        fields = _KIND_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+        return BasisSpec(kind, **{name: d.get(name) for name in fields})
 
 
 def fock_basis(N=DEFAULT_FOCK_CUTOFF):
@@ -293,17 +278,16 @@ class StateVector:
     def dim(self):
         return self.basis.dim
 
-    def tail_exceeds(self, max_tail):
-        """Whether the tail mass is above ``max_tail``; see `mass_exceeds`."""
-        return mass_exceeds(self.tail_mass, max_tail)
 
-
-def mass_exceeds(mass, max_tail):
-    """Whether ``mass`` is above ``max_tail`` (never for None).  A NaN bound,
-    which ``mass > nan`` would let through, or a negative one is refused."""
+def check_tail(mass, max_tail, what):
+    """Refuse a ``mass`` above ``max_tail`` (never for None) with a
+    TruncationError whose message opens with ``what``, the name of the mass.
+    A NaN bound, which ``mass > nan`` would let through, or a negative one
+    is an InvalidInputError."""
     if max_tail is not None and not max_tail >= 0.0:
         raise InvalidInputError(f"max_tail must be None or >= 0, got {max_tail!r}")
-    return max_tail is not None and mass > max_tail
+    if max_tail is not None and mass > max_tail:
+        raise TruncationError(f"{what} {mass:.3e} exceeds {max_tail:.1e}")
 
 
 def edge_mass(amp, levels=2):
@@ -312,11 +296,13 @@ def edge_mass(amp, levels=2):
 
 
 def residual_bound(amp, basis, scale):
-    """max(RESIDUAL_TOL, 50 scale sqrt(N m)), m the `edge_mass` of ``amp`` on
+    """scale max(RESIDUAL_TOL, 50 sqrt(N m)), m the `edge_mass` of ``amp`` on
     its N levels, or 0 on an su(2) basis, which is the whole irrep: a state
-    with mass near the cutoff cannot solve its truncated eigen-equation better."""
+    with mass near the cutoff cannot solve its truncated eigen-equation
+    better, and rounding in the residual grows with the eigenvalue, which
+    ``scale`` (>= 1) carries."""
     mass = 0.0 if basis.kind == "su2" else edge_mass(amp)
-    return max(RESIDUAL_TOL, 50.0 * scale * math.sqrt(amp.size * mass))
+    return scale * max(RESIDUAL_TOL, 50.0 * math.sqrt(amp.size * mass))
 
 
 def basis_state(basis, n):

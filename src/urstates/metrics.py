@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, InvalidInputError, TruncationError
-from .hilbert import Operator, StateVector
+from .errors import BasisMismatchError, InvalidInputError
+from .hilbert import Operator, StateVector, check_tail
 
 __all__ = ["DistanceResult", "g_overlap", "number_plus_one"]
 
@@ -71,10 +71,7 @@ def g_overlap(state1, state2, X=None, max_tail=1e-8):
     for st in (state1, state2):
         if not isinstance(st, StateVector):
             raise InvalidInputError("g_overlap compares pure states")
-        if st.tail_exceeds(max_tail):
-            raise TruncationError(
-                f"state tail mass {st.tail_mass:.3e} exceeds {max_tail:.1e}"
-            )
+        check_tail(st.tail_mass, max_tail, "state tail mass")
     if state1.basis != state2.basis:
         raise BasisMismatchError("states live in different bases")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisMismatchError, InvalidInputError, TruncationError
+from .errors import BasisMismatchError, InvalidInputError
 from .hilbert import (
     DEFAULT_FOCK_CUTOFF,
     DEFAULT_MODE_CUTOFF,
@@ -26,6 +26,7 @@ from .hilbert import (
     StateVector,
     boson_ladder,
     boson_rep,
+    check_tail,
     fock_basis,
     hermitian_parts,
     su11_rep,
@@ -242,11 +243,7 @@ def _check_compat(obs, state, max_tail):
         raise BasisMismatchError(
             f"state basis {state.basis} does not match observable basis {obs.basis}"
         )
-    if state.tail_exceeds(max_tail):
-        raise TruncationError(
-            f"state tail mass {state.tail_mass:.3e} exceeds {max_tail:.1e}; "
-            f"moments would not be trustworthy"
-        )
+    check_tail(state.tail_mass, max_tail, "state tail mass")
 
 
 def _pure_moments(obs, psi):

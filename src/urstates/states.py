@@ -38,9 +38,9 @@ from .hilbert import (
     StateVector,
     apply_bands,
     boson_ladder,
+    check_tail,
     edge_mass,
     fock_basis,
-    mass_exceeds,
     residual_bound,
     su11_basis,
     su11_ladder,
@@ -181,10 +181,7 @@ def _certified(amp, basis, family, params, max_tail, bands, z, scale, discarded=
     """
     state = StateVector(amp, basis, family=family, params=params)
     mass, what = (state.tail_mass, "tail") if discarded is None else (discarded, "discarded")
-    if mass_exceeds(mass, max_tail):
-        raise TruncationError(
-            f"{family}: {what} mass {mass:.3e} exceeds {max_tail:.1e}; raise the cutoff N"
-        )
+    check_tail(mass, max_tail, f"{family}: {what} mass")
     res = float(np.linalg.norm(apply_bands(bands, amp) - z * amp))
     bound = residual_bound(amp, basis, scale)
     # a NaN residual fails the gate, where res > bound would let it through
@@ -375,9 +372,7 @@ def bg_cs(z, k, N=None, max_tail=1e-8):
     N = _cutoff(N, "bg_cs", DEFAULT_SU11_CUTOFF)
     band = su11_ladder(k, N)
     amp = _step_amplitudes(z, 1.0 / band)
-    top = edge_mass(amp, 1)
-    if top > 1e-14:
-        raise TruncationError(f"bg_cs: top-level amplitude mass {top:.3e} > 1e-14")
+    check_tail(edge_mass(amp, 1), 1e-14, "bg_cs: top-level amplitude mass")
     return _certified(amp, su11_basis(k, N), "bg_cs", {"z": z, "k": k}, max_tail,
                       {1: band}, z, max(1.0, abs(z)))
 

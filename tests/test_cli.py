@@ -25,8 +25,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from urstates import acceptance, cli, dynamics
 from urstates.cli import main
 from urstates.errors import UrstatesError
-from urstates.hilbert import (MAX_BASIS_DIM, Operator, StateVector, fock_basis, multimode_basis,
-                              su11_basis)
+from urstates.hilbert import (MAX_BASIS_DIM, Operator, StateVector, apply_bands, fock_basis,
+                              multimode_basis, su11_basis, su11_ladder)
 from urstates.metrics import g_overlap
 from urstates.stateio import document_text, load_state, state_to_dict
 from urstates.states import FAMILIES, canonical_ss
@@ -184,6 +184,21 @@ def test_state_max_tail_gates_glauber_and_bg_cs(capsys, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "TruncationError"
+
+
+@pytest.mark.parametrize("z, k, cutoff", [
+    (1e9, 1e20, 48),
+    *((0.5 * math.sqrt(k), k, 24) for k in (1e20, 1e80, 1e200, 1e300)),
+])
+def test_state_bg_cs_at_a_large_eigenvalue_solves_its_eigen_equation(tmp_path, capsys,
+                                                                     z, k, cutoff):
+    # rounding in ||K- psi - z psi|| grows with |z|: an absolute residual
+    # bound once refused these states with exit 1
+    path = _write_state(tmp_path, capsys, "bg.json", "--family", "bg-cs", f"--z={z!r}",
+                        f"--k={k!r}", "--cutoff", str(cutoff))
+    psi = load_state(path).amplitudes
+    residual = np.linalg.norm(apply_bands({1: su11_ladder(k, cutoff)}, psi) - z * psi)
+    assert residual <= 1e-13 * z
 
 
 def test_state_su2_cs_refuses_a_cutoff(capsys):
@@ -1222,6 +1237,19 @@ def test_golden_report_document(tmp_path, capsys):
                            "--observables", "su11", "--certificate")
     assert code == 0
     assert out == (GOLDEN / "report_su11_cs.json").read_text()
+
+
+@pytest.mark.parametrize("s, N", [(1, 12), (3, 4)])
+def test_report_refuses_a_multimode_document_without_two_modes(tmp_path, capsys, s, N):
+    # one mode is the Fock space under another name
+    doc = {"family": None, "params": {}, "basis": {"kind": "multimode", "N": N, "s": s},
+           "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (N ** s - 1), "tail_mass": 0.0}
+    path = _profile(tmp_path, doc, "modes.json")
+    code, out, err = run_cli(capsys, "report", "--state", path, "--observables", "canonical")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "UnsupportedScaleError"
 
 
 def _two_mode_state(tmp_path):

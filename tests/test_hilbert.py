@@ -1,5 +1,6 @@
 """Bases, state containers, and the ladder representations."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from urstates.errors import (
     BasisMismatchError,
     InvalidInputError,
+    TruncationError,
     UnsupportedScaleError,
 )
 from urstates.hilbert import (
@@ -18,6 +20,7 @@ from urstates.hilbert import (
     StateVector,
     basis_state,
     boson_rep,
+    check_tail,
     fock_basis,
     multimode_basis,
     residual_bound,
@@ -28,6 +31,12 @@ from urstates.hilbert import (
     tensor_rep,
 )
 from urstates.moments import observable_set
+
+
+def tail_mask(basis):
+    """The recorded tail region of ``basis``, read through `tail_sum` on
+    each unit vector of its flat index."""
+    return np.array([basis.tail_sum(unit) for unit in np.eye(basis.dim)]) == 1.0
 
 
 def dense_operator(label, mat, basis):
@@ -52,8 +61,10 @@ def test_basis_validation():
         su11_basis(-0.5, 32)
     with pytest.raises(InvalidInputError):
         su2_basis(0.6)
-    with pytest.raises(UnsupportedScaleError):
-        multimode_basis(3, 8)
+    for s in (1, 3):
+        # s = 1 would be the Fock space under another name
+        with pytest.raises(UnsupportedScaleError, match="s = 2"):
+            multimode_basis(s, 8)
     for bad_j in (math.nan, math.inf):
         with pytest.raises(InvalidInputError):
             su2_basis(bad_j)
@@ -112,7 +123,7 @@ def test_basis_dimension_is_capped():
 
 
 def test_fock_tail_window_is_top_decile():
-    mask = fock_basis(100).tail_index_mask()
+    mask = tail_mask(fock_basis(100))
     assert mask.sum() == 10
     assert mask[90:].all() and not mask[:90].any()
 
@@ -121,20 +132,36 @@ def test_su2_has_no_tail_window():
     # the (2j+1)-level basis is the complete irrep: nothing is truncated,
     # so the truncation certificate is identically zero
     for j in (0.5, 1.0, 7.5):
-        assert not su2_basis(j).tail_index_mask().any()
+        assert not tail_mask(su2_basis(j)).any()
     amp = np.array([0.0, 1.0])
     assert StateVector(amp, su2_basis(0.5)).tail_mass == 0.0
 
 
 def test_multimode_tail_window_is_per_mode():
-    mask = multimode_basis(2, 10).tail_index_mask().reshape(10, 10)
+    mask = tail_mask(multimode_basis(2, 10)).reshape(10, 10)
     assert mask[9, :].all() and mask[:, 9].all()
     assert not mask[:9, :9].any()
 
 
+_BASES = (fock_basis(32), su11_basis(0.75, 48), su2_basis(2.0), multimode_basis(2, 8))
+
+
+def test_basis_document_lists_the_kind_then_the_fields_of_its_kind_in_order():
+    fields = {"fock": ["N"], "su11": ["N", "k"], "su2": ["j"], "multimode": ["N", "s"]}
+    assert sorted(fields) == sorted(b.kind for b in _BASES)
+    for b in _BASES:
+        assert list(b.to_dict()) == ["kind"] + fields[b.kind]
+
+
+def test_basis_from_numpy_scalars_serializes_as_the_plain_one():
+    numpy_bases = (fock_basis(np.int64(32)), su11_basis(np.float32(0.75), np.int64(48)),
+                   su2_basis(np.float32(2.0)), multimode_basis(np.int64(2), np.int64(8)))
+    for plain, numpy_made in zip(_BASES, numpy_bases):
+        assert json.dumps(numpy_made.to_dict()) == json.dumps(plain.to_dict())
+
+
 def test_basis_spec_roundtrip():
-    for b in (fock_basis(32), su11_basis(0.75, 48), su2_basis(2.0),
-              multimode_basis(2, 8)):
+    for b in _BASES:
         assert BasisSpec.from_dict(b.to_dict()) == b
 
 
@@ -156,14 +183,13 @@ def test_state_vector_validation():
 
 
 @pytest.mark.parametrize("basis", [fock_basis(37), su11_basis(0.75, 50),
-                                   su2_basis(3.5), multimode_basis(1, 12),
-                                   multimode_basis(2, 9)])
+                                   su2_basis(3.5), multimode_basis(2, 9)])
 def test_tail_mass_is_the_sum_over_the_tail_mask(basis):
     rng = np.random.default_rng(7)
     amp = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     amp /= np.linalg.norm(amp)
     prob = np.abs(amp) ** 2
-    mask = basis.tail_index_mask()
+    mask = tail_mask(basis)
     tail_mass = StateVector(amp, basis).tail_mass
     assert tail_mass == float(np.sum(prob[mask]))
     assert tail_mass == basis.tail_sum(np.abs(amp) ** 2)
@@ -174,14 +200,14 @@ def test_tail_mass_is_the_sum_over_the_tail_mask(basis):
 
 def test_tail_gate_bound():
     top = basis_state(fock_basis(10), 9)
-    assert top.tail_exceeds(0.5)
-    assert not top.tail_exceeds(1.0)
-    assert not top.tail_exceeds(math.inf)
-    assert not top.tail_exceeds(None)
+    with pytest.raises(TruncationError, match="^top tail mass 1.000e[+]00 exceeds 5.0e-01$"):
+        check_tail(top.tail_mass, 0.5, "top tail mass")
+    for bound in (1.0, math.inf, None):
+        check_tail(top.tail_mass, bound, "top tail mass")
     # tail_mass > nan is false, so a NaN bound would turn the gate off
     for bad in (math.nan, -1.0, -1e-300):
         with pytest.raises(InvalidInputError, match="max_tail"):
-            top.tail_exceeds(bad)
+            check_tail(top.tail_mass, bad, "top tail mass")
 
 
 def test_residual_bound_widens_with_the_top_two_levels_except_on_su2():
@@ -189,10 +215,10 @@ def test_residual_bound_widens_with_the_top_two_levels_except_on_su2():
     amp[-2:] = 0.6, 0.8j
     assert residual_bound(amp, fock_basis(6), 2.0) == 50.0 * 2.0 * math.sqrt(6.0)
     # su(2) is the whole irrep: its top levels are not a cutoff
-    assert residual_bound(amp, su2_basis(2.5), 2.0) == RESIDUAL_TOL
+    assert residual_bound(amp, su2_basis(2.5), 2.0) == 2.0 * RESIDUAL_TOL
     amp[-2:] = 0.0
     amp[0] = 1.0
-    assert residual_bound(amp, fock_basis(6), 2.0) == RESIDUAL_TOL
+    assert residual_bound(amp, fock_basis(6), 2.0) == 2.0 * RESIDUAL_TOL
 
 
 def test_basis_state():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from urstates.errors import InvalidInputError, NumericError
+from urstates.hilbert import basis_state, fock_basis, multimode_basis, su2_basis, su11_basis
 from urstates.states import bg_cs, even_odd_cs, glauber, su2_cs, su11_cs
 from urstates.stateio import (
     document_text,
@@ -62,6 +63,16 @@ def test_malformed_documents_are_rejected():
         doc = {k: v for k, v in good.items()}
         mutilate(doc)
         with pytest.raises(InvalidInputError):
+            state_from_dict(doc)
+
+
+@pytest.mark.parametrize("basis", [fock_basis(8), su11_basis(0.5, 8), su2_basis(1.5),
+                                   multimode_basis(2, 4)])
+def test_a_document_missing_a_field_of_its_basis_kind_is_refused_by_name(basis):
+    for name in list(basis.to_dict())[1:]:
+        doc = state_to_dict(basis_state(basis, 1))
+        del doc["basis"][name]
+        with pytest.raises(InvalidInputError, match=f"no field '{name}'"):
             state_from_dict(doc)
 
 
