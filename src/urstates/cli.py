@@ -118,7 +118,7 @@ _PARAM_TYPES = {**dict.fromkeys(("alpha", "u", "v", "w", "z", "xi", "tau"), _com
 
 
 def _param_flag(name):
-    return {"N": "--cutoff", "max_tail": "--max-tail"}.get(name, f"--{name}")
+    return "--cutoff" if name == "N" else f"--{name}"
 
 
 def _max_tail(args):
@@ -238,14 +238,14 @@ def _cmd_report(args):
     max_tail = _max_tail(args)
     state = load_state(args.state)
     obs = _resolve_observables(args.observables, state.basis)
-    rep = moment_report(obs, state, max_tail=max_tail)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
     if args.orders is not None:
         bad = [r for r in args.orders if not 1 <= r <= obs.n]
         if bad:
             raise InvalidInputError(
                 f"orders {bad} outside 1..{obs.n} for {obs.n} observables"
             )
+    rep = moment_report(obs, state, max_tail=max_tail)
+    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
     cert = minimizer_certificate(state, obs, report=rep) if args.certificate else None
     _write_json(_report_document(state, obs, rep, ur, cert, args.orders), args.out)
     return EX_OK

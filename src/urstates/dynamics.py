@@ -235,7 +235,11 @@ TABLE_HEADER = ("t", "re_eps", "im_eps", "re_u", "im_u", "re_v", "im_v",
 def trajectory_table(profile, t_grid):
     """Integrate and tabulate: (traj, u, v, rows), one row of TABLE_HEADER
     cells per grid time, each a Python float, so the rows are the ``evolve``
-    table as written.  The moments are `uv_moments` of each (u, v) pair.
+    table as written.  The moments are those of (u, v) on its shell, in
+    closed form in eps: with s = Im(conj(eps) eps') = |u|^2 - |v|^2, which
+    the Wronskian gate holds to 1 +- drift/2, dq^2 = w0 |eps|^2 / (2s),
+    dp^2 = |eps'|^2 / (2 w0 s) and dpq = Re(conj(eps) eps') / (2s).  A cell
+    that is not finite raises NumericError naming its t.
 
     Only bare-frequency profiles (kind "omega") map onto (u, v) literally;
     any other g123 profile carries its squeezing in a transformed frame and
@@ -248,21 +252,17 @@ def trajectory_table(profile, t_grid):
             "classical_flow instead"
         )
     traj = integrate_epsilon(profile, t_grid)
-    u, v = uv_trajectory(traj, profile.omega0)
-    from .states import uv_moments
-
-    rows = []
-    for ti, eps, ui, vi in zip(traj.t.tolist(), traj.eps.tolist(), u.tolist(), v.tolist()):
-        try:
-            dq2, dp2, dpq = uv_moments(ui, vi)
-        except InvalidInputError as exc:
-            # the Wronskian gate holds |u|^2 - |v|^2 = 1 to 1e-8, so a pair
-            # the shell normalization refuses has lost its precision
-            raise NumericError(f"(u, v) at t = {ti:.6g} lost the shell "
-                               f"|u|^2 - |v|^2 = 1: {exc}") from exc
-        rows.append([ti, eps.real, eps.imag, ui.real, ui.imag, vi.real, vi.imag,
-                     dq2, dp2, float(dpq)])
-    return traj, u, v, rows
+    eps, deps, w0 = traj.eps, traj.deps, profile.omega0
+    with np.errstate(all="ignore"):  # an overflow leaves an inf, refused below
+        u, v = uv_trajectory(traj, w0)
+        cross = np.conj(eps) * deps
+        table = np.column_stack((traj.t, eps.real, eps.imag, u.real, u.imag, v.real, v.imag,
+                                 w0 * np.abs(eps) ** 2, np.abs(deps) ** 2 / w0, cross.real))
+        table[:, 7:] /= 2.0 * cross.imag[:, None]
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise NumericError(f"evolve table is not finite at t = {traj.t[bad.argmax()]:.6g}")
+    return traj, u, v, table.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -265,14 +265,14 @@ class StateVector:
             raise BasisMismatchError(
                 f"amplitude vector length {amp.size} does not match basis dim {self.basis.dim}"
             )
-        prob = np.abs(amp) ** 2
-        norm2 = float(prob.sum())
-        if not math.isfinite(norm2):
-            raise InvalidInputError("state amplitudes must be finite")
-        if abs(norm2 - 1.0) > 1e-12:
-            raise InvalidInputError(f"state not normalized: sum |a_n|^2 = {norm2!r}")
+        # a BLAS dot product overflows to inf or nan without a numpy warning,
+        # so nothing is squared before the norm is checked
+        norm2 = float(np.vdot(amp, amp).real)
+        if not abs(norm2 - 1.0) <= 1e-12:
+            raise InvalidInputError(f"state not normalized: sum |a_n|^2 = {norm2!r}"
+                                    if np.isfinite(amp).all() else "state amplitudes must be finite")
         self.amplitudes = amp
-        self.tail_mass = self.basis.tail_sum(prob)
+        self.tail_mass = self.basis.tail_sum(np.abs(amp) ** 2)
 
     @property
     def dim(self):

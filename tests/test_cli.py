@@ -379,6 +379,21 @@ def test_report_orders_filter(tmp_path, capsys):
     assert json.loads(err)["error"] == "InvalidInputError"
 
 
+def test_report_refuses_orders_before_the_moments(tmp_path, capsys, monkeypatch):
+    st = _write_state(tmp_path, capsys, "g.json", "--family", "glauber",
+                      "--alpha", "0.2", "--cutoff", "32")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("moments computed for a refused --orders")
+
+    monkeypatch.setattr(cli, "moment_report", no_work)
+    code, out, err = run_cli(capsys, "report", "--state", st,
+                             "--observables", "canonical", "--orders", "1,3")
+    assert code == 2
+    assert out == ""
+    assert "orders [3]" in json.loads(err)["message"]
+
+
 def test_report_certificate_block(tmp_path, capsys):
     st = _write_state(tmp_path, capsys, "ss.json", "--family", "canonical-ss",
                       "--alpha", "0.4", "--u", "1.25", "--v", "0.75")
@@ -532,11 +547,23 @@ def _basis_j_bool(doc):
     doc["basis"] = {"kind": "su2", "j": True}
 
 
+def _amplitude_huge(doc):
+    # squared before it was checked: once a numpy overflow warning and the
+    # message "must be finite"
+    doc["amplitudes"][0] = [1e308, 0.0]
+
+
+def _amplitude_nan(doc):
+    doc["amplitudes"][0] = [math.nan, 0.0]
+
+
 _FIELD_DEFECTS = {"params-list": (_params_list, "params"),
                   "basis-N-fraction": (_basis_n_fraction, "'N'"),
                   "basis-k-nan": (_basis_k_nan, "'k'"),
                   "basis-k-string": (_basis_k_string, "'k'"),
-                  "basis-j-bool": (_basis_j_bool, "'j'")}
+                  "basis-j-bool": (_basis_j_bool, "'j'"),
+                  "amplitude-huge": (_amplitude_huge, "not normalized"),
+                  "amplitude-nan": (_amplitude_nan, "must be finite")}
 
 
 def _defective_state(tmp_path, capsys, defect, name="s.json"):
@@ -943,10 +970,6 @@ def test_evolve_pole_profile_exits_1(tmp_path, capsys, monkeypatch):
     {"kind": "omega", "omega": 1e300},
     # omega0^2 underflows to 0 under the division: once a ZeroDivisionError
     {"kind": "omega", "omega": 1.0, "omega0": 1e-300},
-    # |u| and |v| near 6e28 and 6e98 agree to every digit: once reported as
-    # the domain error "squeeze pair needs |u| > |v|" with exit 2
-    {"kind": "omega", "omega": 1.0, "omega0": 1e30},
-    {"kind": "omega", "omega": 1.0, "omega0": 1e100},
 ])
 def test_evolve_extreme_constant_is_a_numeric_error(tmp_path, capsys, doc):
     prof = _profile(tmp_path, doc)
@@ -956,6 +979,36 @@ def test_evolve_extreme_constant_is_a_numeric_error(tmp_path, capsys, doc):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "NumericError"
+
+
+@pytest.mark.parametrize("omega0", [1e30, 1e100])
+def test_evolve_at_a_huge_omega0_follows_the_closed_form(tmp_path, capsys, omega0):
+    # |u| and |v| near 2.4e29 and 2.4e99 at t = 0.5 agree to every digit, so
+    # their squares cancel: once the refusal "squeeze pair needs |u| > |v|"
+    prof = _profile(tmp_path, {"kind": "omega", "omega": 1.0, "omega0": omega0})
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof,
+                             "--t0", "0", "--t1", "0.5", "--samples", "5")
+    assert code == 0, err
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    for t, *_uv, dq2, dp2, dpq in rows:
+        # eps = cos t / sqrt(w0) + i sqrt(w0) sin t, Wronskian 2i
+        eps = complex(math.cos(t) / math.sqrt(omega0), math.sqrt(omega0) * math.sin(t))
+        deps = complex(-math.sin(t) / math.sqrt(omega0), math.sqrt(omega0) * math.cos(t))
+        assert dq2 == pytest.approx(omega0 * abs(eps) ** 2 / 2.0, rel=1e-9)
+        assert dp2 == pytest.approx(abs(deps) ** 2 / (2.0 * omega0), rel=1e-9)
+        assert dpq == pytest.approx((eps.conjugate() * deps).real / 2.0, rel=1e-9)
+
+
+def test_evolve_refuses_a_moment_past_the_float_range(tmp_path, capsys):
+    # dq2 = w0^2 sin^2(wt) / (2 w^2) reaches 5e319 at t = 1.6e10
+    prof = _profile(tmp_path, {"kind": "omega", "omega": 1e-10, "omega0": 1e150})
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof,
+                             "--t0", "0", "--t1", "1.6e10", "--samples", "5")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NumericError"
 
 
 def test_evolve_ignores_derivative_fields(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urstates import dynamics
 from urstates.dynamics import (
@@ -18,7 +19,7 @@ from urstates.dynamics import (
 )
 from urstates.errors import InvalidInputError, NumericError, SingularProfileError
 from urstates.hilbert import basis_state, fock_basis
-from urstates.states import canonical_ss, squeeze_pair
+from urstates.states import canonical_ss, squeeze_pair, uv_moments
 
 # constant omega = 2 with omega0 = 1: the canonical solution is
 # eps = cos 2t + (i/2) sin 2t, u = cos 2t + (5i/4) sin 2t, v = (3i/4) sin 2t
@@ -150,6 +151,33 @@ def test_trajectory_table_rows():
     assert dq2 == pytest.approx(abs(u[5] - v[5]) ** 2 / 2.0, rel=1e-12)
     # Schrodinger equality holds along the whole trajectory
     assert dq2 * dp2 - dpq ** 2 == pytest.approx(0.25, rel=1e-8)
+
+
+#: bare frequencies with |omega| <= 3, constant or slowly varying, so that no
+#: draw integrates for long
+_BARE_OMEGAS = st.floats(0.05, 3.0) | st.builds(
+    lambda a, b, c: (lambda t: a + b * math.sin(c * t)),
+    st.floats(1.0, 2.0), st.floats(-0.9, 0.9), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega=_BARE_OMEGAS, omega0=st.none() | st.floats(0.05, 3.0),
+       t0=st.floats(-1.0, 1.0), span=st.floats(0.01, 3.0), samples=st.integers(2, 12))
+def test_trajectory_table_moments_are_uv_moments(omega, omega0, t0, span, samples):
+    # the closed forms in eps are the moments of each (u, v) pair on its shell
+    profile = OscillatorProfile.from_omega(omega, omega0=omega0)
+    _traj, u, v, rows = trajectory_table(profile, np.linspace(t0, t0 + span, samples))
+    for ui, vi, row in zip(u, v, rows):
+        dq2, dp2, dpq = row[7:]
+        ref_q, ref_p, ref_pq = uv_moments(ui, vi)
+        # uv_moments loses digits in u - v or u + v once |u|, |v| >> 1: its
+        # rounding grows with cosh 2r = |u|^2 + |v|^2 on the shell (at w = 1,
+        # w0 = 1/16, t = 1 it is 1.2e-14 from the exact moments of eps and
+        # eps', the closed form 3e-17)
+        rel = 4e-15 * (abs(ui) ** 2 + abs(vi) ** 2)
+        assert dq2 == pytest.approx(ref_q, rel=rel, abs=0.0)
+        assert dp2 == pytest.approx(ref_p, rel=rel, abs=0.0)
+        assert abs(dpq - ref_pq) <= rel * math.sqrt(dq2 * dp2)
 
 
 def test_trajectory_table_refuses_tilted_profile():
