@@ -7,7 +7,6 @@ from .errors import (
     InvalidInputError,
     NormalizabilityError,
     NumericError,
-    SingularProfileError,
     TruncationError,
     UnsupportedScaleError,
     UrstatesError,
@@ -42,7 +41,6 @@ from .states import (
     su11_cs,
     su11_intelligent,
     su11_intelligent_spectrum,
-    uv_moments,
 )
 from .stateio import load_state, state_from_dict, state_to_dict
 from .moments import (
@@ -67,7 +65,6 @@ from .dynamics import (
     EpsilonTrajectory,
     OscillatorProfile,
     classical_flow,
-    effective_frequency,
     integrate_epsilon,
     trajectory_table,
     uv_trajectory,

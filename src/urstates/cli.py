@@ -327,11 +327,16 @@ def _expr_callable(expr):
     return fn
 
 
+def _is_number(value):
+    """A JSON number; a bool is not one, though Python counts it as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _profile_field(doc, key):
     if key not in doc:
         raise InvalidInputError(f"profile document is missing {key!r}")
     value = doc[key]
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return float(value)
     if isinstance(value, str):
         return _expr_callable(value)
@@ -375,17 +380,19 @@ def _load_profile(path):
 
 def _profile_from_dict(doc):
     kind = doc.get("kind")
+    omega0 = doc.get("omega0")
+    if omega0 is not None and not _is_number(omega0):
+        raise InvalidInputError(f"profile field 'omega0' must be a number, got {omega0!r}")
     if kind == "omega":
-        return OscillatorProfile.from_omega(
-            _profile_field(doc, "omega"), omega0=doc.get("omega0"))
+        return OscillatorProfile.from_omega(_profile_field(doc, "omega"), omega0=omega0)
     if kind == "g123":
-        if "omega0" not in doc:
+        if omega0 is None:
             raise InvalidInputError("g123 profile needs omega0")
         return OscillatorProfile.from_g123(
             _profile_field(doc, "g1"),
             _profile_field(doc, "g2"),
             _profile_field(doc, "g3"),
-            float(doc["omega0"]),
+            omega0,
         )
     raise InvalidInputError(f"profile kind must be 'omega' or 'g123', got {kind!r}")
 

@@ -6,13 +6,12 @@ time dependence of the squeezed family rides in the Bogoliubov pair
 
     eps'' + Omega^2(t) eps = 0,   Wronskian conj(eps) eps' - eps conj(eps') = 2i
 
-with Omega^2 the effective frequency of the general quadratic profile
-H = omega0 [g1 p^2 + g2 (pq + qp) + g3 q^2], with central differences for
-the derivatives of g1 and g2, from the canonical initial data
-eps(t0) = 1/sqrt(omega0), eps'(t0) = i sqrt(omega0).  An arithmetic
-failure on the way raises NumericError.  The classical Hamilton flow
-for (<p>, <q>) and the squeeze pair (p~, q~) = (Dpq/Dq, Dq) provides an
-independent integration route used for cross-checks.
+from the canonical initial data eps(t0) = 1/sqrt(omega0),
+eps'(t0) = i sqrt(omega0).  A profile is that pair (omega0, Omega^2(t)) and
+nothing more.  An arithmetic failure on the way raises NumericError.  The
+classical Hamilton flow for (<p>, <q>) and the squeeze pair
+(p~, q~) = (Dpq/Dq, Dq) provides an independent integration route used for
+cross-checks.
 """
 
 import math
@@ -21,23 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, SingularProfileError
+from .errors import InvalidInputError, NumericError
 
 __all__ = [
     "OscillatorProfile",
     "EpsilonTrajectory",
     "ClassicalPhasePoint",
     "ClassicalTrajectory",
-    "effective_frequency",
     "integrate_epsilon",
     "uv_trajectory",
     "trajectory_table",
     "TABLE_HEADER",
     "classical_flow",
 ]
-
-#: central-difference step of the derivatives of g1 and g2
-DIFF_STEP = 1e-5
 
 #: maximum tolerated Wronskian drift over an integration window
 WRONSKIAN_TOL = 1e-8
@@ -58,19 +53,15 @@ def _as_callable(f):
 
 @dataclass
 class OscillatorProfile:
-    """Time-dependent quadratic oscillator: coefficient functions g1, g2, g3
-    with scale omega0.  ``kind`` is "omega" for a bare-frequency oscillator,
-    (g1, g2) = (1/2, 0) by construction, and "g123" otherwise."""
+    """A bare oscillator: the scale omega0 of the canonical initial data and
+    the squared frequency Omega^2(t), a function of t."""
 
-    kind: str
     omega0: float
-    g1: object
-    g2: object
-    g3: object
+    omega_sq: object
 
     @classmethod
     def from_omega(cls, omega, omega0=None):
-        """A bare-frequency profile; omega(0) is read only as the default
+        """Omega^2 = omega(t)^2; omega(0) is read only as the default
         omega0, so a window away from t = 0 never needs it."""
         om = _as_callable(omega)
         omega0 = float(om(0.0) if omega0 is None else omega0)
@@ -79,56 +70,21 @@ class OscillatorProfile:
                 f"frequency profile needs a finite omega0 > 0 (omega(0) when omega0 "
                 f"is not given), got {omega0}"
             )
-        g3 = lambda t, _om=om, _w0=omega0: _om(t) ** 2 / (2.0 * _w0 * _w0)
-        return cls(kind="omega", omega0=omega0, g1=lambda t: 0.5, g2=lambda t: 0.0, g3=g3)
+        return cls(omega0, lambda t: om(t) ** 2)
 
     @classmethod
     def from_g123(cls, g1, g2, g3, omega0):
-        """A g123 profile; g1 and g2 given as the numbers 1/2 and 0 make it
-        a bare-frequency one (kind "omega")."""
+        """H = omega0 [g1 p^2 + g2 (pq + qp) + g3 q^2] with g1 and g2 given as
+        the numbers 1/2 and 0, so that Omega^2 = 2 omega0^2 g3(t); any other
+        g1 or g2 carries its squeezing in a transformed frame and is refused."""
         omega0 = float(omega0)
         if not 0.0 < omega0 < math.inf:
             raise InvalidInputError(f"omega0 must be positive and finite, got {omega0}")
-        bare = not (callable(g1) or callable(g2)) and (float(g1), float(g2)) == (0.5, 0.0)
-        return cls(kind="omega" if bare else "g123", omega0=omega0,
-                   g1=_as_callable(g1), g2=_as_callable(g2), g3=_as_callable(g3))
-
-    def g_values(self, t):
-        return self.g1(t), self.g2(t), self.g3(t)
-
-
-def _d1(f, t):
-    return (f(t + DIFF_STEP) - f(t - DIFF_STEP)) / (2.0 * DIFF_STEP)
-
-
-def _d2(f, t):
-    return (f(t + DIFF_STEP) - 2.0 * f(t) + f(t - DIFF_STEP)) / DIFF_STEP ** 2
-
-
-def effective_frequency(profile, t):
-    """Omega^2(t) of the equivalent bare oscillator:
-
-    Omega^2 = 4 w0^2 g1 g3 + 2 w0 g2 g1'/g1 + g1''/(2 g1) - 3 g1'^2/(4 g1^2)
-              - 4 w0^2 g2^2 - 2 w0 g2'
-
-    The derivatives of g1 and g2 are central differences with step
-    DIFF_STEP = 1e-5, exactly 0 for constant g1 and g2.
-    """
-    g1 = profile.g1(t)
-    if abs(g1) < 1e-12:
-        raise SingularProfileError(f"g1({t}) = {g1}: effective frequency undefined")
-    g2 = profile.g2(t)
-    g3 = profile.g3(t)
-    dg1 = _d1(profile.g1, t)
-    ddg1 = _d2(profile.g1, t)
-    dg2 = _d1(profile.g2, t)
-    w0 = profile.omega0
-    return (4.0 * w0 * w0 * g1 * g3
-            + 2.0 * w0 * g2 * dg1 / g1
-            + ddg1 / (2.0 * g1)
-            - 3.0 * dg1 * dg1 / (4.0 * g1 * g1)
-            - 4.0 * w0 * w0 * g2 * g2
-            - 2.0 * w0 * dg2)
+        if callable(g1) or callable(g2) or (float(g1), float(g2)) != (0.5, 0.0):
+            raise InvalidInputError("a g123 profile needs g1 and g2 given as the "
+                                    "numbers 1/2 and 0")
+        g3 = _as_callable(g3)
+        return cls(omega0, lambda t: 2.0 * omega0 * omega0 * g3(t))
 
 
 def _integrate(rhs, t_grid, y0, what):
@@ -197,7 +153,7 @@ def integrate_epsilon(profile, t_grid):
     rw = math.sqrt(profile.omega0)
 
     def rhs(tt, y):
-        om2 = effective_frequency(profile, tt)
+        om2 = profile.omega_sq(tt)
         return [y[2], y[3], -om2 * y[0], -om2 * y[1]]
 
     # (Re eps, Im eps, Re eps', Im eps') at t0
@@ -240,17 +196,7 @@ def trajectory_table(profile, t_grid):
     the Wronskian gate holds to 1 +- drift/2, dq^2 = w0 |eps|^2 / (2s),
     dp^2 = |eps'|^2 / (2 w0 s) and dpq = Re(conj(eps) eps') / (2s).  A cell
     that is not finite raises NumericError naming its t.
-
-    Only bare-frequency profiles (kind "omega") map onto (u, v) literally;
-    any other g123 profile carries its squeezing in a transformed frame and
-    is refused here rather than silently mislabeled.
     """
-    if profile.kind != "omega":
-        raise InvalidInputError(
-            "u/v extraction applies to bare-frequency profiles "
-            "(g1 = 1/2, g2 = 0); evolve the generic profile through "
-            "classical_flow instead"
-        )
     traj = integrate_epsilon(profile, t_grid)
     eps, deps, w0 = traj.eps, traj.deps, profile.omega0
     with np.errstate(all="ignore"):  # an overflow leaves an inf, refused below
@@ -293,32 +239,20 @@ class ClassicalTrajectory:
     energy: np.ndarray
 
 
-def _hamiltonian_value(profile, t, p, q, pt, qt):
-    g1, g2, g3 = profile.g_values(t)
-    w0 = profile.omega0
-    return w0 * (g1 * (p * p + pt * pt + 1.0 / (4.0 * qt * qt))
-                 + 2.0 * g2 * (p * q + pt * qt)
-                 + g3 * (q * q + qt * qt))
-
-
 def classical_flow(profile, init, t_grid):
     """Hamilton flow of the expectation Hamiltonian
 
-    H = w0 [g1 (p^2 + p~^2 + 1/(4 q~^2)) + 2 g2 (pq + p~q~) + g3 (q^2 + q~^2)]
+    H = (w0/2) (p^2 + p~^2 + 1/(4 q~^2)) + (Omega^2/(2 w0)) (q^2 + q~^2)
 
     driving both canonical pairs; the 1/(4 q~^2) centrifugal term keeps
-    q~ = Dq strictly positive along any quadratic profile.
+    q~ = Dq strictly positive.
     """
+    w0 = profile.omega0
+
     def rhs(tt, y):
         p, q, pt, qt = y
-        g1, g2, g3 = profile.g_values(tt)
-        w0 = profile.omega0
-        return [
-            -w0 * (2.0 * g2 * p + 2.0 * g3 * q),
-            w0 * (2.0 * g1 * p + 2.0 * g2 * q),
-            -w0 * (2.0 * g2 * pt + 2.0 * g3 * qt - g1 / (2.0 * qt ** 3)),
-            w0 * (2.0 * g1 * pt + 2.0 * g2 * qt),
-        ]
+        k = profile.omega_sq(tt) / w0
+        return [-k * q, w0 * p, w0 / (4.0 * qt ** 3) - k * qt, w0 * pt]
 
     t, (p, q, pt, qt) = _integrate(
         rhs, t_grid, [init.p_mean, init.q_mean, init.p_tilde, init.q_tilde],
@@ -327,8 +261,7 @@ def classical_flow(profile, init, t_grid):
         raise NumericError(
             f"squeezing collapse: q~ reached {np.min(qt):.3e} during the flow"
         )
-    energy = np.array([
-        _hamiltonian_value(profile, t[i], p[i], q[i], pt[i], qt[i])
-        for i in range(t.size)
-    ])
+    om2 = np.fromiter(map(profile.omega_sq, t), float, t.size)
+    energy = (w0 / 2.0 * (p * p + pt * pt + 0.25 / (qt * qt))
+              + om2 / (2.0 * w0) * (q * q + qt * qt))
     return ClassicalTrajectory(t, p, q, pt, qt, energy)

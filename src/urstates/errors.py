@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 The split matters for the CLI: contract violations (bad parameters, basis
-mismatches, normalizability failures, insufficient cutoffs) map to exit
-code 2, internal numeric failures (over/underflowed amplitudes, eigen-residuals
-above their bound, integrator step collapse) map to exit code 1.
+mismatches, normalizability failures, insufficient cutoffs, oscillator
+profiles that are not a bare frequency) map to exit code 2, internal numeric
+failures (over/underflowed amplitudes, eigen-residuals above their bound,
+integrator step collapse) map to exit code 1.
 """
 
 
@@ -25,10 +26,6 @@ class NormalizabilityError(InvalidInputError):
 
 class UnsupportedScaleError(InvalidInputError):
     """Mode count / representation size outside the supported range."""
-
-
-class SingularProfileError(InvalidInputError):
-    """Time-dependent profile is singular (e.g. vanishing kinetic coefficient)."""
 
 
 class TruncationError(UrstatesError):

@@ -6,6 +6,7 @@ Floats go through repr, so a dump/load cycle is bit-exact.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -26,10 +27,20 @@ def _encode_param(value):
     raise InvalidInputError(f"cannot serialize state parameter of type {type(value)!r}")
 
 
-def _decode_param(value):
+def _finite_number(value):
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+def _decode_param(key, value):
+    """A stored parameter: null, a bool, an int, a string, a finite float, or
+    an {re, im} object of two finite numbers; anything else is refused."""
     if isinstance(value, dict) and set(value) == {"re", "im"}:
-        return complex(value["re"], value["im"])
-    return value
+        if _finite_number(value["re"]) and _finite_number(value["im"]):
+            return complex(value["re"], value["im"])
+    elif value is None or type(value) in (bool, str) or _finite_number(value):
+        return value
+    raise InvalidInputError(f"state document parameter {key!r} must be null, a bool, a "
+                            "string, a finite number or {re, im} of two finite numbers")
 
 
 def state_to_dict(state):
@@ -47,11 +58,14 @@ def state_from_dict(doc):
     try:
         basis = BasisSpec.from_dict(doc["basis"])
         family = doc.get("family")
+        if family is not None and not isinstance(family, str):
+            raise InvalidInputError(f"state document 'family' must be a string, "
+                                    f"got {type(family).__name__}")
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise InvalidInputError(f"state document 'params' must be an object, "
                                     f"got {type(params).__name__}")
-        params = {k: _decode_param(v) for k, v in params.items()}
+        params = {k: _decode_param(k, v) for k, v in params.items()}
         amp = np.array([complex(re, im) for re, im in doc["amplitudes"]],
                        dtype=np.complex128)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

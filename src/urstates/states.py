@@ -11,8 +11,7 @@ eigen-operator M by its bands and gates on the residual ||M psi - z psi||,
 against the truncation-aware `hilbert.residual_bound`.
 
 Conventions (hbar = 1): a = (q + ip)/sqrt(2).  `squeeze_pair` puts the
-squeeze parameters (u, v) on the shell |u|^2 - |v|^2 = 1, and `uv_moments`
-gives the closed-form (q, p) second moments of the u a + v a^dag eigenstate.
+squeeze parameters (u, v) on the shell |u|^2 - |v|^2 = 1.
 """
 
 import cmath
@@ -49,7 +48,6 @@ from .hilbert import (
 
 __all__ = [
     "squeeze_pair",
-    "uv_moments",
     "glauber",
     "canonical_ss",
     "squeezed_fock",
@@ -97,22 +95,6 @@ def squeeze_pair(u, v):
         )
     root = math.sqrt(s)
     return su / root, sv / root
-
-
-def uv_moments(u, v):
-    """Second moments (dq^2, dp^2, dpq) of the u a + v a^dag eigenstate.
-
-    (u, v) are rescaled to the shell |u|^2 - |v|^2 = 1 first; on shell
-
-        dq^2 = |u - v|^2 / 2,  dp^2 = |u + v|^2 / 2,  dpq = Im(u conj(v))
-
-    and the Schrodinger equality dq^2 dp^2 - dpq^2 = 1/4 holds identically.
-    """
-    u, v = squeeze_pair(u, v)
-    dq2 = abs(u - v) ** 2 / 2.0
-    dp2 = abs(u + v) ** 2 / 2.0
-    dpq = (u * np.conj(v)).imag
-    return dq2, dp2, dpq
 
 
 def _check_params(family, **params):

@@ -557,7 +557,30 @@ def _amplitude_nan(doc):
     doc["amplitudes"][0] = [math.nan, 0.0]
 
 
+def _family_nan(doc):
+    # once a NumericError with exit 1, as the report echoed the family
+    doc["family"] = math.nan
+
+
+def _family_list(doc):
+    # once echoed into the report with exit 0
+    doc["family"] = [1, {}]
+
+
+def _param_nan(doc):
+    # this and the next once loaded silently with exit 0
+    doc["params"]["alpha"] = math.nan
+
+
+def _param_complex_inf(doc):
+    doc["params"]["alpha"] = {"re": math.inf, "im": 0}
+
+
 _FIELD_DEFECTS = {"params-list": (_params_list, "params"),
+                  "family-nan": (_family_nan, "'family'"),
+                  "family-list": (_family_list, "'family'"),
+                  "param-nan": (_param_nan, "'alpha'"),
+                  "param-complex-inf": (_param_complex_inf, "'alpha'"),
                   "basis-N-fraction": (_basis_n_fraction, "'N'"),
                   "basis-k-nan": (_basis_k_nan, "'k'"),
                   "basis-k-string": (_basis_k_string, "'k'"),
@@ -907,6 +930,12 @@ def test_evolve_reads_omega_at_zero_only_without_omega0(tmp_path, capsys):
     # samples that miss t = 0, where omega0 is read, or the end of the window
     {"kind": "omega", "omega": {"t": [0.5, 1, 1.5, 2], "values": [2.0, 2.1, 2.0, 1.9]}},
     {"kind": "omega", "omega": {"t": [0, 0.2, 0.4, 0.6], "values": [2.0, 2.1, 2.0, 1.9]}},
+    # a JSON bool or a numeric string where a number is read: each once ran
+    # with exit 0, the first with omega = 1 and the third as a bare profile
+    {"kind": "omega", "omega": True},
+    {"kind": "omega", "omega": 2.0, "omega0": "1.5"},
+    {"kind": "g123", "g1": 0.5, "g2": False, "g3": 1.0, "omega0": 1.0},
+    {"kind": "g123", "g1": 0.5, "g2": 0.0, "g3": 1.0, "omega0": True},
 ])
 def test_evolve_rejects_bad_profiles(tmp_path, capsys, doc):
     prof = _profile(tmp_path, doc)
@@ -952,6 +981,20 @@ def test_evolve_bare_g123_profile(tmp_path, capsys):
         assert cells[7] * cells[8] - cells[9] ** 2 == pytest.approx(0.25, rel=1e-8)
 
 
+def test_evolve_bare_g123_profile_is_its_frequency_profile(tmp_path, capsys):
+    # Omega^2 = 2 w0^2 g3 = 9 = omega^2: the same table, byte for byte
+    grid = ("--t0", "0", "--t1", "1", "--samples", "7")
+    tables = []
+    for doc in ({"kind": "g123", "g1": 0.5, "g2": 0.0, "g3": 2.0, "omega0": 1.5},
+                {"kind": "omega", "omega": 3.0, "omega0": 1.5}):
+        code, out, err = run_cli(capsys, "evolve", "--profile",
+                                 _profile(tmp_path, doc, name=f"{doc['kind']}.json"), *grid)
+        assert code == 0, err
+        tables.append(out)
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 8
+
+
 def test_evolve_pole_profile_exits_1(tmp_path, capsys, monkeypatch):
     # the step size shrinks toward the pole at t = 1/2 until the evaluation
     # budget (lowered here to keep the test short) runs out
@@ -968,7 +1011,8 @@ def test_evolve_pole_profile_exits_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("doc", [
     # omega^2 overflows a Python float: once an OverflowError naming no field
     {"kind": "omega", "omega": 1e300},
-    # omega0^2 underflows to 0 under the division: once a ZeroDivisionError
+    # eps(t0) = 1/sqrt(omega0) = 1e150 overflows the integrator's error norm;
+    # once a ZeroDivisionError, when omega^2 was divided by omega0^2
     {"kind": "omega", "omega": 1.0, "omega0": 1e-300},
 ])
 def test_evolve_extreme_constant_is_a_numeric_error(tmp_path, capsys, doc):
@@ -1012,8 +1056,8 @@ def test_evolve_refuses_a_moment_past_the_float_range(tmp_path, capsys):
 
 
 def test_evolve_ignores_derivative_fields(tmp_path, capsys):
-    # derivatives are central differences of g1 and g2: a dg1, ddg1 or dg2
-    # field once replaced them and gave a bare profile a wrong Omega^2
+    # a dg1, ddg1 or dg2 field once replaced the derivatives of g1 and g2
+    # and gave a bare profile a wrong Omega^2; they are unknown keys now
     doc = {"kind": "g123", "g1": 0.5, "g2": 0.0, "g3": "2.0 + t", "omega0": 1.5}
     grid = ("--t0", "0", "--t1", "1", "--samples", "5")
     code, bare, _ = run_cli(capsys, "evolve", "--profile", _profile(tmp_path, doc), *grid)

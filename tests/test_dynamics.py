@@ -12,14 +12,13 @@ from urstates.dynamics import (
     ClassicalPhasePoint,
     OscillatorProfile,
     classical_flow,
-    effective_frequency,
     integrate_epsilon,
     trajectory_table,
     uv_trajectory,
 )
-from urstates.errors import InvalidInputError, NumericError, SingularProfileError
+from urstates.errors import InvalidInputError, NumericError
 from urstates.hilbert import basis_state, fock_basis
-from urstates.states import canonical_ss, squeeze_pair, uv_moments
+from urstates.states import canonical_ss, squeeze_pair
 
 # constant omega = 2 with omega0 = 1: the canonical solution is
 # eps = cos 2t + (i/2) sin 2t, u = cos 2t + (5i/4) sin 2t, v = (3i/4) sin 2t
@@ -27,6 +26,22 @@ CONST2 = OscillatorProfile.from_omega(2.0, omega0=1.0)
 
 # Omega diverges at t = 1/2, so an adaptive step shrinks toward it forever
 POLE = OscillatorProfile.from_omega(lambda t: 1.0 / (t - 0.5) ** 2 + 1.0)
+
+
+def uv_moments(u, v):
+    """Second moments (dq^2, dp^2, dpq) of the u a + v a^dag eigenstate.
+
+    (u, v) are rescaled to the shell |u|^2 - |v|^2 = 1 first; on shell
+
+        dq^2 = |u - v|^2 / 2,  dp^2 = |u + v|^2 / 2,  dpq = Im(u conj(v))
+
+    and the Schrodinger equality dq^2 dp^2 - dpq^2 = 1/4 holds identically.
+    """
+    u, v = squeeze_pair(u, v)
+    dq2 = abs(u - v) ** 2 / 2.0
+    dp2 = abs(u + v) ** 2 / 2.0
+    dpq = (u * np.conj(v)).imag
+    return dq2, dp2, dpq
 
 
 def closed_eps(t):
@@ -65,42 +80,6 @@ def test_profile_validation():
         OscillatorProfile.from_omega(2.0, omega0=0.0)
     with pytest.raises(InvalidInputError):
         OscillatorProfile.from_g123(0.5, 0.0, 0.5, omega0=-2.0)
-    assert CONST2.kind == "omega"
-    tilted = OscillatorProfile.from_g123(1.0, 0.0, 1.0, omega0=2.0)
-    assert tilted.kind == "g123"
-    # frequency form is how the profile was built, not what g1 and g2 read
-    # at a few times: only the numbers 1/2 and 0 make a g123 profile bare
-    assert OscillatorProfile.from_g123(0.5, 0, lambda t: 2.0 + t, omega0=1.0).kind == "omega"
-    assert OscillatorProfile.from_g123(lambda t: 0.5, 0.0, 1.0, omega0=1.0).kind == "g123"
-
-
-def test_effective_frequency_of_bare_profile():
-    # for a bare profile the identity Omega^2 = omega(t)^2 is algebraic
-    prof = OscillatorProfile.from_omega(lambda t: 2.0 + 0.3 * math.sin(t))
-    for t in (0.0, 0.4, 1.7, 3.1):
-        om = 2.0 + 0.3 * math.sin(t)
-        assert effective_frequency(prof, t) == pytest.approx(om * om,
-                                                             rel=1e-14)
-
-
-def test_effective_frequency_of_generic_profile():
-    # the central differences of g1 and g2 against their closed forms
-    w0 = 1.5
-    prof = OscillatorProfile.from_g123(lambda t: 0.5 + 0.1 * t * t, lambda t: 0.2 * t,
-                                       lambda t: 1.0 + 0.05 * t, omega0=w0)
-    for t in (0.0, 0.7, 2.3):
-        g1, g2, g3 = prof.g_values(t)
-        dg1, ddg1, dg2 = 0.2 * t, 0.2, 0.2
-        closed = (4 * w0 * w0 * g1 * g3 + 2 * w0 * g2 * dg1 / g1 + ddg1 / (2 * g1)
-                  - 3 * dg1 * dg1 / (4 * g1 * g1) - 4 * w0 * w0 * g2 * g2 - 2 * w0 * dg2)
-        # the second central difference carries ~eps/h^2 roundoff
-        assert effective_frequency(prof, t) == pytest.approx(closed, abs=1e-4)
-
-
-def test_effective_frequency_singular_profile():
-    flat = OscillatorProfile.from_g123(0.0, 0.0, 1.0, omega0=1.0)
-    with pytest.raises(SingularProfileError):
-        effective_frequency(flat, 0.3)
 
 
 def test_epsilon_against_closed_form():
@@ -180,10 +159,16 @@ def test_trajectory_table_moments_are_uv_moments(omega, omega0, t0, span, sample
         assert abs(dpq - ref_pq) <= rel * math.sqrt(dq2 * dp2)
 
 
-def test_trajectory_table_refuses_tilted_profile():
-    tilted = OscillatorProfile.from_g123(1.0, 0.0, 1.0, omega0=2.0)
-    with pytest.raises(InvalidInputError):
-        trajectory_table(tilted, np.linspace(0.0, 1.0, 5))
+def _never_called(t):
+    raise AssertionError("a refused profile was evaluated")
+
+
+def test_from_g123_refuses_a_profile_that_is_not_bare():
+    # any other g1 or g2 carries its squeezing in a transformed frame, which
+    # the (u, v) table would mislabel: refused as the profile is built
+    for g1, g2 in [(lambda t: 0.5, 0.0), (0.5, lambda t: 0.0), (1.0, 0.0), (0.5, 0.2)]:
+        with pytest.raises(InvalidInputError, match="g1 and g2"):
+            OscillatorProfile.from_g123(g1, g2, _never_called, omega0=1.0)
 
 
 def test_wavefunction_normalization_and_dual_route():

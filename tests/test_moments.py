@@ -26,7 +26,7 @@ from urstates.moments import (
     observable_set,
 )
 from urstates.matrixkit import psd_min_eig
-from urstates.states import canonical_ss, su11_cs, uv_moments
+from urstates.states import canonical_ss, squeeze_pair, su11_cs
 from urstates.urcheck import _ur_from_moments, char_ur_report
 
 
@@ -159,6 +159,22 @@ def test_report_json_shape():
     assert set(doc) == {"observables", "means", "sigma", "commut", "psd"}
     assert doc["observables"] == ["q", "p"]
     assert isinstance(doc["psd"]["sigma_min_eig"], float)
+
+
+def uv_moments(u, v):
+    """Second moments (dq^2, dp^2, dpq) of the u a + v a^dag eigenstate.
+
+    (u, v) are rescaled to the shell |u|^2 - |v|^2 = 1 first; on shell
+
+        dq^2 = |u - v|^2 / 2,  dp^2 = |u + v|^2 / 2,  dpq = Im(u conj(v))
+
+    and the Schrodinger equality dq^2 dp^2 - dpq^2 = 1/4 holds identically.
+    """
+    u, v = squeeze_pair(u, v)
+    dq2 = abs(u - v) ** 2 / 2.0
+    dp2 = abs(u + v) ** 2 / 2.0
+    dpq = (u * np.conj(v)).imag
+    return dq2, dp2, dpq
 
 
 def test_gaussian_sigma_matches_state_moments():
