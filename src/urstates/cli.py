@@ -149,12 +149,7 @@ def _build_state(args):
 
 
 def _cmd_state(args):
-    # extreme parameters can overflow on the way; the gates and the
-    # finite-document check decide the outcome, and a numpy warning would
-    # only print a line beside the document or the one error line
-    with np.errstate(all="ignore"):
-        state = _build_state(args)
-    _write_json(state_to_dict(state), args.out)
+    _write_json(state_to_dict(_build_state(args)), args.out)
     return EX_OK
 
 
@@ -406,9 +401,7 @@ def _cmd_evolve(args):
             and math.isfinite(args.t0) and math.isfinite(args.t1)):
         raise InvalidInputError(f"evolve needs finite --t0, --t1 and 2 <= --samples <= "
                                 f"{MAX_SAMPLES}, got {args.t0}, {args.t1}, {args.samples}")
-    # an overflowing sample table is refused; a numpy warning would only add a line
-    with np.errstate(all="ignore"):
-        profile = _load_profile(args.profile)
+    profile = _load_profile(args.profile)
     t = np.linspace(args.t0, args.t1, args.samples)
     _traj, _u, _v, rows = trajectory_table(profile, t)
     _write_csv(TABLE_HEADER, rows, args.out)
@@ -507,7 +500,10 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        rc = args.func(args)
+        # the gates and the finite-document check decide the outcome; a numpy
+        # warning on an overflow would only print a line beside the output
+        with np.errstate(all="ignore"):
+            rc = args.func(args)
         # output held in the buffer meets a closed pipe here, not at exit
         sys.stdout.flush()
         return rc

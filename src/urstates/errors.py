@@ -3,8 +3,8 @@
 The split matters for the CLI: contract violations (bad parameters, basis
 mismatches, normalizability failures, insufficient cutoffs, oscillator
 profiles that are not a bare frequency) map to exit code 2, internal numeric
-failures (over/underflowed amplitudes, eigen-residuals above their bound,
-integrator step collapse) map to exit code 1.
+failures (over/underflowed amplitudes or moments, eigen-residuals above their
+bound, integrator step collapse) map to exit code 1.
 """
 
 

@@ -115,6 +115,8 @@ class BasisSpec:
         if self.kind == "su11" and not 0.0 < self.k < math.inf:
             raise InvalidInputError(
                 f"su11 basis field 'k' needs a finite Bargmann index k > 0, got {self.k}")
+        if self.kind == "su2" and MAX_BASIS_DIM < self.j < math.inf:  # before round(2j) overflows
+            raise UnsupportedScaleError(f"su2 basis field 'j' = {self.j!r} exceeds MAX_BASIS_DIM")
         if self.kind == "su2" and not (0.0 < self.j < math.inf
                                        and round(2 * self.j) == 2 * self.j):
             raise InvalidInputError(f"su2 basis needs half-integer j > 0, got {self.j}")

@@ -9,15 +9,14 @@ principal minors of M (elementary symmetric functions of the eigenvalues).
 Two independent routes are provided for any n: a Faddeev-LeVerrier
 recurrence (`char_coeffs`) and brute-force principal-minor enumeration
 (`principal_minor_sum`).  For the 2- and 3-observable sets that reports
-evaluate, `_small_char_coeffs` takes the closed forms on Python floats,
+evaluate, `_small_char_coeffs` takes the closed forms on Python floats, and
 `_hermitian_min_eig_2x2` the closed-form lower eigenvalue of a 2x2 sigma or
-R = sigma + iC, and `_check_sigma_robertson` the input checks of
-`psd_min_eig` for the two at any n.
+R = sigma + iC that is finite and Hermitian to the bit.  `psd_min_eig` holds
+the one rule that refuses a matrix which is not finite or not Hermitian.
 """
 
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -102,45 +101,13 @@ def _hermitian_min_eig_2x2(re, im=None):
     """Lower eigenvalue of the 2x2 Hermitian matrix re + i im, in closed form.
 
     ``re`` and ``im`` are nested Python floats (``im`` None for a real
-    matrix).  With b + ix the lower off-diagonal entry, the one eigvalsh
-    reads, lam_min = (a + d)/2 - sqrt(((a - d)/2)^2 + b^2 + x^2).  Input
-    is refused as ``psd_min_eig`` refuses it: non-finite entries, or a
-    deviation from Hermiticity above HERMITICITY_TOL times max(1, max-norm).
+    matrix), finite, with ``re`` symmetric and ``im`` antisymmetric to the
+    bit; nothing is checked.  With b + ix the lower off-diagonal entry, the
+    one eigvalsh reads, lam_min = (a + d)/2 - sqrt(((a - d)/2)^2 + b^2 + x^2).
     """
-    (a, b_up), (b, d) = re
-    (xa, x_up), (x, xd) = im if im is not None else ((0.0, 0.0), (0.0, 0.0))
-    if not all(map(math.isfinite, (a, b_up, b, d, xa, x_up, x, xd))):
-        raise InvalidInputError("matrix has non-finite entries")
-    scale = max(1.0, math.hypot(a, xa), math.hypot(d, xd),
-                math.hypot(b_up, x_up), math.hypot(b, x))
-    dev = max(2.0 * abs(xa), 2.0 * abs(xd), math.hypot(b_up - b, x_up + x))
-    if dev > HERMITICITY_TOL * scale:
-        raise InvalidInputError(
-            f"matrix is not Hermitian within tolerance: max deviation "
-            f"{dev:.3e} (allowed {HERMITICITY_TOL * scale:.3e})"
-        )
+    (a, _), (b, d) = re
+    x = 0.0 if im is None else im[1][0]
     return 0.5 * (a + d) - math.hypot(0.5 * (a - d), b, x)
-
-
-def _check_sigma_robertson(s, c):
-    """Refuse sigma and R = sigma + iC, given as nested Python floats, as
-    ``psd_min_eig`` refuses the stack of the two: non-finite entries, then a
-    deviation from Hermiticity above HERMITICITY_TOL times max(1, max-norm),
-    sigma first.  ``_hermitian_min_eig_2x2`` unrolls the same rule for 2x2."""
-    # the entries row by row, and those of the transpose: M_ij against M_ji
-    flatten = itertools.chain.from_iterable
-    s, s_t, c, c_t = (list(flatten(m)) for m in (s, zip(*s), c, zip(*c)))
-    if not all(map(math.isfinite, itertools.chain(s, c))):
-        raise InvalidInputError("matrix has non-finite entries")
-    zeros = [0.0] * len(s)
-    for im, im_t in ((zeros, zeros), (c, c_t)):
-        scale = max(1.0, *map(math.hypot, s, im))
-        dev = max(map(math.hypot, map(operator.sub, s, s_t), map(operator.add, im, im_t)))
-        if dev > HERMITICITY_TOL * scale:
-            raise InvalidInputError(
-                f"matrix is not Hermitian within tolerance: max deviation "
-                f"{dev:.3e} (allowed {HERMITICITY_TOL * scale:.3e})"
-            )
 
 
 def principal_minor_sum(M, r):
@@ -166,11 +133,11 @@ def principal_minor_sum(M, r):
 def psd_min_eig(H):
     """Minimum eigenvalue of a Hermitian matrix (PSD certificate helper).
 
-    Refuses input that is not Hermitian within HERMITICITY_TOL relative to the
-    entrywise max-norm, then delegates to a symmetric eigensolver so the
-    result is real by construction.  A stack shaped (..., n, n) is checked
-    matrix by matrix, each against its own max-norm, and solved in one
-    LAPACK call; the result is then an array shaped (...,).
+    The package's one copy of the rule: refuses input that is not finite, or
+    not Hermitian within HERMITICITY_TOL times max(1, entrywise max-norm),
+    then takes a symmetric eigensolver, so the result is real.  A stack
+    shaped (..., n, n) is checked matrix by matrix, each against its own
+    max-norm, and solved in one LAPACK call; the result is then (...,).
     """
     A = _as_square(H, stack=True)
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))

@@ -7,9 +7,12 @@ ordered second-moment Gram matrix G_ij = <X_i X_j>:
     C_ij     = Im G_ij = -(i/2) <[X_i, X_j]>   (antisymmetric)
 
 so the Robertson matrix R = sigma + iC is exactly the positive-semidefinite
-matrix of ordered central moments <dX_i dX_j>.
+matrix of ordered central moments <dX_i dX_j>.  Built as (G + G^T)/2 and
+(G - G^T)/2 entry by entry, sigma and C are symmetric and antisymmetric to
+the last bit; a non-finite entry in either is a NumericError.
 """
 
+import itertools
 import math
 import re
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisMismatchError, InvalidInputError
+from .errors import BasisMismatchError, InvalidInputError, NumericError
 from .hilbert import (
     DEFAULT_FOCK_CUTOFF,
     DEFAULT_MODE_CUTOFF,
@@ -33,8 +36,7 @@ from .hilbert import (
     su2_rep,
     tensor_rep,
 )
-# psd_min_eig stays importable as moments.psd_min_eig, the name bench/spans.py wraps
-from .matrixkit import _check_sigma_robertson, _hermitian_min_eig_2x2, psd_min_eig  # noqa: F401
+from .matrixkit import _hermitian_min_eig_2x2, psd_min_eig
 
 __all__ = [
     "ObservableSet",
@@ -189,7 +191,8 @@ class MomentReport:
 
     ``centered`` keeps the vectors (X_i - <X_i>) psi as the rows of an
     (n, dim) array whose Gram matrix is R, so certificates can reuse them
-    without new products.
+    without new products.  The pair `_pure_moments` builds is certified as
+    it stands; any other is hand-built, and `psd_min_eig` refuses or takes it.
     """
 
     labels: list
@@ -209,14 +212,19 @@ class MomentReport:
             raise InvalidInputError(f"expected square sigma and C of one shape, got "
                                     f"{shape} and {self.commut.shape}")
         s, c = self.sigma.tolist(), self.commut.tolist()
-        if shape == (2, 2):
-            self.sigma_min_eig = _hermitian_min_eig_2x2(s)
-            self.robertson_min_eig = _hermitian_min_eig_2x2(s, c)
-            return
-        # checked on floats first, so sigma + iC never sees a non-finite entry
-        _check_sigma_robertson(s, c)
-        lam = np.linalg.eigvalsh(np.array([self.sigma, self.robertson]))
-        self.sigma_min_eig, self.robertson_min_eig = lam[:, 0].tolist()
+        exact = (all(map(math.isfinite, itertools.chain(*s, *c)))
+                 and s == [list(row) for row in zip(*s)]
+                 and c == [[-x for x in row] for row in zip(*c)])
+        if exact and shape == (2, 2):
+            lam = [_hermitian_min_eig_2x2(s), _hermitian_min_eig_2x2(s, c)]
+        elif exact:
+            lam = np.linalg.eigvalsh(np.array([self.sigma, self.robertson]))[:, 0].tolist()
+        else:
+            # R by parts: 1j * inf would warn before psd_min_eig refuses it
+            pair = np.array([self.sigma, self.sigma], dtype=complex)
+            pair[1].imag = self.commut
+            lam = psd_min_eig(pair).tolist()
+        self.sigma_min_eig, self.robertson_min_eig = lam
 
     @property
     def robertson(self):
@@ -262,9 +270,12 @@ def _pure_moments(obs, psi):
     # matrix directly, avoiding the <X_i><X_j> cancellation that otherwise
     # dominates the error budget for strongly displaced states.
     centered = images - means[..., None] * psi[..., None, :]
-    gram = centered.conj() @ np.swapaxes(centered, -2, -1)
-    gram_t = np.swapaxes(gram, -2, -1)
+    gram = centered.conj() @ centered.swapaxes(-2, -1)
+    gram_t = gram.swapaxes(-2, -1)
     sigma = (gram.real + gram_t.real) / 2.0
     comm = (gram.imag - gram_t.imag) / 2.0
+    # one pass: a non-finite entry fails the sum, as do moments near the float range
+    if not math.isfinite((sigma + comm).sum()):
+        raise NumericError("the moments overflowed: sigma and C are not finite")
     return means, sigma, comm, centered
 

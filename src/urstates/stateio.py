@@ -5,6 +5,7 @@ Amplitudes serialize as [re, im] pairs; complex family parameters as
 Floats go through repr, so a dump/load cycle is bit-exact.
 """
 
+import itertools
 import json
 import math
 
@@ -66,8 +67,12 @@ def state_from_dict(doc):
             raise InvalidInputError(f"state document 'params' must be an object, "
                                     f"got {type(params).__name__}")
         params = {k: _decode_param(k, v) for k, v in params.items()}
-        amp = np.array([complex(re, im) for re, im in doc["amplitudes"]],
-                       dtype=np.complex128)
+        pairs = doc["amplitudes"]
+        parts = list(itertools.chain.from_iterable(pairs))
+        # JSON numbers, as params and the basis take them: a bool is not one
+        if set(map(len, pairs)) - {2} or set(map(type, parts)) - {int, float}:
+            raise InvalidInputError("state document 'amplitudes' must be [re, im] number pairs")
+        amp = np.array(parts, dtype=float).view(np.complex128)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed state document: {exc}") from exc
     return StateVector(amp, basis, family=family, params=params)

@@ -557,6 +557,11 @@ def _amplitude_nan(doc):
     doc["amplitudes"][0] = [math.nan, 0.0]
 
 
+def _amplitude_bool(doc):
+    # once read as 0.0 by complex(), with exit 0
+    doc["amplitudes"] = [[re, False] for re, _im in doc["amplitudes"]]
+
+
 def _family_nan(doc):
     # once a NumericError with exit 1, as the report echoed the family
     doc["family"] = math.nan
@@ -586,7 +591,8 @@ _FIELD_DEFECTS = {"params-list": (_params_list, "params"),
                   "basis-k-string": (_basis_k_string, "'k'"),
                   "basis-j-bool": (_basis_j_bool, "'j'"),
                   "amplitude-huge": (_amplitude_huge, "not normalized"),
-                  "amplitude-nan": (_amplitude_nan, "must be finite")}
+                  "amplitude-nan": (_amplitude_nan, "must be finite"),
+                  "amplitude-bool": (_amplitude_bool, "'amplitudes'")}
 
 
 def _defective_state(tmp_path, capsys, defect, name="s.json"):
@@ -832,6 +838,96 @@ def test_distance_ends_in_a_document_or_one_error_line(data):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, (argv, lines)
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+#: what a structural mutation writes: non-finite and huge numbers, strings,
+#: containers and bools
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, 0, -1, 0.5, 10 ** 400,
+                "", "0.5", [], [1.0, 0.0], [[1.0, 0.0]], {}, {"re": 1.0, "im": 0.0},
+                True, False, None]
+#: a step of a mutation path: a key, an index taken modulo the size of its
+#: level, or "*" for every entry of the level
+_FUZZ_STEPS = st.integers(0, 63) | st.sampled_from(["*", "basis", "amplitudes", "params"])
+#: the observable set a report of each basis kind asks for
+_FUZZ_SETS = {"fock": "canonical", "su11": "su11", "su2": "su2"}
+
+
+def _mutate(node, path, op, value):
+    """Apply one structural mutation to the JSON tree ``node`` at ``path``:
+    delete the entry, set it to ``value``, or extend the array it holds by
+    ``value``.  A path that leaves the tree changes nothing."""
+    if isinstance(node, dict):
+        keys = sorted(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node)))
+    else:
+        return
+    step, rest = path[0], path[1:]
+    if step == "*":
+        targets = keys[::-1]
+    elif isinstance(step, str):
+        targets = [step] if step in keys else []
+    else:
+        targets = [keys[step % len(keys)]] if keys else []
+    for key in targets:
+        if rest:
+            _mutate(node[key], rest, op, value)
+        elif op == "delete":
+            del node[key]
+        elif op == "set":
+            node[key] = json.loads(json.dumps(value))
+        elif isinstance(node[key], list):
+            node[key].append(json.loads(json.dumps(value)))
+
+
+def _reject_constant(name):
+    raise AssertionError(f"output holds {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(golden=st.sampled_from(sorted(GOLDEN.glob("state_*.json"))),
+       path=st.lists(_FUZZ_STEPS, min_size=1, max_size=3).map(tuple),
+       op=st.sampled_from(["delete", "set", "extend"]),
+       value=st.sampled_from(_FUZZ_VALUES),
+       verb=st.sampled_from(["report", "distance", "distance-self", "distance-k3"]))
+@example(golden=GOLDEN / "state_su11-cs.json", path=("basis", "k"), op="set", value=1e200,
+         verb="report")
+@example(golden=GOLDEN / "state_su11-cs.json", path=("basis", "k"), op="set", value=1e308,
+         verb="report")
+@example(golden=GOLDEN / "state_su2-cs.json", path=("basis", "j"), op="set", value=1e308,
+         verb="report")
+@example(golden=GOLDEN / "state_glauber.json", path=("amplitudes", "*", 1), op="set",
+         value=False, verb="distance")
+def test_mutated_state_documents_end_in_a_document_or_one_error_line(golden, path, op, value,
+                                                                     verb):
+    doc = json.loads(golden.read_text())
+    kind = doc["basis"]["kind"]
+    _mutate(doc, path, op, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        if verb == "report":
+            argv = ["report", "--state", bad, "--observables", _FUZZ_SETS[kind]]
+        else:
+            other = bad if verb != "distance" else str(golden)
+            argv = ["distance", "--state1", bad, "--state2", other]
+            if verb == "distance-k3":
+                argv += ["--observable", "k3" if kind == "su11" else "n+1"]
+        code, out, err = _run_main(argv)
+    assert code in (0, 1, 2, 64), (argv, err)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+        return
+    assert out == "", argv
+    lines = err.splitlines()
+    assert len(lines) == 1, (argv, lines)
+    error = json.loads(lines[0], parse_constant=_reject_constant)
+    assert set(error) == {"error", "message"}
+    if code == 1:
+        # a document_text refusal means a non-finite number reached the output
+        assert error["error"] == "NumericError", (argv, error)
+        assert not error["message"].startswith("document holds"), (argv, error)
 
 
 # -- evolve -----------------------------------------------------------------

@@ -12,6 +12,7 @@ from urstates.matrixkit import (
     principal_minor_sum,
     psd_min_eig,
 )
+from urstates.moments import MomentReport
 
 
 def test_char_coeffs_diagonal():
@@ -142,12 +143,14 @@ def test_min_eig_2x2_of_a_singular_robertson_matrix():
     ([[1.0, 0.5], [0.5, 1.0]], [[0.0, np.inf], [-np.inf, 0.0]]),
 ])
 def test_min_eig_2x2_refuses_what_psd_min_eig_refuses(re, im):
+    # the closed form checks nothing: a hand-built 2x2 report that is not
+    # finite and Hermitian to the bit goes through psd_min_eig
     H = np.zeros((2, 2), dtype=complex)
     H.real, H.imag = re, im if im is not None else 0.0
     with pytest.raises(InvalidInputError):
         psd_min_eig(H)
     with pytest.raises(InvalidInputError):
-        _hermitian_min_eig_2x2(re, im)
+        MomentReport(["x", "y"], np.zeros(2), re, np.zeros((2, 2)) if im is None else im)
 
 
 def test_min_eig_2x2_hermiticity_tolerance_is_relative():
@@ -158,10 +161,11 @@ def test_min_eig_2x2_hermiticity_tolerance_is_relative():
             im = [[0.0, 0.3], [-0.3, 0.0]]
             H = np.array(re) + 1j * np.array(im)
             if ok:
-                assert _hermitian_min_eig_2x2(re, im) == pytest.approx(psd_min_eig(H), abs=1e-9)
+                rep = MomentReport(["x", "y"], np.zeros(2), re, im)
+                assert rep.robertson_min_eig == pytest.approx(psd_min_eig(H), abs=1e-9)
             else:
                 with pytest.raises(InvalidInputError, match="not Hermitian"):
-                    _hermitian_min_eig_2x2(re, im)
+                    MomentReport(["x", "y"], np.zeros(2), re, im)
                 with pytest.raises(InvalidInputError, match="not Hermitian"):
                     psd_min_eig(H)
 

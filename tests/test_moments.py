@@ -1,19 +1,24 @@
 """Moment reports, the observable-set registry, and the closed-form Gaussian moments."""
 
+import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from urstates import moments
 from urstates.cli import _report_document
 from urstates.errors import (
     BasisMismatchError,
     InvalidInputError,
+    NumericError,
     TruncationError,
 )
 from urstates.hilbert import (
+    BasisSpec,
     Operator,
     StateVector,
     basis_state,
@@ -26,6 +31,7 @@ from urstates.moments import (
     observable_set,
 )
 from urstates.matrixkit import psd_min_eig
+from urstates.stateio import state_from_dict
 from urstates.states import canonical_ss, squeeze_pair, su11_cs
 from urstates.urcheck import _ur_from_moments, char_ur_report
 
@@ -37,6 +43,8 @@ def test_observable_set_registry():
     assert observable_set("su2:1.5").basis.dim == 4
     assert observable_set("a2-quadratures", N=16).labels == ["Re a^2", "Im a^2"]
 
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 REGISTRY = [("canonical", 32), ("canonical:2", 6), ("su11:0.5", 32), ("su11:1", 32),
             ("su2:1", None), ("su2:2.5", None), ("a2-quadratures", 32)]
@@ -299,6 +307,62 @@ def test_three_observable_refusal_reports_non_finite_entries_first():
     with pytest.raises(InvalidInputError, match="non-finite") as theirs:
         psd_min_eig(np.stack([sigma, sigma + 1j * commut]))
     assert str(ours.value) == str(theirs.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REGISTRY), st.sampled_from([(), (2,), (3,)]),
+       st.integers(0, 2 ** 32 - 1), st.floats(-150.0, 150.0))
+def test_pure_moments_are_hermitian_to_the_bit(entry, stack, seed, exponent):
+    # sigma = (G + G^T)/2 and C = (G - G^T)/2 entry by entry, which is what
+    # lets MomentReport take a package pair without checking it again
+    name, N = entry
+    obs = observable_set(name, N=N)
+    rng = np.random.default_rng(seed)
+    shape = stack + (obs.basis.dim,)
+    psi = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** exponent
+    with np.errstate(all="ignore"):
+        try:
+            _means, sigma, commut, _centered = moments._pure_moments(obs, psi)
+        except NumericError:
+            return
+    assert np.isfinite(sigma).all() and np.isfinite(commut).all()
+    assert np.array_equal(sigma, np.swapaxes(sigma, -2, -1))
+    assert np.array_equal(commut, -np.swapaxes(commut, -2, -1))
+
+
+def test_package_reports_never_reach_psd_min_eig(monkeypatch):
+    def refuse(_H):
+        raise AssertionError("psd_min_eig called")
+
+    monkeypatch.setattr(moments, "psd_min_eig", refuse)
+    rng = np.random.default_rng(31)
+    for name, N in REGISTRY:
+        obs = observable_set(name, N=N)
+        for _ in range(10):
+            amp = rng.standard_normal(obs.basis.dim) + 1j * rng.standard_normal(obs.basis.dim)
+            moment_report(obs, StateVector(amp / np.linalg.norm(amp), obs.basis), max_tail=None)
+        moment_report(obs, basis_state(obs.basis, 0), max_tail=None)
+    # a hand-built pair that is not Hermitian to the bit does reach it
+    with pytest.raises(AssertionError, match="psd_min_eig called"):
+        MomentReport(["x", "y"], np.zeros(2), [[1.0, 0.2 + 1e-13], [0.2, 2.0]], _COMMUT)
+
+
+def test_overflowed_moments_are_a_numeric_error():
+    # at k = 1e200 the second moments of K3 pass the float range
+    with open(GOLDEN / "state_su11-cs.json") as fh:
+        doc = json.load(fh)
+    doc["basis"]["k"] = 1e200
+    state = state_from_dict(doc)
+    obs = observable_set(f"su11:{1e200!r}", N=state.basis.N)
+    assert obs.basis == state.basis == BasisSpec("su11", N=48, k=1e200)
+    # the BLAS product that overflows warns; the CLI silences the warning
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="moments overflowed"):
+            moment_report(obs, state)
+        with pytest.raises(NumericError, match="moments overflowed"):
+            char_ur_report(obs, [state])
+        with pytest.raises(NumericError, match="moments overflowed"):
+            char_ur_report(obs, [state, state])
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0])
