@@ -70,6 +70,15 @@ from .dynamics import (
     uv_trajectory,
 )
 from .metrics import DistanceResult, g_overlap
-from .acceptance import CRITERIA, CriterionResult
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # acceptance holds the scan suites and the self-test criteria, which only
+    # `scan` and `selftest` run, so a cold start does not import it
+    if name in ("CRITERIA", "CriterionResult"):
+        from . import acceptance
+
+        return getattr(acceptance, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

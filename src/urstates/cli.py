@@ -8,7 +8,8 @@ tabulates the squeeze trajectory; ``distance`` compares two stored
 states; ``selftest`` runs the acceptance criteria.
 
 Exit codes: 0 success, 2 contract violations (bad parameters, failed
-normalizability or truncation gates) with an error JSON on stderr,
+normalizability or truncation gates, an --out that cannot be written) with
+an error JSON on stderr,
 1 internal numeric failures, 64 flag-grammar errors, 141 when the reader
 of stdout closed it before the output was written.  All floats are
 serialized through repr, so a dump/parse cycle is value-exact.
@@ -27,7 +28,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from .dynamics import TABLE_HEADER, OscillatorProfile, trajectory_table
 from .errors import (
     BasisMismatchError,
@@ -38,7 +38,7 @@ from .errors import (
 from .intelligent import minimizer_certificate
 from .metrics import g_overlap, number_plus_one
 from .moments import _parse_set_name, moment_report, observable_set
-from .stateio import document_text, load_state, read_document, state_to_dict
+from .stateio import document_text, load_state, read_document, state_text
 from .states import FAMILIES
 # canonical_ss stays importable as cli.canonical_ss: bench/spans.py wraps it
 # under that name
@@ -89,19 +89,32 @@ def _emit_error(exc):
     sys.stderr.write("\n")
 
 
-def _write_json(doc, out):
-    text = document_text(doc)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(out, **open_args):
+    """The file ``out`` opened for writing, or stdout when None.  An ``out``
+    that cannot be opened or written is an InvalidInputError naming it,
+    except a missing one, which stays FileNotFoundError."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w", **open_args) as fh:
+            yield fh
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write output file {out!r}: {exc}") from exc
+
+
+def _write_text(text, out):
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _write_csv(header, rows, out):
     """Write the header and the rows as CSV to ``out``, or stdout when None;
     csv writes each cell as its str, which is repr for a Python or numpy float."""
-    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+    with _output(out, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -149,7 +162,7 @@ def _build_state(args):
 
 
 def _cmd_state(args):
-    _write_json(state_to_dict(_build_state(args)), args.out)
+    _write_text(state_text(_build_state(args)), args.out)
     return EX_OK
 
 
@@ -242,7 +255,8 @@ def _cmd_report(args):
     rep = moment_report(obs, state, max_tail=max_tail)
     ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
     cert = minimizer_certificate(state, obs, report=rep) if args.certificate else None
-    _write_json(_report_document(state, obs, rep, ur, cert, args.orders), args.out)
+    _write_text(document_text(_report_document(state, obs, rep, ur, cert, args.orders)),
+                args.out)
     return EX_OK
 
 
@@ -250,7 +264,14 @@ def _cmd_report(args):
 # scan
 # ---------------------------------------------------------------------------
 
+#: the names of `acceptance.SUITES`, sorted, which `scan --suite` offers
+#: without importing `acceptance`
+SCAN_SUITES = ("bg-cs", "even-odd", "random-psd", "squeeze-shell", "su11-cs")
+
+
 def _cmd_scan(args):
+    from . import acceptance
+
     _grid, _row, header = acceptance.SUITES[args.suite]
     _write_csv(header, acceptance.rows(args.suite, args.seed), args.out)
     return EX_OK
@@ -429,11 +450,13 @@ def _cmd_distance(args):
     if args.observable not in (None, "identity"):
         X = _distance_observable(args.observable, s1.basis)
     result = g_overlap(s1, s2, X)
-    _write_json(result.to_json_dict(), args.out)
+    _write_text(document_text(result.to_json_dict()), args.out)
     return EX_OK
 
 
 def _cmd_selftest(args):
+    from . import acceptance
+
     results = acceptance.run(args.criteria)
     for res in results:
         print(res.line())
@@ -470,7 +493,7 @@ def _build_parser():
     p_rep.set_defaults(func=_cmd_report)
 
     p_scan = sub.add_parser("scan", help="sweep a named grid to CSV")
-    p_scan.add_argument("--suite", required=True, choices=sorted(acceptance.SUITES))
+    p_scan.add_argument("--suite", required=True, choices=SCAN_SUITES)
     p_scan.add_argument("--seed", type=int, default=42)
     p_scan.add_argument("--out")
     p_scan.set_defaults(func=_cmd_scan)

@@ -2,7 +2,9 @@
 
 Amplitudes serialize as [re, im] pairs; complex family parameters as
 {"re": ..., "im": ...} objects so they cannot be confused with real pairs.
-Floats go through repr, so a dump/load cycle is bit-exact.
+Floats go through repr, so a dump/load cycle is bit-exact.  `state_text`
+writes a state document with the bytes of ``json.dumps(indent=1)``, but
+formats its amplitudes in one pass.
 """
 
 import itertools
@@ -14,8 +16,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericError
 from .hilbert import BasisSpec, StateVector
 
-__all__ = ["state_to_dict", "state_from_dict", "load_state", "document_text",
-           "read_document"]
+__all__ = ["state_to_dict", "state_text", "state_from_dict", "load_state",
+           "document_text", "read_document"]
 
 
 def _encode_param(value):
@@ -44,15 +46,52 @@ def _decode_param(key, value):
                             "string, a finite number or {re, im} of two finite numbers")
 
 
-def state_to_dict(state):
-    amp = state.amplitudes
+def _state_fields(state, amplitudes):
+    """A state document, with ``amplitudes`` as its amplitudes."""
     return {
         "family": state.family,
         "params": {key: _encode_param(val) for key, val in state.params.items()},
         "basis": state.basis.to_dict(),
-        "amplitudes": [[float(c.real), float(c.imag)] for c in amp],
+        "amplitudes": amplitudes,
         "tail_mass": float(state.tail_mass),
     }
+
+
+def _amplitude_parts(state):
+    """The real and imaginary parts of the amplitudes, interleaved, as one
+    float array; a strided amplitude array is copied first."""
+    return np.ascontiguousarray(state.amplitudes, dtype=np.complex128).view(np.float64)
+
+
+def state_to_dict(state):
+    parts = iter(_amplitude_parts(state).tolist())
+    return _state_fields(state, list(map(list, zip(parts, parts))))
+
+
+#: one amplitude pair as json.dumps(indent=1) writes it in a state document
+_PAIR_TEXT = "  [\n   %r,\n   %r\n  ]"
+
+#: the amplitudes of a state document written with none: only a top-level
+#: key starts with a newline and one space, since nested keys are indented
+#: further and JSON escapes every newline inside a string
+_NO_AMPLITUDES = '\n "amplitudes": []'
+
+
+def state_text(state):
+    """``document_text(state_to_dict(state))``, byte for byte.
+
+    json.dumps with an indent runs the pure-Python encoder, so the document
+    is written without its amplitudes, and they are spliced in, formatted
+    by one ``%`` over a repeated pair template; json writes a float as its
+    repr too.
+    """
+    parts = _amplitude_parts(state)
+    if not np.isfinite(parts).all():
+        # the reference rendering raises the NumericError, naming the value
+        return document_text(state_to_dict(state))
+    head = document_text(_state_fields(state, []))
+    body = ",\n".join([_PAIR_TEXT] * (parts.size // 2)) % tuple(parts.tolist())
+    return head.replace(_NO_AMPLITUDES, f'\n "amplitudes": [\n{body}\n ]', 1)
 
 
 def state_from_dict(doc):

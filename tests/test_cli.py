@@ -1288,7 +1288,15 @@ def test_evolve_missing_profile_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("out", [False, True], ids=["stdout", "file"])
 def test_non_finite_document_exits_1(tmp_path, capsys, monkeypatch, out):
-    monkeypatch.setattr(cli, "state_to_dict", lambda state: {"tail_mass": math.nan})
+    build = cli._build_state
+
+    def build_nan(args):
+        # a NaN amplitude set after the constructor's gates reaches the writer
+        state = build(args)
+        state.amplitudes[3] = math.nan
+        return state
+
+    monkeypatch.setattr(cli, "_build_state", build_nan)
     path = tmp_path / "state.json"
     argv = ["state", "--family", "glauber", "--alpha", "0.5", "--cutoff", "32"]
     code, stdout, err = run_cli(capsys, *argv, *(["--out", str(path)] if out else []))
@@ -1299,7 +1307,42 @@ def test_non_finite_document_exits_1(tmp_path, capsys, monkeypatch, out):
     assert json.loads(err)["error"] == "NumericError"
 
 
+def _out_argv(tmp_path, verb):
+    state = str(GOLDEN / "state_glauber.json")
+    return {"state": ["state", "--family", "glauber", "--alpha", "0.3", "--cutoff", "32"],
+            "report": ["report", "--state", state, "--observables", "canonical"],
+            "distance": ["distance", "--state1", state, "--state2", state],
+            "scan": ["scan", "--suite", "random-psd"],
+            "evolve": ["evolve", "--profile", _profile(tmp_path, {"kind": "omega", "omega": 1.0}),
+                       "--samples", "5"]}[verb]
+
+
+@pytest.mark.parametrize("verb", ["state", "report", "distance", "scan", "evolve"])
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, verb):
+    # a directory: open() raises IsADirectoryError, an OSError
+    argv = _out_argv(tmp_path, verb)
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "InvalidInputError"
+    assert str(tmp_path) in error["message"]
+
+
+def test_an_out_in_a_missing_directory_stays_file_not_found(tmp_path, capsys):
+    argv = _out_argv(tmp_path, "state")
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "ghost" / "s.json"))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
 # -- scan -------------------------------------------------------------------
+
+def test_scan_suite_choices_are_the_acceptance_suites():
+    assert cli.SCAN_SUITES == tuple(sorted(acceptance.SUITES))
+
 
 @pytest.mark.parametrize("suite", sorted(acceptance.SUITES))
 @settings(max_examples=3, deadline=None)
@@ -1578,6 +1621,30 @@ traj = integrate_epsilon(OscillatorProfile.from_omega(1.0), [0.0, 0.5, 1.0])
 print(json.dumps({"before": before, "after": "scipy.integrate" in sys.modules,
                   "drift": traj.wronskian_drift}))
 """
+
+
+_ACCEPTANCE_PROBE = """
+import json, os, sys
+import urstates.cli
+seen = {"import": "urstates.acceptance" in sys.modules}
+for verb, argv in [("report", ["report", "--state", sys.argv[1], "--observables", "su11",
+                               "--certificate"]),
+                   ("scan", ["scan", "--suite", "random-psd"])]:
+    assert urstates.cli.main([*argv, "--out", os.devnull]) == 0
+    seen[verb] = "urstates.acceptance" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_acceptance_is_imported_by_scan_only():
+    # the scan suites and the criteria are loaded by the two verbs that run them
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _ACCEPTANCE_PROBE,
+                           str(GOLDEN / "state_su11-cs.json")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": False, "report": False, "scan": True}
 
 
 def test_cli_import_leaves_integrate_optimize_and_special_unloaded():

@@ -1,15 +1,21 @@
 """JSON round trips for states: bit-exact amplitudes, typed parameters."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from urstates.errors import InvalidInputError, NumericError
-from urstates.hilbert import basis_state, fock_basis, multimode_basis, su2_basis, su11_basis
+from urstates.hilbert import (StateVector, basis_state, fock_basis, multimode_basis, su2_basis,
+                              su11_basis)
 from urstates.states import bg_cs, even_odd_cs, glauber, su2_cs, su11_cs
 from urstates.stateio import (
     document_text,
     load_state,
     state_from_dict,
+    state_text,
     state_to_dict,
 )
 
@@ -99,4 +105,95 @@ def test_non_finite_numbers_never_reach_a_document(bad):
     with pytest.raises(NumericError):
         document_text(state_to_dict(odd))
     with pytest.raises(NumericError):
+        state_text(odd)
+    with pytest.raises(NumericError):
         document_text({"gaps": [0.0, bad]})
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                 complex(-math.inf, 0.5)])
+def test_a_non_finite_amplitude_set_after_construction_is_a_numeric_error(bad):
+    state = glauber(0.2, N=32)
+    state.amplitudes[7] = bad
+    with pytest.raises(NumericError) as reference:
+        document_text(state_to_dict(state))
+    with pytest.raises(NumericError) as fast:
+        state_text(state)
+    assert str(fast.value) == str(reference.value)
+
+
+_SPECIAL_PARTS = [-0.0, 0.0, 1.0, 5e-324, -5e-324, 1e-300, 1e300, 2.0 ** 53]
+#: amplitude parts a normalized state is drawn from
+_UNIT_PARTS = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, -5e-324, 1e-300]) | st.floats(-1.0, 1.0)
+
+# every basis kind, k up to 1e300
+_BASES = st.one_of(
+    st.builds(fock_basis, st.integers(2, 9)),
+    st.builds(su11_basis, st.floats(0.0, 1e300, exclude_min=True) | st.just(1e300),
+              st.integers(2, 9)),
+    st.builds(su2_basis, st.integers(1, 8).map(lambda n: n / 2)),
+    st.builds(multimode_basis, st.just(2), st.integers(2, 3)),
+)
+
+# every kind of parameter _decode_param accepts, and strings that spell the
+# amplitudes key the writer splices at
+_SPLICE_TEXT = ['"amplitudes": []', '\n "amplitudes": []', ']\n "amplitudes": [],\n']
+_PARAM_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), st.sampled_from(_SPLICE_TEXT),
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SPECIAL_PARTS),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _states(draw):
+    """A state on a drawn basis whose amplitudes are a strided view when
+    the drawn stride is not 1, with drawn family and parameters, and
+    amplitude parts from ``_UNIT_PARTS``, normalized."""
+    basis = draw(_BASES)
+    values = draw(st.lists(_UNIT_PARTS, min_size=2 * basis.dim, max_size=2 * basis.dim))
+    amp = np.array(values, dtype=float).view(np.complex128)
+    norm = np.linalg.norm(amp)
+    if norm < 1e-100:  # too small to normalize to 1e-12
+        amp, norm = np.eye(1, basis.dim, 0, dtype=np.complex128)[0], 1.0
+    stride = draw(st.sampled_from([1, 2, 3, -1, -2]))
+    buf = np.zeros(basis.dim * abs(stride), dtype=np.complex128)
+    view = buf[::stride]
+    view[:] = amp / norm
+    family = draw(st.none() | st.text() | st.sampled_from(_SPLICE_TEXT))
+    params = draw(st.dictionaries(st.text() | st.just("amplitudes"), _PARAM_VALUES,
+                                  max_size=4))
+    state = StateVector(view, basis, family=family, params=params)
+    assert state.amplitudes.flags.c_contiguous == (stride == 1)
+    return state
+
+
+_ANY_PARTS = st.sampled_from(_SPECIAL_PARTS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=_states(),
+       raw=st.lists(_ANY_PARTS, min_size=1, max_size=8))
+@example(state=basis_state(su11_basis(1e300, 4), 1), raw=[-0.0, 0.0, 1.0, 5e-324, 1e-300])
+def test_state_text_is_the_json_rendering_byte_for_byte(state, raw):
+    assert state_text(state) == document_text(state_to_dict(state))
+    # the writer checks no norm: any finite parts, written into the
+    # (possibly strided) amplitudes after construction
+    parts = np.resize(np.array(raw, dtype=float), 2 * state.dim)
+    state.amplitudes[:] = parts.view(np.complex128)
+    assert state_text(state) == document_text(state_to_dict(state))
+
+
+def _bits(amp):
+    return np.ascontiguousarray(amp).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=_states())
+@example(state=glauber(0.3 + 0.4j, N=40))
+def test_reading_a_written_state_gives_it_back(state):
+    back = state_from_dict(json.loads(state_text(state)))
+    assert np.array_equal(_bits(back.amplitudes), _bits(state.amplitudes))
+    assert back.basis == state.basis
+    assert back.family == state.family
+    assert back.params == state.params
