@@ -35,6 +35,7 @@ from .errors import (
     NumericError,
     TruncationError,
 )
+from .hilbert import is_number
 from .intelligent import minimizer_certificate
 from .metrics import g_overlap, number_plus_one
 from .moments import _parse_set_name, moment_report, observable_set
@@ -175,7 +176,7 @@ def _resolve_observables(name, basis):
 
     A bare ``su11`` or ``su2`` takes the state's own k or j, and every set
     takes the state's cutoff; an explicit ``:x`` suffix must agree with the
-    state.  The set is built first and then must live on the state's basis.
+    state.  A state off the set's basis is refused by `moments.check_state`.
     """
     head, arg = _parse_set_name(name)
     letter = {"su11": "k", "su2": "j"}.get(head)
@@ -187,12 +188,7 @@ def _resolve_observables(name, basis):
             )
         # the set is built at the state's exact index: repr round-trips the float
         name = f"{head}:{value!r}"
-    obs = observable_set(name, N=basis.N)
-    if obs.basis != basis:
-        raise BasisMismatchError(
-            f"observable set {obs.name!r} lives in basis {obs.basis}, the state in {basis}"
-        )
-    return obs
+    return observable_set(name, N=basis.N)
 
 
 def _report_document(state, obs, rep, ur, cert, orders):
@@ -343,16 +339,11 @@ def _expr_callable(expr):
     return fn
 
 
-def _is_number(value):
-    """A JSON number; a bool is not one, though Python counts it as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _profile_field(doc, key):
     if key not in doc:
         raise InvalidInputError(f"profile document is missing {key!r}")
     value = doc[key]
-    if _is_number(value):
+    if is_number(value):
         return float(value)
     if isinstance(value, str):
         return _expr_callable(value)
@@ -384,10 +375,6 @@ def _profile_field(doc, key):
 
 def _load_profile(path):
     doc = read_document(path, "profile")
-    if not isinstance(doc, dict):
-        raise InvalidInputError(
-            f"profile file {path!r} must hold a JSON object, got {type(doc).__name__}"
-        )
     try:
         return _profile_from_dict(doc)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -397,7 +384,7 @@ def _load_profile(path):
 def _profile_from_dict(doc):
     kind = doc.get("kind")
     omega0 = doc.get("omega0")
-    if omega0 is not None and not _is_number(omega0):
+    if omega0 is not None and not is_number(omega0):
         raise InvalidInputError(f"profile field 'omega0' must be a number, got {omega0!r}")
     if kind == "omega":
         return OscillatorProfile.from_omega(_profile_field(doc, "omega"), omega0=omega0)

@@ -49,6 +49,7 @@ __all__ = [
     "su2_basis",
     "multimode_basis",
     "basis_state",
+    "is_number",
     "DEFAULT_FOCK_CUTOFF",
     "DEFAULT_SU11_CUTOFF",
     "DEFAULT_MODE_CUTOFF",
@@ -69,6 +70,13 @@ RESIDUAL_TOL = 1e-8
 MAX_BASIS_DIM = 1 << 16
 
 
+def is_number(value, integer=False):
+    """A Python or numpy real number, or with ``integer`` an integer, that is
+    not a bool, though Python counts a bool as an int."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 #: the fields that define each basis kind, in the order its document lists
 #: them after "kind"; N >= 2 wherever it is listed
 _KIND_FIELDS = {"fock": ("N",), "su11": ("N", "k"), "su2": ("j",), "multimode": ("N", "s")}
@@ -80,7 +88,8 @@ class BasisSpec:
 
     kind is a key of `_KIND_FIELDS`.  N is the per-mode level count
     (fock/su11/multimode), k the Bargmann index (su11), j the spin (su2),
-    s the mode count (multimode, always 2).
+    s the mode count (multimode, always 2).  A field the kind does not
+    list stays unset: s = 1 and the others None.
     """
 
     kind: str
@@ -92,25 +101,24 @@ class BasisSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
             raise InvalidInputError(f"unknown basis kind {self.kind!r}")
-        for name in ("N", "s"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, (int, np.integer))):
-                raise InvalidInputError(f"basis field {name!r} must be an integer, got {value!r}")
-            # a plain int, which to_dict writes as it is
-            object.__setattr__(self, name, None if value is None else int(value))
-        for name in ("k", "j"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(
-                    value, (int, float, np.integer, np.floating))):
-                raise InvalidInputError(f"basis field {name!r} must be a real number, "
-                                        f"got {value!r}")
-            # a plain float, so that repr names the index the same way for any input type
-            object.__setattr__(self, name, None if value is None else float(value))
-        for name in _KIND_FIELDS[self.kind]:
-            if getattr(self, name) is None:
+        listed = _KIND_FIELDS[self.kind]
+        for name in ("N", "k", "j", "s"):
+            value, integer = getattr(self, name), name in ("N", "s")
+            if value is None and name in listed:
                 raise InvalidInputError(f"{self.kind} basis has no field {name!r}")
-        if "N" in _KIND_FIELDS[self.kind] and self.N < 2:
+            if value is None:
+                continue
+            if not is_number(value, integer):
+                raise InvalidInputError(f"{self.kind} basis field {name!r} must be "
+                                        f"{'an integer' if integer else 'a real number'}, "
+                                        f"got {value!r}")
+            # a plain int or float, which to_dict and repr write alike for any type
+            value = int(value) if integer else float(value)
+            if name not in listed and (name, value) != ("s", 1):
+                raise InvalidInputError(f"{self.kind} basis takes no field {name!r}, "
+                                        f"got {value!r}")
+            object.__setattr__(self, name, value)
+        if "N" in listed and self.N < 2:
             raise InvalidInputError(f"basis {self.kind!r} needs N >= 2, got {self.N}")
         if self.kind == "su11" and not 0.0 < self.k < math.inf:
             raise InvalidInputError(

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .hilbert import StateVector, residual_bound
+from .hilbert import residual_bound
 # char_coeffs stays importable as intelligent.char_coeffs: bench/spans.py
 # wraps it under that name
 from .matrixkit import char_coeffs  # noqa: F401
-from .moments import moment_report
+from .moments import check_state, moment_report
 
 __all__ = [
     "PairCertificate",
@@ -65,11 +65,10 @@ def minimizer_certificate(state, obs, report=None):
     state constructors gate on too.  ``report`` passes the moment report of
     ``state`` for ``obs`` when the caller already holds it; it is taken as
     is, so the tail gate of `moments.moment_report` is not checked again,
-    but a report of another observable set, or one without centered
-    vectors, is refused.
+    but a state off the basis of ``obs``, a report of another observable
+    set, or one without centered vectors, is refused.
     """
-    if not isinstance(state, StateVector):
-        raise InvalidInputError(f"expected a StateVector, got {type(state).__name__}")
+    check_state(state, obs.basis, None)
     if report is not None and report.labels != obs.labels:
         raise InvalidInputError(
             f"report of observables {report.labels} given for {obs.labels}"

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError, InvalidInputError
-from .hilbert import Operator, StateVector, check_tail
+from .hilbert import Operator
+from .moments import check_state
 
 __all__ = ["DistanceResult", "g_overlap", "number_plus_one"]
 
@@ -68,20 +69,16 @@ def g_overlap(state1, state2, X=None, max_tail=1e-8):
     space, so the X^2-norms in the denominator cannot vanish.  A state
     whose tail mass exceeds ``max_tail`` raises TruncationError.
     """
+    # both states on X's basis, or on the first state's for the identity
+    basis = getattr(state1 if X is None else X, "basis", None)
     for st in (state1, state2):
-        if not isinstance(st, StateVector):
-            raise InvalidInputError("g_overlap compares pure states")
-        check_tail(st.tail_mass, max_tail, "state tail mass")
-    if state1.basis != state2.basis:
-        raise BasisMismatchError("states live in different bases")
+        check_state(st, basis, max_tail)
 
     if X is None:
         y1 = state1.amplitudes
         y2 = state2.amplitudes
         label = "identity"
     else:
-        if X.basis != state1.basis:
-            raise BasisMismatchError("observable basis does not match the states")
         if not X.is_hermitian():
             raise InvalidInputError(f"observable {X.label!r} is not Hermitian")
         lam = _min_eig(X)

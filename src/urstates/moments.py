@@ -43,6 +43,7 @@ __all__ = [
     "observable_set",
     "MomentReport",
     "moment_report",
+    "check_state",
 ]
 
 
@@ -153,16 +154,16 @@ def observable_set(name, N=None):
 
     if head == "canonical":
         if arg in (None, 1):
-            rep = boson_rep(N if N else DEFAULT_FOCK_CUTOFF)
+            rep = boson_rep(DEFAULT_FOCK_CUTOFF if N is None else N)
             return ObservableSet([rep["q"], rep["p"]], name="canonical")
         if arg == 2:
-            rep = tensor_rep(N if N else DEFAULT_MODE_CUTOFF)
+            rep = tensor_rep(DEFAULT_MODE_CUTOFF if N is None else N)
             return ObservableSet(rep["q"] + rep["p"], name="canonical:2")
         raise InvalidInputError(f"canonical quadratures support s in {{1,2}}, got s={arg:g}")
 
     if head == "su11":
         k = 0.5 if arg is None else arg
-        rep = su11_rep(k, N if N else DEFAULT_SU11_CUTOFF)
+        rep = su11_rep(k, DEFAULT_SU11_CUTOFF if N is None else N)
         return ObservableSet([rep["k1"], rep["k2"], rep["k3"]], name=f"su11:{k:g}")
 
     if head == "su2":
@@ -173,7 +174,7 @@ def observable_set(name, N=None):
     if head == "a2-quadratures":
         if arg is not None:
             raise InvalidInputError("a2-quadratures takes no scale parameter")
-        n_levels = N if N else DEFAULT_FOCK_CUTOFF
+        n_levels = DEFAULT_FOCK_CUTOFF if N is None else N
         c = boson_ladder(n_levels)
         basis = fock_basis(n_levels)
         # a^2 carries sqrt(n+1) sqrt(n+2) on band +2
@@ -239,18 +240,19 @@ def moment_report(obs, state, max_tail=1e-8):
     ``max_tail`` aborts with a truncation error, since moments of a
     leaking state are not trustworthy.
     """
-    _check_compat(obs, state, max_tail)
+    check_state(state, obs.basis, max_tail)
     means, sigma, comm, centered = _pure_moments(obs, state.amplitudes)
     return MomentReport(obs.labels, means, sigma, comm, centered)
 
 
-def _check_compat(obs, state, max_tail):
+def check_state(state, basis, max_tail):
+    """Refuse anything but a StateVector on ``basis`` whose recorded tail
+    mass is within ``max_tail`` (no gate for None): the one check of a
+    caller's state before its moments, overlaps or certificate are read."""
     if not isinstance(state, StateVector):
         raise InvalidInputError(f"expected a StateVector, got {type(state).__name__}")
-    if state.basis != obs.basis:
-        raise BasisMismatchError(
-            f"state basis {state.basis} does not match observable basis {obs.basis}"
-        )
+    if state.basis != basis:
+        raise BasisMismatchError(f"state basis {state.basis} does not match basis {basis}")
     check_tail(state.tail_mass, max_tail, "state tail mass")
 
 

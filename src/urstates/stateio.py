@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .hilbert import BasisSpec, StateVector
+from .hilbert import BasisSpec, StateVector, is_number
 
 __all__ = ["state_to_dict", "state_text", "state_from_dict", "load_state",
            "document_text", "read_document"]
@@ -31,7 +31,8 @@ def _encode_param(value):
 
 
 def _finite_number(value):
-    return type(value) is int or type(value) is float and math.isfinite(value)
+    # an int, however large, is finite; isfinite would overflow on it
+    return is_number(value, integer=True) or is_number(value) and math.isfinite(value)
 
 
 def _decode_param(key, value):
@@ -127,18 +128,23 @@ def document_text(doc):
 
 
 def read_document(path, what):
-    """Parse the JSON file at ``path``; an unreadable or malformed file is an
-    InvalidInputError, except a missing one, which stays FileNotFoundError.
-    ``what`` names the kind of document in the message."""
+    """The JSON object in the file at ``path``; an unreadable or malformed
+    file, or one that holds anything but an object, is an InvalidInputError,
+    except a missing one, which stays FileNotFoundError.  ``what`` names the
+    kind of document in the message."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise
     except ValueError as exc:
         raise InvalidInputError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"cannot read {what} file {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(
+            f"{what} file {path!r} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def load_state(path):

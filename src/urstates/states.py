@@ -437,6 +437,30 @@ def _is_nonpositive_int(x):
     return int(-r)
 
 
+def _inside_root(u, v, w):
+    """(t_in, s) of u K- + v K+ + w K3 when one root t_in of u t^2 + w t + v
+    lies inside the unit disk and the other outside: the spectrum is then
+    discrete, z_n = s (k + n), with the step s = w + 2 u t_in.  (None, None)
+    when both roots are inside; both outside is a NormalizabilityError."""
+    scale = max(abs(u), abs(v), abs(w))
+    if scale == 0.0:
+        raise InvalidInputError("intelligent family needs (u, v, w) != 0")
+    if abs(u) <= 1e-12 * scale:
+        raise NormalizabilityError("intelligent family needs u != 0 (no lowering part, "
+                                   "no normalizable eigenstates off the weight basis)")
+    l = cmath.sqrt(w * w - 4.0 * u * v)
+    roots = ((-w + l) / (2.0 * u), (-w - l) / (2.0 * u))
+    inside = [abs(t) < 1.0 - 1e-12 for t in roots]
+    if not any(inside):
+        raise NormalizabilityError(f"intelligent family not normalizable: characteristic roots "
+                                   f"|t1|={abs(roots[0]):.6g}, |t2|={abs(roots[1]):.6g} both "
+                                   f"outside the unit disk")
+    if all(inside):
+        return None, None
+    # s = w + 2 u t_in is +-l
+    return (roots[0], l) if inside[0] else (roots[1], -l)
+
+
 def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     """Eigenstate of u K- + v K+ + w K3 with eigenvalue z.
 
@@ -462,35 +486,13 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
     N = _cutoff(N, "su11_intelligent", DEFAULT_SU11_CUTOFF)
     # the eigen-equation only sees the ray through (u, v, w, z)
     u, v, w, z = _ray_scaled(*params.values())
+    t_in, s = _inside_root(u, v, w)
     scale = max(abs(u), abs(v), abs(w))
-    if scale == 0.0:
-        raise InvalidInputError("intelligent family needs (u, v, w) != 0")
-    if abs(u) <= 1e-12 * scale:
-        raise NormalizabilityError(
-            "intelligent family needs u != 0 (no lowering part, "
-            "no normalizable eigenstates off the weight basis)"
-        )
-    l = cmath.sqrt(w * w - 4.0 * u * v)
-    roots = ((-w + l) / (2.0 * u), (-w - l) / (2.0 * u))
-    inside = [abs(t) < 1.0 - 1e-12 for t in roots]
-    if not any(inside):
-        raise NormalizabilityError(
-            f"intelligent family not normalizable: characteristic roots "
-            f"|t1|={abs(roots[0]):.6g}, |t2|={abs(roots[1]):.6g} both outside "
-            f"the unit disk"
-        )
-    n0 = None
-    if not all(inside):
-        # one root outside: the spectrum is discrete, z_n = s (k + n) with
-        # the step s = w + 2 u t_in = +-l set by the inside root t_in
-        t_in, s = (roots[0], l) if inside[0] else (roots[1], -l)
-        n0 = _is_nonpositive_int(k - z / s)
-        if n0 is None:
-            raise NormalizabilityError(
-                f"su11_intelligent: no normalizable eigenstate at z={z}: one "
-                f"characteristic root lies outside the unit disk, and z is "
-                f"not on the discrete spectrum"
-            )
+    n0 = None if s is None else _is_nonpositive_int(k - z / s)
+    if s is not None and n0 is None:
+        raise NormalizabilityError(f"su11_intelligent: no normalizable eigenstate at z={z}: "
+                                   f"one characteristic root lies outside the unit disk, "
+                                   f"and z is not on the discrete spectrum")
 
     while True:
         # M over scale, so the residual is relative to the largest of u, v, w
@@ -522,22 +524,17 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
 
 
 def su11_intelligent_spectrum(u, v, w, k, count=8):
-    """Physical eigenvalues z_n = l (k + n) of the Hermitian-normalizable
-    family (Im w = 0, v = conj(u), w^2 > 4|u|^2), lowest ``count`` levels."""
+    """The lowest ``count`` eigenvalues z_n = s (k + n) of a family with one
+    root of u t^2 + w t + v inside the unit disk (`_inside_root`).  Both
+    roots inside is a NormalizabilityError too: every z is an eigenvalue."""
     u, v, w = complex(u), complex(v), complex(w)
     k = float(k)
-    if abs(w.imag) > 1e-12 * max(1.0, abs(w)) or abs(v - np.conj(u)) > 1e-12 * max(1.0, abs(u)):
-        raise InvalidInputError(
-            "discrete spectrum formula applies to the Im w = 0, v = conj(u) family"
-        )
-    disc = w.real ** 2 - 4.0 * abs(u) ** 2
-    if disc <= 0.0:
-        raise NormalizabilityError(
-            f"family needs w^2 > 4|u|^2 for normalizable eigenstates, "
-            f"got w^2 - 4|u|^2 = {disc:.6g}"
-        )
-    l = math.sqrt(disc) * (1.0 if w.real > 0 else -1.0)
-    return [l * (k + n) for n in range(count)]
+    _check_params("su11_intelligent_spectrum", u=u, v=v, w=w, k=k)
+    _t_in, s = _inside_root(u, v, w)
+    if s is None:
+        raise NormalizabilityError("both characteristic roots lie inside the unit disk: "
+                                   "every z is an eigenvalue, the spectrum is not discrete")
+    return [s * (k + n) for n in range(count)]
 
 
 #: the families of ``urstates state --family``: name -> (constructor, the

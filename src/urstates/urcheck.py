@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .matrixkit import _small_char_coeffs, char_coeffs
-from .moments import ObservableSet, _check_compat, _pure_moments, moment_report
+from .moments import ObservableSet, _pure_moments, check_state, moment_report
 
 __all__ = [
     "PairGapRecord",
@@ -119,7 +119,7 @@ def char_ur_report(obs, states, max_tail=1e-8):
         )
 
     for st in state_list:
-        _check_compat(obs, st, max_tail)
+        check_state(st, obs.basis, max_tail)
     amps = [st.amplitudes for st in state_list]
     psi = amps[0] if len(amps) == 1 else np.stack(amps)
     _means, sigma_sum, comm_sum, _centered = _pure_moments(obs, psi)
@@ -168,7 +168,7 @@ def one_observable_two_state(X, state1, state2, max_tail=1e-8):
     <1|X^2|1><2|X^2|2> >= |<1|X^2|2>|^2   (gap returned signed).
     """
     for st in (state1, state2):
-        _check_compat(X, st, max_tail)
+        check_state(st, X.basis, max_tail)
     if not X.is_hermitian():
         raise InvalidInputError(f"observable {X.label!r} is not Hermitian")
     y1 = X.apply(state1.amplitudes)

@@ -5,6 +5,12 @@ status is readable straight off the pytest output."""
 import pytest
 
 from urstates import acceptance
+from urstates.errors import InvalidInputError
+
+
+def test_rows_refuses_an_unknown_suite():
+    with pytest.raises(InvalidInputError, match="bogus"):
+        acceptance.rows("bogus")
 
 
 @pytest.mark.parametrize("number", sorted(acceptance.CRITERIA))

@@ -339,6 +339,7 @@ def test_state_max_tail_still_gates(capsys):
     ["selftest", "--criteria", " , "],
     # and once wrote "orders": {}
     ["report", "--state", "st.json", "--observables", "canonical", "--orders", ""],
+    ["selftest", "--criteria", "a"],
 ])
 def test_grammar_errors_exit_64(argv):
     with pytest.raises(SystemExit) as exc:
@@ -525,6 +526,18 @@ def test_report_malformed_state_document_exits_2(tmp_path, capsys, defect):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("verb", ["report", "distance", "evolve"])
+def test_a_file_that_holds_no_json_object_is_refused_by_name(tmp_path, capsys, verb):
+    # a state file once ended in Python's "list indices must be integers"
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    argv = {"report": ["--state", str(path), "--observables", "canonical"],
+            "distance": ["--state1", str(path), "--state2", str(path)],
+            "evolve": ["--profile", str(path), "--samples", "5"]}[verb]
+    code, out, err = run_cli(capsys, verb, *argv)
+    _assert_one_invalid_input_line(code, out, err, f"{str(path)!r} must hold a JSON object")
 
 
 def _params_list(doc):

@@ -116,6 +116,11 @@ def test_epsilon_initial_data_validation():
             integrate_epsilon(CONST2, grid)
 
 
+def test_epsilon_refuses_an_infinite_frequency():
+    with pytest.raises(NumericError, match="right-hand side"):
+        integrate_epsilon(OscillatorProfile(1.0, lambda t: math.inf), [0.0, 1.0])
+
+
 def test_trajectory_table_rows():
     t = np.linspace(0.0, 1.0, 11)
     traj, u, v, rows = trajectory_table(CONST2, t)
@@ -224,6 +229,11 @@ def test_classical_flow_validation():
     with pytest.raises(InvalidInputError):
         classical_flow(CONST2, ClassicalPhasePoint(0, 0, 0, 1.0),
                        [0.0, 0.5, 0.2])
+
+
+def test_classical_flow_refuses_a_collapsed_squeeze():
+    with pytest.raises(NumericError, match="squeezing collapse"):
+        classical_flow(CONST2, ClassicalPhasePoint(0.0, 0.0, 0.0, 1e-7), [0.0, 0.1])
 
 
 def test_integration_budget_ends_a_pole_profile(monkeypatch):

@@ -22,6 +22,7 @@ from urstates.hilbert import (
     boson_rep,
     check_tail,
     fock_basis,
+    is_number,
     multimode_basis,
     residual_bound,
     su2_basis,
@@ -93,6 +94,34 @@ def test_basis_document_refuses_a_bad_field_by_name(doc, field):
     # not later under the name of an observable set
     with pytest.raises(InvalidInputError, match=field):
         BasisSpec.from_dict(doc)
+
+
+def test_is_number_takes_python_and_numpy_numbers_but_no_bool():
+    for value in (3, 2.5, np.int64(3), np.float32(2.5), math.nan):
+        assert is_number(value)
+    for value in (3, np.int32(3), 10 ** 400):
+        assert is_number(value, integer=True)
+    for value in (True, np.bool_(True), "3", None, 1j, [3]):
+        assert not is_number(value)
+    for value in (True, 3.0, np.float64(3.0)):
+        assert not is_number(value, integer=True)
+
+
+@pytest.mark.parametrize("field, value", [("k", 0.5), ("j", math.nan), ("s", 2),
+                                          ("s", True), ("N", 8)])
+def test_basis_refuses_a_field_its_kind_does_not_list(field, value):
+    # once built, and compared unequal to fock_basis(32) though it wrote the
+    # same document; N is not a field of su2
+    kind = "su2" if field == "N" else "fock"
+    fields = {"j": 0.5} if kind == "su2" else {"N": 32}
+    with pytest.raises(InvalidInputError, match=f"'{field}'"):
+        BasisSpec(kind, **{**fields, field: value})
+
+
+def test_basis_takes_s_1_as_unset_on_any_kind_but_multimode():
+    for s in (1, np.int64(1)):
+        basis = BasisSpec("fock", N=32, s=s)
+        assert basis == fock_basis(32) and type(basis.s) is int
 
 
 def test_basis_sizes_take_any_integer_type():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from urstates.cli import _report_document
-from urstates.errors import InvalidInputError
+from urstates.errors import BasisMismatchError, InvalidInputError
 from urstates.hilbert import basis_state, fock_basis, su2_basis
 from urstates.intelligent import minimizer_certificate
 from urstates.moments import MomentReport, ObservableSet, moment_report, observable_set
@@ -177,6 +177,18 @@ def test_certificate_refuses_a_report_without_centered_vectors():
     bare = MomentReport(rep.labels, rep.means, rep.sigma, rep.commut)
     with pytest.raises(InvalidInputError, match="centered vectors"):
         minimizer_certificate(st, obs, report=bare)
+
+
+def test_certificate_refuses_a_state_off_the_observable_basis():
+    # once certified the report's state, glauber(0.3), as a minimizer; a
+    # given report is taken as is, so no tail gate applies
+    obs = observable_set("canonical", N=64)
+    rep = moment_report(obs, glauber(0.3, N=64))
+    with pytest.raises(BasisMismatchError):
+        minimizer_certificate(glauber(0.9, N=40), obs, report=rep)
+    leaky = basis_state(fock_basis(64), 63)
+    cert = minimizer_certificate(leaky, obs, report=moment_report(obs, leaky, max_tail=None))
+    assert cert.verdict in ("minimizer", "not-minimizer")
 
 
 @pytest.mark.parametrize("bad", ["not a state", np.ones(16, dtype=complex)])

@@ -115,6 +115,21 @@ def test_observable_set_rejects_unknown_names():
             observable_set(bad, N=8)
 
 
+@pytest.mark.parametrize("name", ["canonical", "canonical:2", "su11", "a2-quadratures"])
+def test_observable_set_refuses_a_zero_cutoff(name):
+    # N = 0 once read as omitted, and built the set at the default cutoff
+    with pytest.raises(InvalidInputError, match="N >= 2"):
+        observable_set(name, N=0)
+
+
+def test_observable_set_refuses_no_observables_and_a_mixed_basis():
+    with pytest.raises(InvalidInputError, match="empty"):
+        ObservableSet([])
+    fock, su11 = observable_set("canonical", N=8), observable_set("su11", N=8)
+    with pytest.raises(BasisMismatchError, match="different basis"):
+        ObservableSet([fock.ops[0], su11.ops[0]])
+
+
 def test_observable_set_suffix_carries_the_exact_scale():
     # any float repr is a valid suffix, and the set is built at exactly that
     # value; the name shows it to 6 significant digits

@@ -792,6 +792,12 @@ def test_su11_intelligent_is_a_ray_at_any_scale(lam):
     assert st.params["u"] == lam * u and st.params["z"] == lam * z
 
 
+def test_su11_intelligent_refuses_a_family_that_outgrows_the_adaptive_cutoff():
+    # roots +-0.9999: the amplitudes still carry mass at the 4096-level ceiling
+    with pytest.raises(TruncationError, match="N=4096"):
+        su11_intelligent(1, -0.9999 ** 2, 0, 0, 0.5)
+
+
 def test_su11_intelligent_amplitudes_decay():
     # regression: a discrete-spectrum state must decay all the way to the
     # cutoff (rounding noise growing with the level once inverted its tail)
@@ -1125,8 +1131,15 @@ def test_su11_intelligent_spectrum_contract():
     np.testing.assert_allclose(zs, l * (0.5 + np.arange(4)), rtol=1e-12)
     with pytest.raises(NormalizabilityError):
         su11_intelligent_spectrum(0.6, 0.6, 1.0, 0.5)
-    with pytest.raises(InvalidInputError):
-        su11_intelligent_spectrum(0.3, 0.2, 1.0, 0.5)
+    # a family off v = conj(u) with one root inside has its spectrum too,
+    # at the step l = sqrt(w^2 - 4uv), and an eigenstate at each level
+    zs = su11_intelligent_spectrum(0.3, 0.2, 1.0, 0.5, count=3)
+    np.testing.assert_allclose(zs, math.sqrt(0.76) * (0.5 + np.arange(3)), rtol=1e-12)
+    for z in zs:
+        assert su11_intelligent(0.3, 0.2, 1.0, z, 0.5).params["z"] == z
+    # both roots inside (+-0.6): every z is an eigenvalue, no level is listed
+    with pytest.raises(NormalizabilityError, match="inside"):
+        su11_intelligent_spectrum(1.0, -0.36, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from urstates.cli import _report_document
 from urstates.errors import (
     BasisMismatchError,
     InvalidInputError,
+    NumericError,
     TruncationError,
 )
 from urstates.hilbert import (
@@ -276,6 +277,13 @@ def test_complementary_validation():
             complementary(rep, 2, alpha)
     with pytest.raises(InvalidInputError):
         complementary(rep, 2, rep.order_gaps[2].c_sigma / 2.0)
+
+
+def test_complementary_refuses_a_predictability_outside_the_unit_interval():
+    # a hand-built sigma that is not PSD: C_2(sigma) = 1 - 4 < 0, so P^2 = 4
+    rep = _ur_from_moments(["x", "y"], np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2)), 1)
+    with pytest.raises(NumericError, match=r"escaped \[0,1\]"):
+        complementary(rep, 2, 1.0)
 
 
 def test_report_json_shape():
