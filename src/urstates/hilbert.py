@@ -171,7 +171,13 @@ class BasisSpec:
             )
         kind = d.get("kind")
         fields = _KIND_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
-        return BasisSpec(kind, **{name: d.get(name) for name in fields})
+        basis = BasisSpec(kind, **{name: d.get(name) for name in fields})
+        # to_dict writes the kind's fields only, so any other key is refused
+        extra = sorted(d.keys() - {"kind", *fields})
+        if extra:
+            raise InvalidInputError(f"{kind} basis takes no field {extra[0]!r}, "
+                                    f"got {d[extra[0]]!r}")
+        return basis
 
 
 def fock_basis(N=DEFAULT_FOCK_CUTOFF):

@@ -72,11 +72,17 @@ def pad_bands(band_dicts, dim):
 
 @dataclass
 class ObservableSet:
-    """An ordered tuple of Hermitian observables on a shared basis."""
+    """An ordered tuple of Hermitian observables on a shared basis.
+
+    ``_moments`` holds (amplitude bytes, sigma rows, C rows), the rows as
+    Python floats, of the last state a `moment_report` succeeded on, so that
+    `urcheck.char_ur_report` of the same amplitudes makes no second pass.
+    """
 
     ops: list
     name: str = ""
     _padded: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _moments: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.ops:
@@ -241,8 +247,11 @@ def moment_report(obs, state, max_tail=1e-8):
     leaking state are not trustworthy.
     """
     check_state(state, obs.basis, max_tail)
-    means, sigma, comm, centered = _pure_moments(obs, state.amplitudes)
-    return MomentReport(obs.labels, means, sigma, comm, centered)
+    psi = state.amplitudes
+    means, sigma, comm, centered = _pure_moments(obs, psi)
+    report = MomentReport(obs.labels, means, sigma, comm, centered)
+    obs._moments = (psi.tobytes(), sigma.tolist(), comm.tolist())
+    return report
 
 
 def check_state(state, basis, max_tail):

@@ -63,6 +63,13 @@ __all__ = [
 MAX_ADAPTIVE_CUTOFF = 4096
 
 
+def _ray_exponent(*xs):
+    """The exponent e of the exact power of two 2^e by which `_ray_scaled`
+    scales the complex numbers ``xs``."""
+    top = max(max(abs(x.real), abs(x.imag)) for x in xs)
+    return 0 if 2.0 ** -500 <= top <= 2.0 ** 500 else -math.frexp(top)[1]
+
+
 def _ray_scaled(*xs):
     """The complex numbers ``xs`` scaled by one exact power of two.
 
@@ -71,8 +78,7 @@ def _ray_scaled(*xs):
     them would overflow or underflow, the scale brings it near 1; otherwise
     the values come back as they are.
     """
-    top = max(max(abs(x.real), abs(x.imag)) for x in xs)
-    e = 0 if 2.0 ** -500 <= top <= 2.0 ** 500 else -math.frexp(top)[1]
+    e = _ray_exponent(*xs)
     return [complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)) for x in xs]
 
 
@@ -526,15 +532,27 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
 def su11_intelligent_spectrum(u, v, w, k, count=8):
     """The lowest ``count`` eigenvalues z_n = s (k + n) of a family with one
     root of u t^2 + w t + v inside the unit disk (`_inside_root`).  Both
-    roots inside is a NormalizabilityError too: every z is an eigenvalue."""
+    roots inside is a NormalizabilityError too: every z is an eigenvalue,
+    and a level past the float range is a NumericError.  The roots are found
+    on the ray-scaled (u, v, w), as in `su11_intelligent`, and s, linear in
+    (u, v, w), is scaled back."""
     u, v, w = complex(u), complex(v), complex(w)
     k = float(k)
     _check_params("su11_intelligent_spectrum", u=u, v=v, w=w, k=k)
-    _t_in, s = _inside_root(u, v, w)
+    _t_in, s = _inside_root(*_ray_scaled(u, v, w))
     if s is None:
         raise NormalizabilityError("both characteristic roots lie inside the unit disk: "
                                    "every z is an eigenvalue, the spectrum is not discrete")
-    return [s * (k + n) for n in range(count)]
+    e = -_ray_exponent(u, v, w)
+    if e:
+        # 2^e in two halves, each a float where 2^e itself need not be
+        s = s * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
+    levels = [s * (k + n) for n in range(count)]
+    # |z_n| grows with n, so the last level is the first to overflow
+    if levels and not cmath.isfinite(levels[-1]):
+        raise NumericError(f"su11_intelligent_spectrum: level z_{count - 1} = "
+                           f"{levels[-1]} is past the float range")
+    return levels
 
 
 #: the families of ``urstates state --family``: name -> (constructor, the

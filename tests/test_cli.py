@@ -560,6 +560,11 @@ def _basis_j_bool(doc):
     doc["basis"] = {"kind": "su2", "j": True}
 
 
+def _basis_unlisted_k(doc):
+    # once loaded with exit 0, though BasisSpec("fock", N=32, k=0.5) is refused
+    doc["basis"]["k"] = 0.5
+
+
 def _amplitude_huge(doc):
     # squared before it was checked: once a numpy overflow warning and the
     # message "must be finite"
@@ -603,6 +608,7 @@ _FIELD_DEFECTS = {"params-list": (_params_list, "params"),
                   "basis-k-nan": (_basis_k_nan, "'k'"),
                   "basis-k-string": (_basis_k_string, "'k'"),
                   "basis-j-bool": (_basis_j_bool, "'j'"),
+                  "basis-unlisted-k": (_basis_unlisted_k, "takes no field 'k'"),
                   "amplitude-huge": (_amplitude_huge, "not normalized"),
                   "amplitude-nan": (_amplitude_nan, "must be finite"),
                   "amplitude-bool": (_amplitude_bool, "'amplitudes'")}

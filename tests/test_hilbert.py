@@ -118,6 +118,15 @@ def test_basis_refuses_a_field_its_kind_does_not_list(field, value):
         BasisSpec(kind, **{**fields, field: value})
 
 
+@pytest.mark.parametrize("key, value", [("k", 0.5), ("s", 1), ("N", None), ("n", 32)])
+def test_basis_document_refuses_a_field_its_kind_does_not_list(key, value):
+    # to_dict writes the kind's fields only; a fock document with k once loaded
+    doc = {"kind": "su2", "j": 0.5} if key == "N" else {"kind": "fock", "N": 32}
+    assert BasisSpec.from_dict(doc).to_dict() == doc
+    with pytest.raises(InvalidInputError, match=f"takes no field '{key}'"):
+        BasisSpec.from_dict({**doc, key: value})
+
+
 def test_basis_takes_s_1_as_unset_on_any_kind_but_multimode():
     for s in (1, np.int64(1)):
         basis = BasisSpec("fock", N=32, s=s)

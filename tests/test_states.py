@@ -792,6 +792,27 @@ def test_su11_intelligent_is_a_ray_at_any_scale(lam):
     assert st.params["u"] == lam * u and st.params["z"] == lam * z
 
 
+@pytest.mark.parametrize("lam", [1e160, 1e-160, 2.0 ** 600, 1e300])
+def test_su11_intelligent_spectrum_is_linear_in_the_ray_scale(lam):
+    # w^2 - 4uv overflowed at 1e160 and gave roots of modulus nan, a
+    # NormalizabilityError; s is linear in (u, v, w), so the levels scale with lam
+    for u, v, w, k in ((0.3, 0.3, 1.0, 0.5), (0.3, 0.2, 1.0, 1.5),
+                       (0.3 * cmath.exp(1.1j), 0.3 * cmath.exp(-1.1j), 0.75, 0.5)):
+        ref = np.array(su11_intelligent_spectrum(u, v, w, k, count=5))
+        zs = np.array(su11_intelligent_spectrum(lam * u, lam * v, lam * w, k, count=5))
+        np.testing.assert_allclose(zs, lam * ref, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("u, v, w, k, n", [(0.3e307, 0.3e307, 1.7e308, 0.5, 1),
+                                           (0.3, 0.3, 2.0, 1.7e308, 0)])
+def test_su11_intelligent_spectrum_refuses_a_level_past_the_float_range(u, v, w, k, n):
+    # z_n was once returned as inf + 0j: at scale 1.7e308 it is z_1, and at
+    # a Bargmann index of 1.7e308 already z_0
+    assert np.isfinite(su11_intelligent_spectrum(u, v, w, k, count=n)).all()
+    with pytest.raises(NumericError, match=f"z_{n}"):
+        su11_intelligent_spectrum(u, v, w, k, count=n + 1)
+
+
 def test_su11_intelligent_refuses_a_family_that_outgrows_the_adaptive_cutoff():
     # roots +-0.9999: the amplitudes still carry mass at the 4096-level ceiling
     with pytest.raises(TruncationError, match="N=4096"):
