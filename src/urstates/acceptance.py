@@ -39,8 +39,8 @@ from .dynamics import (
     classical_flow,
     trajectory_table,
 )
-from .urcheck import _ur_from_moments, char_ur_report, complementary, \
-    one_observable_two_state, two_state_schrodinger
+from .urcheck import char_ur_report, complementary, one_observable_two_state, \
+    two_state_schrodinger
 
 __all__ = ["CriterionResult", "run", "CRITERIA", "SUITES", "rows"]
 
@@ -112,7 +112,7 @@ def _row_squeeze_shell(seed, index, point):
     st = canonical_ss(alpha, u, v, N=192)
     obs = _obs_cached("canonical", 192)
     rep = moment_report(obs, st)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
+    ur = char_ur_report(obs, st)
     return [index, r, theta, alpha.real, alpha.imag,
             rep.sigma[0, 0], rep.sigma[1, 1], rep.sigma[0, 1],
             ur.pair_gaps[(0, 1)].schr_gap, st.tail_mass]
@@ -133,7 +133,7 @@ def _row_su11_cs(seed, index, point):
     st = su11_cs(xi, k)
     obs = _obs_cached(f"su11:{k:g}", st.basis.N)
     rep = moment_report(obs, st)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
+    ur = char_ur_report(obs, st)
     return [index, k, xi.real, xi.imag,
             ur.pair_gaps[(0, 1)].schr_gap,
             ur.pair_gaps[(0, 2)].schr_gap,
@@ -159,7 +159,7 @@ def _row_bg_cs(seed, index, point):
     km = su11_rep(k, 96)["kminus"]
     residual = float(np.linalg.norm(km.apply(st.amplitudes) - z * st.amplitudes))
     rep = moment_report(obs, st)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
+    ur = char_ur_report(obs, st)
     return [index, k, z.real, z.imag, residual,
             rep.sigma[0, 0] - rep.sigma[1, 1],
             ur.pair_gaps[(0, 1)].sum_gap, st.tail_mass]
@@ -187,7 +187,7 @@ def _row_even_odd(seed, index, point):
     obs = _obs_cached("a2-quadratures", 128)
     residual = _a2_residual(obs, st.amplitudes, alpha)
     rep = moment_report(obs, st)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
+    ur = char_ur_report(obs, st)
     return [index, parity, alpha.real, alpha.imag, residual,
             rep.sigma[0, 1], ur.pair_gaps[(0, 1)].schr_gap]
 

@@ -44,9 +44,7 @@ from .states import FAMILIES
 # canonical_ss stays importable as cli.canonical_ss: bench/spans.py wraps it
 # under that name
 from .states import canonical_ss  # noqa: F401
-# char_ur_report stays importable as cli.char_ur_report: bench/spans.py
-# wraps it under that name
-from .urcheck import _ur_from_moments, char_ur_report  # noqa: F401
+from .urcheck import char_ur_report
 
 __all__ = ["main"]
 
@@ -249,7 +247,7 @@ def _cmd_report(args):
                 f"orders {bad} outside 1..{obs.n} for {obs.n} observables"
             )
     rep = moment_report(obs, state, max_tail=max_tail)
-    ur = _ur_from_moments(obs.labels, rep.sigma, rep.commut, 1)
+    ur = char_ur_report(obs, state, max_tail=max_tail)
     cert = minimizer_certificate(state, obs, report=rep) if args.certificate else None
     _write_text(document_text(_report_document(state, obs, rep, ur, cert, args.orders)),
                 args.out)

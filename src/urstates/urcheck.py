@@ -128,14 +128,13 @@ def char_ur_report(obs, states, max_tail=1e-8):
     _means, sigma_sum, comm_sum, _centered = _pure_moments(obs, psi)
     if psi.ndim == 2:
         sigma_sum, comm_sum = sigma_sum.sum(axis=0), comm_sum.sum(axis=0)
-    return _ur_from_moments(obs.labels, sigma_sum, comm_sum, len(state_list))
+    return _ur_from_moments(obs.labels, sigma_sum.tolist(), comm_sum.tolist(), len(state_list))
 
 
-def _ur_from_moments(labels, sigma_sum, comm_sum, n_states):
-    """The gap records of ``char_ur_report`` from already summed sigma and C,
-    as arrays or as nested lists of floats."""
+def _ur_from_moments(labels, s, c, n_states):
+    """The gap records of ``char_ur_report`` from the rows of already summed
+    sigma and C, as nested lists of floats."""
     n = len(labels)
-    s, c = (m.tolist() if isinstance(m, np.ndarray) else m for m in (sigma_sum, comm_sum))
     if n <= 3:
         cs, cc = _small_char_coeffs(s), _small_char_coeffs(c)
     else:

@@ -13,6 +13,15 @@ def test_rows_refuses_an_unknown_suite():
         acceptance.rows("bogus")
 
 
+@pytest.mark.parametrize("suite, passes", [("squeeze-shell", 400), ("su11-cs", 72),
+                                            ("bg-cs", 64), ("even-odd", 32)])
+def test_scan_rows_make_one_moments_pass_per_state(moment_passes, suite, passes):
+    # each row's UR gaps come from `char_ur_report`, which reuses the
+    # moments of the row's `moment_report`
+    assert len(acceptance.rows(suite)) == passes
+    assert len(moment_passes) == passes
+
+
 @pytest.mark.parametrize("number", sorted(acceptance.CRITERIA))
 def test_criterion(number, capsys):
     res = acceptance.run([number])[0]

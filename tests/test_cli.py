@@ -1567,6 +1567,41 @@ def test_certificate_gaps_are_the_ur_gaps(tmp_path, capsys, golden):
     _assert_certificate_gaps_are_the_ur_gaps(json.loads(out))
 
 
+def test_report_takes_its_gaps_from_char_ur_report_in_one_moments_pass(tmp_path, capsys,
+                                                                       monkeypatch,
+                                                                       moment_passes):
+    st = _golden_report_state(tmp_path, capsys, "report_su11_cs.json")
+    ur_calls = []
+    char_ur_report = cli.char_ur_report
+
+    def counting(obs, states, **kwargs):
+        ur_calls.append(kwargs.get("max_tail"))
+        return char_ur_report(obs, states, **kwargs)
+
+    monkeypatch.setattr(cli, "char_ur_report", counting)
+    moment_passes.clear()
+    code, out, err = run_cli(capsys, "report", "--state", st,
+                             *_GOLDEN_REPORTS["report_su11_cs.json"][1])
+    assert code == 0, err
+    assert out == (GOLDEN / "report_su11_cs.json").read_text()
+    assert ur_calls == [1e-8]
+    assert moment_passes == [(96,)]
+    # --max-tail reaches the gaps: tail mass 5.2e-6 is within 1e-4, past the
+    # default 1e-8
+    st = _write_state(tmp_path, capsys, "leaky.json", "--family", "su11-cs", "--xi", "0.6",
+                      "--k", "1", "--cutoff", "16", "--max-tail", "1e-4")
+    assert 1e-8 < load_state(st).tail_mass < 1e-4
+    code, out, err = run_cli(capsys, "report", "--state", st, "--observables", "su11",
+                             "--max-tail", "1e-4")
+    assert code == 0, err
+    assert set(json.loads(out)["ur"]["orders"]) == {"1", "2", "3"}
+    code, out, err = run_cli(capsys, "report", "--state", st, "--observables", "su11")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "TruncationError"
+    assert ur_calls == [1e-8, 1e-4]
+
+
 def test_golden_distance_document(tmp_path, capsys):
     s1 = _write_state(tmp_path, capsys, "a.json", "--family", "glauber",
                       "--alpha", "0.5", "--cutoff", "32")

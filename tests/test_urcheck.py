@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from urstates import moments, urcheck
 from urstates.cli import _report_document
 from urstates.errors import (
     BasisMismatchError,
@@ -171,20 +170,6 @@ def test_list_with_a_non_state_is_refused():
         char_ur_report(obs, [s1, "not a state"], max_tail=None)
 
 
-def _count_moment_passes(monkeypatch):
-    """A list that gains one entry per `_pure_moments` pass of either module."""
-    calls = []
-    pure_moments = moments._pure_moments
-
-    def counting(obs, psi):
-        calls.append(psi.shape)
-        return pure_moments(obs, psi)
-
-    monkeypatch.setattr(moments, "_pure_moments", counting)
-    monkeypatch.setattr(urcheck, "_pure_moments", counting)
-    return calls
-
-
 def _ur_repr(ur):
     """Every value of a UR report, flags included; repr tells -0.0 from 0.0."""
     return repr((ur.observables, ur.n_states,
@@ -198,40 +183,40 @@ def _fresh_ur(name, N, state):
 
 
 @pytest.mark.parametrize("name,N", REGISTRY)
-def test_char_ur_report_reuses_the_moments_of_a_preceding_moment_report(monkeypatch, name, N):
+def test_char_ur_report_reuses_the_moments_of_a_preceding_moment_report(moment_passes, name, N):
     obs = observable_set(name, N=N)
     st = _random_states(np.random.default_rng(41), obs.basis, 1)[0]
     expected = _fresh_ur(name, N, st)
-    calls = _count_moment_passes(monkeypatch)
+    moment_passes.clear()
     moment_report(obs, st, max_tail=None)
     # one pass for both reports, and the same bits as a report on a fresh set
     assert _ur_repr(char_ur_report(obs, st, max_tail=None)) == expected
     assert _ur_repr(char_ur_report(obs, [st], max_tail=None)) == expected
-    assert calls == [(obs.basis.dim,)]
+    assert moment_passes == [(obs.basis.dim,)]
 
 
-def test_the_moments_memo_misses_on_other_amplitudes(monkeypatch):
+def test_the_moments_memo_misses_on_other_amplitudes(moment_passes):
     name, N = "su11:0.5", 24
     obs = observable_set(name, N=N)
     a, b, c = _random_states(np.random.default_rng(43), obs.basis, 3)
     expected = {"b": _fresh_ur(name, N, b), "c": _fresh_ur(name, N, c)}
-    calls = _count_moment_passes(monkeypatch)
+    moment_passes.clear()
     moment_report(obs, a, max_tail=None)
     # another state, another set of the same observables
     assert _ur_repr(char_ur_report(obs, b, max_tail=None)) == expected["b"]
     char_ur_report(observable_set(name, N=N), a, max_tail=None)
-    assert len(calls) == 3
+    assert len(moment_passes) == 3
     # the amplitudes of a changed in place: to those of c, then by a phase,
     # which leaves the moments alone but not the bytes
     a.amplitudes[:] = c.amplitudes
     assert _ur_repr(char_ur_report(obs, a, max_tail=None)) == expected["c"]
     a.amplitudes *= 1j
     char_ur_report(obs, a, max_tail=None)
-    assert len(calls) == 5
+    assert len(moment_passes) == 5
     # several states never read the memo
     moment_report(obs, b, max_tail=None)
     char_ur_report(obs, [b, b], max_tail=None)
-    assert len(calls) == 7
+    assert len(moment_passes) == 7
 
 
 def test_the_moments_memo_keeps_the_tail_gate_of_char_ur_report():
