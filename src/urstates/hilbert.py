@@ -155,9 +155,10 @@ class BasisSpec:
         per_mode = np.arange(self.N) >= start
         return np.logical_or.outer(per_mode, per_mode).ravel()
 
-    def tail_sum(self, prob):
-        """Sum of the per-index weights ``prob`` over the recorded tail region."""
-        return float(prob[self._tail].sum())
+    def tail_mass(self, amp):
+        """Probability of the flat amplitudes ``amp`` on the recorded tail
+        region, squared there only."""
+        return float(np.add.reduce(np.abs(amp[self._tail]) ** 2))
 
     def to_dict(self):
         return {"kind": self.kind,
@@ -288,7 +289,7 @@ class StateVector:
             raise InvalidInputError(f"state not normalized: sum |a_n|^2 = {norm2!r}"
                                     if np.isfinite(amp).all() else "state amplitudes must be finite")
         self.amplitudes = amp
-        self.tail_mass = self.basis.tail_sum(np.abs(amp) ** 2)
+        self.tail_mass = self.basis.tail_mass(amp)
 
     @property
     def dim(self):

@@ -54,10 +54,10 @@ def pad_bands(band_dicts, dim):
 
     `ObservableSet.images` keeps this product apart from
     `hilbert.apply_bands`: with apply_bands' slices, one operator at a time,
-    the moment-batch benchmark ran about 22% fewer ops per second (43-46
-    against 58-61 per reference second, four alternating 5 s pairs on a
-    2-vCPU VM), and about 11% fewer with the slices on the stacked bands of
-    the whole set (53-54 against 58-62)."""
+    the moment-batch benchmark ran about 19% fewer ops per second (53-57
+    against 65-70 per reference second, four rounds of 5 s runs on a 2-vCPU
+    VM), and about 8% fewer with the slices on the stacked bands of the
+    whole set (59-63 against 65-70)."""
     offsets = sorted({d for bands in band_dicts for d in bands})
     dtype = np.result_type(np.float64, *(b for bands in band_dicts for b in bands.values()))
     rows = np.zeros((len(offsets), len(band_dicts), dim), dtype)
@@ -74,17 +74,21 @@ def pad_bands(band_dicts, dim):
 class ObservableSet:
     """An ordered tuple of Hermitian observables on a shared basis.
 
-    ``_moments`` holds (amplitude bytes, sigma rows, C rows), the rows as
-    Python floats, of the last state a `moment_report` succeeded on, so that
-    `urcheck.char_ur_report` of the same amplitudes makes no second pass.
+    ``ops`` may be given as any sequence and is kept as a tuple, so the
+    padded layout and the moments memo below cannot go stale under an
+    in-place edit.  ``_moments`` holds (amplitude bytes, sigma rows, C
+    rows), the rows as Python floats, of the last state a `moment_report`
+    succeeded on, so that `urcheck.char_ur_report` of the same amplitudes
+    makes no second pass.
     """
 
-    ops: list
+    ops: tuple
     name: str = ""
     _padded: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _moments: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.ops = tuple(self.ops)
         if not self.ops:
             raise InvalidInputError("observable set cannot be empty")
         basis = self.ops[0].basis
@@ -115,11 +119,16 @@ class ObservableSet:
         ``psi`` is one state of shape (dim,) or a stack of shape (..., dim).
         The bands of all observables share one padded layout, built on first
         use, so a stack costs one multiply and one sum for the whole set.
+        The gather ``psi[..., src]`` lays a stack out with the state axis
+        innermost; the matrix products of `_pure_moments` round by that
+        layout, so a gather that returns C order (``psi.take``) moves the
+        last bits of several-state moments.
         """
         if self._padded is None:
             self._padded = pad_bands([op.bands for op in self.ops], self.basis.dim)
         rows, src = self._padded
-        return (rows * psi[..., src][..., :, None, :]).sum(axis=-3)
+        # np.add.reduce is the reduction ndarray.sum calls, without its wrapper
+        return np.add.reduce(rows * psi[..., src][..., :, None, :], axis=-3)
 
 
 def _parse_set_name(name):
@@ -260,7 +269,8 @@ def check_state(state, basis, max_tail):
     caller's state before its moments, overlaps or certificate are read."""
     if not isinstance(state, StateVector):
         raise InvalidInputError(f"expected a StateVector, got {type(state).__name__}")
-    if state.basis != basis:
+    # identity first: it spares the field-by-field dataclass comparison
+    if state.basis is not basis and state.basis != basis:
         raise BasisMismatchError(f"state basis {state.basis} does not match basis {basis}")
     check_tail(state.tail_mass, max_tail, "state tail mass")
 
@@ -282,11 +292,11 @@ def _pure_moments(obs, psi):
     # dominates the error budget for strongly displaced states.
     centered = images - means[..., None] * psi[..., None, :]
     gram = centered.conj() @ centered.swapaxes(-2, -1)
-    gram_t = gram.swapaxes(-2, -1)
-    sigma = (gram.real + gram_t.real) / 2.0
-    comm = (gram.imag - gram_t.imag) / 2.0
+    # G + conj(G^T) holds the IEEE sums Re G + Re G^T and Im G - Im G^T
+    both = gram + gram.swapaxes(-2, -1).conj()
+    sigma, comm = both.real / 2.0, both.imag / 2.0
     # one pass: a non-finite entry fails the sum, as do moments near the float range
-    if not math.isfinite((sigma + comm).sum()):
+    if not math.isfinite(np.add.reduce(sigma + comm, axis=None)):
         raise NumericError("the moments overflowed: sigma and C are not finite")
     return means, sigma, comm, centered
 

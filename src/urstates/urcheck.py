@@ -121,13 +121,15 @@ def char_ur_report(obs, states, max_tail=1e-8):
 
     for st in state_list:
         check_state(st, obs.basis, max_tail)
-    amps = [st.amplitudes for st in state_list]
-    if len(amps) == 1 and obs._moments is not None and obs._moments[0] == amps[0].tobytes():
-        return _ur_from_moments(obs.labels, *obs._moments[1:], 1)
-    psi = amps[0] if len(amps) == 1 else np.stack(amps)
-    _means, sigma_sum, comm_sum, _centered = _pure_moments(obs, psi)
-    if psi.ndim == 2:
-        sigma_sum, comm_sum = sigma_sum.sum(axis=0), comm_sum.sum(axis=0)
+    if len(state_list) == 1:
+        psi = state_list[0].amplitudes
+        if obs._moments is not None and obs._moments[0] == psi.tobytes():
+            return _ur_from_moments(obs.labels, *obs._moments[1:], 1)
+        _means, sigma_sum, comm_sum, _centered = _pure_moments(obs, psi)
+    else:
+        stack = np.array([st.amplitudes for st in state_list])
+        _means, sigma, comm, _centered = _pure_moments(obs, stack)
+        sigma_sum, comm_sum = sigma.sum(axis=0), comm.sum(axis=0)
     return _ur_from_moments(obs.labels, sigma_sum.tolist(), comm_sum.tolist(), len(state_list))
 
 

@@ -30,10 +30,10 @@ from urstates.moments import (
     moment_report,
     observable_set,
 )
-from urstates.matrixkit import psd_min_eig
+from urstates.matrixkit import _hermitian_min_eig_2x2, _small_char_coeffs, char_coeffs, psd_min_eig
 from urstates.stateio import state_from_dict
 from urstates.states import canonical_ss, squeeze_pair, su11_cs
-from urstates.urcheck import _ur_from_moments, char_ur_report
+from urstates.urcheck import OrderGapRecord, PairGapRecord, _ur_from_moments, char_ur_report
 
 
 def test_observable_set_registry():
@@ -128,6 +128,23 @@ def test_observable_set_refuses_no_observables_and_a_mixed_basis():
     fock, su11 = observable_set("canonical", N=8), observable_set("su11", N=8)
     with pytest.raises(BasisMismatchError, match="different basis"):
         ObservableSet([fock.ops[0], su11.ops[0]])
+
+
+def test_observable_set_keeps_its_observables_as_a_tuple():
+    obs = observable_set("canonical", N=32)
+    st = canonical_ss(0.3, 1.0, 0.4, N=32)
+    report = moment_report(obs, st)
+    # an in-place reorder would leave the padded layout and the moments
+    # memo in (q, p) order under (p, q) labels
+    with pytest.raises(AttributeError):
+        obs.ops.reverse()
+    assert obs.labels == ["q", "p"]
+    q, p = obs.ops
+    assert ObservableSet([q, p], name="canonical") == ObservableSet((q, p), name="canonical")
+    assert ObservableSet([q, p], name="canonical") == obs
+    swapped = moment_report(ObservableSet([p, q]), st)
+    assert swapped.labels == ["p", "q"]
+    assert swapped.sigma.diagonal().tolist() == report.sigma.diagonal()[::-1].tolist()
 
 
 def test_observable_set_suffix_carries_the_exact_scale():
@@ -388,3 +405,109 @@ def test_moment_gates_refuse_a_nan_or_negative_bound(bad):
         moment_report(obs, st, max_tail=bad)
     with pytest.raises(InvalidInputError, match="max_tail"):
         char_ur_report(obs, [st, st], max_tail=bad)
+
+
+# -- the moments path, pinned bit for bit --------------------------------------
+#
+# A re-implementation of the moment pass: the images X_i psi from the padded
+# bands, gathered as `ObservableSet.images` gathers them (the memory layout
+# of a stack decides how its matrix products round), the means, the
+# centered vectors, the Gram matrix G, sigma = (Re G + Re G^T)/2,
+# C = (Im G - Im G^T)/2, several states stacked and summed over the stack,
+# and the 3x3-and-larger certificates from one eigvalsh on [sigma, sigma + iC].
+# Every report must give these floats to the bit, whatever the package does
+# to make fewer numpy calls.
+
+PINNED = [("canonical", 32), ("su11:0.5", 32), ("su2:1", None), ("a2-quadratures", 32),
+          ("canonical:2", 6)]
+
+
+def _pinned_moments(obs, psi):
+    rows, src = moments.pad_bands([op.bands for op in obs.ops], obs.basis.dim)
+    images = (rows * psi[..., src][..., :, None, :]).sum(axis=-3)
+    if psi.ndim == 1:
+        means = (images @ psi.conj()).real
+    else:
+        means = (images @ psi.conj()[..., None])[..., 0].real
+    centered = images - means[..., None] * psi[..., None, :]
+    gram = centered.conj() @ centered.swapaxes(-2, -1)
+    gram_t = gram.swapaxes(-2, -1)
+    sigma = (gram.real + gram_t.real) / 2.0
+    commut = (gram.imag - gram_t.imag) / 2.0
+    return means, sigma, commut, centered
+
+
+def _pinned_records(labels, sigma, commut, n_states):
+    """The gap records of a report from summed sigma and C, as one repr."""
+    n = len(labels)
+    s, c = sigma.tolist(), commut.tolist()
+    if n <= 3:
+        cs, cc = _small_char_coeffs(s), _small_char_coeffs(c)
+    else:
+        cs, cc = char_coeffs(np.array([s, c], dtype=complex)).real.tolist()
+    orders = [(r, cs[r], cc[r], cs[r] - cc[r],
+               OrderGapRecord(r, cs[r], cc[r], n, cs[1] / n).saturated) for r in range(1, n + 1)]
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            s11, s22, s12, c12 = s[i][i], s[j][j], s[i][j], c[i][j]
+            heis = s11 * s22 - c12 * c12
+            flags = PairGapRecord(s11, s22, s12, c12, (labels[i], labels[j])).saturated
+            pairs.append(((i, j), (labels[i], labels[j]), s11 + s22 - 2.0 * abs(c12), heis,
+                          heis - s12 * s12, flags))
+    return repr((list(labels), orders, pairs, n_states))
+
+
+def _report_records(ur):
+    orders = [(r, rec.c_sigma, rec.c_comm, rec.gap, rec.saturated)
+              for r, rec in ur.order_gaps.items()]
+    pairs = [(key, rec.labels, rec.sum_gap, rec.heis_gap, rec.schr_gap, rec.saturated)
+             for key, rec in ur.pair_gaps.items()]
+    return repr((ur.observables, orders, pairs, ur.n_states))
+
+
+def _random_amplitudes(rng, shape):
+    amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return amp / np.linalg.norm(amp, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name,N", PINNED)
+def test_moment_report_is_pinned_to_the_bit(name, N, seed):
+    obs = observable_set(name, N=N)
+    rng = np.random.default_rng(seed)
+    # basis states give exact zeros in G, whose signs the certificates keep
+    levels = np.eye(obs.basis.dim, dtype=complex)[seed:seed + 2]
+    for psi in [*_random_amplitudes(rng, (6, obs.basis.dim)), *levels]:
+        rep = moment_report(obs, StateVector(psi, obs.basis), max_tail=None)
+        means, sigma, commut, centered = _pinned_moments(obs, psi)
+        for got, want in ((rep.means, means), (rep.sigma, sigma), (rep.commut, commut),
+                          (rep.centered, centered)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        if obs.n == 2:
+            lam = [_hermitian_min_eig_2x2(sigma.tolist()),
+                   _hermitian_min_eig_2x2(sigma.tolist(), commut.tolist())]
+        else:
+            lam = np.linalg.eigvalsh(np.array([sigma, sigma + 1j * commut]))[:, 0].tolist()
+        assert repr((rep.sigma_min_eig, rep.robertson_min_eig)) == repr(tuple(lam))
+
+
+@pytest.mark.parametrize("n_states", [1, 2, 8])
+@pytest.mark.parametrize("name,N", PINNED)
+def test_char_ur_report_is_pinned_to_the_bit(name, N, n_states):
+    obs = observable_set(name, N=N)
+    rng = np.random.default_rng(17 + n_states)
+    for amps in _random_amplitudes(rng, (4, n_states, obs.basis.dim)):
+        states = [StateVector(psi, obs.basis) for psi in amps]
+        if n_states == 1:
+            _means, sigma, commut, _centered = _pinned_moments(obs, amps[0])
+        else:
+            _means, sigma, commut, _centered = _pinned_moments(obs, np.stack(amps))
+            sigma, commut = sigma.sum(axis=0), commut.sum(axis=0)
+        want = _pinned_records(obs.labels, sigma, commut, n_states)
+        assert _report_records(char_ur_report(obs, states, max_tail=None)) == want
+        if n_states == 1:
+            # the same floats through the moments of a preceding report
+            moment_report(obs, states[0], max_tail=None)
+            assert _report_records(char_ur_report(obs, states[0], max_tail=None)) == want
