@@ -13,7 +13,6 @@ import math
 import time
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -75,11 +74,6 @@ def _random_state(rng, basis):
 # rows.  `urstates scan` writes the rows; criteria 1, 2, 3 and 12 reduce the
 # rows of one suite each.
 
-@lru_cache(maxsize=16)
-def _obs_cached(name, N):
-    return observable_set(name, N=N)
-
-
 def _grid_squeeze_shell():
     """20x20 squeeze grid, r in [0, 1.2], |alpha| <= 2, certified at N=192.
 
@@ -110,7 +104,7 @@ def _row_squeeze_shell(seed, index, point):
     v = math.sinh(r) * cmath.exp(1j * theta)
     alpha = amag * cmath.exp(1j * phi)
     st = canonical_ss(alpha, u, v, N=192)
-    obs = _obs_cached("canonical", 192)
+    obs = observable_set("canonical", N=192)
     rep = moment_report(obs, st)
     ur = char_ur_report(obs, st)
     return [index, r, theta, alpha.real, alpha.imag,
@@ -131,7 +125,7 @@ def _row_su11_cs(seed, index, point):
     k, rad, phase = point
     xi = rad * cmath.exp(1j * phase)
     st = su11_cs(xi, k)
-    obs = _obs_cached(f"su11:{k:g}", st.basis.N)
+    obs = observable_set(f"su11:{k:g}", N=st.basis.N)
     rep = moment_report(obs, st)
     ur = char_ur_report(obs, st)
     return [index, k, xi.real, xi.imag,
@@ -155,7 +149,7 @@ def _row_bg_cs(seed, index, point):
     k, rad, phase = point
     z = rad * cmath.exp(1j * phase)
     st = bg_cs(z, k, N=96)
-    obs = _obs_cached(f"su11:{k:g}", 96)
+    obs = observable_set(f"su11:{k:g}", N=96)
     km = su11_rep(k, 96)["kminus"]
     residual = float(np.linalg.norm(km.apply(st.amplitudes) - z * st.amplitudes))
     rep = moment_report(obs, st)
@@ -184,7 +178,7 @@ def _row_even_odd(seed, index, point):
     parity, rad, phase = point
     alpha = rad * cmath.exp(1j * phase)
     st = even_odd_cs(alpha, parity, N=128)
-    obs = _obs_cached("a2-quadratures", 128)
+    obs = observable_set("a2-quadratures", N=128)
     residual = _a2_residual(obs, st.amplitudes, alpha)
     rep = moment_report(obs, st)
     ur = char_ur_report(obs, st)
@@ -202,7 +196,7 @@ def _grid_random_psd():
 
 def _row_random_psd(seed, index, point):
     name, trial = point
-    obs = _obs_cached(name, dict(_PSD_FAMILIES)[name])
+    obs = observable_set(name, N=dict(_PSD_FAMILIES)[name])
     st = _random_state(np.random.default_rng((seed, index)), obs.basis)
     rep = moment_report(obs, st, max_tail=None)
     return [index, name, trial, rep.sigma_min_eig, rep.robertson_min_eig]
@@ -560,7 +554,6 @@ def criterion_11():
     def su11_obs(st):
         return observable_set(f"su11:{st.basis.k!r}", N=st.basis.N)
 
-    su2_obs_cache = observable_set("su2:0.5")
     worst_sum = 0.0
     worst_eq = 0.0
     for k in (0.5, 1.0):
@@ -572,7 +565,7 @@ def criterion_11():
 
     spins = [su2_cs(tau, 0.5)
              for tau in (0.0, 0.5, -0.5, 1.0, 2.0, 0.5j, -1.5j, 0.3 + 0.8j)]
-    ws, we = _complementary_family(spins, lambda st: su2_obs_cache, orders=(2,))
+    ws, we = _complementary_family(spins, lambda st: observable_set("su2:0.5"), orders=(2,))
     worst_sum = max(worst_sum, ws)
     worst_eq = max(worst_eq, we)
 
@@ -597,7 +590,7 @@ def criterion_12():
     col = _columns("even-odd")
     st0 = even_odd_cs(0.0, "even", N=128)
     worst_res = max(np.max(col["a2_residual"]),
-                    _a2_residual(_obs_cached("a2-quadratures", 128), st0.amplitudes, 0.0))
+                    _a2_residual(observable_set("a2-quadratures", N=128), st0.amplitudes, 0.0))
     worst_cov = np.max(np.abs(col["covariance"]))
     worst_schr = np.max(np.abs(col["schr_gap"]))
     ok = worst_res <= 1e-10 and worst_cov <= 1e-9 and worst_schr <= 1e-9

@@ -21,6 +21,7 @@ import math
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -221,7 +222,8 @@ class Operator:
 
     def __init__(self, label, bands, basis):
         dim = basis.dim
-        self.label, self.basis, self.bands, self._matrix = label, basis, {}, None
+        self.label, self.basis, self._matrix = label, basis, None
+        own = {}
         for d, band in bands.items():
             band = np.asarray(band)
             if abs(d) >= dim or band.shape != (dim - abs(d),):
@@ -232,7 +234,11 @@ class Operator:
             band = band.astype(np.result_type(np.float64, band))
             if not np.isfinite(band).all():
                 raise InvalidInputError(f"operator {label!r} has non-finite entries")
-            self.bands[d] = band
+            band.flags.writeable = False
+            own[d] = band
+        # read-only, the map and its arrays: an operator may sit in a set
+        # that several callers share
+        self.bands = MappingProxyType(own)
 
     # no caller in the package: bench/test_oracles.py compares against it
     @property

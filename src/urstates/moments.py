@@ -17,6 +17,7 @@ import math
 import re
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,16 +71,17 @@ def pad_bands(band_dicts, dim):
     return rows, src
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservableSet:
     """An ordered tuple of Hermitian observables on a shared basis.
 
-    ``ops`` may be given as any sequence and is kept as a tuple, so the
-    padded layout and the moments memo below cannot go stale under an
-    in-place edit.  ``_moments`` holds (amplitude bytes, sigma rows, C
-    rows), the rows as Python floats, of the last state a `moment_report`
-    succeeded on, so that `urcheck.char_ur_report` of the same amplitudes
-    makes no second pass.
+    ``ops`` may be given as any sequence and is kept as a tuple.  The set is
+    frozen, and its operators' bands are read-only, so the padded layout and
+    the moments memo below cannot go stale, and a set that `observable_set`
+    hands to several callers stays the same for all of them.  ``_moments``
+    holds (amplitude bytes, sigma rows, C rows), the rows as Python floats,
+    of the last state a `moment_report` succeeded on, so that
+    `urcheck.char_ur_report` of the same amplitudes makes no second pass.
     """
 
     ops: tuple
@@ -88,7 +90,7 @@ class ObservableSet:
     _moments: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.ops = tuple(self.ops)
+        object.__setattr__(self, "ops", tuple(self.ops))
         if not self.ops:
             raise InvalidInputError("observable set cannot be empty")
         basis = self.ops[0].basis
@@ -125,7 +127,8 @@ class ObservableSet:
         last bits of several-state moments.
         """
         if self._padded is None:
-            self._padded = pad_bands([op.bands for op in self.ops], self.basis.dim)
+            padded = pad_bands([op.bands for op in self.ops], self.basis.dim)
+            object.__setattr__(self, "_padded", padded)
         rows, src = self._padded
         # np.add.reduce is the reduction ndarray.sum calls, without its wrapper
         return np.add.reduce(rows * psi[..., src][..., :, None, :], axis=-3)
@@ -154,7 +157,12 @@ def _parse_set_name(name):
 
 
 def observable_set(name, N=None):
-    """Build a named observable set.
+    """The named observable set at cutoff ``N``.
+
+    The last 16 sets built are kept, by (name, N), and a repeated request
+    returns the kept set itself: callers share it, and it is read-only (see
+    `ObservableSet`).  Only a str name with an int or omitted ``N`` is kept,
+    so the builder still refuses ``N=32.0`` or ``N=True`` after ``N=32``.
 
     Recognized names (an optional ``:x`` suffix carries the scale parameter):
 
@@ -165,6 +173,17 @@ def observable_set(name, N=None):
     - ``a2-quadratures`` — Hermitian quadratures of a^2:
       X = (a^2 + a^dag^2)/2, Y = (a^2 - a^dag^2)/(2i)
     """
+    if type(name) is str and (N is None or type(N) is int):
+        return _kept_set(name, N)
+    return _build_set(name, N)
+
+
+@lru_cache(maxsize=16)
+def _kept_set(name, N):
+    return _build_set(name, N)
+
+
+def _build_set(name, N):
     head, arg = _parse_set_name(name)
 
     if head == "canonical":
@@ -259,7 +278,7 @@ def moment_report(obs, state, max_tail=1e-8):
     psi = state.amplitudes
     means, sigma, comm, centered = _pure_moments(obs, psi)
     report = MomentReport(obs.labels, means, sigma, comm, centered)
-    obs._moments = (psi.tobytes(), sigma.tolist(), comm.tolist())
+    object.__setattr__(obs, "_moments", (psi.tobytes(), sigma.tolist(), comm.tolist()))
     return report
 
 

@@ -1548,6 +1548,20 @@ def test_golden_report_of_other_observable_sets(tmp_path, capsys, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_golden_reports_of_alternating_states_in_one_process(tmp_path, capsys):
+    # the kept observable sets and the moments each set remembers carry
+    # over from one report to the next: A, B, A, B each print their golden
+    runs = []
+    for i, golden in enumerate(["report_su11_cs.json", "report_canonical_ss.json"]):
+        family_args, flags = _GOLDEN_REPORTS[golden]
+        st = _write_state(tmp_path, capsys, f"st{i}.json", "--family", *family_args)
+        runs.append((golden, ["report", "--state", st, *flags]))
+    for golden, argv in runs * 2:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == (GOLDEN / golden).read_text(), golden
+
+
 def _assert_certificate_gaps_are_the_ur_gaps(doc):
     cert, ur = doc["certificate"], doc["ur"]
     assert set(cert["pairs"]) == set(ur["pairs"])

@@ -147,6 +147,45 @@ def test_observable_set_keeps_its_observables_as_a_tuple():
     assert swapped.sigma.diagonal().tolist() == report.sigma.diagonal()[::-1].tolist()
 
 
+def test_a_shared_observable_set_is_read_only():
+    obs = observable_set("canonical", N=32)
+    assert observable_set("canonical", N=32) is obs
+    st = canonical_ss(0.3, 1.0, 0.4, N=32)
+    diagonal = moment_report(obs, st).sigma.diagonal().tolist()
+    # a reassigned tuple would put (p, q) labels over moments in (q, p) order
+    with pytest.raises(AttributeError):
+        obs.ops = obs.ops[::-1]
+    with pytest.raises(AttributeError):
+        obs.name = "squeezed"
+    # an in-place band edit would reach every later caller of the set
+    for op in obs.ops:
+        for d, band in op.bands.items():
+            with pytest.raises(ValueError, match="read-only"):
+                band[0] = 0.0
+            with pytest.raises(TypeError):
+                op.bands[d] = np.zeros_like(band)
+    again = moment_report(observable_set("canonical", N=32), st)
+    assert again.labels == ["q", "p"]
+    assert again.sigma.diagonal().tolist() == diagonal
+
+
+@pytest.mark.parametrize("N", [32.0, True, "32", [32], 1])
+def test_observable_set_refuses_after_a_kept_build(N):
+    # an untyped memo would hand back the N=32 set for 32.0 and True's 1
+    # would pass as an int; a list cannot key one
+    observable_set("canonical", N=32)
+    with pytest.raises(InvalidInputError):
+        observable_set("canonical", N=N)
+
+
+def test_observable_set_keeps_the_last_16_sets():
+    sets = [observable_set("canonical", N=n) for n in range(40, 56)]
+    observable_set("canonical", N=56)
+    # the 17th key evicts the oldest, and only it
+    assert all(observable_set("canonical", N=n) is obs for n, obs in zip(range(41, 56), sets[1:]))
+    assert observable_set("canonical", N=40) is not sets[0]
+
+
 def test_observable_set_suffix_carries_the_exact_scale():
     # any float repr is a valid suffix, and the set is built at exactly that
     # value; the name shows it to 6 significant digits

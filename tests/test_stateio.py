@@ -184,6 +184,55 @@ def test_state_text_is_the_json_rendering_byte_for_byte(state, raw):
     assert state_text(state) == document_text(state_to_dict(state))
 
 
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 2.0 ** 53]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+_JSON_TEXT = st.text() | st.sampled_from(['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é€ß",
+                                          "\U0001f600", "\ud800"])
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _JSON_TEXT, _JSON_FLOATS,
+    st.integers() | st.integers(2 ** 64, 2 ** 200) | st.integers(-(2 ** 200), -(2 ** 64)),
+)
+#: nested documents of everything document_text writes
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON_DOCS)
+@example(doc={"a": [], "b": {}, "c": (1, [2.5, {"d": None}]), "e": [True, False, -0.0]})
+def test_document_text_is_json_indent_1(doc):
+    assert document_text(doc) == json.dumps(doc, indent=1) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_JSON_DOCS, bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       depth=st.integers(0, 4))
+def test_document_text_refuses_a_non_finite_number_with_json_message(doc, bad, depth):
+    value = bad
+    for level in range(depth):
+        value = {"x": doc, "y": value} if level % 2 else [doc, (value,)]
+    with pytest.raises(ValueError) as reference:
+        json.dumps(value, indent=1, allow_nan=False)
+    with pytest.raises(NumericError) as ours:
+        document_text(value)
+    assert str(ours.value) == f"document holds a non-finite number: {reference.value}"
+
+
+@pytest.mark.parametrize("doc", [np.int64(3), {"n": [np.int64(3)]}, {"z": 1j}, {"s": {1}}])
+def test_document_text_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=1)
+    with pytest.raises(TypeError):
+        document_text(doc)
+
+
 def _bits(amp):
     return np.ascontiguousarray(amp).view(np.uint64)
 

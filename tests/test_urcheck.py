@@ -204,7 +204,7 @@ def test_the_moments_memo_misses_on_other_amplitudes(moment_passes):
     moment_report(obs, a, max_tail=None)
     # another state, another set of the same observables
     assert _ur_repr(char_ur_report(obs, b, max_tail=None)) == expected["b"]
-    char_ur_report(observable_set(name, N=N), a, max_tail=None)
+    char_ur_report(ObservableSet(obs.ops, name=obs.name), a, max_tail=None)
     assert len(moment_passes) == 3
     # the amplitudes of a changed in place: to those of c, then by a phase,
     # which leaves the moments alone but not the bytes
