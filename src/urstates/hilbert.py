@@ -211,50 +211,51 @@ def apply_bands(bands, psi):
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class Operator:
     """A labeled observable on a basis, stored as its nonzero diagonals.
 
     ``bands`` maps an offset d to the entries M[i, i+d] in order along that
     diagonal (the layout of ``np.diagonal(M, d)``).  Every observable here is
     a low-order polynomial in ladder operators, so it has a handful of bands
-    and `apply` costs O(N).
+    and `apply` costs O(N).  Shared sets hold it, so it is frozen; it equals only itself.
     """
 
-    def __init__(self, label, bands, basis):
-        dim = basis.dim
-        self.label, self.basis, self._matrix = label, basis, None
+    label: str
+    bands: dict = field(repr=False)
+    basis: BasisSpec
+
+    def __post_init__(self):
+        dim = self.basis.dim
         own = {}
-        for d, band in bands.items():
+        for d, band in self.bands.items():
             band = np.asarray(band)
             if abs(d) >= dim or band.shape != (dim - abs(d),):
-                raise BasisMismatchError(f"operator {label!r}: band {d} has shape "
+                raise BasisMismatchError(f"operator {self.label!r}: band {d} has shape "
                                          f"{band.shape}, basis dim {dim}")
             # a float copy of its own: a caller that later changes its array
             # leaves the operator alone
             band = band.astype(np.result_type(np.float64, band))
             if not np.isfinite(band).all():
-                raise InvalidInputError(f"operator {label!r} has non-finite entries")
+                raise InvalidInputError(f"operator {self.label!r} has non-finite entries")
             band.flags.writeable = False
             own[d] = band
-        # read-only, the map and its arrays: an operator may sit in a set
-        # that several callers share
-        self.bands = MappingProxyType(own)
+        object.__setattr__(self, "bands", MappingProxyType(own))
 
     # no caller in the package: bench/test_oracles.py compares against it
-    @property
+    @cached_property
     def matrix(self):
-        """The dense dim x dim matrix, built once from the bands."""
-        if self._matrix is None:
-            dim = self.basis.dim
-            mat = np.zeros((dim, dim), np.result_type(np.float64, *self.bands.values()))
-            for d, band in self.bands.items():
-                i = np.arange(dim - abs(d))
-                if d >= 0:
-                    mat[i, i + d] = band
-                else:
-                    mat[i - d, i] = band
-            self._matrix = mat
-        return self._matrix
+        """The dense dim x dim matrix of the bands, read-only as they are."""
+        dim = self.basis.dim
+        mat = np.zeros((dim, dim), np.result_type(np.float64, *self.bands.values()))
+        for d, band in self.bands.items():
+            i = np.arange(dim - abs(d))
+            if d >= 0:
+                mat[i, i + d] = band
+            else:
+                mat[i - d, i] = band
+        mat.flags.writeable = False
+        return mat
 
     def apply(self, psi):
         """The product M psi, in O(dim x number of bands)."""
@@ -266,6 +267,10 @@ class Operator:
 
     def is_hermitian(self):
         """Band -d equals the conjugate of band +d to 1e-12 of the largest entry."""
+        return self._hermitian
+
+    @cached_property
+    def _hermitian(self):
         bands = self.bands
         scale = max([1.0] + [float(np.abs(band).max(initial=0.0)) for band in bands.values()])
         return all(np.abs(band - np.conj(bands.get(-d, 0.0))).max() <= 1e-12 * scale

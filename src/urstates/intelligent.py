@@ -66,7 +66,9 @@ def minimizer_certificate(state, obs, report=None):
     ``state`` for ``obs`` when the caller already holds it; it is taken as
     is, so the tail gate of `moments.moment_report` is not checked again,
     but a state off the basis of ``obs``, a report of another observable
-    set, or one without centered vectors, is refused.
+    set, one without centered vectors, or one that `moment_report` did not
+    make from the amplitudes of ``state`` (a hand-built report among them)
+    is refused.
     """
     check_state(state, obs.basis, None)
     if report is not None and report.labels != obs.labels:
@@ -75,6 +77,8 @@ def minimizer_certificate(state, obs, report=None):
         )
     if report is not None and report.centered is None:
         raise InvalidInputError("report carries no centered vectors (X_i - <X_i>) psi")
+    if report is not None and report._state_bytes != state.amplitudes.tobytes():
+        raise InvalidInputError("report was not made by moment_report from this state")
     rep = report if report is not None else moment_report(obs, state)
     R = rep.robertson
     n = obs.n

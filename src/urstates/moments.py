@@ -17,7 +17,7 @@ import math
 import re
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,10 +75,10 @@ def pad_bands(band_dicts, dim):
 class ObservableSet:
     """An ordered tuple of Hermitian observables on a shared basis.
 
-    ``ops`` may be given as any sequence and is kept as a tuple.  The set is
-    frozen, and its operators' bands are read-only, so the padded layout and
-    the moments memo below cannot go stale, and a set that `observable_set`
-    hands to several callers stays the same for all of them.  ``_moments``
+    ``ops`` may be any sequence of `Operator`s, kept as a tuple.  The set and
+    its operators are frozen, so the padded layout and the moments memo
+    below cannot go stale, and a set that `observable_set` hands to several
+    callers stays the same for all of them.  ``_moments``
     holds (amplitude bytes, sigma rows, C rows), the rows as Python floats,
     of the last state a `moment_report` succeeded on, so that
     `urcheck.char_ur_report` of the same amplitudes makes no second pass.
@@ -86,16 +86,16 @@ class ObservableSet:
 
     ops: tuple
     name: str = ""
-    _padded: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _moments: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         if not self.ops:
             raise InvalidInputError("observable set cannot be empty")
-        basis = self.ops[0].basis
         for op in self.ops:
-            if op.basis != basis:
+            if not isinstance(op, Operator):
+                raise InvalidInputError(f"an observable set holds Operators, got {op!r}")
+            if op.basis != self.ops[0].basis:
                 raise BasisMismatchError(
                     f"observable {op.label!r} lives in a different basis than "
                     f"{self.ops[0].label!r}"
@@ -126,43 +126,45 @@ class ObservableSet:
         layout, so a gather that returns C order (``psi.take``) moves the
         last bits of several-state moments.
         """
-        if self._padded is None:
-            padded = pad_bands([op.bands for op in self.ops], self.basis.dim)
-            object.__setattr__(self, "_padded", padded)
         rows, src = self._padded
         # np.add.reduce is the reduction ndarray.sum calls, without its wrapper
         return np.add.reduce(rows * psi[..., src][..., :, None, :], axis=-3)
 
+    @cached_property
+    def _padded(self):
+        return pad_bands([op.bands for op in self.ops], self.basis.dim)
+
 
 def _parse_set_name(name):
-    """Split an observable-set name ``head`` or ``head:x`` into the head and
-    the scale x as a float (None without a suffix).
+    """Split an observable-set name ``head`` or ``head:x`` into a known head
+    and the scale x as a float (None without a suffix).
 
     Any finite float literal is a valid suffix, so ``f"su11:{k!r}"`` names
-    the set at exactly k.
+    the set at exactly k.  A name that is not a str is malformed.
     """
-    m = re.fullmatch(r"([a-z0-9-]+?)(?::(.+))?", name.strip())
+    m = re.fullmatch(r"([a-z0-9-]+?)(?::(.+))?", name.strip()) if isinstance(name, str) else None
     if not m:
         raise InvalidInputError(f"malformed observable-set name {name!r}")
     head, arg = m.group(1), m.group(2)
-    if arg is None:
-        return head, None
     try:
-        x = float(arg)
+        x = None if arg is None else float(arg)
     except ValueError:
         raise InvalidInputError(f"malformed observable-set name {name!r}") from None
-    if not math.isfinite(x):
+    if x is not None and not math.isfinite(x):
         raise InvalidInputError(f"observable-set scale must be finite, got {name!r}")
+    if head not in ("canonical", "su11", "su2", "a2-quadratures"):
+        raise InvalidInputError(f"unknown observable set {name!r}")
     return head, x
 
 
 def observable_set(name, N=None):
     """The named observable set at cutoff ``N``.
 
-    The last 16 sets built are kept, by (name, N), and a repeated request
-    returns the kept set itself: callers share it, and it is read-only (see
-    `ObservableSet`).  Only a str name with an int or omitted ``N`` is kept,
-    so the builder still refuses ``N=32.0`` or ``N=True`` after ``N=32``.
+    The last 16 sets built are kept, by the parsed name and N, and a
+    repeated request returns the kept set itself, so ``su11:1`` and
+    ``su11:1.0`` are one set: callers share it, and it is read-only (see
+    `ObservableSet`).  Only an int or omitted ``N`` is kept, so the builder
+    still refuses ``N=32.0`` or ``N=True`` after ``N=32``.
 
     Recognized names (an optional ``:x`` suffix carries the scale parameter):
 
@@ -173,19 +175,13 @@ def observable_set(name, N=None):
     - ``a2-quadratures`` — Hermitian quadratures of a^2:
       X = (a^2 + a^dag^2)/2, Y = (a^2 - a^dag^2)/(2i)
     """
-    if type(name) is str and (N is None or type(N) is int):
-        return _kept_set(name, N)
-    return _build_set(name, N)
-
-
-@lru_cache(maxsize=16)
-def _kept_set(name, N):
-    return _build_set(name, N)
-
-
-def _build_set(name, N):
     head, arg = _parse_set_name(name)
+    if N is None or type(N) is int:
+        return _kept_set(head, arg, N)
+    return _build_set(head, arg, N)
 
+
+def _build_set(head, arg, N):
     if head == "canonical":
         if arg in (None, 1):
             rep = boson_rep(DEFAULT_FOCK_CUTOFF if N is None else N)
@@ -205,19 +201,19 @@ def _build_set(name, N):
         rep = su2_rep(j)
         return ObservableSet([rep["j1"], rep["j2"], rep["j3"]], name=f"su2:{j:g}")
 
-    if head == "a2-quadratures":
-        if arg is not None:
-            raise InvalidInputError("a2-quadratures takes no scale parameter")
-        n_levels = DEFAULT_FOCK_CUTOFF if N is None else N
-        c = boson_ladder(n_levels)
-        basis = fock_basis(n_levels)
-        # a^2 carries sqrt(n+1) sqrt(n+2) on band +2
-        x_bands, y_bands = hermitian_parts(c[:-1] * c[1:], 2, 2.0, 2j)
-        X = Operator("Re a^2", x_bands, basis)
-        Y = Operator("Im a^2", y_bands, basis)
-        return ObservableSet([X, Y], name="a2-quadratures")
+    if arg is not None:
+        raise InvalidInputError("a2-quadratures takes no scale parameter")
+    n_levels = DEFAULT_FOCK_CUTOFF if N is None else N
+    c = boson_ladder(n_levels)
+    basis = fock_basis(n_levels)
+    # a^2 carries sqrt(n+1) sqrt(n+2) on band +2
+    x_bands, y_bands = hermitian_parts(c[:-1] * c[1:], 2, 2.0, 2j)
+    X = Operator("Re a^2", x_bands, basis)
+    Y = Operator("Im a^2", y_bands, basis)
+    return ObservableSet([X, Y], name="a2-quadratures")
 
-    raise InvalidInputError(f"unknown observable set {name!r}")
+
+_kept_set = lru_cache(maxsize=16)(_build_set)
 
 
 @dataclass
@@ -228,6 +224,8 @@ class MomentReport:
     (n, dim) array whose Gram matrix is R, so certificates can reuse them
     without new products.  The pair `_pure_moments` builds is certified as
     it stands; any other is hand-built, and `psd_min_eig` refuses or takes it.
+    `moment_report` records the amplitude bytes of its state in
+    ``_state_bytes``, which is not a field: a hand-built report has None.
     """
 
     labels: list
@@ -237,6 +235,7 @@ class MomentReport:
     centered: np.ndarray | None = field(default=None, repr=False)
     sigma_min_eig: float = field(init=False)
     robertson_min_eig: float = field(init=False)
+    _state_bytes = None
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
@@ -278,7 +277,8 @@ def moment_report(obs, state, max_tail=1e-8):
     psi = state.amplitudes
     means, sigma, comm, centered = _pure_moments(obs, psi)
     report = MomentReport(obs.labels, means, sigma, comm, centered)
-    object.__setattr__(obs, "_moments", (psi.tobytes(), sigma.tolist(), comm.tolist()))
+    report._state_bytes = psi.tobytes()
+    object.__setattr__(obs, "_moments", (report._state_bytes, sigma.tolist(), comm.tolist()))
     return report
 
 

@@ -291,6 +291,21 @@ def test_operator_splits_a_dense_matrix_into_bands():
     np.testing.assert_array_equal(zero.apply(psi), np.zeros(6))
 
 
+def test_operator_matrix_is_built_once_from_its_bands():
+    b = fock_basis(6)
+    mat = np.diag(np.arange(6.0)) + np.diag(np.full(5, 0.5j), 1) + np.diag(np.full(4, 2.0), -2)
+    op = dense_operator("m", mat, b)
+    assert op.matrix is op.matrix
+    # kept as the value of the cached property, with no placeholder field
+    assert vars(op)["matrix"] is op.matrix and "_matrix" not in vars(op)
+    np.testing.assert_array_equal(op.matrix, mat)
+    # an operator of a kept set shares its matrix with every later caller
+    shared = observable_set("canonical", N=8).ops[0]
+    with pytest.raises(ValueError, match="read-only"):
+        shared.matrix[0, 1] = 99.0
+    assert observable_set("canonical", N=8).ops[0].matrix[0, 1] == shared.bands[1][0]
+
+
 def test_operator_from_bands_validation():
     b = fock_basis(4)
     with pytest.raises(BasisMismatchError):

@@ -179,6 +179,22 @@ def test_certificate_refuses_a_report_without_centered_vectors():
         minimizer_certificate(st, obs, report=bare)
 
 
+def test_certificate_refuses_a_report_of_another_state():
+    # once certified basis level 3 by the moments of a coherent state
+    obs = observable_set("su11:1.0", N=64)
+    a = su11_cs(0.4, 1.0, N=64)
+    b = basis_state(obs.basis, 3)
+    assert minimizer_certificate(b, obs).verdict == "not-minimizer"
+    with pytest.raises(InvalidInputError, match="not made by moment_report from this state"):
+        minimizer_certificate(b, obs, report=moment_report(obs, a))
+    # a hand-built report carries no amplitudes, so nothing ties it to a state
+    rep = moment_report(obs, a)
+    bare = MomentReport(rep.labels, rep.means, rep.sigma, rep.commut, rep.centered)
+    with pytest.raises(InvalidInputError, match="not made by moment_report"):
+        minimizer_certificate(a, obs, report=bare)
+    assert minimizer_certificate(a, obs, report=rep).verdict == "minimizer"
+
+
 def test_certificate_refuses_a_state_off_the_observable_basis():
     # once certified the report's state, glauber(0.3), as a minimizer; a
     # given report is taken as is, so no tail gate applies

@@ -169,6 +169,43 @@ def test_a_shared_observable_set_is_read_only():
     assert again.sigma.diagonal().tolist() == diagonal
 
 
+def test_a_shared_observable_sets_operators_cannot_be_reassigned():
+    # a relabelled operator of a kept set once reached every later caller
+    op = observable_set("canonical", N=32).ops[0]
+    for name, value in (("label", "X"), ("basis", fock_basis(8)), ("bands", {})):
+        with pytest.raises(AttributeError):
+            setattr(op, name, value)
+    assert observable_set("canonical", N=32).labels == ["q", "p"]
+    assert op.label == "q" and op.basis == fock_basis(32) and sorted(op.bands) == [-1, 1]
+
+
+def test_observable_set_keeps_one_set_per_parsed_name():
+    # the name as written once keyed the memo: two builds of one set
+    moments._kept_set.cache_clear()
+    obs = observable_set("su11:1", N=96)
+    assert observable_set("su11:1.0", N=96) is obs
+    assert observable_set(" su11:1e0", N=96) is obs
+    assert moments._kept_set.cache_info().misses == 1
+    assert obs.name == "su11:1" and obs.basis.k == 1.0
+
+
+@pytest.mark.parametrize("name", [5, None, 1.0, b"su11"])
+def test_observable_set_refuses_a_name_that_is_not_a_str(name):
+    # once an AttributeError from name.strip()
+    with pytest.raises(InvalidInputError, match=f"malformed observable-set name {name!r}"):
+        observable_set(name)
+    with pytest.raises(InvalidInputError, match="malformed"):
+        observable_set(name, N=32.0)
+
+
+def test_observable_set_refuses_members_that_are_not_operators():
+    # once an AttributeError from reading .basis of the member
+    q = observable_set("canonical", N=8).ops[0]
+    for ops, bad in ((["q"], "'q'"), ([q, 3], "3"), ([None], "None")):
+        with pytest.raises(InvalidInputError, match=f"holds Operators, got {bad}"):
+            ObservableSet(ops)
+
+
 @pytest.mark.parametrize("N", [32.0, True, "32", [32], 1])
 def test_observable_set_refuses_after_a_kept_build(N):
     # an untyped memo would hand back the N=32 set for 32.0 and True's 1

@@ -290,6 +290,18 @@ def test_one_observable_two_state():
         one_observable_two_state(q, s1.amplitudes, s1)
 
 
+def test_one_observable_two_state_checks_hermiticity_once(monkeypatch):
+    # the bands are read-only, so the verdict of one operator cannot change
+    shared, _p = qp(32)
+    q = Operator("q", dict(shared.bands), shared.basis)
+    prop = Operator.__dict__["_hermitian"]
+    verdict, calls = prop.func, []
+    monkeypatch.setattr(prop, "func", lambda op: calls.append(op) or verdict(op))
+    s1, s2 = glauber(0.4, N=32), glauber(0.3j, N=32)
+    gaps = {one_observable_two_state(q, s1, s2) for _ in range(100)}
+    assert calls == [q] and len(gaps) == 1
+
+
 def test_one_observable_rejects_non_hermitian():
     obs = observable_set("canonical", N=16)
     bad = Operator("a-ish", {d: np.ones(16 - d) for d in range(1, 16)}, obs.basis)
