@@ -279,13 +279,15 @@ class Operator:
 
 @dataclass
 class StateVector:
-    """Normalized pure state with a recorded top-decile tail certificate."""
+    """Normalized pure state with a recorded top-decile tail certificate.
+    ``_moments`` is not a field: see `moments._moment_rows`."""
 
     amplitudes: np.ndarray
     basis: BasisSpec
     family: str | None = None
     params: dict = field(default_factory=dict)
     tail_mass: float = field(init=False)
+    _moments = None
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=np.complex128)

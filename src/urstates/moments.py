@@ -76,17 +76,13 @@ class ObservableSet:
     """An ordered tuple of Hermitian observables on a shared basis.
 
     ``ops`` may be any sequence of `Operator`s, kept as a tuple.  The set and
-    its operators are frozen, so the padded layout and the moments memo
-    below cannot go stale, and a set that `observable_set` hands to several
-    callers stays the same for all of them.  ``_moments``
-    holds (amplitude bytes, sigma rows, C rows), the rows as Python floats,
-    of the last state a `moment_report` succeeded on, so that
-    `urcheck.char_ur_report` of the same amplitudes makes no second pass.
+    its operators are frozen and it keeps nothing per state, so its padded
+    layout cannot go stale, and a set that `observable_set` hands to several
+    callers, threads included, stays the same for all of them.
     """
 
     ops: tuple
     name: str = ""
-    _moments: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -96,10 +92,8 @@ class ObservableSet:
             if not isinstance(op, Operator):
                 raise InvalidInputError(f"an observable set holds Operators, got {op!r}")
             if op.basis != self.ops[0].basis:
-                raise BasisMismatchError(
-                    f"observable {op.label!r} lives in a different basis than "
-                    f"{self.ops[0].label!r}"
-                )
+                raise BasisMismatchError(f"observable {op.label!r} lives in a different basis "
+                                         f"than {self.ops[0].label!r}")
             if not op.is_hermitian():
                 raise InvalidInputError(f"observable {op.label!r} is not Hermitian")
 
@@ -160,11 +154,11 @@ def _parse_set_name(name):
 def observable_set(name, N=None):
     """The named observable set at cutoff ``N``.
 
-    The last 16 sets built are kept, by the parsed name and N, and a
-    repeated request returns the kept set itself, so ``su11:1`` and
-    ``su11:1.0`` are one set: callers share it, and it is read-only (see
-    `ObservableSet`).  Only an int or omitted ``N`` is kept, so the builder
-    still refuses ``N=32.0`` or ``N=True`` after ``N=32``.
+    The last 16 sets built are kept by what the builder reads: the head, the
+    scale with its default filled in, and N unless the set is su(2).  So
+    ``su11`` and ``su11:0.5`` are one set, as is ``su2:1`` at any N: callers
+    share it, and it is read-only (see `ObservableSet`).  Only an int or
+    omitted ``N`` is kept, so ``N=32.0`` or ``N=True`` still reach the builder.
 
     Recognized names (an optional ``:x`` suffix carries the scale parameter):
 
@@ -176,14 +170,16 @@ def observable_set(name, N=None):
       X = (a^2 + a^dag^2)/2, Y = (a^2 - a^dag^2)/(2i)
     """
     head, arg = _parse_set_name(name)
+    if arg is None:  # one mode, k = 1/2, j = 1/2
+        arg = {"canonical": 1.0, "su11": 0.5, "su2": 0.5}.get(head)
     if N is None or type(N) is int:
-        return _kept_set(head, arg, N)
+        return _kept_set(head, arg, None if head == "su2" else N)
     return _build_set(head, arg, N)
 
 
 def _build_set(head, arg, N):
     if head == "canonical":
-        if arg in (None, 1):
+        if arg == 1:
             rep = boson_rep(DEFAULT_FOCK_CUTOFF if N is None else N)
             return ObservableSet([rep["q"], rep["p"]], name="canonical")
         if arg == 2:
@@ -192,14 +188,12 @@ def _build_set(head, arg, N):
         raise InvalidInputError(f"canonical quadratures support s in {{1,2}}, got s={arg:g}")
 
     if head == "su11":
-        k = 0.5 if arg is None else arg
-        rep = su11_rep(k, DEFAULT_SU11_CUTOFF if N is None else N)
-        return ObservableSet([rep["k1"], rep["k2"], rep["k3"]], name=f"su11:{k:g}")
+        rep = su11_rep(arg, DEFAULT_SU11_CUTOFF if N is None else N)
+        return ObservableSet([rep["k1"], rep["k2"], rep["k3"]], name=f"su11:{arg:g}")
 
     if head == "su2":
-        j = 0.5 if arg is None else arg
-        rep = su2_rep(j)
-        return ObservableSet([rep["j1"], rep["j2"], rep["j3"]], name=f"su2:{j:g}")
+        rep = su2_rep(arg)
+        return ObservableSet([rep["j1"], rep["j2"], rep["j3"]], name=f"su2:{arg:g}")
 
     if arg is not None:
         raise InvalidInputError("a2-quadratures takes no scale parameter")
@@ -271,15 +265,25 @@ def moment_report(obs, state, max_tail=1e-8):
     The moments come from the Gram matrix of the vectors X_i psi (one
     banded product per observable).  A recorded tail mass above
     ``max_tail`` aborts with a truncation error, since moments of a
-    leaking state are not trustworthy.
+    leaking state are not trustworthy.  It keeps sigma and C on the state (`_moment_rows`).
     """
     check_state(state, obs.basis, max_tail)
     psi = state.amplitudes
     means, sigma, comm, centered = _pure_moments(obs, psi)
     report = MomentReport(obs.labels, means, sigma, comm, centered)
     report._state_bytes = psi.tobytes()
-    object.__setattr__(obs, "_moments", (report._state_bytes, sigma.tolist(), comm.tolist()))
+    state._moments = (obs, report._state_bytes, sigma.tolist(), comm.tolist())
     return report
+
+
+def _moment_rows(obs, state):
+    """The sigma and C rows (Python floats) of one state: those its last `moment_report`
+    kept if that was on ``obs`` itself and read the same amplitude bytes, else fresh."""
+    kept_obs, key, *rows = state._moments or (None, None)
+    if kept_obs is obs and key == state.amplitudes.tobytes():
+        return rows
+    _means, sigma, comm, _centered = _pure_moments(obs, state.amplitudes)
+    return sigma.tolist(), comm.tolist()
 
 
 def check_state(state, basis, max_tail):

@@ -185,16 +185,16 @@ def _write_json(value, indent, out):
 
 
 def read_document(path, what):
-    """The JSON object in the file at ``path``; an unreadable or malformed
-    file, or one that holds anything but an object, is an InvalidInputError,
-    except a missing one, which stays FileNotFoundError.  ``what`` names the
-    kind of document in the message."""
+    """The JSON object in the file at ``path``; an unreadable file, one that
+    json cannot decode (nested past its recursion limit included), or one that
+    holds anything but an object, is an InvalidInputError, except a missing
+    one, which stays FileNotFoundError.  ``what`` names the kind of document."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"cannot read {what} file {path!r}: {exc}") from exc

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .matrixkit import _small_char_coeffs, char_coeffs
-from .moments import ObservableSet, _pure_moments, check_state, moment_report
+from .moments import ObservableSet, _moment_rows, _pure_moments, check_state, moment_report
 
 __all__ = [
     "PairGapRecord",
@@ -104,8 +104,8 @@ def char_ur_report(obs, states, max_tail=1e-8):
     state-extended inequalities.  Pairwise gap records for every observable
     pair (computed from the same summed matrices) ride along.  The states
     are checked one by one in order, then their moments come from one
-    stacked pass.  A single state whose amplitudes are byte for byte those
-    of the last `moment_report` on ``obs`` reuses that report's moments.
+    stacked pass; a single state's come from `moments._moment_rows`, which
+    reuses those of its last `moment_report` on ``obs`` itself.
     """
     if obs.n < 2:
         raise InvalidInputError("characteristic relations need at least 2 observables")
@@ -114,23 +114,17 @@ def char_ur_report(obs, states, max_tail=1e-8):
     except TypeError:
         state_list = [states]
     if not 1 <= len(state_list) <= MAX_EXTENDED_STATES:
-        raise InvalidInputError(
-            f"extended relations accept 1..{MAX_EXTENDED_STATES} states, "
-            f"got {len(state_list)}"
-        )
+        raise InvalidInputError(f"extended relations accept 1..{MAX_EXTENDED_STATES} states, "
+                                f"got {len(state_list)}")
 
     for st in state_list:
         check_state(st, obs.basis, max_tail)
     if len(state_list) == 1:
-        psi = state_list[0].amplitudes
-        if obs._moments is not None and obs._moments[0] == psi.tobytes():
-            return _ur_from_moments(obs.labels, *obs._moments[1:], 1)
-        _means, sigma_sum, comm_sum, _centered = _pure_moments(obs, psi)
-    else:
-        stack = np.array([st.amplitudes for st in state_list])
-        _means, sigma, comm, _centered = _pure_moments(obs, stack)
-        sigma_sum, comm_sum = sigma.sum(axis=0), comm.sum(axis=0)
-    return _ur_from_moments(obs.labels, sigma_sum.tolist(), comm_sum.tolist(), len(state_list))
+        return _ur_from_moments(obs.labels, *_moment_rows(obs, state_list[0]), 1)
+    stack = np.array([st.amplitudes for st in state_list])
+    _means, sigma, comm, _centered = _pure_moments(obs, stack)
+    return _ur_from_moments(obs.labels, sigma.sum(axis=0).tolist(), comm.sum(axis=0).tolist(),
+                            len(state_list))
 
 
 def _ur_from_moments(labels, s, c, n_states):

@@ -540,6 +540,26 @@ def test_a_file_that_holds_no_json_object_is_refused_by_name(tmp_path, capsys, v
     _assert_one_invalid_input_line(code, out, err, f"{str(path)!r} must hold a JSON object")
 
 
+#: nested far past the recursion limit that the json module's decoder runs into
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("verb,text", [
+    ("report", _DEEP),
+    ("report", '{"basis": %s}' % _DEEP),
+    ("evolve", '{"kind": "omega", "omega": %s}' % _DEEP),
+], ids=["report-top", "report-basis", "evolve-omega"])
+def test_a_deeply_nested_document_exits_2(tmp_path, capsys, verb, text):
+    # once a bare RecursionError traceback with exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = {"report": ["--state", str(path), "--observables", "canonical"],
+            "evolve": ["--profile", str(path), "--samples", "5"]}[verb]
+    code, out, err = run_cli(capsys, verb, *argv)
+    _assert_one_invalid_input_line(code, out, err, f"{str(path)!r} is not valid JSON")
+    assert "recursion depth" in err
+
+
 def _params_list(doc):
     doc["params"] = []
 

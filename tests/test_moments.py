@@ -189,6 +189,41 @@ def test_observable_set_keeps_one_set_per_parsed_name():
     assert obs.name == "su11:1" and obs.basis.k == 1.0
 
 
+@pytest.mark.parametrize("requests", [
+    [("su11", 96), ("su11:0.5", 96)],
+    [("canonical", 128), ("canonical:1", 128), ("canonical", 128)],
+    [("su2:1", 8), ("su2:1", 16), ("su2:1", None)],
+], ids=["su11-default-k", "canonical-default-s", "su2-any-N"])
+def test_observable_set_keeps_one_set_per_build(requests):
+    # a default scale, and an N that an su(2) set does not read, once took a
+    # slot of the memo each
+    moments._kept_set.cache_clear()
+    sets = [observable_set(name, N=N) for name, N in requests]
+    assert all(obs is sets[0] for obs in sets)
+    assert moments._kept_set.cache_info().misses == 1
+
+
+def test_observable_set_names_keep_their_default_scale():
+    assert observable_set("su11", N=16).name == "su11:0.5"
+    assert observable_set("su2").name == "su2:0.5"
+    assert observable_set("canonical:1", N=16).name == "canonical"
+    # an N that is not kept still reaches the builder, which su(2) ignores
+    assert observable_set("su2:1", N=8.0) is not observable_set("su2:1", N=8)
+    assert observable_set("su2:1", N=8.0).name == "su2:1"
+
+
+def test_a_moment_report_leaves_the_shared_set_as_it_was():
+    # the set once kept the last reported state's sigma and C, which a
+    # char_ur_report in another thread could read as its own
+    obs = observable_set("su11:1.0", N=64)
+    moment_report(obs, su11_cs(0.3, 1.0, N=64))
+    before = dict(vars(obs))
+    moment_report(obs, su11_cs(0.6j, 1.0, N=64))
+    after = vars(obs)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
 @pytest.mark.parametrize("name", [5, None, 1.0, b"su11"])
 def test_observable_set_refuses_a_name_that_is_not_a_str(name):
     # once an AttributeError from name.strip()

@@ -1,6 +1,8 @@
 """Signed uncertainty gaps, extended several-state forms, complementary split."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from urstates.hilbert import (
 )
 from urstates.matrixkit import _small_char_coeffs, char_coeffs
 from urstates.moments import ObservableSet, moment_report, observable_set
-from urstates.states import canonical_ss, glauber, su2_cs
+from urstates.states import canonical_ss, glauber, su2_cs, su11_cs
 from urstates.urcheck import (
     SATURATION_RTOL,
     _ur_from_moments,
@@ -217,6 +219,54 @@ def test_the_moments_memo_misses_on_other_amplitudes(moment_passes):
     moment_report(obs, b, max_tail=None)
     char_ur_report(obs, [b, b], max_tail=None)
     assert len(moment_passes) == 7
+
+
+def test_the_moments_memo_is_kept_per_state_and_set(moment_passes):
+    name, N = "su11:0.5", 24
+    a_set = observable_set(name, N=N)
+    b_set = ObservableSet(a_set.ops[:2])
+    s, t = _random_states(np.random.default_rng(47), a_set.basis, 2)
+    expected = {"s": _fresh_ur(name, N, s), "t": _fresh_ur(name, N, t)}
+    moment_passes.clear()
+    # a report of another state on the same set keeps the first state's moments
+    moment_report(a_set, s, max_tail=None)
+    moment_report(a_set, t, max_tail=None)
+    assert _ur_repr(char_ur_report(a_set, s, max_tail=None)) == expected["s"]
+    assert _ur_repr(char_ur_report(a_set, t, max_tail=None)) == expected["t"]
+    assert len(moment_passes) == 2
+    # a report of the same state on another set replaces them
+    moment_report(b_set, s, max_tail=None)
+    assert _ur_repr(char_ur_report(a_set, s, max_tail=None)) == expected["s"]
+    assert len(moment_passes) == 4
+
+
+def test_two_threads_on_one_shared_set_each_get_their_own_moments():
+    # the shared set once kept the moments of whichever state was reported
+    # last, so one thread's char_ur_report could carry the other's c_sigma
+    obs = observable_set("su11:1.0", N=64)
+    states = [su11_cs(0.3, 1.0, N=64), su11_cs(0.6j, 1.0, N=64)]
+    expected = [char_ur_report(obs, st).order_gaps[3].c_sigma for st in states]
+    checked, wrong = [0, 0], [0, 0]
+
+    def rounds(i):
+        for _ in range(10_000):
+            moment_report(obs, states[i])
+            wrong[i] += char_ur_report(obs, states[i]).order_gaps[3].c_sigma != expected[i]
+            checked[i] += 1
+
+    threads = [threading.Thread(target=rounds, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert checked == [10_000, 10_000]
+    assert wrong == [0, 0]
 
 
 def test_the_moments_memo_keeps_the_tail_gate_of_char_ur_report():
