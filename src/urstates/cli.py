@@ -248,7 +248,7 @@ def _cmd_report(args):
             )
     rep = moment_report(obs, state, max_tail=max_tail)
     ur = char_ur_report(obs, state, max_tail=max_tail)
-    cert = minimizer_certificate(state, obs, report=rep) if args.certificate else None
+    cert = minimizer_certificate(state, obs, max_tail=max_tail) if args.certificate else None
     _write_text(document_text(_report_document(state, obs, rep, ur, cert, args.orders)),
                 args.out)
     return EX_OK
@@ -350,6 +350,9 @@ def _profile_field(doc, key):
 
         t = np.asarray(value["t"], dtype=float)
         vals = np.asarray(value["values"], dtype=float)
+        if max(t.size, vals.size) > MAX_SAMPLES:
+            raise InvalidInputError(f"sampled profile field {key!r} holds more than "
+                                    f"MAX_SAMPLES={MAX_SAMPLES} samples")
         if t.ndim != 1 or t.shape != vals.shape or t.size < 4 \
                 or np.any(np.diff(t) <= 0.0):
             raise InvalidInputError(

@@ -279,15 +279,14 @@ class Operator:
 
 @dataclass
 class StateVector:
-    """Normalized pure state with a recorded top-decile tail certificate.
-    ``_moments`` is not a field: see `moments._moment_rows`."""
+    """Normalized pure state with a recorded top-decile tail certificate."""
 
     amplitudes: np.ndarray
     basis: BasisSpec
     family: str | None = None
     params: dict = field(default_factory=dict)
     tail_mass: float = field(init=False)
-    _moments = None
+    _moments = None  # not a field: the report it keeps, see `moments._kept_report`
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=np.complex128)

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
 from .hilbert import residual_bound
 # char_coeffs stays importable as intelligent.char_coeffs: bench/spans.py
 # wraps it under that name
 from .matrixkit import char_coeffs  # noqa: F401
-from .moments import check_state, moment_report
+from .moments import _kept_report, check_state, moment_report
 
 __all__ = [
     "PairCertificate",
@@ -51,7 +50,7 @@ def _gauge_fix(vec):
     return vec * phase
 
 
-def minimizer_certificate(state, obs, report=None):
+def minimizer_certificate(state, obs, max_tail=1e-8):
     """Per-pair best (beta, z) and residual, and the verdict.
 
     For each observable pair the bottom eigenvector of the 2x2 restriction
@@ -62,24 +61,12 @@ def minimizer_certificate(state, obs, report=None):
     where sqrt(lambda_min) would turn 1e-16 into 1e-8.  Verdict is
     "minimizer" when every pairwise residual clears `hilbert.residual_bound`
     at scale sqrt(max(1, tr R_pair)), the truncation-aware floor that the
-    state constructors gate on too.  ``report`` passes the moment report of
-    ``state`` for ``obs`` when the caller already holds it; it is taken as
-    is, so the tail gate of `moments.moment_report` is not checked again,
-    but a state off the basis of ``obs``, a report of another observable
-    set, one without centered vectors, or one that `moment_report` did not
-    make from the amplitudes of ``state`` (a hand-built report among them)
-    is refused.
+    state constructors gate on too.  A state off the basis of ``obs`` or with
+    a tail mass above ``max_tail`` is refused; the moments are the report the
+    state keeps (`moments._kept_report`), else a fresh `moment_report`.
     """
-    check_state(state, obs.basis, None)
-    if report is not None and report.labels != obs.labels:
-        raise InvalidInputError(
-            f"report of observables {report.labels} given for {obs.labels}"
-        )
-    if report is not None and report.centered is None:
-        raise InvalidInputError("report carries no centered vectors (X_i - <X_i>) psi")
-    if report is not None and report._state_bytes != state.amplitudes.tobytes():
-        raise InvalidInputError("report was not made by moment_report from this state")
-    rep = report if report is not None else moment_report(obs, state)
+    check_state(state, obs.basis, max_tail)
+    rep = _kept_report(obs, state) or moment_report(obs, state, max_tail)
     R = rep.robertson
     n = obs.n
     pairs = {}

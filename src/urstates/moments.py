@@ -154,11 +154,12 @@ def _parse_set_name(name):
 def observable_set(name, N=None):
     """The named observable set at cutoff ``N``.
 
-    The last 16 sets built are kept by what the builder reads: the head, the
-    scale with its default filled in, and N unless the set is su(2).  So
-    ``su11`` and ``su11:0.5`` are one set, as is ``su2:1`` at any N: callers
-    share it, and it is read-only (see `ObservableSet`).  Only an int or
-    omitted ``N`` is kept, so ``N=32.0`` or ``N=True`` still reach the builder.
+    The last 16 sets built are kept by what the builder reads: the head, and
+    the scale and N with their defaults filled in, but no N for su(2).  So
+    ``su11`` and ``su11:0.5`` at N=96 or omitted are one set, as is ``su2:1``
+    at any N: callers share it, and it is read-only (see `ObservableSet`).
+    Only an int or omitted ``N`` is kept, so ``N=32.0`` or ``N=True`` still
+    reach the builder.
 
     Recognized names (an optional ``:x`` suffix carries the scale parameter):
 
@@ -172,7 +173,10 @@ def observable_set(name, N=None):
     head, arg = _parse_set_name(name)
     if arg is None:  # one mode, k = 1/2, j = 1/2
         arg = {"canonical": 1.0, "su11": 0.5, "su2": 0.5}.get(head)
-    if N is None or type(N) is int:
+    if N is None:  # the builder's default cutoff, which su(2) does not read
+        N = (DEFAULT_SU11_CUTOFF if head == "su11" else
+             DEFAULT_MODE_CUTOFF if head == "canonical" and arg == 2 else DEFAULT_FOCK_CUTOFF)
+    if type(N) is int:
         return _kept_set(head, arg, None if head == "su2" else N)
     return _build_set(head, arg, N)
 
@@ -180,15 +184,15 @@ def observable_set(name, N=None):
 def _build_set(head, arg, N):
     if head == "canonical":
         if arg == 1:
-            rep = boson_rep(DEFAULT_FOCK_CUTOFF if N is None else N)
+            rep = boson_rep(N)
             return ObservableSet([rep["q"], rep["p"]], name="canonical")
         if arg == 2:
-            rep = tensor_rep(DEFAULT_MODE_CUTOFF if N is None else N)
+            rep = tensor_rep(N)
             return ObservableSet(rep["q"] + rep["p"], name="canonical:2")
         raise InvalidInputError(f"canonical quadratures support s in {{1,2}}, got s={arg:g}")
 
     if head == "su11":
-        rep = su11_rep(arg, DEFAULT_SU11_CUTOFF if N is None else N)
+        rep = su11_rep(arg, N)
         return ObservableSet([rep["k1"], rep["k2"], rep["k3"]], name=f"su11:{arg:g}")
 
     if head == "su2":
@@ -197,9 +201,8 @@ def _build_set(head, arg, N):
 
     if arg is not None:
         raise InvalidInputError("a2-quadratures takes no scale parameter")
-    n_levels = DEFAULT_FOCK_CUTOFF if N is None else N
-    c = boson_ladder(n_levels)
-    basis = fock_basis(n_levels)
+    c = boson_ladder(N)
+    basis = fock_basis(N)
     # a^2 carries sqrt(n+1) sqrt(n+2) on band +2
     x_bands, y_bands = hermitian_parts(c[:-1] * c[1:], 2, 2.0, 2j)
     X = Operator("Re a^2", x_bands, basis)
@@ -218,8 +221,7 @@ class MomentReport:
     (n, dim) array whose Gram matrix is R, so certificates can reuse them
     without new products.  The pair `_pure_moments` builds is certified as
     it stands; any other is hand-built, and `psd_min_eig` refuses or takes it.
-    `moment_report` records the amplitude bytes of its state in
-    ``_state_bytes``, which is not a field: a hand-built report has None.
+    Those of `moment_report` are kept on their state, so their arrays are read-only.
     """
 
     labels: list
@@ -229,7 +231,6 @@ class MomentReport:
     centered: np.ndarray | None = field(default=None, repr=False)
     sigma_min_eig: float = field(init=False)
     robertson_min_eig: float = field(init=False)
-    _state_bytes = None
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
@@ -265,25 +266,23 @@ def moment_report(obs, state, max_tail=1e-8):
     The moments come from the Gram matrix of the vectors X_i psi (one
     banded product per observable).  A recorded tail mass above
     ``max_tail`` aborts with a truncation error, since moments of a
-    leaking state are not trustworthy.  It keeps sigma and C on the state (`_moment_rows`).
+    leaking state are not trustworthy.  The state keeps the report, read-only (`_kept_report`).
     """
     check_state(state, obs.basis, max_tail)
     psi = state.amplitudes
     means, sigma, comm, centered = _pure_moments(obs, psi)
+    for arr in (means, sigma, comm, centered):
+        arr.setflags(write=False)
     report = MomentReport(obs.labels, means, sigma, comm, centered)
-    report._state_bytes = psi.tobytes()
-    state._moments = (obs, report._state_bytes, sigma.tolist(), comm.tolist())
+    state._moments = (obs, psi.tobytes(), report)
     return report
 
 
-def _moment_rows(obs, state):
-    """The sigma and C rows (Python floats) of one state: those its last `moment_report`
-    kept if that was on ``obs`` itself and read the same amplitude bytes, else fresh."""
-    kept_obs, key, *rows = state._moments or (None, None)
-    if kept_obs is obs and key == state.amplitudes.tobytes():
-        return rows
-    _means, sigma, comm, _centered = _pure_moments(obs, state.amplitudes)
-    return sigma.tolist(), comm.tolist()
+def _kept_report(obs, state):
+    """The report of the last `moment_report` of ``state`` if it was on ``obs`` itself and
+    read the amplitude bytes ``state`` holds now, else None; read once, so no thread mixes in."""
+    kept_obs, key, report = state._moments or (None, None, None)
+    return report if kept_obs is obs and key == state.amplitudes.tobytes() else None
 
 
 def check_state(state, basis, max_tail):

@@ -10,6 +10,7 @@ writer, and `state_text` formats a state's amplitudes in one pass.
 import itertools
 import json
 import math
+import os
 
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -116,7 +117,15 @@ def state_from_dict(doc):
         amp = np.array(parts, dtype=float).view(np.complex128)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed state document: {exc}") from exc
-    return StateVector(amp, basis, family=family, params=params)
+    state = StateVector(amp, basis, family=family, params=params)
+    # a recorded tail mass is a JSON number within 1e-12 of the recomputed
+    # one; the bounds compare an int of any size exactly and refuse NaN
+    tail = doc.get("tail_mass", state.tail_mass)
+    lo, hi = state.tail_mass - 1e-12, state.tail_mass + 1e-12
+    if type(tail) not in (int, float) or not lo <= tail <= hi:
+        raise InvalidInputError(f"state document 'tail_mass' must be a number within 1e-12 of "
+                                f"the tail mass of its amplitudes, {state.tail_mass!r}")
+    return state
 
 
 def document_text(doc):
@@ -184,14 +193,29 @@ def _write_json(value, indent, out):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+#: the largest document `read_document` reads, in bytes: at least 8 times a
+#: state document at MAX_BASIS_DIM levels (about 4 MB) and a profile table of
+#: MAX_SAMPLES samples (about 5 MB)
+MAX_DOCUMENT_BYTES = 64 << 20
+
+
 def read_document(path, what):
-    """The JSON object in the file at ``path``; an unreadable file, one that
-    json cannot decode (nested past its recursion limit included), or one that
-    holds anything but an object, is an InvalidInputError, except a missing
-    one, which stays FileNotFoundError.  ``what`` names the kind of document."""
+    """The JSON object in the file at ``path``; an unreadable file, one past
+    MAX_DOCUMENT_BYTES, one that json cannot decode (nested past its recursion
+    limit included), or one that holds anything but an object, is an
+    InvalidInputError, except a missing one, which stays FileNotFoundError.
+    ``what`` names the kind of document."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            # a large file is refused unread; a pipe or device tells size 0,
+            # so its read stops one past the cap
+            size = os.fstat(fh.fileno()).st_size
+            limit = -1 if size else MAX_DOCUMENT_BYTES + 1
+            text = fh.read(limit) if size <= MAX_DOCUMENT_BYTES else ""
+        if max(size, len(text)) > MAX_DOCUMENT_BYTES:
+            raise InvalidInputError(f"{what} file {path!r} holds more than "
+                                    f"MAX_DOCUMENT_BYTES={MAX_DOCUMENT_BYTES} bytes")
+        doc = json.loads(text)
     except FileNotFoundError:
         raise
     except (ValueError, RecursionError) as exc:

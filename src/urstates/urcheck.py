@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .matrixkit import _small_char_coeffs, char_coeffs
-from .moments import ObservableSet, _moment_rows, _pure_moments, check_state, moment_report
+from .moments import ObservableSet, _kept_report, _pure_moments, check_state, moment_report
 
 __all__ = [
     "PairGapRecord",
@@ -104,8 +104,8 @@ def char_ur_report(obs, states, max_tail=1e-8):
     state-extended inequalities.  Pairwise gap records for every observable
     pair (computed from the same summed matrices) ride along.  The states
     are checked one by one in order, then their moments come from one
-    stacked pass; a single state's come from `moments._moment_rows`, which
-    reuses those of its last `moment_report` on ``obs`` itself.
+    stacked pass.  A single state's are those of the report it keeps
+    (`moments._kept_report`), if any, else from a pass of its own.
     """
     if obs.n < 2:
         raise InvalidInputError("characteristic relations need at least 2 observables")
@@ -119,12 +119,15 @@ def char_ur_report(obs, states, max_tail=1e-8):
 
     for st in state_list:
         check_state(st, obs.basis, max_tail)
-    if len(state_list) == 1:
-        return _ur_from_moments(obs.labels, *_moment_rows(obs, state_list[0]), 1)
-    stack = np.array([st.amplitudes for st in state_list])
-    _means, sigma, comm, _centered = _pure_moments(obs, stack)
-    return _ur_from_moments(obs.labels, sigma.sum(axis=0).tolist(), comm.sum(axis=0).tolist(),
-                            len(state_list))
+    if len(state_list) > 1:
+        stack = np.array([st.amplitudes for st in state_list])
+        _means, sigma, comm, _centered = _pure_moments(obs, stack)
+        sigma, comm = sigma.sum(axis=0), comm.sum(axis=0)
+    elif (rep := _kept_report(obs, state_list[0])) is not None:
+        sigma, comm = rep.sigma, rep.commut
+    else:  # the 1-D pass: a stack of one does not promise its bits
+        sigma, comm = _pure_moments(obs, state_list[0].amplitudes)[1:3]
+    return _ur_from_moments(obs.labels, sigma.tolist(), comm.tolist(), len(state_list))
 
 
 def _ur_from_moments(labels, s, c, n_states):

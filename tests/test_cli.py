@@ -12,9 +12,11 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from urstates import acceptance, cli, dynamics
+from urstates import acceptance, cli, dynamics, stateio
 from urstates.cli import main
 from urstates.errors import UrstatesError
 from urstates.hilbert import (MAX_BASIS_DIM, Operator, StateVector, apply_bands, fock_basis,
@@ -558,6 +560,85 @@ def test_a_deeply_nested_document_exits_2(tmp_path, capsys, verb, text):
     code, out, err = run_cli(capsys, verb, *argv)
     _assert_one_invalid_input_line(code, out, err, f"{str(path)!r} is not valid JSON")
     assert "recursion depth" in err
+
+
+@pytest.mark.parametrize("verb", ["report", "evolve"])
+def test_a_document_past_the_size_cap_is_refused_unread(tmp_path, capsys, verb):
+    # a 2 GiB sparse file once ran 7.7 s and peaked at 4.15 GB RSS before
+    # json refused it
+    path = tmp_path / "huge.json"
+    path.touch()
+    os.truncate(path, 2 << 30)
+    argv = {"report": ["--state", str(path), "--observables", "canonical"],
+            "evolve": ["--profile", str(path), "--samples", "5"]}[verb]
+    cli._build_parser()
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, verb, *argv)
+    elapsed = time.perf_counter() - start
+    _assert_one_invalid_input_line(code, out, err, "more than MAX_DOCUMENT_BYTES")
+    assert elapsed < 0.05
+    # a read of the cap alone would take 64 MiB
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kib < 1024
+
+
+def test_a_document_at_the_size_cap_is_read(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "st.json"
+    text = (GOLDEN / "state_glauber.json").read_text()
+    path.write_text(text)
+    monkeypatch.setattr(stateio, "MAX_DOCUMENT_BYTES", len(text))
+    code, out, err = run_cli(capsys, "report", "--state", str(path), "--observables", "canonical")
+    assert code == 0, err
+    path.write_text(text + " ")
+    code, out, err = run_cli(capsys, "report", "--state", str(path), "--observables", "canonical")
+    _assert_one_invalid_input_line(code, out, err, "more than MAX_DOCUMENT_BYTES")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs a device that never ends")
+def test_a_device_is_read_one_past_the_size_cap(capsys, monkeypatch):
+    # fstat gives a device size 0, and json once read it until memory ran out
+    monkeypatch.setattr(stateio, "MAX_DOCUMENT_BYTES", 1000)
+    code, out, err = run_cli(capsys, "report", "--state", "/dev/zero", "--observables", "canonical")
+    _assert_one_invalid_input_line(code, out, err, "more than MAX_DOCUMENT_BYTES=1000")
+
+
+def test_a_sample_table_past_max_samples_is_refused(tmp_path, capsys):
+    n = cli.MAX_SAMPLES + 1
+    prof = _profile(tmp_path, {"kind": "omega",
+                               "omega": {"t": list(range(n)), "values": [1.0] * n}})
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof, "--samples", "5")
+    _assert_one_invalid_input_line(code, out, err, f"more than MAX_SAMPLES={cli.MAX_SAMPLES}")
+
+
+@pytest.mark.parametrize("tail", [0.5, True, "0.0", None, float("nan"), [0.0], 1e-11, 10 ** 400,
+                                  "nested"],
+                         ids=["half", "bool", "string", "null", "nan", "list", "off-by-1e-11",
+                              "huge-int", "nested"])
+def test_a_state_document_whose_tail_mass_is_not_its_own_exits_2(tmp_path, capsys, tail):
+    # the loader once ignored the recorded tail mass, even a list nested 900 deep
+    doc = json.loads((GOLDEN / "state_glauber.json").read_text())
+    doc["tail_mass"] = json.loads("[" * 900 + "]" * 900) if tail == "nested" else tail
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "report", "--state", str(path), "--observables", "canonical")
+    _assert_one_invalid_input_line(code, out, err, "'tail_mass'")
+
+
+def test_a_state_document_keeps_its_tail_mass_or_leaves_it_out(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "state_su11-cs.json").read_text())
+    tail = load_state(GOLDEN / "state_su11-cs.json").tail_mass
+    assert doc["tail_mass"] == tail > 0.0
+    path = tmp_path / "st.json"
+    for recorded in (tail, tail + 5e-13, tail - 5e-13, None):
+        if recorded is None:
+            del doc["tail_mass"]
+        else:
+            doc["tail_mass"] = recorded
+        path.write_text(json.dumps(doc))
+        assert load_state(path).tail_mass == tail
+    for golden in sorted(GOLDEN.glob("state_*.json")):
+        recorded = json.loads(golden.read_text())["tail_mass"]
+        assert load_state(golden).tail_mass == recorded
 
 
 def _params_list(doc):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from urstates.cli import _report_document
-from urstates.errors import BasisMismatchError, InvalidInputError
-from urstates.hilbert import basis_state, fock_basis, su2_basis
+from urstates.errors import BasisMismatchError, InvalidInputError, TruncationError
+from urstates.hilbert import StateVector, basis_state, fock_basis, su2_basis
 from urstates.intelligent import minimizer_certificate
-from urstates.moments import MomentReport, ObservableSet, moment_report, observable_set
+from urstates.moments import ObservableSet, _kept_report, moment_report, observable_set
 from urstates.states import (
     canonical_ss,
     glauber,
@@ -149,7 +149,7 @@ def test_certificate_json_shape():
     obs = observable_set("canonical", N=64)
     st = glauber(0.2, N=64)
     rep = moment_report(obs, st)
-    cert = minimizer_certificate(st, obs, report=rep)
+    cert = minimizer_certificate(st, obs)
     ur = char_ur_report(obs, st)
     doc = _report_document(st, obs, rep, ur, cert, None)["certificate"]
     assert set(doc) == {"pairs", "robertson_gap", "verdict"}
@@ -161,49 +161,90 @@ def test_certificate_json_shape():
     assert doc["robertson_gap"] == ur.order_gaps[2].gap
 
 
-def test_certificate_refuses_a_report_of_another_observable_set():
-    st = su11_cs(0.4, 1.0, N=64)
-    obs = observable_set("su11:1", N=64)
-    pair = ObservableSet(obs.ops[:2])
-    with pytest.raises(InvalidInputError, match="report of observables"):
-        minimizer_certificate(st, obs, report=moment_report(pair, st))
+def _cert_bits(cert):
+    return cert.verdict, [(key, rec.labels, rec.beta.tobytes(), rec.z, rec.residual)
+                          for key, rec in sorted(cert.pairs.items())]
 
 
-def test_certificate_refuses_a_report_without_centered_vectors():
-    # once a TypeError from indexing the missing centered vectors
-    st = su11_cs(0.4, 1.0, N=64)
-    obs = observable_set("su11:1", N=64)
-    rep = moment_report(obs, st)
-    bare = MomentReport(rep.labels, rep.means, rep.sigma, rep.commut)
-    with pytest.raises(InvalidInputError, match="centered vectors"):
-        minimizer_certificate(st, obs, report=bare)
+def _low_random_state(rng, basis):
+    """A random state on the lower half of ``basis``, so its tail mass is 0."""
+    amp = np.zeros(basis.dim, dtype=complex)
+    half = max(1, basis.dim // 2)
+    amp[:half] = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    return StateVector(amp / np.linalg.norm(amp), basis)
 
 
-def test_certificate_refuses_a_report_of_another_state():
-    # once certified basis level 3 by the moments of a coherent state
+@pytest.mark.parametrize("name,N", [("canonical", 48), ("su11:1.5", 48), ("su2:2.5", None)])
+def test_a_kept_report_certifies_as_a_fresh_one(moment_passes, name, N):
+    obs = observable_set(name, N=N)
+    rng = np.random.default_rng(53)
+    for st in [_low_random_state(rng, obs.basis) for _ in range(3)]:
+        moment_report(obs, st)
+        moment_passes.clear()
+        kept = minimizer_certificate(st, obs)
+        assert moment_passes == []
+        fresh = minimizer_certificate(StateVector(st.amplitudes.copy(), st.basis), obs)
+        assert moment_passes == [(obs.basis.dim,)]
+        assert _cert_bits(kept) == _cert_bits(fresh)
+
+
+def test_a_kept_report_keeps_the_tail_gate_of_the_certificate(moment_passes):
+    obs = observable_set("canonical", N=20)
+    top = basis_state(obs.basis, 19)
+    moment_report(obs, top, max_tail=None)
+    moment_passes.clear()
+    errors = []
+    for st in (top, StateVector(top.amplitudes.copy(), top.basis)):
+        with pytest.raises(TruncationError) as exc:
+            minimizer_certificate(st, obs)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    # the gate refuses before any pass; past it, the kept report is read
+    minimizer_certificate(top, obs, max_tail=None)
+    assert moment_passes == []
+
+
+def test_a_report_of_another_state_or_set_is_never_used(moment_passes):
+    # a caller-passed report of a coherent state once certified basis level 3
     obs = observable_set("su11:1.0", N=64)
     a = su11_cs(0.4, 1.0, N=64)
     b = basis_state(obs.basis, 3)
+    moment_report(obs, a)
+    moment_passes.clear()
     assert minimizer_certificate(b, obs).verdict == "not-minimizer"
-    with pytest.raises(InvalidInputError, match="not made by moment_report from this state"):
-        minimizer_certificate(b, obs, report=moment_report(obs, a))
-    # a hand-built report carries no amplitudes, so nothing ties it to a state
-    rep = moment_report(obs, a)
-    bare = MomentReport(rep.labels, rep.means, rep.sigma, rep.commut, rep.centered)
-    with pytest.raises(InvalidInputError, match="not made by moment_report"):
-        minimizer_certificate(a, obs, report=bare)
-    assert minimizer_certificate(a, obs, report=rep).verdict == "minimizer"
+    assert minimizer_certificate(a, obs).verdict == "minimizer"
+    assert len(moment_passes) == 1
+    # a report on another set of the same observables
+    moment_report(ObservableSet(obs.ops, name=obs.name), a)
+    assert minimizer_certificate(a, obs).verdict == "minimizer"
+    assert len(moment_passes) == 3
+    # the amplitudes of a changed in place, to those of b
+    moment_report(obs, a)
+    a.amplitudes[:] = b.amplitudes
+    assert minimizer_certificate(a, obs).verdict == "not-minimizer"
+    assert len(moment_passes) == 5
+
+
+def test_report_moments_and_certificate_of_one_state_take_one_pass(moment_passes):
+    # the route of `urstates report --certificate`
+    obs = observable_set("su11:1.0", N=64)
+    st = su11_cs(0.4, 1.0, N=64)
+    moment_passes.clear()
+    rep = moment_report(obs, st)
+    char_ur_report(obs, st)
+    minimizer_certificate(st, obs)
+    assert moment_passes == [(64,)]
+    assert _kept_report(obs, st) is rep
 
 
 def test_certificate_refuses_a_state_off_the_observable_basis():
-    # once certified the report's state, glauber(0.3), as a minimizer; a
-    # given report is taken as is, so no tail gate applies
+    # once certified the report's state, glauber(0.3), as a minimizer
     obs = observable_set("canonical", N=64)
-    rep = moment_report(obs, glauber(0.3, N=64))
+    moment_report(obs, glauber(0.3, N=64))
     with pytest.raises(BasisMismatchError):
-        minimizer_certificate(glauber(0.9, N=40), obs, report=rep)
+        minimizer_certificate(glauber(0.9, N=40), obs)
     leaky = basis_state(fock_basis(64), 63)
-    cert = minimizer_certificate(leaky, obs, report=moment_report(obs, leaky, max_tail=None))
+    cert = minimizer_certificate(leaky, obs, max_tail=None)
     assert cert.verdict in ("minimizer", "not-minimizer")
 
 
@@ -212,13 +253,12 @@ def test_reports_refuse_a_non_state(bad):
     # a type error, not an AttributeError from reading a missing field
     obs = observable_set("canonical", N=16)
     vac = basis_state(fock_basis(16), 0)
-    rep = moment_report(obs, vac)
     calls = (
         lambda: moment_report(obs, bad),
         lambda: char_ur_report(obs, bad),
         lambda: char_ur_report(obs, [vac, bad]),
         lambda: minimizer_certificate(bad, obs),
-        lambda: minimizer_certificate(bad, obs, report=rep),
+        lambda: minimizer_certificate(bad, obs, max_tail=None),
     )
     for call in calls:
         with pytest.raises(InvalidInputError):

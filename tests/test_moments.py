@@ -89,6 +89,25 @@ def test_pure_report_matches_dense_moments():
     np.testing.assert_allclose(rep.centered[2], centered[2], rtol=0, atol=1e-13)
 
 
+def test_a_kept_report_is_read_only(moment_passes):
+    # the state keeps the report a caller gets back; a write into it once
+    # would have reached a later char_ur_report or certificate of the state
+    obs = observable_set("su11:1", N=48)
+    st = su11_cs(0.4, 1.0, N=48)
+    rep = moment_report(obs, st)
+    expected = char_ur_report(obs, StateVector(st.amplitudes.copy(), st.basis))
+    for arr in (rep.means, rep.sigma, rep.commut, rep.centered):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+    moment_passes.clear()
+    got = char_ur_report(obs, st)
+    assert moment_passes == []
+    assert got.order_gaps[3].c_sigma == expected.order_gaps[3].c_sigma
+    assert got.pair_gaps[(0, 1)].schr_gap == expected.pair_gaps[(0, 1)].schr_gap
+
+
 def test_wide_su11_report_allocates_no_dense_matrix():
     # dense generators at N=1024 would take 16 MB each
     st = su11_cs(0.9, 1.0, N=1024)
@@ -193,10 +212,16 @@ def test_observable_set_keeps_one_set_per_parsed_name():
     [("su11", 96), ("su11:0.5", 96)],
     [("canonical", 128), ("canonical:1", 128), ("canonical", 128)],
     [("su2:1", 8), ("su2:1", 16), ("su2:1", None)],
-], ids=["su11-default-k", "canonical-default-s", "su2-any-N"])
+    [("canonical", None), ("canonical", 128)],
+    [("canonical:1", None), ("canonical", 128)],
+    [("a2-quadratures", None), ("a2-quadratures", 128)],
+    [("canonical:2", None), ("canonical:2", 20)],
+    [("su11", None), ("su11:0.5", 96)],
+], ids=["su11-default-k", "canonical-default-s", "su2-any-N", "canonical-default-N",
+        "canonical-1-default-N", "a2-default-N", "canonical-2-default-N", "su11-default-N"])
 def test_observable_set_keeps_one_set_per_build(requests):
-    # a default scale, and an N that an su(2) set does not read, once took a
-    # slot of the memo each
+    # a default scale, an N that an su(2) set does not read, and an omitted N
+    # beside the default cutoff once took a slot of the memo each
     moments._kept_set.cache_clear()
     sets = [observable_set(name, N=N) for name, N in requests]
     assert all(obs is sets[0] for obs in sets)
