@@ -115,14 +115,11 @@ class ObservableSet:
         ``psi`` is one state of shape (dim,) or a stack of shape (..., dim).
         The bands of all observables share one padded layout, built on first
         use, so a stack costs one multiply and one sum for the whole set.
-        The gather ``psi[..., src]`` lays a stack out with the state axis
-        innermost; the matrix products of `_pure_moments` round by that
-        layout, so a gather that returns C order (``psi.take``) moves the
-        last bits of several-state moments.
+        Each state's images in a stack are the bits of its own 1-D call.
         """
         rows, src = self._padded
         # np.add.reduce is the reduction ndarray.sum calls, without its wrapper
-        return np.add.reduce(rows * psi[..., src][..., :, None, :], axis=-3)
+        return np.add.reduce(rows * psi.take(src, axis=-1)[..., :, None, :], axis=-3)
 
     @cached_property
     def _padded(self):
@@ -301,14 +298,11 @@ def _pure_moments(obs, psi):
     """Means, sigma, C and centered images of pure states psi (..., dim).
 
     Shapes follow the leading axes of psi: means (..., n), sigma and C
-    (..., n, n), centered (..., n, dim).  A single state (dim,) stays on
-    1-D products, which are faster than a stack of one.
+    (..., n, n), centered (..., n, dim).  Each state's four in a stack are
+    the bits of its own pass on psi of shape (dim,).
     """
     images = obs.images(psi)
-    if psi.ndim == 1:
-        means = (images @ psi.conj()).real
-    else:
-        means = (images @ psi.conj()[..., None])[..., 0].real
+    means = (images @ psi.conj()[..., None])[..., 0].real
     # Centering the image vectors makes the Gram matrix the central-moment
     # matrix directly, avoiding the <X_i><X_j> cancellation that otherwise
     # dominates the error budget for strongly displaced states.

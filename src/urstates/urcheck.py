@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .matrixkit import _small_char_coeffs, char_coeffs
-from .moments import ObservableSet, _kept_report, _pure_moments, check_state, moment_report
+from .moments import ObservableSet, _kept_report, _pure_moments, check_state
+from .moments import moment_report  # noqa: F401 - bench/spans.py wraps urcheck.moment_report
 
 __all__ = [
     "PairGapRecord",
@@ -103,9 +104,10 @@ def char_ur_report(obs, states, max_tail=1e-8):
     the sigma and C matrices are summed entrywise first, which yields the
     state-extended inequalities.  Pairwise gap records for every observable
     pair (computed from the same summed matrices) ride along.  The states
-    are checked one by one in order, then their moments come from one
-    stacked pass.  A single state's are those of the report it keeps
-    (`moments._kept_report`), if any, else from a pass of its own.
+    are checked one by one in order.  A single state's moments are those of
+    the report it keeps (`moments._kept_report`), if any; else all come from
+    one stacked pass, in which each state's sigma and C are the bits of its
+    own report.
     """
     if obs.n < 2:
         raise InvalidInputError("characteristic relations need at least 2 observables")
@@ -119,14 +121,12 @@ def char_ur_report(obs, states, max_tail=1e-8):
 
     for st in state_list:
         check_state(st, obs.basis, max_tail)
-    if len(state_list) > 1:
+    if len(state_list) == 1 and (rep := _kept_report(obs, state_list[0])) is not None:
+        sigma, comm = rep.sigma, rep.commut
+    else:
         stack = np.array([st.amplitudes for st in state_list])
         _means, sigma, comm, _centered = _pure_moments(obs, stack)
         sigma, comm = sigma.sum(axis=0), comm.sum(axis=0)
-    elif (rep := _kept_report(obs, state_list[0])) is not None:
-        sigma, comm = rep.sigma, rep.commut
-    else:  # the 1-D pass: a stack of one does not promise its bits
-        sigma, comm = _pure_moments(obs, state_list[0].amplitudes)[1:3]
     return _ur_from_moments(obs.labels, sigma.tolist(), comm.tolist(), len(state_list))
 
 
@@ -154,13 +154,16 @@ def two_state_schrodinger(X, Y, state1, state2):
     (1/2)[DXX(1) DYY(2) + DXX(2) DYY(1)] >= DXY(1) DXY(2) + C12(1) C12(2)
 
     which reduces exactly to the single-state schr gap when the states
-    coincide.
+    coincide.  Both states are checked at `moment_report`'s tail bound; one
+    stacked pass gives their moments and leaves the reports they keep alone.
     """
     obs = ObservableSet([X, Y])
-    r1 = moment_report(obs, state1)
-    r2 = moment_report(obs, state2)
-    lhs = 0.5 * (r1.sigma[0, 0] * r2.sigma[1, 1] + r2.sigma[0, 0] * r1.sigma[1, 1])
-    rhs = r1.sigma[0, 1] * r2.sigma[0, 1] + r1.commut[0, 1] * r2.commut[0, 1]
+    for st in (state1, state2):
+        check_state(st, obs.basis, 1e-8)
+    sigma, comm = _pure_moments(obs, np.array([state1.amplitudes, state2.amplitudes]))[1:3]
+    (s1, s2), (c1, c2) = sigma, comm
+    lhs = 0.5 * (s1[0, 0] * s2[1, 1] + s2[0, 0] * s1[1, 1])
+    rhs = s1[0, 1] * s2[0, 1] + c1[0, 1] * c2[0, 1]
     return float(lhs - rhs)
 
 

@@ -546,13 +546,12 @@ def test_moment_gates_refuse_a_nan_or_negative_bound(bad):
 # -- the moments path, pinned bit for bit --------------------------------------
 #
 # A re-implementation of the moment pass: the images X_i psi from the padded
-# bands, gathered as `ObservableSet.images` gathers them (the memory layout
-# of a stack decides how its matrix products round), the means, the
-# centered vectors, the Gram matrix G, sigma = (Re G + Re G^T)/2,
-# C = (Im G - Im G^T)/2, several states stacked and summed over the stack,
-# and the 3x3-and-larger certificates from one eigvalsh on [sigma, sigma + iC].
-# Every report must give these floats to the bit, whatever the package does
-# to make fewer numpy calls.
+# bands, gathered in C order, the means, the centered vectors, the Gram
+# matrix G, sigma = (Re G + Re G^T)/2, C = (Im G - Im G^T)/2, each state's
+# own pass stacked and summed over the stack, and the 3x3-and-larger
+# certificates from one eigvalsh on [sigma, sigma + iC].  Every report must
+# give these floats to the bit, whatever the package does to make fewer
+# numpy calls.
 
 PINNED = [("canonical", 32), ("su11:0.5", 32), ("su2:1", None), ("a2-quadratures", 32),
           ("canonical:2", 6)]
@@ -560,11 +559,8 @@ PINNED = [("canonical", 32), ("su11:0.5", 32), ("su2:1", None), ("a2-quadratures
 
 def _pinned_moments(obs, psi):
     rows, src = moments.pad_bands([op.bands for op in obs.ops], obs.basis.dim)
-    images = (rows * psi[..., src][..., :, None, :]).sum(axis=-3)
-    if psi.ndim == 1:
-        means = (images @ psi.conj()).real
-    else:
-        means = (images @ psi.conj()[..., None])[..., 0].real
+    images = (rows * psi.take(src, axis=-1)[..., :, None, :]).sum(axis=-3)
+    means = (images @ psi.conj()[..., None])[..., 0].real
     centered = images - means[..., None] * psi[..., None, :]
     gram = centered.conj() @ centered.swapaxes(-2, -1)
     gram_t = gram.swapaxes(-2, -1)
@@ -636,14 +632,28 @@ def test_char_ur_report_is_pinned_to_the_bit(name, N, n_states):
     rng = np.random.default_rng(17 + n_states)
     for amps in _random_amplitudes(rng, (4, n_states, obs.basis.dim)):
         states = [StateVector(psi, obs.basis) for psi in amps]
-        if n_states == 1:
-            _means, sigma, commut, _centered = _pinned_moments(obs, amps[0])
-        else:
-            _means, sigma, commut, _centered = _pinned_moments(obs, np.stack(amps))
-            sigma, commut = sigma.sum(axis=0), commut.sum(axis=0)
+        # each state's own 1-D pass, stacked and summed over the stack
+        own = [_pinned_moments(obs, psi) for psi in amps]
+        sigma = np.stack([m[1] for m in own]).sum(axis=0)
+        commut = np.stack([m[2] for m in own]).sum(axis=0)
         want = _pinned_records(obs.labels, sigma, commut, n_states)
         assert _report_records(char_ur_report(obs, states, max_tail=None)) == want
         if n_states == 1:
             # the same floats through the moments of a preceding report
             moment_report(obs, states[0], max_tail=None)
             assert _report_records(char_ur_report(obs, states[0], max_tail=None)) == want
+
+
+@pytest.mark.parametrize("name,N", PINNED)
+def test_a_stack_gives_each_state_the_bits_of_its_own_pass(name, N):
+    # the several-state relations sum each state's sigma and C, so a state's
+    # moments in a stack of m, or in a (B, m, dim) batch, are its 1-D pass's
+    obs = observable_set(name, N=N)
+    rng = np.random.default_rng(29)
+    for shape in [(1,), (2,), (8,), (3, 2), (2, 8)]:
+        psi = _random_amplitudes(rng, shape + (obs.basis.dim,))
+        stacked = moments._pure_moments(obs, psi)
+        for idx in np.ndindex(*shape):
+            for got, want in zip(stacked, moments._pure_moments(obs, psi[idx])):
+                assert got[idx].shape == want.shape
+                assert got[idx].tobytes() == want.tobytes(), (shape, idx)

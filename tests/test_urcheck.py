@@ -23,7 +23,7 @@ from urstates.hilbert import (
     su11_basis,
 )
 from urstates.matrixkit import _small_char_coeffs, char_coeffs
-from urstates.moments import ObservableSet, moment_report, observable_set
+from urstates.moments import ObservableSet, _kept_report, moment_report, observable_set
 from urstates.states import canonical_ss, glauber, su2_cs, su11_cs
 from urstates.urcheck import (
     SATURATION_RTOL,
@@ -325,6 +325,24 @@ def test_two_state_schrodinger_positive_on_mismatched_pair():
     narrow = canonical_ss(0.0, math.cosh(0.9), math.sinh(0.9), N=96)
     wide = canonical_ss(0.0, math.cosh(0.9), -math.sinh(0.9), N=96)
     assert two_state_schrodinger(q, p, narrow, wide) > 0.1
+
+
+def test_two_state_schrodinger_keeps_the_reports_its_states_keep(moment_passes):
+    obs = observable_set("canonical", N=96)
+    a = canonical_ss(0.2, math.cosh(0.5), math.sinh(0.5), N=96)
+    b = canonical_ss(0.0, math.cosh(0.9), -math.sinh(0.9), N=96)
+    # the gap of the two states' own reports, on a set of their own
+    r1, r2 = (moment_report(ObservableSet(obs.ops), st) for st in (a, b))
+    want = float(0.5 * (r1.sigma[0, 0] * r2.sigma[1, 1] + r2.sigma[0, 0] * r1.sigma[1, 1])
+                 - (r1.sigma[0, 1] * r2.sigma[0, 1] + r1.commut[0, 1] * r2.commut[0, 1]))
+    kept = moment_report(obs, a)
+    moment_passes.clear()
+    assert two_state_schrodinger(*obs.ops, a, b) == want
+    assert moment_passes == [(2, 96)]
+    # a's report on obs survives, so the next char_ur_report makes no pass
+    assert _kept_report(obs, a) is kept
+    char_ur_report(obs, a)
+    assert moment_passes == [(2, 96)]
 
 
 def test_one_observable_two_state():
