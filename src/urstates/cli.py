@@ -348,8 +348,12 @@ def _profile_field(doc, key):
     if isinstance(value, dict) and set(value) == {"t", "values"}:
         from scipy.interpolate import CubicSpline
 
-        t = np.asarray(value["t"], dtype=float)
-        vals = np.asarray(value["values"], dtype=float)
+        t, vals = value["t"], value["values"]
+        # JSON numbers, as a state document takes them: a bool or a string is not one
+        if not (type(t) is type(vals) is list and set(map(type, t + vals)) <= {int, float}):
+            raise InvalidInputError(f"sampled profile field {key!r} needs 't' and 'values' "
+                                    f"lists of numbers")
+        t, vals = np.asarray(t, dtype=float), np.asarray(vals, dtype=float)
         if max(t.size, vals.size) > MAX_SAMPLES:
             raise InvalidInputError(f"sampled profile field {key!r} holds more than "
                                     f"MAX_SAMPLES={MAX_SAMPLES} samples")

@@ -279,7 +279,8 @@ class Operator:
 
 @dataclass
 class StateVector:
-    """Normalized pure state with a recorded top-decile tail certificate."""
+    """Normalized pure state with a recorded top-decile tail certificate, which owns
+    its amplitudes: a contiguous copy of the array given, read-only for good."""
 
     amplitudes: np.ndarray
     basis: BasisSpec
@@ -300,8 +301,9 @@ class StateVector:
         if not abs(norm2 - 1.0) <= 1e-12:
             raise InvalidInputError(f"state not normalized: sum |a_n|^2 = {norm2!r}"
                                     if np.isfinite(amp).all() else "state amplitudes must be finite")
-        self.amplitudes = amp
-        self.tail_mass = self.basis.tail_mass(amp)
+        # over immutable bytes, which numpy never makes writable
+        self.amplitudes = np.frombuffer(amp.tobytes(), np.complex128)
+        self.tail_mass = self.basis.tail_mass(self.amplitudes)
 
     @property
     def dim(self):

@@ -263,7 +263,8 @@ def moment_report(obs, state, max_tail=1e-8):
     The moments come from the Gram matrix of the vectors X_i psi (one
     banded product per observable).  A recorded tail mass above
     ``max_tail`` aborts with a truncation error, since moments of a
-    leaking state are not trustworthy.  The state keeps the report, read-only (`_kept_report`).
+    leaking state are not trustworthy.  The state keeps the report, read-only,
+    with the set and its own read-only amplitude array it read (`_kept_report`).
     """
     check_state(state, obs.basis, max_tail)
     psi = state.amplitudes
@@ -271,15 +272,15 @@ def moment_report(obs, state, max_tail=1e-8):
     for arr in (means, sigma, comm, centered):
         arr.setflags(write=False)
     report = MomentReport(obs.labels, means, sigma, comm, centered)
-    state._moments = (obs, psi.tobytes(), report)
+    state._moments = (obs, psi, report)
     return report
 
 
 def _kept_report(obs, state):
     """The report of the last `moment_report` of ``state`` if it was on ``obs`` itself and
-    read the amplitude bytes ``state`` holds now, else None; read once, so no thread mixes in."""
-    kept_obs, key, report = state._moments or (None, None, None)
-    return report if kept_obs is obs and key == state.amplitudes.tobytes() else None
+    read the read-only array ``state`` holds now, else None; read once, so no thread mixes in."""
+    kept_obs, psi, report = state._moments or (None, None, None)
+    return report if kept_obs is obs and psi is state.amplitudes else None
 
 
 def check_state(state, basis, max_tail):

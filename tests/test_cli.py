@@ -1163,6 +1163,23 @@ def test_evolve_rejects_bad_profiles(tmp_path, capsys, doc):
     assert json.loads(err)["error"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("key", ["t", "values"])
+@pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "string"])
+def test_evolve_refuses_a_sample_table_entry_that_is_not_a_number(tmp_path, capsys, key, bad):
+    # a bool or a numeric string read as 1.0: each once evolved with exit 0
+    table = {"t": [0, 1, 2, 3, 4], "values": [1.0] * 5}
+    table[key][1] = bad
+    prof = _profile(tmp_path, {"kind": "omega", "omega": table})
+    code, out, err = run_cli(capsys, "evolve", "--profile", prof,
+                             "--t0", "0", "--t1", "1", "--samples", "5")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)
+    assert error["error"] == "InvalidInputError"
+    assert "'omega'" in error["message"]
+
+
 @pytest.mark.parametrize("expr", ["t + 3**3**15", "('a'*10**8) and t"])
 def test_evolve_refuses_an_expression_before_it_grows(tmp_path, capsys, expr):
     # evaluated by eval, the first took 3.6 s on a huge exact int and the
@@ -1411,10 +1428,10 @@ def test_non_finite_document_exits_1(tmp_path, capsys, monkeypatch, out):
     build = cli._build_state
 
     def build_nan(args):
-        # a NaN amplitude set after the constructor's gates reaches the writer
+        # a NaN parameter passes the constructor's gates and reaches the writer
         state = build(args)
-        state.amplitudes[3] = math.nan
-        return state
+        return StateVector(state.amplitudes, state.basis, family=state.family,
+                           params={"alpha": math.nan})
 
     monkeypatch.setattr(cli, "_build_state", build_nan)
     path = tmp_path / "state.json"

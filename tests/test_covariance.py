@@ -8,16 +8,24 @@ C to O sigma O^T and O C O^T.  Unlike the bit-pinned tests,
 which hold the engine to a re-implementation of its own arithmetic, these
 hold it to the algebra: a layout out of step with the labels, or a band
 that lands on the wrong operator, breaks them.
+
+A rotation is built from the set's own bands, so a band that is wrong on
+every side moves both sets alike.  The su(1,1) boost psi -> exp(-i eta K2) psi
+is an exact group action instead: it takes sigma of (K1, K2, K3) to
+L sigma L^T with L the Lorentz boost in the (K1, K3) plane, and keeps
+det sigma, since det L = 1.
 """
 
 from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, seed, settings, strategies as st
 
 from urstates.hilbert import Operator, StateVector
 from urstates.moments import ObservableSet, moment_report, observable_set
+from urstates.states import su11_cs
 from urstates.urcheck import char_ur_report
 
 #: relative agreement asked of the permuted set; over every permutation of
@@ -30,6 +38,12 @@ RTOL = 1e-13
 #: rotations each and stacks of 1, 2 and 8 states, the largest deviation is
 #: 4.7e-16 (on `canonical:2`, two states, r = 1)
 ROTATION_RTOL = 1e-12
+
+#: relative agreement asked of the boost law sigma' = L sigma L^T, at the
+#: scale max|sigma'|, and of det sigma and the order-3 gap, at the scale
+#: max(|det sigma|, (C_1(sigma)/3)^3); over the states and boosts below the
+#: largest deviations are 1.6e-14 and 6.0e-15
+BOOST_RTOL = 1e-13
 
 SETS = [("canonical", 24), ("canonical:2", 5), ("su11:0.5", 24), ("su11:1.75", 24),
         ("su2:1", None), ("su2:2.5", None)]
@@ -124,3 +138,31 @@ def test_a_rotated_set_keeps_every_characteristic_coefficient(name, N, n_states)
             _assert_close([rrec.c_sigma, rrec.c_comm, rrec.gap],
                           [rec.c_sigma, rec.c_comm, rec.gap],
                           max(abs(rec.c_sigma), abs(rec.c_comm), c1 ** r), ROTATION_RTOL)
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.3, 0.6])
+@pytest.mark.parametrize("k", [0.5, 1.75])
+def test_a_boost_transforms_sigma_as_the_group_does(k, eta):
+    N = 400
+    obs = observable_set(f"su11:{k!r}", N=N)
+    boost = scipy.linalg.expm(-1j * eta * obs.ops[1].matrix)
+    ch, sh = np.cosh(eta), np.sinh(eta)
+    lorentz = np.array([[ch, 0.0, -sh], [0.0, 1.0, 0.0], [-sh, 0.0, ch]])
+    rng = np.random.default_rng([59, int(4 * k), int(10 * eta)])
+    # random states on the lowest 12 levels, and the coherent-state orbit
+    # through the lowest weight, where the Robertson gap det sigma is 0
+    amps = np.zeros((20, N), complex)
+    amps[:, :12] = rng.standard_normal((20, 12)) + 1j * rng.standard_normal((20, 12))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    states = [StateVector(amp, obs.basis) for amp in amps]
+    states += [su11_cs(xi, k, N=N) for xi in (0.0, 0.2, 0.3j, -0.25 + 0.1j)]
+    for state in states:
+        moved = StateVector(boost @ state.amplitudes, obs.basis)
+        rep, mrep = moment_report(obs, state, max_tail=None), moment_report(obs, moved, max_tail=None)
+        _assert_close(mrep.sigma, lorentz @ rep.sigma @ lorentz.T, np.abs(mrep.sigma).max(),
+                      BOOST_RTOL)
+        order3, morder3 = (char_ur_report(o, s, max_tail=None).order_gaps[3]
+                           for o, s in ((obs, state), (obs, moved)))
+        c1 = max(np.trace(rep.sigma), np.trace(mrep.sigma))
+        _assert_close([morder3.c_sigma, morder3.gap], [order3.c_sigma, order3.gap],
+                      max(abs(order3.c_sigma), (c1 / 3) ** 3), BOOST_RTOL)

@@ -201,24 +201,41 @@ def test_the_moments_memo_misses_on_other_amplitudes(moment_passes):
     name, N = "su11:0.5", 24
     obs = observable_set(name, N=N)
     a, b, c = _random_states(np.random.default_rng(43), obs.basis, 3)
-    expected = {"b": _fresh_ur(name, N, b), "c": _fresh_ur(name, N, c)}
+    expected = {"a": _fresh_ur(name, N, a), "b": _fresh_ur(name, N, b)}
     moment_passes.clear()
     moment_report(obs, a, max_tail=None)
     # another state, another set of the same observables
     assert _ur_repr(char_ur_report(obs, b, max_tail=None)) == expected["b"]
     char_ur_report(ObservableSet(obs.ops, name=obs.name), a, max_tail=None)
     assert len(moment_passes) == 3
-    # the amplitudes of a changed in place: to those of c, then by a phase,
-    # which leaves the moments alone but not the bytes
-    a.amplitudes[:] = c.amplitudes
-    assert _ur_repr(char_ur_report(obs, a, max_tail=None)) == expected["c"]
-    a.amplitudes *= 1j
-    char_ur_report(obs, a, max_tail=None)
-    assert len(moment_passes) == 5
+    # the amplitudes of a cannot change in place, so its kept report is still served
+    with pytest.raises(ValueError):
+        a.amplitudes[:] = c.amplitudes
+    with pytest.raises(ValueError):
+        a.amplitudes.setflags(write=True)
+    assert _ur_repr(char_ur_report(obs, a, max_tail=None)) == expected["a"]
+    assert len(moment_passes) == 3
     # several states never read the memo
     moment_report(obs, b, max_tail=None)
     char_ur_report(obs, [b, b], max_tail=None)
-    assert len(moment_passes) == 7
+    assert len(moment_passes) == 5
+
+
+def test_a_write_to_the_array_a_state_was_given_never_reaches_it(moment_passes):
+    obs = observable_set("su11:1.0", N=32)
+    amp = su11_cs(0.3, 1.0, N=32).amplitudes.copy()
+    st = StateVector(amp, obs.basis)
+    before, tail = st.amplitudes.copy(), st.tail_mass
+    rep = moment_report(obs, st)
+    moment_passes.clear()
+    # all of the mass, three times over, on the top level of the caller's array
+    amp[:] = 0.0
+    amp[-1] = 3.0
+    assert np.array_equal(st.amplitudes, before)
+    assert st.tail_mass == tail
+    assert _kept_report(obs, st) is rep
+    char_ur_report(obs, st)
+    assert moment_passes == []
 
 
 def test_the_moments_memo_is_kept_per_state_and_set(moment_passes):
