@@ -18,9 +18,10 @@ certificates: the recorded tail of a state is the probability in the top
 """
 
 import math
+import operator
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -183,6 +184,14 @@ class BasisSpec:
 
 
 def fock_basis(N=DEFAULT_FOCK_CUTOFF):
+    """The Fock basis of N levels.  The last 64 built at an int N are kept,
+    so states and observable sets at one cutoff share one basis, and its tail
+    region; any other N, such as 32.0 or True, still reaches `BasisSpec`."""
+    return _kept_fock_basis(N) if type(N) is int else BasisSpec(kind="fock", N=N)
+
+
+@lru_cache(maxsize=64)
+def _kept_fock_basis(N):
     return BasisSpec(kind="fock", N=N)
 
 
@@ -277,23 +286,27 @@ class Operator:
                    for d, band in bands.items())
 
 
-@dataclass
 class StateVector:
     """Normalized pure state with a recorded top-decile tail certificate, which owns
-    its amplitudes: a contiguous copy of the array given, read-only for good."""
+    its amplitudes: a contiguous copy of the array given, read-only for good.
 
-    amplitudes: np.ndarray
-    basis: BasisSpec
-    family: str | None = None
-    params: dict = field(default_factory=dict)
-    tail_mass: float = field(init=False)
-    _moments = None  # not a field: the report it keeps, see `moments._kept_report`
+    ``amplitudes``, ``basis`` and ``tail_mass`` are read-only attributes, so no
+    assignment gets past the checks made here; ``family`` and ``params`` are
+    plain ones.  ``_moments`` is the report `moment_report` keeps, see
+    `moments._kept_report`.
+    """
 
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.ndim != 1 or amp.size != self.basis.dim:
+    __slots__ = ("_amplitudes", "_basis", "_tail_mass", "family", "params", "_moments")
+
+    amplitudes = property(operator.attrgetter("_amplitudes"))
+    basis = property(operator.attrgetter("_basis"))
+    tail_mass = property(operator.attrgetter("_tail_mass"))
+
+    def __init__(self, amplitudes, basis, family=None, params=None):
+        amp = np.asarray(amplitudes, dtype=np.complex128)
+        if amp.ndim != 1 or amp.size != basis.dim:
             raise BasisMismatchError(
-                f"amplitude vector length {amp.size} does not match basis dim {self.basis.dim}"
+                f"amplitude vector length {amp.size} does not match basis dim {basis.dim}"
             )
         # a BLAS dot product overflows to inf or nan without a numpy warning,
         # so nothing is squared before the norm is checked
@@ -302,12 +315,16 @@ class StateVector:
             raise InvalidInputError(f"state not normalized: sum |a_n|^2 = {norm2!r}"
                                     if np.isfinite(amp).all() else "state amplitudes must be finite")
         # over immutable bytes, which numpy never makes writable
-        self.amplitudes = np.frombuffer(amp.tobytes(), np.complex128)
-        self.tail_mass = self.basis.tail_mass(self.amplitudes)
+        self._amplitudes = np.frombuffer(amp.tobytes(), np.complex128)
+        self._basis = basis
+        self._tail_mass = basis.tail_mass(self._amplitudes)
+        self.family = family
+        self.params = {} if params is None else params
+        self._moments = None
 
     @property
     def dim(self):
-        return self.basis.dim
+        return self._basis.dim
 
 
 def check_tail(mass, max_tail, what):

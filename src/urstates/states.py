@@ -16,6 +16,7 @@ squeeze parameters (u, v) on the shell |u|^2 - |v|^2 = 1.
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -170,7 +171,9 @@ def _certified(amp, basis, family, params, max_tail, bands, z, scale, discarded=
     state = StateVector(amp, basis, family=family, params=params)
     mass, what = (state.tail_mass, "tail") if discarded is None else (discarded, "discarded")
     check_tail(mass, max_tail, f"{family}: {what} mass")
-    res = float(np.linalg.norm(apply_bands(bands, amp) - z * amp))
+    image = apply_bands(bands, amp)
+    image -= z * amp
+    res = float(np.linalg.norm(image))
     bound = residual_bound(amp, basis, scale)
     # a NaN residual fails the gate, where res > bound would let it through
     if not res <= bound:
@@ -216,25 +219,59 @@ def glauber(alpha, N=None, max_tail=1e-8):
 #: passes this size, so a growing solution cannot overflow before normalization
 _RESCALE_AT = 1e150
 
+#: levels the recurrence runs between two overflow tests: one block holds
+#: the 128 and 192 Fock levels of the default and of the squeeze-shell scan,
+#: and a rescale repeats at most one block of steps
+_RECURRENCE_BLOCK = 256
+
 
 def _recurrence_amplitudes(bands, z):
     """Normalized solution of (M - z) psi = 0 from c_0 = 1 in O(N), M given by
     its ``bands`` (an absent band is zero; the +1 band has no zeros): row n is
-    M[n, n+1] c_{n+1} = (z - M[n, n]) c_n - M[n, n-1] c_{n-1}."""
+    M[n, n+1] c_{n+1} = (z - M[n, n]) c_n - M[n, n-1] c_{n-1}.
+
+    The rows run in blocks of _RECURRENCE_BLOCK levels with no test between
+    them, and each block is tested for overflow once, by its sum of squares.
+    Only a block that fails that test is searched for its first amplitude
+    past _RESCALE_AT: the block is cut there, that amplitude and all below it
+    are divided by _RESCALE_AT, and the rows resume from it.  The result has
+    the bits of a test after every row, and raises its OverflowError where
+    ``abs`` of a huge finite amplitude overflows.
+    """
     up = bands[1].tolist()
     diag = (z - bands[0]).tolist() if 0 in bands else [z] * (len(up) + 1)
     low = [0.0] + (bands[-1].tolist() if -1 in bands else [0.0] * len(up))
-    c_prev, c_cur = 0j, 1.0 + 0.0j
-    c = [c_cur] + [0j] * len(up)
-    for n in range(len(up)):
-        c_next = (diag[n] * c_cur - low[n] * c_prev) / up[n]
-        if abs(c_next) > _RESCALE_AT:
-            c[:n + 1] = [x / _RESCALE_AT for x in c[:n + 1]]
-            c_cur /= _RESCALE_AT
-            c_next /= _RESCALE_AT
-        c[n + 1] = c_next
-        c_prev, c_cur = c_cur, c_next
-    amp = np.array(c, dtype=np.complex128)
+    c = [1.0 + 0.0j]
+    amp = np.empty(len(up) + 1, np.complex128)
+    rows = zip(diag, low, up)
+    # c holds c_0..c_n, amp those above c_top, and rows the rows from n on;
+    # c_0..c_{zeros-1} are each +0j, which a division leaves as it is
+    n = top = zeros = 0
+    while n < len(up):
+        c_prev, c_cur = c[n - 1] if n else 0j, c[n]
+        for d, l, u in itertools.islice(rows, _RECURRENCE_BLOCK):
+            c_prev, c_cur = c_cur, (d * c_cur - l * c_prev) / u
+            c.append(c_cur)
+        block = amp[n + 1:len(c)]
+        block[:] = c[n + 1:]
+        # a sum of squares up to (_RESCALE_AT / 2)^2 clears every amplitude
+        # in it; an inf or NaN sum does not
+        if not np.vdot(block, block).real <= (_RESCALE_AT / 2.0) ** 2:
+            with np.errstate(over="ignore"):
+                over = np.flatnonzero(np.abs(block) > _RESCALE_AT)
+            if over.size:
+                n += int(over[0]) + 1
+                del c[n + 1:]
+                rows = zip(*(itertools.islice(row, n, None) for row in (diag, low, up)))
+                # the test after every row, OverflowError included
+                if abs(c[n]) > _RESCALE_AT:
+                    c[zeros:] = [x / _RESCALE_AT for x in c[zeros:]]
+                    top = n
+                    while repr(c[zeros]) == "0j":  # not -0j or (-0+0j)
+                        zeros += 1
+                continue
+        n = len(c) - 1
+    amp[:top + 1] = c[:top + 1]
     return amp / np.linalg.norm(amp)
 
 

@@ -20,6 +20,7 @@ from math import comb, inf, isfinite
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
+from .hilbert import StateVector
 from .matrixkit import _small_char_coeffs, char_coeffs
 from .moments import ObservableSet, _kept_report, _pure_moments, check_state
 from .moments import moment_report  # noqa: F401 - bench/spans.py wraps urcheck.moment_report
@@ -111,10 +112,13 @@ def char_ur_report(obs, states, max_tail=1e-8):
     """
     if obs.n < 2:
         raise InvalidInputError("characteristic relations need at least 2 observables")
-    try:
-        state_list = list(states)
-    except TypeError:
+    if isinstance(states, StateVector):
         state_list = [states]
+    else:
+        try:
+            state_list = list(states)
+        except TypeError:  # not a state either, which check_state refuses by its type
+            state_list = [states]
     if not 1 <= len(state_list) <= MAX_EXTENDED_STATES:
         raise InvalidInputError(f"extended relations accept 1..{MAX_EXTENDED_STATES} states, "
                                 f"got {len(state_list)}")

@@ -18,6 +18,7 @@ from urstates.hilbert import (
     BasisSpec,
     Operator,
     StateVector,
+    apply_bands,
     basis_state,
     boson_rep,
     check_tail,
@@ -32,6 +33,7 @@ from urstates.hilbert import (
     tensor_rep,
 )
 from urstates.moments import observable_set
+from urstates.states import canonical_ss
 
 
 def tail_mask(basis):
@@ -220,6 +222,44 @@ def test_state_vector_validation():
             StateVector(amp, b)
 
 
+def test_a_state_refuses_assignment_to_what_its_checks_read():
+    st = basis_state(fock_basis(32), 0)
+    # an assigned array would reach moment_report past the norm and tail checks
+    for name, value in (("amplitudes", np.full(32, 3 + 0j)), ("basis", fock_basis(8)),
+                        ("tail_mass", 0.0)):
+        before = getattr(st, name)
+        with pytest.raises(AttributeError):
+            setattr(st, name, value)
+        with pytest.raises(AttributeError):
+            delattr(st, name)
+        assert getattr(st, name) is before
+    # the label fields stay plain ones
+    st.family, st.params["n"] = "relabelled", 1
+    assert (st.family, st.params) == ("relabelled", {"n": 1})
+
+
+def test_fock_basis_is_kept_per_int_cutoff():
+    assert fock_basis(64) is fock_basis(64)
+    st = canonical_ss(0.3, 1.2, 0.3, N=64)
+    assert st.basis is observable_set("canonical", N=64).basis
+
+
+@pytest.mark.parametrize("N", [32.0, True, "32", [32], np.int64(32)],
+                         ids=["float", "bool", "str", "list", "int64"])
+def test_the_fock_basis_memo_keeps_the_refusal_and_normalization_of_a_basis(N):
+    # an untyped memo would hand back the N=32 basis for 32.0, and a list
+    # cannot key one
+    kept = fock_basis(32)
+    try:
+        built = BasisSpec("fock", N=N)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            fock_basis(N)
+    else:
+        basis = fock_basis(N)
+        assert basis == built == kept and type(basis.N) is int
+
+
 @pytest.mark.parametrize("basis", [fock_basis(37), su11_basis(0.75, 50),
                                    su2_basis(3.5), multimode_basis(2, 9)])
 def test_tail_mass_is_the_sum_over_the_tail_mask(basis):
@@ -351,11 +391,18 @@ def test_operator_keeps_its_own_copy_of_each_band():
 @pytest.mark.parametrize("seed", range(3))
 def test_set_images_are_the_operator_products(name, seed):
     # the stacked product of a padded set and the one banded product of a
-    # single operator give the same vectors, bit for bit
+    # single operator give the same vectors, bit for bit, for one state and
+    # for each state of a stack; every level carries mass, the top one
+    # included, so a padded layout off by one level at the basis edge fails
     obs = observable_set(name)
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=obs.basis.dim) + 1j * rng.normal(size=obs.basis.dim)
-    assert np.array_equal(np.stack([op.apply(psi) for op in obs.ops]), obs.images(psi))
+    shape = (3, obs.basis.dim)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert np.all(stack != 0.0)
+    for psi, images in zip(stack, obs.images(stack)):
+        products = np.stack([apply_bands(op.bands, psi) for op in obs.ops])
+        assert np.array_equal(products, images)
+        assert np.array_equal(products, obs.images(psi))
 
 
 def test_boson_rep_algebra():

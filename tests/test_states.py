@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -22,6 +23,7 @@ from urstates.hilbert import (
     Operator,
     apply_bands,
     basis_state,
+    boson_ladder,
     boson_rep,
     edge_mass,
     fock_basis,
@@ -321,26 +323,122 @@ def _rows_solve(bands, z, amp, rtol=1e-12):
     return bool(np.all(np.abs(res[:rows]) <= rtol * terms[:rows]))
 
 
+def _random_bands(rng, N, with_low, with_diag):
+    def cplx(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    bands = {1: cplx(N - 1)}
+    if with_low:
+        bands[-1] = cplx(N - 1)
+    if with_diag:
+        bands[0] = cplx(N)
+    return bands
+
+
 @pytest.mark.parametrize("with_low", [True, False])
 @pytest.mark.parametrize("with_diag", [True, False])
 def test_recurrence_solves_every_row_but_the_last_of_its_bands(with_low, with_diag):
     rng = np.random.default_rng(22)
-
-    def cplx(size):
-        return rng.normal(size=size) + 1j * rng.normal(size=size)
-
     for _ in range(25):
         N = int(rng.integers(8, 65))
-        bands = {1: cplx(N - 1)}
-        if with_low:
-            bands[-1] = cplx(N - 1)
-        if with_diag:
-            bands[0] = cplx(N)
+        bands = _random_bands(rng, N, with_low, with_diag)
         z = complex(*rng.normal(0.0, 2.0, 2))
         amp = states._recurrence_amplitudes(bands, z)
         assert amp.shape == (N,) and amp[0] != 0.0
         assert math.isclose(np.linalg.norm(amp), 1.0, rel_tol=1e-14)
         assert _rows_solve(bands, z, amp), (N, z)
+
+
+def _checked_recurrence(bands, z):
+    """The recurrence with its overflow test after every row, as
+    `states._recurrence_amplitudes` ran before it tested once per block: the
+    reference for its bits, its exceptions and its speed."""
+    up = bands[1].tolist()
+    diag = (z - bands[0]).tolist() if 0 in bands else [z] * (len(up) + 1)
+    low = [0.0] + (bands[-1].tolist() if -1 in bands else [0.0] * len(up))
+    c_prev, c_cur = 0j, 1.0 + 0.0j
+    c = [c_cur] + [0j] * len(up)
+    for n in range(len(up)):
+        c_next = (diag[n] * c_cur - low[n] * c_prev) / up[n]
+        if abs(c_next) > states._RESCALE_AT:
+            c[:n + 1] = [x / states._RESCALE_AT for x in c[:n + 1]]
+            c_cur /= states._RESCALE_AT
+            c_next /= states._RESCALE_AT
+        c[n + 1] = c_next
+        c_prev, c_cur = c_cur, c_next
+    amp = np.array(c, dtype=np.complex128)
+    return amp / np.linalg.norm(amp)
+
+
+def _recurrence_outcome(recurrence, bands, z):
+    """The amplitude bytes ``recurrence`` gives, or the type of what it raises."""
+    try:
+        return recurrence(bands, z).tobytes()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _huge_row(N, n, value):
+    """Bands {1: ones, 0: ...} whose rows at z = 1 keep c_0..c_n at 1 and
+    then step to c_{n+1} = ``value``."""
+    diag = np.zeros(N, complex)
+    diag[n] = 1.0 - value
+    return {1: np.ones(N - 1), 0: diag}
+
+
+_RESCALING_INPUTS = {
+    # glauber: |alpha| = 30 rescales once, |alpha| = 250 ninety times
+    "glauber-30": ({1: boson_ladder(65536)}, 30.0 + 0.0j, None),
+    "glauber-250": ({1: boson_ladder(65536)}, 250.0 + 0.0j, None),
+    "glauber-110-phased": ({1: boson_ladder(65536)}, 110.0 * cmath.exp(0.7j), None),
+    # a rescale every 30 levels, over many blocks
+    "every-30-levels": ({1: np.ones(2000)}, 1e5 - 1e5j, None),
+    # a rescale at every level from 401 on
+    "every-level": (_huge_row(600, 400, complex(1e308, -1e308)), 1.0 + 0.0j, None),
+    # abs of a finite amplitude overflows: at level 1, and past the first block
+    "abs-overflow-1": ({1: np.ones(3)}, complex(1.5e308, 1.5e308), OverflowError),
+    "abs-overflow-301": (_huge_row(600, 300, complex(1.5e308, 1.5e308)), 1.0 + 0.0j,
+                         OverflowError),
+    # a step to inf, after which the parts turn NaN
+    "inf-then-nan": ({1: np.ones(2000)}, -1e300 + 1e-300j, None),
+}
+
+
+@pytest.mark.parametrize("with_low", [True, False])
+@pytest.mark.parametrize("with_diag", [True, False])
+def test_recurrence_gives_the_bits_of_an_overflow_test_after_every_row(with_low, with_diag):
+    # the bands of the test above, and longer ones over several blocks
+    rng = np.random.default_rng(22)
+    sizes = [int(rng.integers(8, 65)) for _ in range(25)] + [300, 700, 1500]
+    for N in sizes:
+        bands = _random_bands(rng, N, with_low, with_diag)
+        z = complex(*rng.normal(0.0, 2.0, 2))
+        assert (_recurrence_outcome(states._recurrence_amplitudes, bands, z)
+                == _recurrence_outcome(_checked_recurrence, bands, z)), (N, z)
+
+
+@pytest.mark.parametrize("bands, z, raises", _RESCALING_INPUTS.values(),
+                         ids=_RESCALING_INPUTS.keys())
+def test_recurrence_rescales_and_raises_as_an_overflow_test_after_every_row(bands, z, raises):
+    with np.errstate(invalid="ignore"):  # a NaN amplitude normalized
+        want = _recurrence_outcome(_checked_recurrence, bands, z)
+        assert _recurrence_outcome(states._recurrence_amplitudes, bands, z) == want
+    assert want is raises if raises else isinstance(want, bytes)
+
+
+def test_a_rescaling_glauber_state_is_built_no_slower_than_with_a_test_after_every_row(
+        monkeypatch):
+    # |alpha| = 30 at N = 65536 rescales once at level 366 and then runs
+    # 65,000 levels past it; best of 7 alternating builds each
+    times = {states._recurrence_amplitudes: [], _checked_recurrence: []}
+    for _ in range(7):
+        for recurrence, runs in times.items():
+            monkeypatch.setattr(states, "_recurrence_amplitudes", recurrence)
+            start = time.perf_counter()
+            glauber(30.0, N=65536)
+            runs.append(time.perf_counter() - start)
+    blocked, checked = (min(runs) for runs in times.values())
+    assert blocked <= checked, (blocked, checked)
 
 
 @pytest.mark.parametrize("family, args", [
