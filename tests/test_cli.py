@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: exit codes, JSON/CSV payloads, golden documents.
 
-All invocations run in-process through ``main`` so coverage and debuggers
-see straight through them; each golden is compared with the output of its
-command byte for byte.
+Invocations run in-process through ``main`` so coverage and debuggers see
+straight through them; each golden is compared with the output of its
+command byte for byte.  The tests at the end start fresh interpreters, to
+hold the process entry (``python -m urstates.cli`` and the ``urstates``
+console script) to the same bytes and exit codes.
 """
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -1870,3 +1873,80 @@ def test_closed_stdout_ends_quietly(argv):
         proc.kill()
         proc.stderr.close()
     assert err == ""
+
+
+# -- the process entry ----------------------------------------------------------
+
+#: the two ways a fresh process reaches ``cli.entry``: the module's
+#: ``__main__`` block and what the console script runs
+_ENTRIES = {
+    "module": ["-m", "urstates.cli"],
+    "console-script": ["-c", "import sys; from urstates.cli import entry; sys.exit(entry())"],
+}
+
+#: a sitecustomize module that writes the interpreter's freeze count to
+#: stderr when the verb opens ``target``, its --out file
+_FREEZE_PROBE = """\
+import gc, sys
+
+def _probe(event, args):
+    if event == "open" and args[0] == {target!r}:
+        sys.stderr.write(f"frozen {{gc.get_freeze_count()}}\\n")
+
+sys.addaudithook(_probe)
+"""
+
+
+def _entry_run(argv, *path, entry="module"):
+    """``argv`` run through one process entry in a fresh interpreter, whose
+    module path starts with ``path`` and then the package's source."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (*path, src)))}
+    return subprocess.run([sys.executable, *_ENTRIES[entry], *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_the_process_entry_freezes_the_import_heap_before_the_verb(tmp_path, entry):
+    out = str(tmp_path / "st.json")
+    (tmp_path / "sitecustomize.py").write_text(_FREEZE_PROBE.format(target=out))
+    proc = _entry_run(["state", "--family", "glauber", "--alpha", "0.3", "--cutoff", "32",
+                       "--out", out], tmp_path, entry=entry)
+    assert proc.returncode == 0, proc.stderr
+    [line] = proc.stderr.decode().splitlines()
+    assert line.startswith("frozen ") and int(line.split()[1]) > 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["state", "--family", "glauber", "--alpha", "0.3", "--cutoff", "32"], 0),
+    (["report", "--state", str(GOLDEN / "state_canonical-ss.json"),
+      "--observables", "canonical", "--certificate"], 0),
+    (["state", "--family", "glauber", "--alpha", "nan", "--cutoff", "32"], 2),
+], ids=["state", "report", "refused"])
+def test_main_in_process_freezes_nothing(capsys, argv, code):
+    # a host's garbage must stay collectable: only the process entry freezes
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, *argv)[0] == code
+    assert gc.get_freeze_count() == before
+
+
+def test_the_process_entry_writes_the_golden_bytes(tmp_path):
+    state = _entry_run(["state", "--family", "canonical-ss", *_GOLDEN_STATES["canonical-ss"]])
+    assert state.returncode == 0, state.stderr
+    assert state.stdout == (GOLDEN / "state_canonical-ss.json").read_bytes()
+    path = tmp_path / "ss.json"
+    path.write_bytes(state.stdout)
+    report = _entry_run(["report", "--state", str(path),
+                         *_GOLDEN_REPORTS["report_canonical_ss.json"][1]])
+    assert report.returncode == 0, report.stderr
+    assert report.stdout == (GOLDEN / "report_canonical_ss.json").read_bytes()
+
+
+def test_the_process_entry_refuses_with_one_error_line(tmp_path):
+    # an --out that cannot be written (a directory)
+    proc = _entry_run(["state", "--family", "glauber", "--alpha", "0.3", "--cutoff", "32",
+                       "--out", str(tmp_path)])
+    assert proc.returncode == cli.EX_CONTRACT
+    assert proc.stdout == b""
+    [line] = proc.stderr.decode().splitlines()
+    assert json.loads(line)["error"] == "InvalidInputError"

@@ -26,6 +26,7 @@ from urstates.matrixkit import _small_char_coeffs, char_coeffs
 from urstates.moments import ObservableSet, _kept_report, moment_report, observable_set
 from urstates.states import canonical_ss, glauber, su2_cs, su11_cs
 from urstates.urcheck import (
+    MAX_EXTENDED_STATES,
     SATURATION_RTOL,
     _ur_from_moments,
     char_ur_report,
@@ -439,6 +440,74 @@ def test_complementary_refuses_a_predictability_outside_the_unit_interval():
     rep = _ur_from_moments(["x", "y"], np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2)), 1)
     with pytest.raises(NumericError, match=r"escaped \[0,1\]"):
         complementary(rep, 2, 1.0)
+
+
+
+# -- the several-state relations at every m -----------------------------------
+
+#: every number of states above one that the extended relations accept
+_SEVERAL = range(2, MAX_EXTENDED_STATES + 1)
+
+
+def _assert_complementary_holds(rep, orders):
+    """P^2 + V^2 <= 1 at alpha_r = C_r(sigma) for each order; returns the sums."""
+    sums = {}
+    for r in orders:
+        p_sq, v_sq = complementary(rep, r, rep.order_gaps[r].c_sigma)
+        assert p_sq + v_sq <= 1.0
+        sums[r] = p_sq + v_sq
+    return sums
+
+
+@pytest.mark.parametrize("name,N", [("canonical", 32), ("su11:0.5", 32), ("su2:1", None)])
+def test_several_random_states_keep_every_order(name, N):
+    obs = observable_set(name, N=N)
+    rng = np.random.default_rng(3)
+    for m in _SEVERAL:
+        rep = char_ur_report(obs, _random_states(rng, obs.basis, m), max_tail=None)
+        assert rep.n_states == m
+        for rec in rep.order_gaps.values():
+            assert rec.gap >= -SATURATION_RTOL * rec.c_sigma
+        _assert_complementary_holds(rep, rep.order_gaps)
+
+
+@pytest.mark.parametrize("r", [0.2, 0.5, 0.9])
+def test_squeezed_states_of_one_pair_saturate_order_2_at_every_m(r):
+    # sigma and C of a squeezed state depend on (u, v) alone, so m states
+    # that share them and differ in alpha sum to m (sigma, C), and C_2 scales
+    # both sides by m^2: the set is as tight as each of its states
+    obs = observable_set("canonical", N=128)
+    rng = np.random.default_rng(3)
+    u, v = math.cosh(r), math.sinh(r)
+    for m in _SEVERAL:
+        alphas = 0.5 * rng.uniform(0, 1, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
+        assert len(set(alphas)) == m
+        states = [canonical_ss(alpha, u, v, N=128) for alpha in alphas]
+        rep = char_ur_report(obs, states)
+        rec = rep.order_gaps[2]
+        assert rec.saturated
+        assert abs(rec.gap) <= 1e-13 * rec.c_sigma
+        one = char_ur_report(obs, states[0]).order_gaps[2]
+        assert rec.c_sigma == pytest.approx(m ** 2 * one.c_sigma, rel=1e-13)
+        assert _assert_complementary_holds(rep, [2])[2] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_distinct_su11_coherent_states_do_not_saturate_at_any_m():
+    # each state alone saturates orders 2 and 3; a sum of distinct ones does not
+    obs = observable_set("su11:1", N=200)
+    rng = np.random.default_rng(3)
+    for m in _SEVERAL:
+        xis = 0.5 * rng.uniform(0, 1, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
+        assert len(set(xis)) == m
+        states = [su11_cs(xi, 1.0, N=200) for xi in xis]
+        alone = char_ur_report(obs, states[0])
+        rep = char_ur_report(obs, states)
+        for r in (2, 3):
+            assert alone.order_gaps[r].saturated
+            rec = rep.order_gaps[r]
+            assert not rec.saturated
+            assert rec.gap >= 0.01 * rec.c_sigma
+        _assert_complementary_holds(rep, rep.order_gaps)
 
 
 def test_report_json_shape():
