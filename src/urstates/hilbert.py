@@ -52,6 +52,7 @@ __all__ = [
     "multimode_basis",
     "basis_state",
     "is_number",
+    "vector_norm",
     "DEFAULT_FOCK_CUTOFF",
     "DEFAULT_SU11_CUTOFF",
     "DEFAULT_MODE_CUTOFF",
@@ -338,9 +339,23 @@ def check_tail(mass, max_tail, what):
         raise TruncationError(f"{what} {mass:.3e} exceeds {max_tail:.1e}")
 
 
+def vector_norm(x):
+    """``np.linalg.norm(x)`` of a float or complex array, bit for bit, as a
+    float: numpy's own steps for ``ord=None`` without its wrapper.  The
+    ``ravel`` matters: OpenBLAS sums a strided real view in another order."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def edge_mass(amp, levels=2):
-    """Probability on the top ``levels`` basis levels, where truncation bites."""
-    return float(np.sum(np.abs(amp[-levels:]) ** 2))
+    """Probability on the top ``levels`` basis levels, where truncation bites:
+    0 for none, the whole mass for ``levels`` >= the dimension."""
+    if levels < 0:
+        raise InvalidInputError(f"edge_mass levels must be >= 0, got {levels!r}")
+    return float(np.add.reduce(np.abs(amp[max(amp.size - levels, 0):]) ** 2))
 
 
 def residual_bound(amp, basis, scale):

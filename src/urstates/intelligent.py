@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import residual_bound
+from .hilbert import residual_bound, vector_norm
 # char_coeffs stays importable as intelligent.char_coeffs: bench/spans.py
 # wraps it under that name
 from .matrixkit import char_coeffs  # noqa: F401
@@ -69,6 +69,8 @@ def minimizer_certificate(state, obs, max_tail=1e-8):
     rep = _kept_report(obs, state) or moment_report(obs, state, max_tail)
     R = rep.robertson
     n = obs.n
+    # residual_bound at a scale s is s times this floor, bit for bit
+    floor = residual_bound(state.amplitudes, state.basis, 1.0)
     pairs = {}
     minimizer = True
     for i in range(n):
@@ -76,10 +78,8 @@ def minimizer_certificate(state, obs, max_tail=1e-8):
             sub = R[np.ix_([i, j], [i, j])]
             _vals, vecs = np.linalg.eigh(sub)
             beta = _gauge_fix(vecs[:, 0])
-            residual = float(np.linalg.norm(
-                beta[0] * rep.centered[i] + beta[1] * rep.centered[j]))
-            bound = residual_bound(state.amplitudes, state.basis,
-                                   np.sqrt(max(1.0, float(np.trace(sub).real))))
+            residual = vector_norm(beta[0] * rep.centered[i] + beta[1] * rep.centered[j])
+            bound = np.sqrt(max(1.0, float(np.trace(sub).real))) * floor
             z = complex(beta[0] * rep.means[i] + beta[1] * rep.means[j])
             pairs[(i, j)] = PairCertificate((obs.labels[i], obs.labels[j]), beta, z, residual)
             minimizer = minimizer and residual <= bound

@@ -45,6 +45,7 @@ from .hilbert import (
     su11_basis,
     su11_ladder,
     su2_basis,
+    vector_norm,
 )
 
 __all__ = [
@@ -156,7 +157,7 @@ def _step_amplitudes(x, ratios, start=0, step=1):
     logs = np.concatenate(([0.0], np.cumsum(log_steps)))
     logs -= logs.max()
     amp[levels] = np.exp(logs) * np.exp(1j * math.atan2(x.imag, x.real) * levels)
-    return amp / np.linalg.norm(amp)
+    return amp / vector_norm(amp)
 
 
 def _certified(amp, basis, family, params, max_tail, bands, z, scale, discarded=None):
@@ -173,7 +174,7 @@ def _certified(amp, basis, family, params, max_tail, bands, z, scale, discarded=
     check_tail(mass, max_tail, f"{family}: {what} mass")
     image = apply_bands(bands, amp)
     image -= z * amp
-    res = float(np.linalg.norm(image))
+    res = vector_norm(image)
     bound = residual_bound(amp, basis, scale)
     # a NaN residual fails the gate, where res > bound would let it through
     if not res <= bound:
@@ -272,7 +273,7 @@ def _recurrence_amplitudes(bands, z):
                 continue
         n = len(c) - 1
     amp[:top + 1] = c[:top + 1]
-    return amp / np.linalg.norm(amp)
+    return amp / vector_norm(amp)
 
 
 def _raised(amp, bands, n):
@@ -280,7 +281,7 @@ def _raised(amp, bands, n):
     followed by a normalization: a raising operator climbs n levels."""
     for _ in range(n):
         amp = apply_bands(bands, amp)
-        amp /= np.linalg.norm(amp)
+        amp /= vector_norm(amp)
     return amp
 
 

@@ -130,7 +130,7 @@ def char_ur_report(obs, states, max_tail=1e-8):
     else:
         stack = np.array([st.amplitudes for st in state_list])
         _means, sigma, comm, _centered = _pure_moments(obs, stack)
-        sigma, comm = sigma.sum(axis=0), comm.sum(axis=0)
+        sigma, comm = np.add.reduce(sigma, axis=0), np.add.reduce(comm, axis=0)
     return _ur_from_moments(obs.labels, sigma.tolist(), comm.tolist(), len(state_list))
 
 

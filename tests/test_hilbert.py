@@ -22,6 +22,7 @@ from urstates.hilbert import (
     basis_state,
     boson_rep,
     check_tail,
+    edge_mass,
     fock_basis,
     is_number,
     multimode_basis,
@@ -31,6 +32,7 @@ from urstates.hilbert import (
     su11_basis,
     su11_rep,
     tensor_rep,
+    vector_norm,
 )
 from urstates.moments import observable_set
 from urstates.states import canonical_ss
@@ -296,6 +298,33 @@ def test_residual_bound_widens_with_the_top_two_levels_except_on_su2():
     amp[-2:] = 0.0
     amp[0] = 1.0
     assert residual_bound(amp, fock_basis(6), 2.0) == 2.0 * RESIDUAL_TOL
+
+
+def test_edge_mass_counts_the_top_levels_and_none_for_zero():
+    amp = np.ones(4) / 2.0
+    for levels, mass in [(0, 0.0), (1, 0.25), (2, 0.5), (amp.size + 3, 1.0)]:
+        assert edge_mass(amp, levels) == mass
+    with pytest.raises(InvalidInputError, match="levels"):
+        edge_mass(amp, -1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 191, 4097])
+def test_vector_norm_has_the_bits_of_numpy_norm(n):
+    # entries spread over ten decades, so a change of summation order shows
+    rng = np.random.default_rng(n)
+    spread = 10.0 ** rng.uniform(-5.0, 5.0, (2, n))
+    z = rng.standard_normal(n) * spread[0] + 1j * rng.standard_normal(n) * spread[1]
+    # 1e200 squares to inf; 5e-324 is the least subnormal
+    for fill in (None, 0.0, 5e-324, 1e200, math.inf, math.nan):
+        for part in ("some", "all"):
+            w = z.copy()
+            if fill is not None:
+                w[::7 if part == "some" else 1] = fill
+            for x in (w, w[::3], w.real, w.real[::3], w.real.copy()):
+                # both overflow alike, where the warning would fail the test
+                with np.errstate(over="ignore"):
+                    want = float(np.linalg.norm(x)).hex()
+                    assert vector_norm(x).hex() == want, (fill, part, x.dtype)
 
 
 def test_basis_state():

@@ -492,6 +492,29 @@ def test_squeezed_states_of_one_pair_saturate_order_2_at_every_m(r):
         assert _assert_complementary_holds(rep, [2])[2] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_squeezed_states_leave_saturation_quadratically_in_a_perturbation():
+    # a squeezed state is a Schrodinger minimizer, so a step eps off it opens
+    # the gap as eps^2, and gap / eps^2 holds from 1e-2 down to 1e-6 (seed 7:
+    # 69.16, 190.98 and 60.73); a gap formula that drops a term fails here
+    N = 128
+    obs = observable_set("canonical", N=N)
+    rng = np.random.default_rng(7)
+    for r, theta, alpha in [(0.3, 0.5, 0.4 + 0.1j), (0.9, 2.0, -0.3j), (0.0, 0.0, 0.7)]:
+        st = canonical_ss(alpha, math.cosh(r), math.sinh(r) * np.exp(1j * theta), N=N)
+        # zero on the top 13 levels, the tail the state records
+        step = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        step[N - 13:] = 0.0
+        step /= np.linalg.norm(step)
+        ratios = []
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            psi = st.amplitudes + eps * step
+            near = StateVector(psi / np.linalg.norm(psi), st.basis)
+            gap = char_ur_report(obs, near).pair_gaps[(0, 1)].schr_gap
+            assert gap >= -1e-12
+            ratios.append(gap / eps ** 2)
+        assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=0.05)
+
+
 def test_distinct_su11_coherent_states_do_not_saturate_at_any_m():
     # each state alone saturates orders 2 and 3; a sum of distinct ones does not
     obs = observable_set("su11:1", N=200)
