@@ -56,9 +56,27 @@ def _min_eig(X):
 
 
 def _pow2_scaled(y):
-    """``y`` times the exact power of two that brings its largest magnitude
-    into [1/2, 1)."""
-    return y * math.ldexp(1.0, -math.frexp(float(np.max(np.abs(y))))[1])
+    """``y`` times the exact power of two 2**s that brings its largest
+    magnitude into [1/2, 1), and s."""
+    s = -math.frexp(float(np.max(np.abs(y))))[1]
+    return y * math.ldexp(1.0, s), s
+
+
+def _x_images(state1, state2, X, max_tail):
+    """||y1||^2, ||y2||^2, <y1|y2> and s1 + s2 of the images y_i = 2**s_i X psi_i
+    of two checked states, each scaled by ``_pow2_scaled``; X = None is the identity."""
+    # both states on X's basis, or on the first state's for the identity
+    basis = getattr(state1 if X is None else X, "basis", None)
+    for st in (state1, state2):
+        check_state(st, basis, max_tail)
+    if X is None:
+        y1, y2 = state1.amplitudes, state2.amplitudes
+    else:
+        if not X.is_hermitian():
+            raise InvalidInputError(f"observable {X.label!r} is not Hermitian")
+        y1, y2 = X.apply(state1.amplitudes), X.apply(state2.amplitudes)
+    (y1, s1), (y2, s2) = _pow2_scaled(y1), _pow2_scaled(y2)
+    return float(np.vdot(y1, y1).real), float(np.vdot(y2, y2).real), np.vdot(y1, y2), s1 + s2
 
 
 def g_overlap(state1, state2, X=None, max_tail=1e-8):
@@ -69,32 +87,10 @@ def g_overlap(state1, state2, X=None, max_tail=1e-8):
     space, so the X^2-norms in the denominator cannot vanish.  A state
     whose tail mass exceeds ``max_tail`` raises TruncationError.
     """
-    # both states on X's basis, or on the first state's for the identity
-    basis = getattr(state1 if X is None else X, "basis", None)
-    for st in (state1, state2):
-        check_state(st, basis, max_tail)
-
-    if X is None:
-        y1 = state1.amplitudes
-        y2 = state2.amplitudes
-        label = "identity"
-    else:
-        if not X.is_hermitian():
-            raise InvalidInputError(f"observable {X.label!r} is not Hermitian")
-        lam = _min_eig(X)
-        if lam <= POSITIVITY_TOL:
-            raise InvalidInputError(
-                f"observable {X.label!r} is not strictly positive "
-                f"(min eigenvalue {lam:.3e})"
-            )
-        y1 = X.apply(state1.amplitudes)
-        y2 = X.apply(state2.amplitudes)
-        label = X.label
-
-    # a power of two changes no bit of g, and keeps n1 * n2 finite
-    y1, y2 = _pow2_scaled(y1), _pow2_scaled(y2)
-    n1 = float(np.vdot(y1, y1).real)
-    n2 = float(np.vdot(y2, y2).real)
-    g = abs(np.vdot(y2, y1)) / np.sqrt(n1 * n2)
-    g = min(g, 1.0)
-    return DistanceResult(float(g), float(2.0 * (1.0 - g)), label)
+    # the powers of two change no bit of g, and keep n1 * n2 finite
+    n1, n2, cross, _s = _x_images(state1, state2, X, max_tail)
+    if X is not None and (lam := _min_eig(X)) <= POSITIVITY_TOL:
+        raise InvalidInputError(f"observable {X.label!r} is not strictly positive "
+                                f"(min eigenvalue {lam:.3e})")
+    g = min(abs(cross) / np.sqrt(n1 * n2), 1.0)
+    return DistanceResult(float(g), float(2.0 * (1.0 - g)), "identity" if X is None else X.label)

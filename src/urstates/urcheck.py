@@ -15,13 +15,14 @@ is what makes them genuinely new constraints.
 """
 
 from dataclasses import dataclass
-from math import comb, inf, isfinite
+from math import comb, inf, isfinite, ldexp
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .hilbert import StateVector
 from .matrixkit import _small_char_coeffs, char_coeffs
+from .metrics import _x_images
 from .moments import ObservableSet, _kept_report, _pure_moments, check_state
 from .moments import moment_report  # noqa: F401 - bench/spans.py wraps urcheck.moment_report
 
@@ -165,10 +166,14 @@ def two_state_schrodinger(X, Y, state1, state2):
     for st in (state1, state2):
         check_state(st, obs.basis, 1e-8)
     sigma, comm = _pure_moments(obs, np.array([state1.amplitudes, state2.amplitudes]))[1:3]
-    (s1, s2), (c1, c2) = sigma, comm
-    lhs = 0.5 * (s1[0, 0] * s2[1, 1] + s2[0, 0] * s1[1, 1])
-    rhs = s1[0, 1] * s2[0, 1] + c1[0, 1] * c2[0, 1]
-    return float(lhs - rhs)
+    # Python floats: a product past the float range is inf, with no numpy warning
+    (s1, s2), (c1, c2) = sigma.tolist(), comm.tolist()
+    lhs = 0.5 * (s1[0][0] * s2[1][1] + s2[0][0] * s1[1][1])
+    gap = lhs - (s1[0][1] * s2[0][1] + c1[0][1] * c2[0][1])
+    if not isfinite(gap):
+        raise NumericError(f"two-state Schrodinger gap is {gap!r}: "
+                           f"its products of moments overflow")
+    return gap
 
 
 def one_observable_two_state(X, state1, state2, max_tail=1e-8):
@@ -176,16 +181,12 @@ def one_observable_two_state(X, state1, state2, max_tail=1e-8):
 
     <1|X^2|1><2|X^2|2> >= |<1|X^2|2>|^2   (gap returned signed).
     """
-    for st in (state1, state2):
-        check_state(st, X.basis, max_tail)
-    if not X.is_hermitian():
-        raise InvalidInputError(f"observable {X.label!r} is not Hermitian")
-    y1 = X.apply(state1.amplitudes)
-    y2 = X.apply(state2.amplitudes)
-    e1 = float(np.vdot(y1, y1).real)
-    e2 = float(np.vdot(y2, y2).real)
-    cross = np.vdot(y1, y2)
-    return e1 * e2 - abs(cross) ** 2
+    n1, n2, cross, s = _x_images(state1, state2, X, max_tail)
+    try:
+        ldexp(n1 * n2, -2 * s)  # the larger side: if it is in range, so is the gap
+    except OverflowError:
+        raise NumericError(f"<1|X^2|1><2|X^2|2> of {X.label!r} is past the float range") from None
+    return ldexp(n1 * n2 - abs(cross) ** 2, -2 * s)
 
 
 def complementary(report, r, alpha_r):

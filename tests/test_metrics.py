@@ -17,6 +17,7 @@ from urstates.hilbert import (
 )
 from urstates.metrics import _min_eig, g_overlap, number_plus_one
 from urstates.moments import observable_set
+from urstates.urcheck import one_observable_two_state
 from urstates.states import glauber, squeezed_fock
 
 
@@ -112,6 +113,30 @@ def test_rejects_non_hermitian_observable():
     shift = Operator("shift", {1: np.ones(15)}, basis)
     with pytest.raises(InvalidInputError):
         g_overlap(basis_state(basis, 0), basis_state(basis, 1), shift)
+
+
+def test_the_distance_and_the_schwarz_gap_refuse_in_one_order():
+    # a state off the basis first, then a non-Hermitian X, then, for the
+    # distance only, an X that is not strictly positive
+    basis = fock_basis(16)
+    s1, s2 = basis_state(basis, 0), basis_state(basis, 1)
+    shift = Operator("shift", {1: np.ones(15)}, basis)  # neither Hermitian nor positive
+    q = boson_rep(16)["q"]  # Hermitian, not positive
+    for two_state in (g_overlap, lambda a, b, X: one_observable_two_state(X, a, b)):
+        with pytest.raises(InvalidInputError, match="StateVector"):
+            two_state(s1, s2.amplitudes, shift)
+        with pytest.raises(BasisMismatchError):
+            two_state(s1, glauber(0.2, N=24), shift)
+        with pytest.raises(TruncationError):
+            two_state(basis_state(basis, 15), s2, shift)
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            two_state(s1, s2, shift)
+    with pytest.raises(BasisMismatchError):
+        g_overlap(s1, glauber(0.2, N=24), q)
+    with pytest.raises(InvalidInputError, match="not strictly positive"):
+        g_overlap(s1, s2, q)
+    # ||q|0>||^2 ||q|1>||^2 = (1/2)(3/2), and q|0>, q|1> are orthogonal
+    assert one_observable_two_state(q, s1, s2) == pytest.approx(0.75, rel=1e-15)
 
 
 def test_input_gates():

@@ -16,15 +16,17 @@ from urstates.errors import (
     TruncationError,
 )
 from urstates.hilbert import (
+    TAIL_FRACTION,
     Operator,
     StateVector,
     basis_state,
     fock_basis,
     su11_basis,
+    su11_rep,
 )
 from urstates.matrixkit import _small_char_coeffs, char_coeffs
 from urstates.moments import ObservableSet, _kept_report, moment_report, observable_set
-from urstates.states import canonical_ss, glauber, su2_cs, su11_cs
+from urstates.states import bg_cs, canonical_ss, glauber, su2_cs, su11_cs
 from urstates.urcheck import (
     MAX_EXTENDED_STATES,
     SATURATION_RTOL,
@@ -363,6 +365,18 @@ def test_two_state_schrodinger_keeps_the_reports_its_states_keep(moment_passes):
     assert moment_passes == [(2, 96)]
 
 
+def _far_bg_pair(k):
+    """Two Barut-Girardello states at k on 8 levels, and the su(1,1) generators there."""
+    return bg_cs(0.5, k, N=8), bg_cs(0.3j, k, N=8), su11_rep(k, 8)
+
+
+def test_two_state_schrodinger_refuses_products_past_the_float_range():
+    # the K1 and K2 variances are finite, near k / 2 = 5e159, but their products are not
+    a, b, ops = _far_bg_pair(1e160)
+    with pytest.raises(NumericError, match="two-state Schrodinger gap"):
+        two_state_schrodinger(ops["k1"], ops["k2"], a, b)
+
+
 def test_one_observable_two_state():
     q, _p = qp(64)
     s1 = glauber(0.4, N=64)
@@ -374,6 +388,27 @@ def test_one_observable_two_state():
     # the relation is defined for states, not bare amplitude arrays
     with pytest.raises(InvalidInputError):
         one_observable_two_state(q, s1.amplitudes, s1)
+
+
+@pytest.mark.parametrize("name", ["canonical", "su11:0.5"])
+def test_one_observable_two_state_keeps_the_bits_of_the_unscaled_products(name):
+    obs = observable_set(name, N=32)
+    rng = np.random.default_rng(5)
+    for a, b in zip(_random_states(rng, obs.basis, 50), _random_states(rng, obs.basis, 50)):
+        for X in obs.ops:
+            y1, y2 = X.apply(a.amplitudes), X.apply(b.amplitudes)
+            e1, e2 = float(np.vdot(y1, y1).real), float(np.vdot(y2, y2).real)
+            want = e1 * e2 - abs(np.vdot(y1, y2)) ** 2
+            assert one_observable_two_state(X, a, b, max_tail=None).hex() == want.hex()
+
+
+def test_one_observable_two_state_refuses_a_side_past_the_float_range():
+    # under K3 at k = 1e100 each X^2-norm is near 1e200, so the side is near
+    # 1e400; under K1 it is near 1e200 and the gap is finite
+    a, b, ops = _far_bg_pair(1e100)
+    with pytest.raises(NumericError, match="'K3' is past the float range"):
+        one_observable_two_state(ops["k3"], a, b)
+    assert math.isfinite(one_observable_two_state(ops["k1"], a, b))
 
 
 def test_one_observable_two_state_checks_hermiticity_once(monkeypatch):
@@ -492,6 +527,23 @@ def test_squeezed_states_of_one_pair_saturate_order_2_at_every_m(r):
         assert _assert_complementary_holds(rep, [2])[2] == pytest.approx(1.0, abs=1e-8)
 
 
+def _assert_gaps_open_as_eps_squared(obs, st, rng, epsilons, gaps):
+    """Each of gaps(report) is >= -1e-12 at st plus eps times one seeded unit
+    step, renormalized, and gap / eps^2 stays within 5% of its value at the
+    first eps; the step is zero on the recorded tail, so the tail gate holds."""
+    N = st.basis.dim
+    step = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    step[int((1.0 - TAIL_FRACTION) * N):] = 0.0
+    step /= np.linalg.norm(step)
+    ratios = []
+    for eps in epsilons:
+        psi = st.amplitudes + eps * step
+        values = gaps(char_ur_report(obs, StateVector(psi / np.linalg.norm(psi), st.basis)))
+        assert min(values) >= -1e-12
+        ratios.append([gap / eps ** 2 for gap in values])
+    np.testing.assert_allclose(ratios, [ratios[0]] * len(ratios), rtol=0.05)
+
+
 def test_squeezed_states_leave_saturation_quadratically_in_a_perturbation():
     # a squeezed state is a Schrodinger minimizer, so a step eps off it opens
     # the gap as eps^2, and gap / eps^2 holds from 1e-2 down to 1e-6 (seed 7:
@@ -501,18 +553,33 @@ def test_squeezed_states_leave_saturation_quadratically_in_a_perturbation():
     rng = np.random.default_rng(7)
     for r, theta, alpha in [(0.3, 0.5, 0.4 + 0.1j), (0.9, 2.0, -0.3j), (0.0, 0.0, 0.7)]:
         st = canonical_ss(alpha, math.cosh(r), math.sinh(r) * np.exp(1j * theta), N=N)
-        # zero on the top 13 levels, the tail the state records
-        step = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        step[N - 13:] = 0.0
-        step /= np.linalg.norm(step)
-        ratios = []
-        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            psi = st.amplitudes + eps * step
-            near = StateVector(psi / np.linalg.norm(psi), st.basis)
-            gap = char_ur_report(obs, near).pair_gaps[(0, 1)].schr_gap
-            assert gap >= -1e-12
-            ratios.append(gap / eps ** 2)
-        assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=0.05)
+        _assert_gaps_open_as_eps_squared(obs, st, rng, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+                                         lambda rep: [rep.pair_gaps[(0, 1)].schr_gap])
+
+
+def test_su11_coherent_states_leave_saturation_quadratically_in_a_perturbation():
+    # |xi; k> minimizes the Schrodinger relation of each pair of K1, K2, K3:
+    # each pair gap / eps^2 holds within 5% from 1e-3 down to 1e-6 (seed 7:
+    # within 0.4%); at 1e-2 it sits 4-30% off
+    N = 128
+    rng = np.random.default_rng(7)
+    for xi, k in [(0.4, 1.0), (0.3 + 0.5j, 0.5), (-0.6j, 2.0)]:
+        obs = observable_set(f"su11:{k}", N=N)
+        _assert_gaps_open_as_eps_squared(
+            obs, su11_cs(xi, k, N=N), rng, (1e-3, 1e-4, 1e-5, 1e-6),
+            lambda rep: [rec.schr_gap for rec in rep.pair_gaps.values()])
+
+
+def test_bg_coherent_states_leave_the_sum_relation_quadratically_in_a_perturbation():
+    # a K- eigenstate saturates (DK1)^2 + (DK2)^2 >= |<K3>|: the (K1, K2) sum
+    # gap / eps^2 holds within 5% from 1e-2 down to 1e-6 (seed 7: within 0.03%)
+    N = 96
+    rng = np.random.default_rng(7)
+    for z, k in [(0.8, 0.5), (1.5j, 1.0), (-2 + 1j, 2.0)]:
+        obs = observable_set(f"su11:{k}", N=N)
+        _assert_gaps_open_as_eps_squared(
+            obs, bg_cs(z, k, N=N), rng, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+            lambda rep: [rep.pair_gaps[(0, 1)].sum_gap])
 
 
 def test_distinct_su11_coherent_states_do_not_saturate_at_any_m():
