@@ -36,7 +36,7 @@ from .errors import (
     NumericError,
     TruncationError,
 )
-from .hilbert import is_number
+from .hilbert import DEFAULT_MAX_TAIL, is_number
 from .intelligent import minimizer_certificate
 from .metrics import g_overlap, number_plus_one
 from .moments import _parse_set_name, moment_report, observable_set
@@ -472,7 +472,7 @@ def _build_parser():
     p_state.add_argument("--family", required=True, choices=sorted(FAMILIES))
     for name, kind in _PARAM_TYPES.items():
         p_state.add_argument(_param_flag(name), dest=name, type=kind)
-    p_state.add_argument("--max-tail", type=float, default=1e-8)
+    p_state.add_argument("--max-tail", type=float, default=DEFAULT_MAX_TAIL)
     p_state.add_argument("--out")
     p_state.set_defaults(func=_cmd_state)
 
@@ -481,7 +481,7 @@ def _build_parser():
     p_rep.add_argument("--observables", required=True)
     p_rep.add_argument("--orders", type=_int_list)
     p_rep.add_argument("--certificate", action="store_true")
-    p_rep.add_argument("--max-tail", type=float, default=1e-8)
+    p_rep.add_argument("--max-tail", type=float, default=DEFAULT_MAX_TAIL)
     p_rep.add_argument("--out")
     p_rep.set_defaults(func=_cmd_report)
 
@@ -531,7 +531,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EX_PIPE
-    except (InvalidInputError, TruncationError) as exc:
+    except (InvalidInputError, TruncationError, FileNotFoundError) as exc:
         _emit_error(exc)
         return EX_CONTRACT
     except (NumericError, ArithmeticError) as exc:
@@ -539,9 +539,6 @@ def main(argv=None):
         # raises, which no constructor gate anticipated
         _emit_error(exc)
         return EX_NUMERIC
-    except FileNotFoundError as exc:
-        _emit_error(exc)
-        return EX_CONTRACT
 
 
 def entry():

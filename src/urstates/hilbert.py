@@ -32,6 +32,7 @@ from .errors import (
     TruncationError,
     UnsupportedScaleError,
 )
+from .matrixkit import HERMITICITY_TOL
 
 __all__ = [
     "BasisSpec",
@@ -39,6 +40,7 @@ __all__ = [
     "apply_bands",
     "StateVector",
     "check_tail",
+    "DEFAULT_MAX_TAIL",
     "boson_ladder",
     "su11_ladder",
     "hermitian_parts",
@@ -276,14 +278,14 @@ class Operator:
         return apply_bands(self.bands, psi)
 
     def is_hermitian(self):
-        """Band -d equals the conjugate of band +d to 1e-12 of the largest entry."""
+        """Band -d equals the conjugate of band +d to HERMITICITY_TOL of the largest entry."""
         return self._hermitian
 
     @cached_property
     def _hermitian(self):
         bands = self.bands
         scale = max([1.0] + [float(np.abs(band).max(initial=0.0)) for band in bands.values()])
-        return all(np.abs(band - np.conj(bands.get(-d, 0.0))).max() <= 1e-12 * scale
+        return all(np.abs(band - np.conj(bands.get(-d, 0.0))).max() <= HERMITICITY_TOL * scale
                    for d, band in bands.items())
 
 
@@ -328,6 +330,10 @@ class StateVector:
         return self._basis.dim
 
 
+#: the tail bound of every ``max_tail`` that the caller leaves out
+DEFAULT_MAX_TAIL = 1e-8
+
+
 def check_tail(mass, max_tail, what):
     """Refuse a ``mass`` above ``max_tail`` (never for None) with a
     TruncationError whose message opens with ``what``, the name of the mass.
@@ -348,6 +354,12 @@ def vector_norm(x):
         re, im = x.real, x.imag
         return math.sqrt(re.dot(re) + im.dot(im))
     return math.sqrt(x.dot(x))
+
+
+def gauge_fixed(vec, floor):
+    """``vec`` in the phase that makes its first component above ``floor`` real positive."""
+    first = np.argmax(np.abs(vec) > floor)
+    return vec * (np.conj(vec[first]) / abs(vec[first]))
 
 
 def edge_mass(amp, levels=2):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import residual_bound, vector_norm
+from .hilbert import DEFAULT_MAX_TAIL, gauge_fixed, residual_bound, vector_norm
 # char_coeffs stays importable as intelligent.char_coeffs: bench/spans.py
 # wraps it under that name
 from .matrixkit import char_coeffs  # noqa: F401
@@ -44,13 +44,7 @@ class MinimizerCertificate:
     verdict: str
 
 
-def _gauge_fix(vec):
-    first = np.argmax(np.abs(vec) > 1e-12)
-    phase = np.conj(vec[first]) / abs(vec[first])
-    return vec * phase
-
-
-def minimizer_certificate(state, obs, max_tail=1e-8):
+def minimizer_certificate(state, obs, max_tail=DEFAULT_MAX_TAIL):
     """Per-pair best (beta, z) and residual, and the verdict.
 
     For each observable pair the bottom eigenvector of the 2x2 restriction
@@ -77,7 +71,7 @@ def minimizer_certificate(state, obs, max_tail=1e-8):
         for j in range(i + 1, n):
             sub = R[np.ix_([i, j], [i, j])]
             _vals, vecs = np.linalg.eigh(sub)
-            beta = _gauge_fix(vecs[:, 0])
+            beta = gauge_fixed(vecs[:, 0], 1e-12)
             residual = vector_norm(beta[0] * rep.centered[i] + beta[1] * rep.centered[j])
             bound = np.sqrt(max(1.0, float(np.trace(sub).real))) * floor
             z = complex(beta[0] * rep.means[i] + beta[1] * rep.means[j])

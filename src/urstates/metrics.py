@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError, InvalidInputError
-from .hilbert import Operator
+from .hilbert import DEFAULT_MAX_TAIL, Operator
 from .moments import check_state
 
 __all__ = ["DistanceResult", "g_overlap", "number_plus_one"]
@@ -79,7 +79,7 @@ def _x_images(state1, state2, X, max_tail):
     return float(np.vdot(y1, y1).real), float(np.vdot(y2, y2).real), np.vdot(y1, y2), s1 + s2
 
 
-def g_overlap(state1, state2, X=None, max_tail=1e-8):
+def g_overlap(state1, state2, X=None, max_tail=DEFAULT_MAX_TAIL):
     """Overlap functional g and distance D^2 = 2(1-g) under observable X.
 
     ``X = None`` means the identity (plain ray overlap).  Otherwise X must

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import BasisMismatchError, InvalidInputError, NumericError
 from .hilbert import (
     DEFAULT_FOCK_CUTOFF,
+    DEFAULT_MAX_TAIL,
     DEFAULT_MODE_CUTOFF,
     DEFAULT_SU11_CUTOFF,
     Operator,
@@ -257,30 +258,29 @@ class MomentReport:
         return self.sigma + 1j * self.commut
 
 
-def moment_report(obs, state, max_tail=1e-8):
+def moment_report(obs, state, max_tail=DEFAULT_MAX_TAIL):
     """Means and second moments of an observable set in a pure state.
 
     The moments come from the Gram matrix of the vectors X_i psi (one
     banded product per observable).  A recorded tail mass above
     ``max_tail`` aborts with a truncation error, since moments of a
     leaking state are not trustworthy.  The state keeps the report, read-only,
-    with the set and its own read-only amplitude array it read (`_kept_report`).
+    with the set (`_kept_report`).
     """
     check_state(state, obs.basis, max_tail)
-    psi = state.amplitudes
-    means, sigma, comm, centered = _pure_moments(obs, psi)
+    means, sigma, comm, centered = _pure_moments(obs, state.amplitudes)
     for arr in (means, sigma, comm, centered):
         arr.setflags(write=False)
     report = MomentReport(obs.labels, means, sigma, comm, centered)
-    state._moments = (obs, psi, report)
+    state._moments = (obs, report)
     return report
 
 
 def _kept_report(obs, state):
-    """The report of the last `moment_report` of ``state`` if it was on ``obs`` itself and
-    read the read-only array ``state`` holds now, else None; read once, so no thread mixes in."""
-    kept_obs, psi, report = state._moments or (None, None, None)
-    return report if kept_obs is obs and psi is state.amplitudes else None
+    """The report of the last `moment_report` of ``state`` if it was on ``obs`` itself, else
+    None; the state's amplitudes never change.  Read once, so no thread mixes in."""
+    kept_obs, report = state._moments or (None, None)
+    return report if kept_obs is obs else None
 
 
 def check_state(state, basis, max_tail):

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .hilbert import (
     DEFAULT_FOCK_CUTOFF,
+    DEFAULT_MAX_TAIL,
     DEFAULT_SU11_CUTOFF,
     MAX_BASIS_DIM,
     StateVector,
@@ -41,6 +42,7 @@ from .hilbert import (
     check_tail,
     edge_mass,
     fock_basis,
+    gauge_fixed,
     residual_bound,
     su11_basis,
     su11_ladder,
@@ -197,7 +199,7 @@ def _poisson_tail(x, N):
     return math.exp(-x + N * math.log(x) - math.lgamma(N + 1.0)) / (1.0 - x / (N + 1.0))
 
 
-def glauber(alpha, N=None, max_tail=1e-8):
+def glauber(alpha, N=None, max_tail=DEFAULT_MAX_TAIL):
     """Coherent state |alpha>: eigenstate of a, minimal and isotropic spread.
 
     Amplitudes follow c_{n+1} = c_n alpha/sqrt(n+1), the eigen-equation
@@ -305,7 +307,7 @@ def _squeezed_amplitudes(alpha, u, v, N):
     return amp * (phase_u * cmath.exp(0.5j * ((v / u).conjugate() * beta * beta).imag)), bands
 
 
-def canonical_ss(alpha, u, v, N=None, max_tail=1e-8):
+def canonical_ss(alpha, u, v, N=None, max_tail=DEFAULT_MAX_TAIL):
     """Squeezed coherent state: the normalizable eigenstate of u a + v a^dag.
 
     (u, v) are rescaled to the shell |u|^2 - |v|^2 = 1 first; the amplitudes
@@ -333,7 +335,7 @@ def _number_bands(u, v, N):
             2: np.conj(v) * u * aa, -2: np.conj(u) * v * aa}
 
 
-def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
+def squeezed_fock(n, u, v, N=None, max_tail=DEFAULT_MAX_TAIL):
     """Squeezed Fock level S(zeta)|n>: eigenstate of A^dag A, A = u a + v a^dag.
 
     Built as (e^{i arg u})^(n-1) (A^dag)^n canonical_ss(0, u, v), normalized,
@@ -359,7 +361,7 @@ def squeezed_fock(n, u, v, N=None, max_tail=1e-8):
                       (abs(u) + abs(v)) ** 2 * math.sqrt(N) + n)
 
 
-def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
+def even_odd_cs(alpha, parity, N=None, max_tail=DEFAULT_MAX_TAIL):
     """Even/odd coherent states: parity projections of |alpha>, eigenstates of a^2.
 
     Both carry eigenvalue alpha^2; the odd family needs alpha != 0.
@@ -385,7 +387,7 @@ def even_odd_cs(alpha, parity, N=None, max_tail=1e-8):
 # su(1,1) families on the discrete-series weight basis
 # ---------------------------------------------------------------------------
 
-def bg_cs(z, k, N=None, max_tail=1e-8):
+def bg_cs(z, k, N=None, max_tail=DEFAULT_MAX_TAIL):
     """Barut-Girardello state: eigenstate of the lowering generator K-.
 
     Amplitudes c_n ~ z^n / sqrt(n! Gamma(2k+n)) decay factorially, so any
@@ -429,7 +431,7 @@ def _su11_cs_amplitudes(xi, k, N):
     return _step_amplitudes(xi, np.sqrt((2.0 * k + m) / (m + 1.0)))
 
 
-def su11_cs(xi, k, N=None, max_tail=1e-8):
+def su11_cs(xi, k, N=None, max_tail=DEFAULT_MAX_TAIL):
     """SU(1,1) coherent state |xi; k>, |xi| < 1 on the unit disk.
 
     Amplitudes c_n ~ xi^n sqrt((2k)_n / n!); the state solves the mixed
@@ -505,7 +507,7 @@ def _inside_root(u, v, w):
     return (roots[0], l) if inside[0] else (roots[1], -l)
 
 
-def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
+def su11_intelligent(u, v, w, z, k, N=None, max_tail=DEFAULT_MAX_TAIL):
     """Eigenstate of u K- + v K+ + w K3 with eigenvalue z.
 
     Normalizability requires a root of u t^2 + w t + v = 0 inside the unit
@@ -542,14 +544,15 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
         # M over scale, so the residual is relative to the largest of u, v, w
         c, kn = su11_ladder(k, N), k + np.arange(N)
         bands = {1: u / scale * c, -1: v / scale * c, 0: w / scale * kn}
-        if n0 is None:
-            amp = _recurrence_amplitudes(bands, z / scale)
-        else:
-            # |t_in; k> is the M eigenstate at s k, and E obeys [M, E] = s E
-            raising = {1: u * u * c, -1: 0.5 * (w * w + s * w - 2.0 * u * v) * c,
-                       0: u * (s + w) * kn}
-            amp = _raised(_su11_cs_amplitudes(t_in, k, N), raising, n0)
-        if not np.all(np.isfinite(amp)):
+        with np.errstate(all="ignore"):  # inf, NaN or all-zero amplitudes are refused below
+            if n0 is None:
+                amp = _recurrence_amplitudes(bands, z / scale)
+            else:
+                # |t_in; k> is the M eigenstate at s k, and E obeys [M, E] = s E
+                raising = {1: u * u * c, -1: 0.5 * (w * w + s * w - 2.0 * u * v) * c,
+                           0: u * (s + w) * kn}
+                amp = _raised(_su11_cs_amplitudes(t_in, k, N), raising, n0)
+        if not (np.all(np.isfinite(amp)) and amp.any()):
             raise NumericError("intelligent family: amplitudes over/underflowed")
         if not grow or edge_mass(amp) <= 1e-18:
             break
@@ -560,10 +563,8 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=1e-8):
             )
         N = min(2 * N, MAX_ADAPTIVE_CUTOFF)
 
-    first = np.argmax(np.abs(amp) > 1e-8)
-    amp = amp * (np.conj(amp[first]) / abs(amp[first]))
-    return _certified(amp, su11_basis(k, N), "su11_intelligent", {**params, "k": k},
-                      max_tail, bands, z / scale,
+    return _certified(gauge_fixed(amp, 1e-8), su11_basis(k, N), "su11_intelligent",
+                      {**params, "k": k}, max_tail, bands, z / scale,
                       math.sqrt(N) * (1.0 + k + abs(z) / scale))
 
 

@@ -20,7 +20,7 @@ from math import comb, inf, isfinite, ldexp
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .hilbert import StateVector
+from .hilbert import DEFAULT_MAX_TAIL, StateVector
 from .matrixkit import _small_char_coeffs, char_coeffs
 from .metrics import _x_images
 from .moments import ObservableSet, _kept_report, _pure_moments, check_state
@@ -99,7 +99,7 @@ class URReport:
     n_states: int
 
 
-def char_ur_report(obs, states, max_tail=1e-8):
+def char_ur_report(obs, states, max_tail=DEFAULT_MAX_TAIL):
     """Characteristic-coefficient gaps C_r(sigma) - C_r(C) for r = 1..n.
 
     ``states`` is a single state or a sequence of 1..8; with several states
@@ -164,7 +164,7 @@ def two_state_schrodinger(X, Y, state1, state2):
     """
     obs = ObservableSet([X, Y])
     for st in (state1, state2):
-        check_state(st, obs.basis, 1e-8)
+        check_state(st, obs.basis, DEFAULT_MAX_TAIL)
     sigma, comm = _pure_moments(obs, np.array([state1.amplitudes, state2.amplitudes]))[1:3]
     # Python floats: a product past the float range is inf, with no numpy warning
     (s1, s2), (c1, c2) = sigma.tolist(), comm.tolist()
@@ -176,7 +176,7 @@ def two_state_schrodinger(X, Y, state1, state2):
     return gap
 
 
-def one_observable_two_state(X, state1, state2, max_tail=1e-8):
+def one_observable_two_state(X, state1, state2, max_tail=DEFAULT_MAX_TAIL):
     """Schwarz-type relation for one observable and two pure states:
 
     <1|X^2|1><2|X^2|2> >= |<1|X^2|2>|^2   (gap returned signed).

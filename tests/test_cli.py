@@ -273,6 +273,21 @@ def test_state_su11_intelligent_with_huge_parameters_is_one_error_line(capsys):
     assert json.loads(err)["error"] == "NormalizabilityError"
 
 
+@pytest.mark.parametrize("u, v, z, code, error", [
+    # a recurrence row past the float range: a numeric failure
+    ("1", "-0.36", "1e300", 1, "NumericError"),
+    # u = v = w = 0 is no operator at all
+    ("0", "0", "1", 2, "InvalidInputError"),
+])
+def test_state_su11_intelligent_refusal_is_one_error_line(capsys, u, v, z, code, error):
+    got, out, err = run_cli(capsys, "state", "--family", "su11-intelligent", "--u", u,
+                            f"--v={v}", "--w", "0", "--z", z, "--k", "1")
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
 def test_state_su11_intelligent_off_the_discrete_spectrum_exits_2(capsys):
     # roots -0.068 and -2.93; this z once ended in NumericError (exit 1)
     code, out, err = run_cli(capsys, "state", "--family", "su11-intelligent", "--u", "1",

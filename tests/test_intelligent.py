@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from urstates.acceptance import _grid_su11_cs
 from urstates.cli import _report_document
 from urstates.errors import BasisMismatchError, InvalidInputError, TruncationError
 from urstates.hilbert import StateVector, basis_state, fock_basis, su2_basis
@@ -17,6 +18,7 @@ from urstates.states import (
     squeezed_fock,
     su11_cs,
     su11_intelligent,
+    su11_intelligent_spectrum,
 )
 from urstates.urcheck import char_ur_report
 
@@ -144,6 +146,38 @@ def test_certificate_excited_intelligent_state_is_partial():
     assert cert.verdict == "not-minimizer"
     assert char_ur_report(obs, st).order_gaps[3].gap > 0.03
 
+
+#: criterion 4's Hermitian sets with n0 >= 1: v = conj(u), u = |u| e^{i arg u},
+#: w = 2 |u| ratio, as (k, |u|, arg u, ratio, n0)
+_EXCITED_HERMITIAN_SETS = [
+    (0.5, 0.30, 1.1, 1.25, 1), (1.0, 0.30, 0.0, 1.25, 1), (1.0, 0.45, 0.3, 1.50, 3),
+    (1.5, 0.40, 1.4, 1.75, 1), (0.5, 0.60, 0.7, 2.00, 2), (2.0, 0.30, 0.9, 2.00, 2),
+]
+
+
+@pytest.mark.parametrize("k, mag, phase, ratio, n0", _EXCITED_HERMITIAN_SETS)
+def test_excited_hermitian_intelligent_states_minimize_robertson_not_every_pair(
+        k, mag, phase, ratio, n0):
+    # the converse of uniqueness: the su(1,1) coherent states are the only
+    # states that minimize the Schrodinger relation of every pair and the
+    # Robertson relation.  These saturate det sigma >= det C = 0 (|C_3(sigma)|
+    # <= 1.2e-12, |C_3(C)| <= 2.3e-16) and still leave a pair residual of 0.83-2.7
+    u = mag * cmath.exp(1j * phase)
+    v, w = np.conj(u), 2.0 * mag * ratio
+    st = su11_intelligent(u, v, w, su11_intelligent_spectrum(u, v, w, k, count=n0 + 1)[n0], k)
+    obs = observable_set(f"su11:{k!r}", N=st.basis.N)
+    order3 = char_ur_report(obs, st).order_gaps[3]
+    assert abs(order3.c_comm) <= 1e-12 and abs(order3.c_sigma) <= 1e-9
+    cert = minimizer_certificate(st, obs)
+    assert cert.verdict == "not-minimizer"
+    assert max(rec.residual for rec in cert.pairs.values()) >= 0.5
+
+
+def test_every_su11_cs_grid_state_minimizes_every_pair():
+    for k, rad, phase in _grid_su11_cs():
+        st = su11_cs(rad * cmath.exp(1j * phase), k)
+        cert = minimizer_certificate(st, observable_set(f"su11:{k:g}", N=st.basis.N))
+        assert cert.verdict == "minimizer", (k, rad, phase)
 
 def test_certificate_json_shape():
     obs = observable_set("canonical", N=64)

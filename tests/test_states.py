@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import time
 import tracemalloc
 import warnings
 
@@ -426,19 +425,22 @@ def test_recurrence_rescales_and_raises_as_an_overflow_test_after_every_row(band
     assert want is raises if raises else isinstance(want, bytes)
 
 
-def test_a_rescaling_glauber_state_is_built_no_slower_than_with_a_test_after_every_row(
-        monkeypatch):
-    # |alpha| = 30 at N = 65536 rescales once at level 366 and then runs
-    # 65,000 levels past it; best of 7 alternating builds each
-    times = {states._recurrence_amplitudes: [], _checked_recurrence: []}
-    for _ in range(7):
-        for recurrence, runs in times.items():
-            monkeypatch.setattr(states, "_recurrence_amplitudes", recurrence)
-            start = time.perf_counter()
-            glauber(30.0, N=65536)
-            runs.append(time.perf_counter() - start)
-    blocked, checked = (min(runs) for runs in times.values())
-    assert blocked <= checked, (blocked, checked)
+def test_a_rescaling_glauber_state_makes_one_overflow_test_per_rescale(monkeypatch):
+    # at N = 65536 a test after every row makes 65,535 Python-level overflow
+    # tests; the blocks make one per rescale, beside glauber's own two abs
+    # calls: 3 at |alpha| = 30 (one rescale), 92 at |alpha| = 250 (90)
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return abs(x)
+
+    monkeypatch.setattr(states, "abs", counting, raising=False)
+    glauber(30.0, N=65536)
+    assert len(calls) <= 5, len(calls)
+    calls.clear()
+    glauber(250.0, N=65536)
+    assert len(calls) <= 90 + 5, len(calls)
 
 
 @pytest.mark.parametrize("family, args", [
@@ -915,6 +917,22 @@ def test_su11_intelligent_refuses_a_family_that_outgrows_the_adaptive_cutoff():
     # roots +-0.9999: the amplitudes still carry mass at the 4096-level ceiling
     with pytest.raises(TruncationError, match="N=4096"):
         su11_intelligent(1, -0.9999 ** 2, 0, 0, 0.5)
+
+
+@pytest.mark.parametrize("u, v, w, n0, z", [
+    # both roots inside: a recurrence row steps past the float range
+    (1.0, -0.36, 0.0, None, 1e300), (1.0, -0.36, 0.0, None, 1e200),
+    # one root inside and (u, v, w) near 1e100: the norm of the raised
+    # amplitudes overflows, leaving a zero vector after one raise, NaN after two
+    (0.3e100, 0.3e100, 0.75e100, 1, None), (0.3e100, 0.3e100, 0.75e100, 2, None),
+])
+def test_su11_intelligent_refuses_amplitudes_past_the_float_range_without_a_warning(
+        u, v, w, n0, z):
+    # the pytest filter turns a numpy RuntimeWarning before the refusal into an error
+    if n0 is not None:
+        z = su11_intelligent_spectrum(u, v, w, 1.0, count=n0 + 1)[n0]
+    with pytest.raises(NumericError, match="amplitudes over/underflowed"):
+        su11_intelligent(u, v, w, z, 1.0, N=16)
 
 
 def test_su11_intelligent_amplitudes_decay():
