@@ -217,9 +217,12 @@ class MomentReport:
 
     ``centered`` keeps the vectors (X_i - <X_i>) psi as the rows of an
     (n, dim) array whose Gram matrix is R, so certificates can reuse them
-    without new products.  The pair `_pure_moments` builds is certified as
-    it stands; any other is hand-built, and `psd_min_eig` refuses or takes it.
-    Those of `moment_report` are kept on their state, so their arrays are read-only.
+    without new products.  sigma and C are proven finite and (anti)symmetric
+    to the bit once: by `_pure_moments` for a report of `moment_report`,
+    which takes its arrays as they are (`_exact`), and by this constructor
+    for a hand-built pair, which `psd_min_eig` refuses or takes if the proof
+    fails.  Those of `moment_report` are kept on their state, so their
+    arrays are read-only.
     """
 
     labels: list
@@ -242,10 +245,8 @@ class MomentReport:
         exact = (all(map(math.isfinite, itertools.chain(*s, *c)))
                  and s == [list(row) for row in zip(*s)]
                  and c == [[-x for x in row] for row in zip(*c)])
-        if exact and shape == (2, 2):
-            lam = [_hermitian_min_eig_2x2(s), _hermitian_min_eig_2x2(s, c)]
-        elif exact:
-            lam = np.linalg.eigvalsh(np.array([self.sigma, self.robertson]))[:, 0].tolist()
+        if exact:
+            lam = _exact_min_eigs(self.sigma, self.commut)
         else:
             # R by parts: 1j * inf would warn before psd_min_eig refuses it
             pair = np.array([self.sigma, self.sigma], dtype=complex)
@@ -253,9 +254,36 @@ class MomentReport:
             lam = psd_min_eig(pair).tolist()
         self.sigma_min_eig, self.robertson_min_eig = lam
 
+    @classmethod
+    def _exact(cls, labels, means, sigma, commut, centered):
+        """The report of float arrays that are finite, sigma symmetric and C
+        antisymmetric to the bit, as `_pure_moments` returns them: taken as
+        they are, with no conversion and no check."""
+        rep = cls.__new__(cls)
+        rep.labels, rep.means, rep.sigma, rep.commut, rep.centered = (
+            labels, means, sigma, commut, centered)
+        rep.sigma_min_eig, rep.robertson_min_eig = _exact_min_eigs(sigma, commut)
+        return rep
+
     @property
     def robertson(self):
         return self.sigma + 1j * self.commut
+
+
+def _exact_min_eigs(sigma, commut):
+    """[lam_min(sigma), lam_min(R)] of an n x n pair that is finite and
+    (anti)symmetric to the bit, as two floats: n = 2 in closed form, any
+    other n from one eigvalsh on the stack [sigma, R].  R is built in place
+    with the bits of `MomentReport.robertson`, signed zeros included, since
+    eigvalsh reads the sign of a zero entry."""
+    n = len(sigma)
+    if n == 2:
+        s = sigma.tolist()
+        return [_hermitian_min_eig_2x2(s), _hermitian_min_eig_2x2(s, commut.tolist())]
+    pair = np.empty((2, n, n), complex)
+    pair[0] = pair[1] = sigma
+    pair[1] += 1j * commut
+    return np.linalg.eigvalsh(pair)[:, 0].tolist()
 
 
 def moment_report(obs, state, max_tail=DEFAULT_MAX_TAIL):
@@ -271,7 +299,7 @@ def moment_report(obs, state, max_tail=DEFAULT_MAX_TAIL):
     means, sigma, comm, centered = _pure_moments(obs, state.amplitudes)
     for arr in (means, sigma, comm, centered):
         arr.setflags(write=False)
-    report = MomentReport(obs.labels, means, sigma, comm, centered)
+    report = MomentReport._exact(obs.labels, means, sigma, comm, centered)
     state._moments = (obs, report)
     return report
 

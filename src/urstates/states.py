@@ -548,9 +548,15 @@ def su11_intelligent(u, v, w, z, k, N=None, max_tail=DEFAULT_MAX_TAIL):
             if n0 is None:
                 amp = _recurrence_amplitudes(bands, z / scale)
             else:
-                # |t_in; k> is the M eigenstate at s k, and E obeys [M, E] = s E
-                raising = {1: u * u * c, -1: 0.5 * (w * w + s * w - 2.0 * u * v) * c,
-                           0: u * (s + w) * kn}
+                # |t_in; k> is the M eigenstate at s k, and E obeys [M, E] = s E;
+                # E is quadratic in (u, v, w, s), so each is taken over the
+                # exact 2^e of scale's binade: the norm of E's images can then
+                # neither overflow nor underflow, and each normalized step
+                # keeps its bits wherever the unscaled bands did not
+                g = math.ldexp(1.0, -math.frexp(scale)[1])
+                gu, gv, gw, gs = u * g, v * g, w * g, s * g
+                raising = {1: gu * gu * c, -1: 0.5 * (gw * gw + gs * gw - 2.0 * gu * gv) * c,
+                           0: gu * (gs + gw) * kn}
                 amp = _raised(_su11_cs_amplitudes(t_in, k, N), raising, n0)
         if not (np.all(np.isfinite(amp)) and amp.any()):
             raise NumericError("intelligent family: amplitudes over/underflowed")

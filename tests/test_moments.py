@@ -435,6 +435,22 @@ def test_three_and_more_observables_match_psd_min_eig_bit_for_bit(name, N):
         assert type(rep.sigma_min_eig) is float and type(rep.robertson_min_eig) is float
 
 
+def test_three_observable_robertson_matrix_keeps_the_bits_of_sigma_plus_i_c():
+    # eigvalsh reads the sign of a zero below the diagonal, and sigma + 1j * C
+    # turns a -0.0 of sigma into +0.0 wherever C is not negative: an R filled
+    # by parts, keeping the -0.0, moves the last bits of lam_min(R)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        sigma = rng.standard_normal((3, 3))
+        sigma = sigma @ sigma.T
+        sigma[1, 0] = sigma[0, 1] = -0.0
+        commut = rng.standard_normal((3, 3))
+        commut -= commut.T
+        rep = MomentReport(["a", "b", "c"], np.zeros(3), sigma, commut)
+        lam = np.linalg.eigvalsh(np.array([sigma, sigma + 1j * commut]))[:, 0].tolist()
+        assert [rep.sigma_min_eig.hex(), rep.robertson_min_eig.hex()] == [x.hex() for x in lam]
+
+
 @pytest.mark.parametrize("big", [1.0, 1e6])
 @pytest.mark.parametrize("part", ["sigma", "commut", "commut-diagonal"])
 def test_three_observable_hermiticity_threshold_is_relative(big, part):
@@ -513,6 +529,31 @@ def test_package_reports_never_reach_psd_min_eig(monkeypatch):
     # a hand-built pair that is not Hermitian to the bit does reach it
     with pytest.raises(AssertionError, match="psd_min_eig called"):
         MomentReport(["x", "y"], np.zeros(2), [[1.0, 0.2 + 1e-13], [0.2, 2.0]], _COMMUT)
+
+
+@pytest.mark.parametrize("name,N,only", [(name, N, None) for name, N in REGISTRY]
+                         + [("canonical", 32, 0)])
+def test_moment_report_takes_the_pair_as_pure_moments_proves_it(name, N, only):
+    # _pure_moments returns sigma and C finite and (anti)symmetric to the bit
+    # for one state and for stacks of 1-8, so moment_report takes them as
+    # they are; its eigenvalues are those of the constructor, which proves
+    # the same again, down to the sign of a zero (basis states give zeros)
+    obs = observable_set(name, N=N)
+    if only is not None:
+        obs = ObservableSet([obs.ops[only]])
+    rng = np.random.default_rng(43)
+    for m in range(1, 9):
+        psi = _random_amplitudes(rng, (m, obs.basis.dim))
+        psi[m - 1] = np.eye(obs.basis.dim)[m % obs.basis.dim]
+        _means, sigma, commut, _centered = moments._pure_moments(obs, psi)
+        assert np.isfinite(sigma).all() and np.isfinite(commut).all()
+        assert np.array_equal(sigma, np.swapaxes(sigma, -2, -1))
+        assert np.array_equal(commut, -np.swapaxes(commut, -2, -1))
+        for i in range(m):
+            rep = moment_report(obs, StateVector(psi[i], obs.basis), max_tail=None)
+            hand = MomentReport(obs.labels, np.zeros(obs.n), sigma[i], commut[i])
+            assert ([float.hex(rep.sigma_min_eig), float.hex(rep.robertson_min_eig)]
+                    == [float.hex(hand.sigma_min_eig), float.hex(hand.robertson_min_eig)])
 
 
 def test_overflowed_moments_are_a_numeric_error():

@@ -922,9 +922,6 @@ def test_su11_intelligent_refuses_a_family_that_outgrows_the_adaptive_cutoff():
 @pytest.mark.parametrize("u, v, w, n0, z", [
     # both roots inside: a recurrence row steps past the float range
     (1.0, -0.36, 0.0, None, 1e300), (1.0, -0.36, 0.0, None, 1e200),
-    # one root inside and (u, v, w) near 1e100: the norm of the raised
-    # amplitudes overflows, leaving a zero vector after one raise, NaN after two
-    (0.3e100, 0.3e100, 0.75e100, 1, None), (0.3e100, 0.3e100, 0.75e100, 2, None),
 ])
 def test_su11_intelligent_refuses_amplitudes_past_the_float_range_without_a_warning(
         u, v, w, n0, z):
@@ -933,6 +930,21 @@ def test_su11_intelligent_refuses_amplitudes_past_the_float_range_without_a_warn
         z = su11_intelligent_spectrum(u, v, w, 1.0, count=n0 + 1)[n0]
     with pytest.raises(NumericError, match="amplitudes over/underflowed"):
         su11_intelligent(u, v, w, z, 1.0, N=16)
+
+
+@pytest.mark.parametrize("lam", [1e-140, 1e-100, 1e78, 1e100, 1e140])
+@pytest.mark.parametrize("n0", [1, 2])
+def test_su11_intelligent_raises_one_root_inside_at_any_scale(lam, n0):
+    # the raising bands grow as the square of max(|u|, |v|, |w|): unscaled,
+    # the norm of the raised amplitudes overflowed between about 1e78 and
+    # 2^500, and underflowed between 2^-500 and about 1e-78, where the ray is
+    # left as it is, and the state was refused
+    u, v, w = 0.3, 0.3, 0.75
+    ref = su11_intelligent(u, v, w, su11_intelligent_spectrum(u, v, w, 1.0, count=n0 + 1)[n0],
+                           1.0, N=96)
+    z = su11_intelligent_spectrum(lam * u, lam * v, lam * w, 1.0, count=n0 + 1)[n0]
+    st = su11_intelligent(lam * u, lam * v, lam * w, z, 1.0, N=96)
+    np.testing.assert_allclose(st.amplitudes, ref.amplitudes, rtol=0, atol=1e-13)
 
 
 def test_su11_intelligent_amplitudes_decay():

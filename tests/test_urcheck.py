@@ -530,19 +530,28 @@ def test_squeezed_states_of_one_pair_saturate_order_2_at_every_m(r):
 def _assert_gaps_open_as_eps_squared(obs, st, rng, epsilons, gaps):
     """Each of gaps(report) is >= -1e-12 at st plus eps times one seeded unit
     step, renormalized, and gap / eps^2 stays within 5% of its value at the
-    first eps; the step is zero on the recorded tail (per mode on a two-mode
-    basis), so the tail gate holds."""
-    N = st.basis.dim
-    step = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    step[st.basis._tail] = 0.0
-    step /= np.linalg.norm(step)
+    first eps, which is returned; the step is zero on the recorded tail (per
+    mode on a two-mode basis), so the tail gate holds.  For a list of states
+    each takes its own step, and gaps reads their several-state report."""
+    several = isinstance(st, list)
+    states = st if several else [st]
+    steps = []
+    for one in states:
+        N = one.basis.dim
+        step = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        step[one.basis._tail] = 0.0
+        steps.append(step / np.linalg.norm(step))
     ratios = []
     for eps in epsilons:
-        psi = st.amplitudes + eps * step
-        values = gaps(char_ur_report(obs, StateVector(psi / np.linalg.norm(psi), st.basis)))
+        moved = []
+        for one, step in zip(states, steps):
+            psi = one.amplitudes + eps * step
+            moved.append(StateVector(psi / np.linalg.norm(psi), one.basis))
+        values = gaps(char_ur_report(obs, moved if several else moved[0]))
         assert min(values) >= -1e-12
         ratios.append([gap / eps ** 2 for gap in values])
     np.testing.assert_allclose(ratios, [ratios[0]] * len(ratios), rtol=0.05)
+    return ratios[0]
 
 
 def test_squeezed_states_leave_saturation_quadratically_in_a_perturbation():
@@ -610,6 +619,27 @@ def test_two_mode_products_leave_robertson_saturation_quadratically_in_a_perturb
         st = StateVector(np.kron(*modes), multimode_basis(2, N))
         _assert_gaps_open_as_eps_squared(obs, st, rng, (1e-2, 1e-3, 1e-4, 1e-5),
                                          lambda rep: [rep.order_gaps[4].gap])
+
+
+def test_squeezed_sets_of_one_pair_leave_saturation_quadratically_in_a_perturbation():
+    # m = 2..8 squeezed states that share (u, v) saturate order 2 together; a
+    # seeded step eps off each opens the order-2 gap as eps^2, and gap / eps^2
+    # holds within 5% from 1e-2 down to 1e-6 (seed 7: within 0.6%).  In the
+    # sum each state's own gap counts m times, so gap / (m eps)^2 sits in a
+    # band per r fixed from seed 7 (61.1-63.8, 86.4-95.4, 152.6-187.7 at
+    # 1e-2, widened by 5%), which a report that drops a state falls below
+    N = 128
+    obs = observable_set("canonical", N=N)
+    rng = np.random.default_rng(7)
+    for r, (lo, hi) in [(0.2, (58.0, 67.0)), (0.5, (82.0, 100.0)), (0.9, (145.0, 197.0))]:
+        for m in _SEVERAL:
+            alphas = 0.5 * rng.uniform(0, 1, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
+            states = [canonical_ss(alpha, math.cosh(r), math.sinh(r), N=N) for alpha in alphas]
+            first, = _assert_gaps_open_as_eps_squared(
+                obs, states, rng, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+                lambda rep: [rep.order_gaps[2].gap])
+            assert lo <= first / m ** 2 <= hi, (r, m)
+
 
 def test_distinct_su11_coherent_states_do_not_saturate_at_any_m():
     # each state alone saturates orders 2 and 3; a sum of distinct ones does not
